@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from contextlib import nullcontext
 from fractions import Fraction
 
 from . import energycert, gf2codes, lattice32, lpcert, sphercode
@@ -22,16 +21,6 @@ from .gegenbauer import gegenbauer_expand
 
 class UsageError(Exception):
     pass
-
-
-def _thread_limiter(threads):
-    if threads is None:
-        return nullcontext()
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        return nullcontext()
-    return threadpool_limits(limits=threads)
 
 
 def _load_code(source: str) -> gf2codes.BinaryCode:
@@ -94,23 +83,22 @@ def cmd_build(args) -> int:
 
 def cmd_verify(args) -> int:
     shell = lattice32.load_shell(args.shell)
-    with _thread_limiter(args.threads):
-        mode = sphercode.ALL if args.full else args.sample
-        inv = sphercode.check_distance_invariance(shell, sample=mode, seed=args.seed)
-        if args.full:
-            # exact global pair pass
-            hist = sphercode.histogram(shell)
-            hist_mode = "full"
-        elif inv.invariant:
-            # exact under the (sampled) distance-invariance evidence
-            hist = sphercode.histogram_from_distribution(inv.distribution, shell.count)
-            hist_mode = "extrapolated-from-sample"
-        else:
-            hist = None
-            hist_mode = "unavailable"
-        strength = (
-            sphercode.design_strength(shell, cap=args.cap, hist=hist) if hist else None
-        )
+    mode = sphercode.ALL if args.full else args.sample
+    inv = sphercode.check_distance_invariance(shell, sample=mode, seed=args.seed)
+    if args.full:
+        # exact global pair pass
+        hist = sphercode.histogram(shell)
+        hist_mode = "full"
+    elif inv.invariant:
+        # exact under the (sampled) distance-invariance evidence
+        hist = sphercode.histogram_from_distribution(inv.distribution, shell.count)
+        hist_mode = "extrapolated-from-sample"
+    else:
+        hist = None
+        hist_mode = "unavailable"
+    strength = (
+        sphercode.design_strength(shell, cap=args.cap, hist=hist) if hist else None
+    )
     record = {
         "command": "verify",
         "count": shell.count,
@@ -164,8 +152,7 @@ def cmd_energy(args) -> int:
     cert = energycert.energy_lower_bound(h, precision=args.precision)
     if args.shell:
         shell = lattice32.load_shell(args.shell)
-        with _thread_limiter(args.threads):
-            hist = sphercode.histogram(shell)
+        hist = sphercode.histogram(shell)
         energy = energycert.code_energy(hist, h, precision=args.precision)
         cert = cert.with_energy(energy)
     _emit({"command": "energy", **cert.to_json_dict()}, args.format)
@@ -241,45 +228,44 @@ def cmd_selftest(args) -> int:
               and rep.min_distance == 8)
 
     shells = {}
-    with _thread_limiter(args.threads):
-        for code in codes:
-            shell = lattice32.build_shell(code)
-            shells[code.name] = shell
-            check(f"{code.name}: shell has 146880 vectors",
-                  lambda shell=shell: shell.count == 146880)
-            check(f"{code.name}: norm-2 layer empty",
-                  lambda code=code: lattice32.check_extremal(code))
-            x, z = lattice32.witness_pair()
-            check(f"{code.name}: witness Venkov pair e_2,2 = 60",
-                  lambda shell=shell, x=x, z=z: lattice32.venkov_e22(shell, x, z) == 60)
-            vals = lattice32.venkov_sample(shell, 100, 1)
-            check(f"{code.name}: 100 sampled e_2,2 values even in [0,60]",
-                  lambda vals=vals: all(v % 2 == 0 and 0 <= v <= 60 for v in vals))
+    for code in codes:
+        shell = lattice32.build_shell(code)
+        shells[code.name] = shell
+        check(f"{code.name}: shell has 146880 vectors",
+              lambda shell=shell: shell.count == 146880)
+        check(f"{code.name}: norm-2 layer empty",
+              lambda code=code: lattice32.check_extremal(code))
+        x, z = lattice32.witness_pair()
+        check(f"{code.name}: witness Venkov pair e_2,2 = 60",
+              lambda shell=shell, x=x, z=z: lattice32.venkov_e22(shell, x, z) == 60)
+        vals = lattice32.venkov_sample(shell, 100, 1)
+        check(f"{code.name}: 100 sampled e_2,2 values even in [0,60]",
+              lambda vals=vals: all(v % 2 == 0 and 0 <= v <= 60 for v in vals))
 
-        shell = shells["rm2_5"]
-        hist = sphercode.histogram(shell)
-        support = {Fraction(v, 4) for v in (-4, -2, -1, 0, 1, 2)}
-        check("rm2_5: inner products exactly {-1,-1/2,-1/4,0,1/4,1/2}",
-              lambda: set(hist.counts) == support)
-        dist = sphercode.distance_distribution_at(shell, shell.vectors[0])
-        expected = {Fraction(-1): 1, Fraction(-1, 2): 1240, Fraction(-1, 4): 31744,
-                    Fraction(0): 80910, Fraction(1, 4): 31744, Fraction(1, 2): 1240,
-                    Fraction(1): 1}
-        check("rm2_5: distance distribution at a point matches", lambda: dist.a == expected)
-        strength = sphercode.design_strength(shell, cap=12, hist=hist)
-        check("rm2_5: design strength 7 1/2 (tau = 7, M_10 = 0, M_8 != 0)",
-              lambda: strength.tau == 7 and 10 in strength.extra_vanishing
-              and strength.moments[8] != 0)
-        inv = sphercode.check_distance_invariance(shell, sample=1000, seed=7)
-        check("rm2_5: 1000-point sampled distance invariance", lambda: inv.invariant)
-        h = energycert.invlin()
-        cert = energycert.energy_lower_bound(h)
-        energy = energycert.code_energy(hist, h)
-        check("invlin energy certificate valid", lambda: cert.valid)
-        check("invlin energy attained exactly on the shell",
-              lambda: energy == cert.lower_bound)
-        check("invlin quadrature form equals dual form exactly",
-              lambda: cert.lower_bound == cert.dual_bound)
+    shell = shells["rm2_5"]
+    hist = sphercode.histogram(shell)
+    support = {Fraction(v, 4) for v in (-4, -2, -1, 0, 1, 2)}
+    check("rm2_5: inner products exactly {-1,-1/2,-1/4,0,1/4,1/2}",
+          lambda: set(hist.counts) == support)
+    dist = sphercode.distance_distribution_at(shell, shell.vectors[0])
+    expected = {Fraction(-1): 1, Fraction(-1, 2): 1240, Fraction(-1, 4): 31744,
+                Fraction(0): 80910, Fraction(1, 4): 31744, Fraction(1, 2): 1240,
+                Fraction(1): 1}
+    check("rm2_5: distance distribution at a point matches", lambda: dist.a == expected)
+    strength = sphercode.design_strength(shell, cap=12, hist=hist)
+    check("rm2_5: design strength 7 1/2 (tau = 7, M_10 = 0, M_8 != 0)",
+          lambda: strength.tau == 7 and 10 in strength.extra_vanishing
+          and strength.moments[8] != 0)
+    inv = sphercode.check_distance_invariance(shell, sample=1000, seed=7)
+    check("rm2_5: 1000-point sampled distance invariance", lambda: inv.invariant)
+    h = energycert.invlin()
+    cert = energycert.energy_lower_bound(h)
+    energy = energycert.code_energy(hist, h)
+    check("invlin energy certificate valid", lambda: cert.valid)
+    check("invlin energy attained exactly on the shell",
+          lambda: energy == cert.lower_bound)
+    check("invlin quadrature form equals dual form exactly",
+          lambda: cert.lower_bound == cert.dual_bound)
 
     failed = [name for name, ok, _ in results if not ok]
     print(f"\n{len(results) - len(failed)}/{len(results)} fixtures passed")
@@ -293,13 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
         "of extremal even unimodular 32-dimensional lattices.",
     )
     ap.add_argument("--format", choices=("json", "text"), default="json")
-    ap.add_argument(
-        "--threads",
-        type=int,
-        default=os.environ.get("LATCERT_THREADS"),
-        help="worker threads for the pair passes (default: library default; "
-        "LATCERT_THREADS as fallback)",
-    )
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="construct the norm-4 shell of a code's lattice")
@@ -354,8 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.threads is not None:
-        args.threads = int(args.threads)
     try:
         return args.fn(args)
     except UsageError as exc:

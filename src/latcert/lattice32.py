@@ -32,7 +32,7 @@ from .gf2codes import BinaryCode, code_report
 SHELL_NORM = 32  # s.s for every shell vector (norm 4 at lattice scale)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Shell:
     """Canonically sorted integer vectors with s.s = 32, in `dim` coordinates.
 
@@ -173,7 +173,9 @@ def build_shell(c: BinaryCode) -> Shell:
 
     vectors = np.concatenate(blocks, axis=0)
     shell = make_shell(vectors, 32, source=c.name)
-    assert shell.count == 1984 + 128 * len(eight) + len(words)
+    expected = 1984 + 128 * len(eight) + len(words)
+    if shell.count != expected:
+        raise ValueError(f"built {shell.count} shell vectors, expected {expected}")
     return shell
 
 

@@ -2,12 +2,22 @@
 distributions, Gegenbauer moments, design strength, and quadrature identities.
 
 Unit-sphere inner products of shell vectors are s_x.s_y / 32, so every pair
-statistic is an exact integer count keyed by an exact rational.  The N^2
-pair pass runs as blocked float32 matrix products; with entries bounded by
-5 in absolute value every intermediate is an integer below 2^24, so the
-float path is exact.  For antipodal shells the pass is folded onto a half
-set (dot(+-x, +-y) = +-dot(x, y)), which cuts the work fourfold without
-giving up exactness: antipodality itself is verified first.
+statistic is an exact integer count keyed by an exact rational.  The pair
+passes count dot values column by column in blocked float32 matrix products.
+Every vector is checked to have s.s = 32, so |entry| <= 5 and every partial
+sum of a dot product is an integer of absolute value at most 32: the float
+path is exact.
+
+The exact passes (the histogram and the full invariance check) need only one
+column per orbit of a group of coordinate sign flips that maps the shell onto
+itself: a flip is an isometry, so every point of an orbit sees the same
+distance distribution.  Candidate flips are read off the shell (the minus
+patterns of its rows with no zero entry, and negation) and each is kept only
+after an exact check that it permutes the shell.  On the lattice shells the
+rows with no zero entry are the all-+-1 vectors, whose minus sets are the
+codewords, so the group is the 2^16 codeword flips with 1117 orbits.  On any
+other shell the group is whatever verifies, down to {+-1} or the trivial
+group, and the passes stay exact.
 """
 
 from __future__ import annotations
@@ -19,11 +29,9 @@ import numpy as np
 
 from .exactmath import Polynomial
 from .gegenbauer import gegenbauer_expand, gegenbauer_poly
-from .lattice32 import SHELL_NORM, Shell, _canonical_sort
+from .lattice32 import SHELL_NORM, Shell
 
 ALL = "all"
-
-_DEFAULT_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -69,6 +77,8 @@ class InvarianceReport:
     counterexample: tuple | None  # ((index, distribution), (index, distribution))
     checked: int
     mode: str
+    group_order: int  # order of the sign-flip group used; 1 when sampled
+    representatives: int  # columns counted: one per orbit or per sampled point
 
 
 @dataclass(frozen=True)
@@ -79,106 +89,109 @@ class QuadratureVerdict:
     warning: str | None = None
 
 
-def _as_float32(vectors: np.ndarray) -> np.ndarray:
-    # exactness guard: dots are sums of <= dim products of entries; with
-    # |entry| <= 5 and dim <= 32 every partial sum stays far below 2^24
-    assert int(np.abs(vectors).max(initial=0)) <= 11
+_BINS = 2 * SHELL_NORM + 1  # dot values -32..32, offset by 32
+
+
+def _float32_rows(vectors: np.ndarray) -> np.ndarray:
+    """The rows as float32, once every row is checked to have s.s = 32.  That
+    bounds |entry| <= 5 and |dot| <= 32, so float32 dots are exact integers
+    and each falls in one of the 65 bins."""
+    norms = (vectors.astype(np.int64) ** 2).sum(axis=1)
+    bad = np.flatnonzero(norms != SHELL_NORM)
+    if len(bad):
+        raise ValueError(
+            f"pair pass needs s.s = {SHELL_NORM} for every vector; "
+            f"vector {int(bad[0])} has s.s = {int(norms[bad[0]])}"
+        )
     return vectors.astype(np.float32)
 
 
-def _antipodal_half(vectors: np.ndarray):
-    """Indices of one representative per antipodal pair, or None if the set
-    is not antipodal."""
-    n = len(vectors)
-    neg_sorted, dups = _canonical_sort(-vectors)
-    if dups or not np.array_equal(neg_sorted, vectors):
-        return None
-    first_nz = np.argmax(vectors != 0, axis=1)
-    positive = vectors[np.arange(n), first_nz] > 0
-    idx = np.flatnonzero(positive)
-    if 2 * len(idx) != n:
-        return None
-    return idx
+def _column_counts(F: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(65, len(cols)) counts of each dot value s_x.s_c over all rows x, one
+    column per index c in cols; bin 64 holds the self pair."""
+    step = max(1, 2**25 // max(len(F), 1))  # about 2^25 float32 per block
+    table = np.empty((len(cols), _BINS), dtype=np.int64)
+    for j0 in range(0, len(cols), step):
+        D = F[cols[j0 : j0 + step]] @ F.T
+        D += SHELL_NORM
+        for j, row in enumerate(D.astype(np.uint8), j0):
+            table[j] = np.bincount(row, minlength=_BINS)
+    return table.T
 
 
-_EXPECTED_DOTS = (-32.0, -16.0, -8.0, 0.0, 8.0, 16.0, 32.0)
+def _pack_nibbles(a: np.ndarray) -> np.ndarray:
+    """Rows of values in [0, 16) packed 16 to a uint64, one column per 16
+    coordinates."""
+    n, dim = a.shape
+    words = -(-dim // 16)
+    nib = np.zeros((n, words * 16), dtype=np.uint64)
+    nib[:, :dim] = a
+    nib = nib.reshape(n, words, 16) << (4 * np.arange(16, dtype=np.uint64))
+    return np.bitwise_or.reduce(nib, axis=2)
 
 
-def _block_count_columns(D: np.ndarray, offset_counts: np.ndarray) -> None:
-    """Per-column counts of each dot value in a float32 block, accumulated
-    into offset_counts (shape (65, n_cols)).  Probes the shell's admissible
-    values first and falls back to exact 65-bin counting for generic data."""
-    matched = 0
-    for v in _EXPECTED_DOTS:
-        col = (D == np.float32(v)).sum(axis=0, dtype=np.int64)
-        offset_counts[int(v) + SHELL_NORM] += col
-        matched += int(col.sum())
-    if matched != D.size:
-        for v in _EXPECTED_DOTS:
-            offset_counts[int(v) + SHELL_NORM] -= (D == np.float32(v)).sum(
-                axis=0, dtype=np.int64
-            )
-        n_cols = D.shape[1]
-        Du = (D + np.float32(SHELL_NORM)).astype(np.int64)
-        Du += 65 * np.arange(n_cols, dtype=np.int64)[None, :]
-        flat = Du.ravel()
-        binned = np.zeros(65 * n_cols, dtype=np.int64)
-        for i in range(0, flat.size, 1 << 24):
-            binned += np.bincount(flat[i : i + (1 << 24)], minlength=65 * n_cols)
-        offset_counts += binned.reshape(n_cols, 65).T
+def _candidate_flips(vectors: np.ndarray) -> list:
+    """Sign-flip masks to try: a GF(2) basis of the minus patterns of the rows
+    with no zero entry, then negation if it lies outside their span."""
+    rows = vectors[(vectors != 0).all(axis=1)] < 0
+    basis = []
+    for c in range(vectors.shape[1]):
+        hit = rows[:, c]
+        if hit.any():
+            pivot = rows[np.argmax(hit)]  # zero before column c: echelon form
+            basis.append(pivot)
+            rows = rows ^ (hit[:, None] & pivot)
+    neg = np.ones(vectors.shape[1], dtype=bool)
+    for pivot in basis:
+        if neg[np.argmax(pivot)]:
+            neg = neg ^ pivot
+    return basis + [np.ones_like(neg)] if neg.any() else basis
 
 
-def _block_histogram(D: np.ndarray, hist: np.ndarray) -> None:
-    """Global counts of each dot value in a float32 block (65-bin offset)."""
-    matched = 0
-    for v in _EXPECTED_DOTS:
-        c = int(np.count_nonzero(D == np.float32(v)))
-        hist[int(v) + SHELL_NORM] += c
-        matched += c
-    if matched != D.size:
-        # generic shells: fall back to exact 65-bin counting for this block
-        for v in _EXPECTED_DOTS:
-            hist[int(v) + SHELL_NORM] -= int(np.count_nonzero(D == np.float32(v)))
-        Du = (D + np.float32(SHELL_NORM)).astype(np.uint8)
-        flat = Du.ravel()
-        for i in range(0, flat.size, 1 << 24):
-            hist += np.bincount(flat[i : i + (1 << 24)], minlength=65)
+def _verified_flips(vectors: np.ndarray) -> list:
+    """Row permutations perm[x] = index of flip(x), one per candidate flip
+    that maps the shell onto itself; the rest are dropped.  The kept flips
+    are independent, so they generate a group of order 2^len."""
+    # exact row keys: sign-magnitude nibbles (|entry| <= 5), so a flip is an
+    # XOR of the sign bit on the flipped nonzero entries
+    keys = _pack_nibbles(np.abs(vectors) + 8 * (vectors < 0))
+    signable = _pack_nibbles(8 * (vectors != 0))
+    order = np.lexsort(keys.T)
+    perms = []
+    for flip in _candidate_flips(vectors):
+        fkeys = keys ^ (signable & _pack_nibbles(8 * flip[None, :]))
+        forder = np.lexsort(fkeys.T)
+        if np.array_equal(fkeys[forder], keys[order]):
+            perm = np.empty(len(vectors), dtype=np.intp)
+            perm[forder] = order
+            perms.append(perm)
+    return perms
 
 
-def _pair_histogram_ints(vectors: np.ndarray, block: int) -> np.ndarray:
-    """Ordered-pair dot-value counts (65-bin, diagonal removed)."""
-    n = len(vectors)
-    hist = np.zeros(65, dtype=np.int64)
-    if n <= 2048:
-        D = vectors.astype(np.int64) @ vectors.astype(np.int64).T
-        for v, c in zip(*np.unique(D, return_counts=True)):
-            hist[int(v) + SHELL_NORM] += int(c)
-    else:
-        F = _as_float32(vectors)
-        for j0 in range(0, n, block):
-            D = F @ F[j0 : j0 + block].T
-            _block_histogram(D, hist)
-    hist[2 * SHELL_NORM] -= n  # remove the diagonal
-    if hist[2 * SHELL_NORM] < 0:
-        raise AssertionError("pair pass lost diagonal entries")
-    return hist
+def _orbit_pass(vectors: np.ndarray):
+    """The exact pair pass: (representatives, orbit sizes, (65, reps) column
+    table, group order).  Each orbit of the verified flip group is represented
+    by its smallest index, and every point's distribution is its
+    representative's column."""
+    F = _float32_rows(vectors)  # first: the nibble keys need |entry| <= 5
+    perms = _verified_flips(vectors)
+    labels = np.arange(len(vectors))
+    for perm in perms:
+        # the flips commute and are involutions, so one sweep per generator
+        # leaves every label at the minimum over its orbit
+        np.minimum(labels, labels[perm], out=labels)
+    reps, sizes = np.unique(labels, return_counts=True)
+    return reps, sizes, _column_counts(F, reps), 2 ** len(perms)
 
 
-def histogram(shell: Shell, block: int = _DEFAULT_BLOCK) -> InnerProductHistogram:
-    """Exact inner-product counts over all N(N-1) ordered pairs."""
-    vectors = shell.vectors
-    n = len(vectors)
-    half = _antipodal_half(vectors) if n > 2048 else None
-    if half is None:
-        hist = _pair_histogram_ints(vectors, block)
-    else:
-        ca = _pair_histogram_ints(vectors[half], block)
-        if ca[0] or ca[2 * SHELL_NORM]:
-            raise AssertionError("duplicate or antipodal vectors inside the half set")
-        hist = np.zeros(65, dtype=np.int64)
-        folded = ca + ca[::-1]
-        hist[1 : 2 * SHELL_NORM] = 2 * folded[1 : 2 * SHELL_NORM]
-        hist[0] = n  # each x pairs with -x
+def histogram(shell: Shell) -> InnerProductHistogram:
+    """Exact inner-product counts over all N(N-1) ordered pairs: the
+    orbit-size-weighted sum of the representatives' columns, minus the
+    diagonal."""
+    n = shell.count
+    _, sizes, table, _ = _orbit_pass(shell.vectors)
+    hist = table @ sizes
+    hist[2 * SHELL_NORM] -= n
     counts = {
         Fraction(v - SHELL_NORM, SHELL_NORM): int(c)
         for v, c in enumerate(hist)
@@ -212,97 +225,42 @@ def distance_distribution_at(shell: Shell, x) -> DistanceDistribution:
     )
 
 
-def _fold_counts(per_col: np.ndarray) -> np.ndarray:
-    return per_col + per_col[::-1]
-
-
 def check_distance_invariance(
-    shell: Shell,
-    sample: int | str = 1000,
-    seed: int = 0,
-    block: int = _DEFAULT_BLOCK,
+    shell: Shell, sample: int | str = 1000, seed: int = 0
 ) -> InvarianceReport:
     """Verify that every (checked) point sees the same distance distribution.
 
-    ``sample=ALL`` runs the gated full pass: per-point distributions for all
-    N points.  On an antipodal shell this folds onto a half set: the counts
-    seen from -x are the t -> -t mirror of those from x, so equality of the
-    folded half-set rows is equivalent to full invariance.
+    ``sample=ALL`` checks all N points exactly, with one column per orbit of
+    the verified sign-flip group; a counterexample is point 0 and the first
+    point whose distribution differs.  An integer sample checks that many
+    seeded points, one column each.
     """
     vectors = shell.vectors
     n = len(vectors)
     if sample == ALL:
-        half = _antipodal_half(vectors) if n > 2048 else None
-        if half is not None:
-            sub = vectors[half]
-            index_map = half
-            fold = True
-        else:
-            sub = vectors
-            index_map = np.arange(n)
-            fold = False
-        m = len(sub)
-        per_col = np.zeros((65, m), dtype=np.int64)
-        if n <= 2048:
-            D = vectors.astype(np.int64) @ sub.astype(np.int64).T
-            for v in range(-SHELL_NORM, SHELL_NORM + 1):
-                per_col[v + SHELL_NORM] = (D == v).sum(axis=0)
-        else:
-            F = _as_float32(sub if fold else vectors)
-            right = _as_float32(sub)
-            for j0 in range(0, m, block):
-                D = F @ right[j0 : j0 + block].T
-                _block_count_columns(D, per_col[:, j0 : j0 + block])
-        if fold:
-            # row-vs-half-set counts; self pair sits at +32, no antipode inside
-            if per_col[0].any():
-                raise AssertionError("antipodal pair inside the half set")
-            per_col[2 * SHELL_NORM] -= 1
-            if (per_col[2 * SHELL_NORM] < 0).any() or per_col[2 * SHELL_NORM].any():
-                raise AssertionError("duplicate vectors in the half set")
-            folded = _fold_counts(per_col)
-            folded[0] = 1  # the antipode of each point
-            folded[2 * SHELL_NORM] = 1  # the point itself (A_1 = 1 convention)
-            table = folded
-        else:
-            # raw +32 column counts are exactly the self pair, i.e. A_1 = 1
-            table = per_col
-        mode = "full"
-        checked = n
+        cols, _, table, group_order = _orbit_pass(vectors)
+        mode, checked = "full", n
     else:
         k = min(int(sample), n)
         rng = np.random.default_rng(seed)
-        index_map = np.sort(rng.choice(n, size=k, replace=False))
-        sub = vectors[index_map]
-        table = np.zeros((65, k), dtype=np.int64)
-        if n <= 2048:
-            D = vectors.astype(np.int64) @ sub.astype(np.int64).T
-            for v in range(-SHELL_NORM, SHELL_NORM + 1):
-                table[v + SHELL_NORM] = (D == v).sum(axis=0)
-        else:
-            F = _as_float32(vectors)
-            right = _as_float32(sub)
-            for j0 in range(0, k, block):
-                D = F @ right[j0 : j0 + block].T
-                _block_count_columns(D, table[:, j0 : j0 + block])
-        mode = "sampled"
-        checked = k
+        cols = np.sort(rng.choice(n, size=k, replace=False))
+        table = _column_counts(_float32_rows(vectors), cols)
+        mode, checked, group_order = "sampled", k, 1
 
     ref = table[:, 0]
     same = (table == ref[:, None]).all(axis=0)
     if not same.all():
         j = int(np.flatnonzero(~same)[0])
-        return InvarianceReport(
-            False,
-            None,
-            (
-                (int(index_map[0]), _dist_from_column(table[:, 0])),
-                (int(index_map[j]), _dist_from_column(table[:, j])),
-            ),
-            checked,
-            mode,
+        counterexample = (
+            (int(cols[0]), _dist_from_column(ref)),
+            (int(cols[j]), _dist_from_column(table[:, j])),
         )
-    return InvarianceReport(True, _dist_from_column(ref), None, checked, mode)
+        return InvarianceReport(
+            False, None, counterexample, checked, mode, group_order, len(cols)
+        )
+    return InvarianceReport(
+        True, _dist_from_column(ref), None, checked, mode, group_order, len(cols)
+    )
 
 
 def _dist_from_column(col: np.ndarray) -> DistanceDistribution:

@@ -111,6 +111,7 @@ def test_usage_errors_exit_two():
     assert run_cli("no-such-command").returncode == 2
     assert run_cli("venkov", "--shell", "/nonexistent/shell.txt").returncode == 2
     assert run_cli("energy", "--potential", "coulomb").returncode == 2
+    assert run_cli("--threads", "2", "selftest").returncode == 2  # flag removed
 
 
 def test_venkov_witness_and_sample(shell_file):

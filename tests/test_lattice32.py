@@ -185,6 +185,11 @@ def test_make_shell_rejects_duplicates_and_non_antipodal():
         make_shell([[4, 4, 0, 0], [0, 4, 4, 0]], dim=4)
 
 
+def test_shell_equality_is_identity():
+    sh = make_shell([[4, 4, 0, 0], [-4, -4, 0, 0]], dim=4)
+    assert sh == sh and sh != make_shell(sh.vectors, dim=4)
+
+
 def test_canonical_order_is_numeric_lexicographic(rm_shell):
     vecs = rm_shell.result.vectors
     sample = vecs[::4096].tolist()

@@ -1,7 +1,13 @@
+import itertools
 import random
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_polynomial
 from latcert.exactmath import Polynomial
@@ -247,3 +253,145 @@ def test_main_identity_on_small_shell(small_antipodal_shell):
             e.coeffs[i] * mv[i] for i in range(1, len(e.coeffs))
         )
         assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# the orbit-reduced pair passes against an int64 brute force
+
+
+def _magnitude_rows(dim):
+    """Every non-increasing tuple of |entries| <= 5 with squares summing to
+    32, zero-padded to dim."""
+    out = []
+
+    def extend(prefix, rest):
+        if rest == 0:
+            out.append(prefix + (0,) * (dim - len(prefix)))
+        elif len(prefix) < dim:
+            for m in range(min(prefix[-1] if prefix else 5, 5), 0, -1):
+                if m * m <= rest:
+                    extend(prefix + (m,), rest - m * m)
+
+    extend((), 32)
+    return out
+
+
+MAGNITUDES = {dim: _magnitude_rows(dim) for dim in range(4, 9)}
+
+
+@st.composite
+def flip_closed_shells(draw):
+    """A few random norm-32 rows in dim 4-8, closed under a random set of
+    sign flips; sometimes one point and its antipode are then removed."""
+    dim = draw(st.integers(4, 8))
+    signs = st.lists(st.booleans(), min_size=dim, max_size=dim)
+    rows = set()
+    for _ in range(draw(st.integers(1, 3))):
+        mags = draw(st.sampled_from(MAGNITUDES[dim]))
+        perm = draw(st.permutations(range(dim)))
+        neg = draw(signs)
+        rows.add(tuple(-mags[p] if f else mags[p] for p, f in zip(perm, neg)))
+    for flip in draw(st.lists(signs, max_size=4)):
+        rows |= {tuple(-v if f else v for v, f in zip(r, flip)) for r in rows}
+    rows = sorted(rows)
+    if draw(st.booleans()):
+        x = draw(st.sampled_from(rows))
+        kept = [r for r in rows if r != x and r != tuple(-v for v in x)]
+        rows = kept or rows
+    return make_shell(rows, dim=dim, validate=False)
+
+
+def _assert_matches_brute_force(shell):
+    D = shell.vectors.astype(np.int64) @ shell.vectors.astype(np.int64).T
+    per_point = [{Fraction(v, 32): c for v, c in Counter(r.tolist()).items()} for r in D]
+    off_diagonal = D[~np.eye(len(D), dtype=bool)].tolist()
+    pairs = {Fraction(v, 32): c for v, c in Counter(off_diagonal).items()}
+    assert histogram(shell).counts == pairs
+    differ = [i for i, d in enumerate(per_point) if d != per_point[0]]
+    full = check_distance_invariance(shell, sample=ALL)
+    for inv in (full, check_distance_invariance(shell, sample=len(D))):
+        assert inv.invariant == (not differ)
+        if differ:
+            (i, di), (j, dj) = inv.counterexample
+            assert (i, j) == (0, differ[0])
+            assert (di.a, dj.a) == (per_point[0], per_point[j])
+        else:
+            assert inv.distribution.a == per_point[0]
+    return full
+
+
+@settings(max_examples=300, deadline=None)
+@given(flip_closed_shells())
+def test_pair_passes_match_brute_force(shell):
+    inv = _assert_matches_brute_force(shell)
+    assert inv.checked == shell.count
+    assert 1 <= inv.representatives <= shell.count
+
+
+def test_full_pass_finds_flip_group_on_small_shell():
+    # all +-2 rows with minus sets in the [8,4,4] extended Hamming code, and
+    # all rows with two +-4: the 16 code flips act, with 1 + 28 orbits
+    generator = np.array([[1, 0, 0, 0, 0, 1, 1, 1], [0, 1, 0, 0, 1, 0, 1, 1],
+                          [0, 0, 1, 0, 1, 1, 0, 1], [0, 0, 0, 1, 1, 1, 1, 0]])
+    hamming = [np.array(m) @ generator % 2 for m in itertools.product((0, 1), repeat=4)]
+    rows = [list(2 - 4 * word) for word in hamming]
+    for i in range(8):
+        for j in range(i + 1, 8):
+            for si in (4, -4):
+                for sj in (4, -4):
+                    row = [0] * 8
+                    row[i], row[j] = si, sj
+                    rows.append(row)
+    inv = _assert_matches_brute_force(make_shell(rows, dim=8))
+    assert (inv.group_order, inv.representatives) == (16, 29)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_pair_passes_reject_vectors_off_norm(flags):
+    # an entry of 6 puts dots outside the 65 bins; s.s = 4 is merely off-norm.
+    # Both must raise a ValueError, also under -O, which drops asserts.
+    script = (
+        "from latcert.lattice32 import make_shell\n"
+        "from latcert.sphercode import ALL, check_distance_invariance, histogram\n"
+        "for rows in ([[6, 0, 0, 0], [-6, 0, 0, 0]], [[2, 0, 0, 0], [-2, 0, 0, 0]]):\n"
+        "    sh = make_shell(rows, validate=False)\n"
+        "    for run in (histogram, lambda s: check_distance_invariance(s, ALL),\n"
+        "                lambda s: check_distance_invariance(s, 2)):\n"
+        "        try:\n"
+        "            run(sh)\n"
+        "        except ValueError as exc:\n"
+        "            if 'needs s.s = 32' not in str(exc):\n"
+        "                raise\n"
+        "        else:\n"
+        "            raise SystemExit(f'accepted {rows}')\n"
+    )
+    proc = subprocess.run([sys.executable, *flags, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("code", ["rm", "xqr"])
+def test_full_pass_uses_the_codeword_flip_group(request, code):
+    shell = request.getfixturevalue(f"{code}_shell").result
+    full = request.getfixturevalue(f"{code}_full_invariance").result
+    assert (full.group_order, full.representatives) == (2**16, 1117)
+    sampled = check_distance_invariance(shell, sample=1000, seed=5)
+    assert sampled.invariant
+    assert (sampled.group_order, sampled.representatives) == (1, 1000)
+    hist = request.getfixturevalue(f"{code}_hist").result
+    assert hist.counts == histogram_from_distribution(sampled.distribution, N).counts
+
+
+def test_full_pass_on_shell_missing_an_antipodal_pair(rm_shell):
+    sh = rm_shell.result
+    x = np.zeros(32, dtype=np.int8)
+    x[:2] = 4
+    keep = np.ones(sh.count, dtype=bool)
+    keep[[sh.index_of(x), sh.index_of(-x)]] = False
+    broken = make_shell(sh.vectors[keep])
+    inv = check_distance_invariance(broken, sample=ALL)
+    assert inv.invariant is False
+    (i, di), (j, dj) = inv.counterexample
+    assert i == 0 < j
+    assert di.a == distance_distribution_at(broken, broken.vectors[i]).a
+    assert dj.a == distance_distribution_at(broken, broken.vectors[j]).a
