@@ -86,8 +86,8 @@ def cmd_verify(args) -> int:
     mode = sphercode.ALL if args.full else args.sample
     inv = sphercode.check_distance_invariance(shell, sample=mode, seed=args.seed)
     if args.full:
-        # exact global pair pass
-        hist = sphercode.histogram(shell)
+        # exact global pair counts, from the same pass
+        hist = inv.histogram
         hist_mode = "full"
     elif inv.invariant:
         # exact under the (sampled) distance-invariance evidence

@@ -148,7 +148,8 @@ def _min_poly_coeffs(r: int) -> list:
             nxt[d + 1] ^= c
             nxt[d] ^= _gf32_mul(c, root)
         poly = nxt
-    assert all(c in (0, 1) for c in poly), "minimal polynomial not over GF(2)"
+    if any(c not in (0, 1) for c in poly):
+        raise RuntimeError("minimal polynomial not over GF(2)")
     return poly
 
 
@@ -169,7 +170,8 @@ def extended_quadratic_residue_32() -> BinaryCode:
                 for j, b in enumerate(m):
                     nxt[i + j] ^= b
         g = nxt
-    assert len(g) == 16 and g[0] == 1 and g[15] == 1  # degree-15 generator
+    if not (len(g) == 16 and g[0] == 1 and g[15] == 1):
+        raise RuntimeError("QR generator is not of degree 15 with g(0) = 1")
     rows = []
     for shift in range(16):
         row = [0] * 31

@@ -23,6 +23,7 @@ and 2^16 = 65536, totalling 146880.
 from __future__ import annotations
 
 import random
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,16 +69,10 @@ def _row_view(a: np.ndarray):
 
 
 def _canonical_sort(arr: np.ndarray):
-    """Lexicographically sorted copy plus the number of duplicate rows."""
-    view = _row_view(arr)
-    order = np.argsort(view, kind="stable")
-    srt = arr[order]
-    dups = int((view[order][1:] == view[order][:-1]).sum()) if len(arr) > 1 else 0
-    if dups:
-        keep = np.ones(len(arr), dtype=bool)
-        keep[1:] = view[order][1:] != view[order][:-1]
-        srt = srt[keep]
-    return srt, dups
+    """Lexicographically sorted copy without duplicate rows, plus the number
+    of duplicates dropped."""
+    _, first = np.unique(_row_view(arr), return_index=True)
+    return arr[first], len(arr) - len(first)
 
 
 def make_shell(vectors, dim: int | None = None, source=None, validate=True) -> Shell:
@@ -96,8 +91,8 @@ def make_shell(vectors, dim: int | None = None, source=None, validate=True) -> S
         if not (norms == SHELL_NORM).all():
             bad = int(np.flatnonzero(norms != SHELL_NORM)[0])
             raise ValueError(f"vector {bad} has s.s = {int(norms[bad])}, expected 32")
-        neg_sorted, _ = _canonical_sort(-srt)
-        if not np.array_equal(neg_sorted, srt):
+        # negation reverses the order of distinct rows; |entry| <= 5 here
+        if not np.array_equal(-srt[::-1], srt):
             raise ValueError("shell is not closed under negation")
     srt.setflags(write=False)
     return Shell(srt, dim, source)
@@ -192,14 +187,35 @@ def venkov_e22(shell: Shell, x, z) -> int:
     the orthogonal minimal vectors x and z (the Venkov pair statistic)."""
     x = np.asarray(x, dtype=np.int64)
     z = np.asarray(z, dtype=np.int64)
-    if shell.index_of(x) < 0 or shell.index_of(z) < 0:
+    i, j = shell.index_of(x), shell.index_of(z)
+    if i < 0 or j < 0:
         raise ValueError("x and z must be shell vectors")
     if int(x @ z) != 0:
         raise ValueError(
             f"invalid Venkov pair: lattice inner product is {int(x @ z) // 8}, not 0"
         )
-    D = shell.vectors.astype(np.int32) @ np.stack([x, z]).T.astype(np.int32)
-    return int(np.count_nonzero((D[:, 0] == 16) & (D[:, 1] == 16)))
+    return _e22(_float32_rows(shell.vectors), i, j)
+
+
+def _float32_rows(vectors: np.ndarray) -> np.ndarray:
+    """The rows as float32, once there is a row and every row is checked to
+    have s.s = 32.  That bounds |entry| <= 5 and every partial sum of a dot
+    by 32, so float32 dots are exact integers."""
+    if not len(vectors):
+        raise ValueError("pair pass needs a nonempty shell")
+    norms = (vectors.astype(np.int64) ** 2).sum(axis=1)
+    bad = np.flatnonzero(norms != SHELL_NORM)
+    if len(bad):
+        raise ValueError(
+            f"pair pass needs s.s = {SHELL_NORM} for every vector; "
+            f"vector {int(bad[0])} has s.s = {int(norms[bad[0]])}"
+        )
+    return vectors.astype(np.float32)
+
+
+def _e22(F: np.ndarray, i: int, j: int) -> int:
+    """e_{2,2} of the orthogonal pair of rows i and j of F."""
+    return int(np.count_nonzero((F @ F[i] == 16) & (F @ F[j] == 16)))
 
 
 def witness_pair():
@@ -218,7 +234,7 @@ def venkov_sample(shell: Shell, count: int, seed: int) -> list:
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = random.Random(seed)
-    vecs = shell.vectors.astype(np.int64)
+    F = _float32_rows(shell.vectors)
     n = shell.count
     values = []
     budget = 10000 * count
@@ -228,11 +244,9 @@ def venkov_sample(shell: Shell, count: int, seed: int) -> list:
         budget -= 1
         i = rng.randrange(n)
         j = rng.randrange(n)
-        if i == j:
+        if F[i] @ F[j] != 0:  # also skips i == j, where the dot is 32
             continue
-        if int(vecs[i] @ vecs[j]) != 0:
-            continue
-        values.append(venkov_e22(shell, vecs[i], vecs[j]))
+        values.append(_e22(F, i, j))  # rows of the shell: no lookup needed
     return values
 
 
@@ -260,17 +274,15 @@ def load_shell(path) -> Shell:
             raise ValueError(f"{path}: unsupported scale {fields.get('scale')!r}")
         dim = int(fields["n"])
         count = int(fields["count"])
-        rows = []
-        for lineno, line in enumerate(fh, 2):
-            if not line.strip():
-                continue
-            vals = [int(v) for v in line.split()]
-            if len(vals) != dim:
-                raise ValueError(f"{path}:{lineno}: expected {dim} coordinates")
-            rows.append(vals)
-    if len(rows) != count:
-        raise ValueError(f"{path}: header says {count} vectors, found {len(rows)}")
-    arr = np.array(rows, dtype=np.int8)
+        # ValueError on ragged rows and on tokens that are not int8 integers
+        with warnings.catch_warnings():  # an empty body is rejected downstream
+            warnings.simplefilter("ignore", UserWarning)
+            arr = np.loadtxt(fh, dtype=np.int8, ndmin=2, comments=None)
+    if arr.size and arr.shape[1] != dim:
+        raise ValueError(f"{path}: expected {dim} coordinates, got {arr.shape[1]}")
+    arr = arr.reshape(-1, dim)
+    if len(arr) != count:
+        raise ValueError(f"{path}: header says {count} vectors, found {len(arr)}")
     parities = np.abs(arr) % 2
     mixed = (parities.min(axis=1) != parities.max(axis=1)).any()
     if mixed:

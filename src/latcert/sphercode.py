@@ -29,7 +29,7 @@ import numpy as np
 
 from .exactmath import Polynomial
 from .gegenbauer import gegenbauer_expand, gegenbauer_poly
-from .lattice32 import SHELL_NORM, Shell
+from .lattice32 import SHELL_NORM, Shell, _float32_rows
 
 ALL = "all"
 
@@ -79,6 +79,7 @@ class InvarianceReport:
     mode: str
     group_order: int  # order of the sign-flip group used; 1 when sampled
     representatives: int  # columns counted: one per orbit or per sampled point
+    histogram: InnerProductHistogram | None  # exact pair counts; None when sampled
 
 
 @dataclass(frozen=True)
@@ -92,24 +93,10 @@ class QuadratureVerdict:
 _BINS = 2 * SHELL_NORM + 1  # dot values -32..32, offset by 32
 
 
-def _float32_rows(vectors: np.ndarray) -> np.ndarray:
-    """The rows as float32, once every row is checked to have s.s = 32.  That
-    bounds |entry| <= 5 and |dot| <= 32, so float32 dots are exact integers
-    and each falls in one of the 65 bins."""
-    norms = (vectors.astype(np.int64) ** 2).sum(axis=1)
-    bad = np.flatnonzero(norms != SHELL_NORM)
-    if len(bad):
-        raise ValueError(
-            f"pair pass needs s.s = {SHELL_NORM} for every vector; "
-            f"vector {int(bad[0])} has s.s = {int(norms[bad[0]])}"
-        )
-    return vectors.astype(np.float32)
-
-
 def _column_counts(F: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """(65, len(cols)) counts of each dot value s_x.s_c over all rows x, one
     column per index c in cols; bin 64 holds the self pair."""
-    step = max(1, 2**25 // max(len(F), 1))  # about 2^25 float32 per block
+    step = max(1, 2**23 // max(len(F), 1))  # about 2^23 float32 per block
     table = np.empty((len(cols), _BINS), dtype=np.int64)
     for j0 in range(0, len(cols), step):
         D = F[cols[j0 : j0 + step]] @ F.T
@@ -185,19 +172,18 @@ def _orbit_pass(vectors: np.ndarray):
 
 
 def histogram(shell: Shell) -> InnerProductHistogram:
-    """Exact inner-product counts over all N(N-1) ordered pairs: the
-    orbit-size-weighted sum of the representatives' columns, minus the
-    diagonal."""
-    n = shell.count
-    _, sizes, table, _ = _orbit_pass(shell.vectors)
+    """Exact inner-product counts over all N(N-1) ordered pairs, from the
+    full invariance pass."""
+    return check_distance_invariance(shell, ALL).histogram
+
+
+def _pair_histogram(table: np.ndarray, sizes: np.ndarray) -> InnerProductHistogram:
+    """The orbit-size-weighted sum of the representatives' columns, minus
+    the diagonal."""
+    n = int(sizes.sum())
     hist = table @ sizes
     hist[2 * SHELL_NORM] -= n
-    counts = {
-        Fraction(v - SHELL_NORM, SHELL_NORM): int(c)
-        for v, c in enumerate(hist)
-        if c
-    }
-    out = InnerProductHistogram(counts, n)
+    out = InnerProductHistogram(_dist_from_column(hist).a, n)
     if out.total() != n * (n - 1):
         raise AssertionError("histogram total does not match N(N-1)")
     return out
@@ -231,35 +217,35 @@ def check_distance_invariance(
     """Verify that every (checked) point sees the same distance distribution.
 
     ``sample=ALL`` checks all N points exactly, with one column per orbit of
-    the verified sign-flip group; a counterexample is point 0 and the first
-    point whose distribution differs.  An integer sample checks that many
-    seeded points, one column each.
+    the verified sign-flip group, and also gives the exact pair histogram; a
+    counterexample is point 0 and the first point whose distribution differs.
+    An integer sample checks that many seeded points, one column each.
     """
     vectors = shell.vectors
     n = len(vectors)
     if sample == ALL:
-        cols, _, table, group_order = _orbit_pass(vectors)
-        mode, checked = "full", n
+        cols, sizes, table, group_order = _orbit_pass(vectors)
+        mode, checked, hist = "full", n, _pair_histogram(table, sizes)
     else:
         k = min(int(sample), n)
         rng = np.random.default_rng(seed)
         cols = np.sort(rng.choice(n, size=k, replace=False))
         table = _column_counts(_float32_rows(vectors), cols)
-        mode, checked, group_order = "sampled", k, 1
+        mode, checked, group_order, hist = "sampled", k, 1, None
 
     ref = table[:, 0]
-    same = (table == ref[:, None]).all(axis=0)
-    if not same.all():
-        j = int(np.flatnonzero(~same)[0])
+    differ = np.flatnonzero((table != ref[:, None]).any(axis=0))
+    counterexample = None
+    if len(differ):
+        j = int(differ[0])
         counterexample = (
             (int(cols[0]), _dist_from_column(ref)),
             (int(cols[j]), _dist_from_column(table[:, j])),
         )
-        return InvarianceReport(
-            False, None, counterexample, checked, mode, group_order, len(cols)
-        )
+    dist = None if counterexample else _dist_from_column(ref)
     return InvarianceReport(
-        True, _dist_from_column(ref), None, checked, mode, group_order, len(cols)
+        not counterexample, dist, counterexample, checked, mode, group_order,
+        len(cols), hist,
     )
 
 

@@ -40,6 +40,23 @@ def random_polynomial(rng: random.Random, max_degree: int) -> Polynomial:
     return Polynomial(coeffs)
 
 
+def norm32_magnitudes(dim: int) -> list:
+    """Every non-increasing tuple of |entries| <= 5 with squares summing to
+    32, zero-padded to dim."""
+    out = []
+
+    def extend(prefix, rest):
+        if rest == 0:
+            out.append(prefix + (0,) * (dim - len(prefix)))
+        elif len(prefix) < dim:
+            for m in range(min(prefix[-1] if prefix else 5, 5), 0, -1):
+                if m * m <= rest:
+                    extend(prefix + (m,), rest - m * m)
+
+    extend((), 32)
+    return out
+
+
 @dataclass(frozen=True)
 class TimedPass:
     """A heavy pair-pass result together with the wall time it took, so the

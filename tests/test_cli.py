@@ -178,3 +178,37 @@ def test_energy_with_small_shell_and_gap(small_shell_file):
     record = json.loads(proc.stdout)
     assert record["code_energy"] is not None
     assert record["gap"] != "0"
+
+
+def test_verify_full_runs_one_orbit_pass(small_shell_file, monkeypatch, capsys):
+    from latcert import sphercode
+
+    calls = []
+    orbit_pass = sphercode._orbit_pass
+    monkeypatch.setattr(
+        sphercode, "_orbit_pass", lambda v: calls.append(len(v)) or orbit_pass(v)
+    )
+    assert main(["verify", "--shell", str(small_shell_file), "--full"]) == 0
+    assert calls == [24]
+    assert json.loads(capsys.readouterr().out)["histogram"] == {
+        "-1": 24, "-1/2": 192, "0": 144, "1/2": 192
+    }
+
+
+@pytest.mark.parametrize(
+    "header, body, message",
+    [
+        ("n=4 count=2", "4 4 0 0\n-4 -4 0 200\n", "'200'"),
+        ("n=4 count=2", "4 4 0 0\n-4 -4 0 1.5\n", "'1.5'"),
+        ("n=4 count=2", "4 4 0 0 # antipode\n-4 -4 0 0\n", "'#'"),
+        ("n=4 count=0", "", "nonempty shell"),
+    ],
+)
+def test_malformed_shell_file_exits_two(tmp_path, header, body, message):
+    path = tmp_path / "bad.shell"
+    path.write_text(f"latcert-shell v1 {header} scale=2sqrt2\n{body}")
+    for mode in ("--full", "--sample=10"):
+        proc = run_cli("verify", "--shell", str(path), mode)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and message in proc.stderr
+        assert "Traceback" not in proc.stderr

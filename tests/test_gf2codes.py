@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -123,3 +126,25 @@ def test_codeword_masks_contains_rows_and_zero(rm):
     for mask in rm.row_masks():
         assert mask in words
     assert len(words) == 2**16
+
+
+def test_xqr_integrity_guards_survive_python_O():
+    # -O drops asserts: the builder must still be [32,16,8], and its guard on
+    # the generator polynomial must still fire when a minimal polynomial is off
+    script = (
+        "from latcert import gf2codes\n"
+        "code = gf2codes.extended_quadratic_residue_32()\n"
+        "rep = gf2codes.code_report(code)\n"
+        "print(code.length, code.dimension, rep.min_distance)\n"
+        "gf2codes._min_poly_coeffs = lambda r: [1, 1]\n"
+        "try:\n"
+        "    gf2codes.extended_quadratic_residue_32()\n"
+        "except RuntimeError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "32 16 8", "QR generator is not of degree 15 with g(0) = 1"
+    ]

@@ -1,6 +1,12 @@
+import random
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import norm32_magnitudes
 from latcert.gf2codes import BinaryCode, code_report
 from latcert.lattice32 import (
     SHELL_NORM,
@@ -194,3 +200,68 @@ def test_canonical_order_is_numeric_lexicographic(rm_shell):
     vecs = rm_shell.result.vectors
     sample = vecs[::4096].tolist()
     assert sample == sorted(sample)
+
+
+def test_venkov_sample_matches_venkov_e22_on_the_same_pairs(rm_shell):
+    sh = rm_shell.result
+    rng = random.Random(1)
+    vecs = sh.vectors.astype(np.int64)
+    expected = []
+    while len(expected) < 100:
+        i, j = rng.randrange(sh.count), rng.randrange(sh.count)
+        if i != j and vecs[i] @ vecs[j] == 0:
+            expected.append(venkov_e22(sh, vecs[i], vecs[j]))
+    assert venkov_sample(sh, 100, 1) == expected
+
+
+# load_shell rejects mixed parity, so only rows of one parity round-trip
+ONE_PARITY = {
+    dim: [m for m in norm32_magnitudes(dim) if len({v % 2 for v in m}) == 1]
+    for dim in range(4, 9)
+}
+
+
+@st.composite
+def antipodal_shells(draw):
+    """Random one-parity norm-32 rows in dim 4-8 with their negations, in a
+    random order."""
+    dim = draw(st.integers(4, 8))
+    rows = set()
+    for _ in range(draw(st.integers(1, 6))):
+        mags = draw(st.sampled_from(ONE_PARITY[dim]))
+        perm = draw(st.permutations(range(dim)))
+        signs = draw(st.lists(st.booleans(), min_size=dim, max_size=dim))
+        row = tuple(-mags[p] if f else mags[p] for p, f in zip(perm, signs))
+        rows |= {row, tuple(-v for v in row)}
+    return dim, draw(st.permutations(sorted(rows)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(antipodal_shells(), st.data())
+def test_shell_file_round_trip_property(case, data):
+    dim, rows = case
+    shell = make_shell(rows, dim=dim)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "shell.txt"
+        save_shell(shell, path)
+        back = load_shell(path)
+    assert (back.dim, back.count) == (dim, len(rows))
+    assert np.array_equal(back.vectors, shell.vectors)
+    assert shell.vectors.tolist() == sorted(map(list, rows))
+    x = data.draw(st.sampled_from(rows))
+    with pytest.raises(ValueError, match="negation"):
+        make_shell([r for r in rows if r != tuple(-v for v in x)], dim=dim)
+
+
+@pytest.mark.parametrize(
+    "header, body, message",
+    [
+        ("n=4 count=2", "4 4 0 0\n-4 -4 0\n", "number of columns"),
+        ("n=4 count=4", "4 4 0 0 0 0 4 4\n-4 -4 0 0 0 0 -4 -4\n", "expected 4"),
+    ],
+)
+def test_load_shell_rejects_malformed_rows(tmp_path, header, body, message):
+    p = tmp_path / "rows.txt"
+    p.write_text(f"latcert-shell v1 {header} scale=2sqrt2\n{body}")
+    with pytest.raises(ValueError, match=message):
+        load_shell(p)

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_polynomial
+from conftest import norm32_magnitudes, random_polynomial
 from latcert.exactmath import Polynomial
 from latcert.gegenbauer import gegenbauer_expand, gegenbauer_poly
-from latcert.lattice32 import make_shell
+from latcert.lattice32 import load_shell, make_shell
 from latcert.sphercode import (
     ALL,
     DistanceDistribution,
@@ -259,24 +259,7 @@ def test_main_identity_on_small_shell(small_antipodal_shell):
 # the orbit-reduced pair passes against an int64 brute force
 
 
-def _magnitude_rows(dim):
-    """Every non-increasing tuple of |entries| <= 5 with squares summing to
-    32, zero-padded to dim."""
-    out = []
-
-    def extend(prefix, rest):
-        if rest == 0:
-            out.append(prefix + (0,) * (dim - len(prefix)))
-        elif len(prefix) < dim:
-            for m in range(min(prefix[-1] if prefix else 5, 5), 0, -1):
-                if m * m <= rest:
-                    extend(prefix + (m,), rest - m * m)
-
-    extend((), 32)
-    return out
-
-
-MAGNITUDES = {dim: _magnitude_rows(dim) for dim in range(4, 9)}
+MAGNITUDES = {dim: norm32_magnitudes(dim) for dim in range(4, 9)}
 
 
 @st.composite
@@ -309,6 +292,7 @@ def _assert_matches_brute_force(shell):
     assert histogram(shell).counts == pairs
     differ = [i for i, d in enumerate(per_point) if d != per_point[0]]
     full = check_distance_invariance(shell, sample=ALL)
+    assert full.histogram.counts == pairs
     for inv in (full, check_distance_invariance(shell, sample=len(D))):
         assert inv.invariant == (not differ)
         if differ:
@@ -378,11 +362,13 @@ def test_full_pass_uses_the_codeword_flip_group(request, code):
     sampled = check_distance_invariance(shell, sample=1000, seed=5)
     assert sampled.invariant
     assert (sampled.group_order, sampled.representatives) == (1, 1000)
+    assert sampled.histogram is None
     hist = request.getfixturevalue(f"{code}_hist").result
+    assert full.histogram.counts == hist.counts
     assert hist.counts == histogram_from_distribution(sampled.distribution, N).counts
 
 
-def test_full_pass_on_shell_missing_an_antipodal_pair(rm_shell):
+def test_full_pass_on_shell_missing_an_antipodal_pair(rm_shell, rm_hist):
     sh = rm_shell.result
     x = np.zeros(32, dtype=np.int8)
     x[:2] = 4
@@ -395,3 +381,22 @@ def test_full_pass_on_shell_missing_an_antipodal_pair(rm_shell):
     assert i == 0 < j
     assert di.a == distance_distribution_at(broken, broken.vectors[i]).a
     assert dj.a == distance_distribution_at(broken, broken.vectors[j]).a
+    # the ordered pairs through x or -x leave: 4 A_t each, and (x, -x) and
+    # (-x, x) were counted twice
+    expected = {
+        t: c - 4 * EXPECTED_DISTRIBUTION[t] + 2 * (t == -1)
+        for t, c in rm_hist.result.counts.items()
+    }
+    assert inv.histogram.counts == histogram(broken).counts == expected
+
+
+def test_pair_passes_reject_an_empty_shell(tmp_path):
+    p = tmp_path / "empty.txt"
+    p.write_text("latcert-shell v1 n=4 count=0 scale=2sqrt2\n")
+    loaded = load_shell(p)
+    assert loaded.vectors.shape == (0, 4)
+    for sh in (loaded, make_shell(np.zeros((0, 4), dtype=np.int8))):
+        for run in (histogram, lambda s: check_distance_invariance(s, ALL),
+                    lambda s: check_distance_invariance(s, 10)):
+            with pytest.raises(ValueError, match="pair pass needs a nonempty shell"):
+                run(sh)
