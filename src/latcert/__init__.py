@@ -12,12 +12,9 @@ from .exactmath import (
     Interval,
     IntervalRegion,
     Polynomial,
-    Rational,
     SignReport,
     factored,
     parse_region,
-    poly_eval,
-    expand_factored,
     sign_on_region,
 )
 from .gegenbauer import (

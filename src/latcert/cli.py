@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import energycert, gf2codes, lattice32, lpcert, sphercode
-from .exactmath import fmt, parse_region, poly_from_json
+from .exactmath import parse_region, poly_from_json
 from .gegenbauer import gegenbauer_expand
 
 
@@ -66,18 +66,14 @@ def _emit_text(record: dict, indent: str = "") -> None:
 
 def cmd_build(args) -> int:
     code = _load_code(args.code)
+    record = {"command": "build", "code": args.code}
+    if not lattice32.check_extremal(code):
+        failure = "code has weight-4 words; lattice is not extremal"
+        _emit({**record, "valid": False, "failure": failure}, args.format)
+        return 1
     shell = lattice32.build_shell(code)
     lattice32.save_shell(shell, args.out)
-    _emit(
-        {
-            "command": "build",
-            "code": args.code,
-            "count": shell.count,
-            "out": args.out,
-            "valid": True,
-        },
-        args.format,
-    )
+    _emit({**record, "count": shell.count, "out": args.out, "valid": True}, args.format)
     return 0
 
 
@@ -103,17 +99,17 @@ def cmd_verify(args) -> int:
         "command": "verify",
         "count": shell.count,
         "histogram_mode": hist_mode,
-        "inner_products": [fmt(t) for t in sorted(hist.counts)] if hist else None,
-        "histogram": {fmt(t): c for t, c in sorted(hist.counts.items())} if hist else None,
+        "inner_products": [str(t) for t in sorted(hist.counts)] if hist else None,
+        "histogram": {str(t): c for t, c in sorted(hist.counts.items())} if hist else None,
         "distance_distribution": (
-            {fmt(t): c for t, c in sorted(inv.distribution.a.items())}
+            {str(t): c for t, c in sorted(inv.distribution.a.items())}
             if inv.distribution
             else None
         ),
         "invariant": inv.invariant,
         "invariance_mode": inv.mode,
         "points_checked": inv.checked,
-        "moments": [fmt(m) for m in strength.moments.values] if strength else None,
+        "moments": [str(m) for m in strength.moments.values] if strength else None,
         "design_strength": strength.tau if strength else None,
         "extra_vanishing_moments": list(strength.extra_vanishing) if strength else None,
         "valid": inv.invariant,
@@ -123,8 +119,8 @@ def cmd_verify(args) -> int:
         record["counterexample"] = {
             "points": [i, j],
             "distributions": [
-                {fmt(t): c for t, c in sorted(di.a.items())},
-                {fmt(t): c for t, c in sorted(dj.a.items())},
+                {str(t): c for t, c in sorted(di.a.items())},
+                {str(t): c for t, c in sorted(dj.a.items())},
             ],
         }
     _emit(record, args.format)

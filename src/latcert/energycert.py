@@ -37,7 +37,6 @@ from .exactmath import (
     SignReport,
     closed_interval,
     factored,
-    fmt,
     open_interval,
     rat,
     region_difference,
@@ -256,11 +255,7 @@ def partial_products(m: NodeMultiset, n: int) -> list:
     Gegenbauer expansions and positive-definiteness verdicts."""
     out = []
     for i in range(1, len(m.nodes)):
-        prefix = m.nodes[:i]
-        pairs = []
-        for t in sorted(set(prefix)):
-            pairs.append((t, prefix.count(t)))
-        fp = factored(1, pairs)
+        fp = node_polynomial(NodeMultiset(m.nodes[:i]))
         e = gegenbauer_expand(n, fp.expand())
         out.append(PartialProduct(i, fp, e, is_positive_definite(e)))
     return out
@@ -307,7 +302,7 @@ class EnergyCertificate:
             "potential": self.potential,
             "claimed_absolutely_monotone": self.claimed_absolutely_monotone,
             "dimension": self.dimension,
-            "nodes": [fmt(t) for t in self.nodes.nodes],
+            "nodes": [str(t) for t in self.nodes.nodes],
             "T": str(self.avoided),
             "interpolant": [num(c) for c in self.interpolant.coeffs],
             "coefficients": [num(c) for c in self.interpolant_expansion.coeffs],

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-Rational = Fraction
-
 
 def rat(x) -> Fraction:
     """Coerce an int, string like ``"p/q"``, or Fraction to an exact Fraction."""
@@ -21,11 +19,6 @@ def rat(x) -> Fraction:
     if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
-
-
-def fmt(x) -> str:
-    """Render a scalar for reports: Fractions as 'p/q' (or plain integer) strings."""
-    return str(x)
 
 
 class Polynomial:
@@ -154,15 +147,6 @@ class FactoredPolynomial:
 
 def factored(leading, pairs) -> FactoredPolynomial:
     return FactoredPolynomial(rat(leading), tuple((rat(r), int(m)) for r, m in pairs))
-
-
-def poly_eval(p, t):
-    """Exact value of a Polynomial or FactoredPolynomial at a rational point."""
-    return p(rat(t))
-
-
-def expand_factored(fp: FactoredPolynomial) -> Polynomial:
-    return fp.expand()
 
 
 # ---------------------------------------------------------------------------
@@ -380,12 +364,12 @@ def poly_to_json(p) -> dict:
     if isinstance(p, FactoredPolynomial):
         return {
             "factored": {
-                "leading": fmt(p.leading),
-                "factors": [[fmt(r), str(m)] for r, m in p.factors],
+                "leading": str(p.leading),
+                "factors": [[str(r), str(m)] for r, m in p.factors],
             }
         }
     if isinstance(p, Polynomial):
-        return {"dense": [fmt(c) for c in p.coeffs]}
+        return {"dense": [str(c) for c in p.coeffs]}
     raise TypeError(f"not a polynomial: {p!r}")
 
 

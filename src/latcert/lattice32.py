@@ -52,30 +52,33 @@ class Shell:
 
     def index_of(self, s) -> int:
         """Index of a vector in the canonical order; -1 if absent."""
-        arr = np.asarray(s, dtype=np.int8)
-        lo = int(
-            np.searchsorted(_row_view(self.vectors), _row_view(arr[None, :])[0])
-        )
-        if lo < self.count and np.array_equal(self.vectors[lo], arr):
-            return lo
-        return -1
+        hits = np.flatnonzero((self.vectors == np.asarray(s)).all(axis=1))
+        return int(hits[0]) if len(hits) else -1
 
 
-def _row_view(a: np.ndarray):
-    """Rows as void scalars whose byte order is the numeric lexicographic
-    order (int8 entries are biased to uint8 first)."""
-    b = np.ascontiguousarray((a.astype(np.int16) + 128).astype(np.uint8))
-    return b.view([("", np.uint8)] * a.shape[1]).ravel()
+def _row_keys(a: np.ndarray) -> np.ndarray:
+    """(n, ceil(dim/16)) uint64 keys whose word-tuple order is the rows'
+    numeric lexicographic order: each entry + 8 is a nibble, 16 to a
+    big-endian word, padded with the nibble of 0.  Needs every entry in
+    [-8, 8)."""
+    n, dim = a.shape
+    nib = np.full((n, -(-dim // 16) * 16), 8, dtype=np.uint8)
+    nib[:, :dim] = a + 8
+    return ((nib[:, 0::2] << 4) | nib[:, 1::2]).view(">u8")
 
 
 def _canonical_sort(arr: np.ndarray):
     """Lexicographically sorted copy without duplicate rows, plus the number
     of duplicates dropped."""
-    _, first = np.unique(_row_view(arr), return_index=True)
-    return arr[first], len(arr) - len(first)
+    keys = _row_keys(arr)
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    first = np.ones(len(arr), dtype=bool)
+    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    return arr[order[first]], len(arr) - int(first.sum())
 
 
-def make_shell(vectors, dim: int | None = None, source=None, validate=True) -> Shell:
+def make_shell(vectors, dim: int | None = None, source=None) -> Shell:
     arr = np.asarray(vectors, dtype=np.int8)
     if arr.ndim != 2:
         raise ValueError("shell vectors must form a 2-d array")
@@ -83,17 +86,17 @@ def make_shell(vectors, dim: int | None = None, source=None, validate=True) -> S
         dim = arr.shape[1]
     if arr.shape[1] != dim:
         raise ValueError(f"expected {dim} coordinates per vector, got {arr.shape[1]}")
+    # first: s.s = 32 bounds |entry| <= 5, inside the row keys' range
+    norms = (arr.astype(np.int64) ** 2).sum(axis=1)
+    if not (norms == SHELL_NORM).all():
+        bad = int(np.flatnonzero(norms != SHELL_NORM)[0])
+        raise ValueError(f"vector {bad} has s.s = {int(norms[bad])}, expected 32")
     srt, dups = _canonical_sort(arr)
-    if validate:
-        if dups:
-            raise ValueError("duplicate shell vectors")
-        norms = (arr.astype(np.int64) ** 2).sum(axis=1)
-        if not (norms == SHELL_NORM).all():
-            bad = int(np.flatnonzero(norms != SHELL_NORM)[0])
-            raise ValueError(f"vector {bad} has s.s = {int(norms[bad])}, expected 32")
-        # negation reverses the order of distinct rows; |entry| <= 5 here
-        if not np.array_equal(-srt[::-1], srt):
-            raise ValueError("shell is not closed under negation")
+    if dups:
+        raise ValueError("duplicate shell vectors")
+    # negation reverses the order of distinct rows
+    if not np.array_equal(-srt[::-1], srt):
+        raise ValueError("shell is not closed under negation")
     srt.setflags(write=False)
     return Shell(srt, dim, source)
 

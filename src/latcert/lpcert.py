@@ -20,7 +20,6 @@ from .exactmath import (
     SignReport,
     closed_interval,
     factored,
-    fmt,
     open_interval,
     poly_to_json,
     region_difference,
@@ -46,32 +45,30 @@ class BoundCertificate:
     failure: str | None = None
 
     def to_json_dict(self) -> dict:
+        pos = self.sign_report.positive_witness
+        neg = self.sign_report.negative_witness
         d = {
             "kind": self.kind,
             "polynomial": poly_to_json(self.polynomial),
             "dimension": self.dimension,
             "T": str(self.avoided),
-            "coefficients": [fmt(c) for c in self.expansion.coeffs],
+            "coefficients": [str(c) for c in self.expansion.coeffs],
             "sign_report": {
                 "verdict": self.sign_report.verdict,
-                "positive_witness": _fmt_opt(self.sign_report.positive_witness),
-                "negative_witness": _fmt_opt(self.sign_report.negative_witness),
+                "positive_witness": None if pos is None else str(pos),
+                "negative_witness": None if neg is None else str(neg),
             },
-            "bound": fmt(self.bound),
+            "bound": str(self.bound),
             "valid": self.valid,
         }
         if self.kind == "max_code":
-            d["s"] = fmt(self.s_max)
+            d["s"] = str(self.s_max)
             d["assumed_strength"] = self.assumed_strength
         else:
             d["tau"] = self.tau
         if self.failure:
             d["failure"] = self.failure
         return d
-
-
-def _fmt_opt(x):
-    return None if x is None else fmt(x)
 
 
 def certify_max_code(

@@ -29,7 +29,7 @@ import numpy as np
 
 from .exactmath import Polynomial
 from .gegenbauer import gegenbauer_expand, gegenbauer_poly
-from .lattice32 import SHELL_NORM, Shell, _float32_rows
+from .lattice32 import SHELL_NORM, Shell, _float32_rows, _row_keys
 
 ALL = "all"
 
@@ -106,17 +106,6 @@ def _column_counts(F: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return table.T
 
 
-def _pack_nibbles(a: np.ndarray) -> np.ndarray:
-    """Rows of values in [0, 16) packed 16 to a uint64, one column per 16
-    coordinates."""
-    n, dim = a.shape
-    words = -(-dim // 16)
-    nib = np.zeros((n, words * 16), dtype=np.uint64)
-    nib[:, :dim] = a
-    nib = nib.reshape(n, words, 16) << (4 * np.arange(16, dtype=np.uint64))
-    return np.bitwise_or.reduce(nib, axis=2)
-
-
 def _candidate_flips(vectors: np.ndarray) -> list:
     """Sign-flip masks to try: a GF(2) basis of the minus patterns of the rows
     with no zero entry, then negation if it lies outside their span."""
@@ -138,19 +127,17 @@ def _candidate_flips(vectors: np.ndarray) -> list:
 def _verified_flips(vectors: np.ndarray) -> list:
     """Row permutations perm[x] = index of flip(x), one per candidate flip
     that maps the shell onto itself; the rest are dropped.  The kept flips
-    are independent, so they generate a group of order 2^len."""
-    # exact row keys: sign-magnitude nibbles (|entry| <= 5), so a flip is an
-    # XOR of the sign bit on the flipped nonzero entries
-    keys = _pack_nibbles(np.abs(vectors) + 8 * (vectors < 0))
-    signable = _pack_nibbles(8 * (vectors != 0))
-    order = np.lexsort(keys.T)
+    are independent, so they generate a group of order 2^len.  A shell's
+    rows are canonical, so their keys are ascending; unsorted rows only
+    lose flips."""
+    keys = _row_keys(vectors)
     perms = []
     for flip in _candidate_flips(vectors):
-        fkeys = keys ^ (signable & _pack_nibbles(8 * flip[None, :]))
-        forder = np.lexsort(fkeys.T)
-        if np.array_equal(fkeys[forder], keys[order]):
+        fkeys = _row_keys(vectors * np.where(flip, -1, 1).astype(np.int8))
+        order = np.lexsort(fkeys.T[::-1])
+        if np.array_equal(fkeys[order], keys):
             perm = np.empty(len(vectors), dtype=np.intp)
-            perm[forder] = order
+            perm[order] = np.arange(len(vectors))
             perms.append(perm)
     return perms
 
@@ -160,7 +147,7 @@ def _orbit_pass(vectors: np.ndarray):
     table, group order).  Each orbit of the verified flip group is represented
     by its smallest index, and every point's distribution is its
     representative's column."""
-    F = _float32_rows(vectors)  # first: the nibble keys need |entry| <= 5
+    F = _float32_rows(vectors)  # first: the row keys need |entry| < 8
     perms = _verified_flips(vectors)
     labels = np.arange(len(vectors))
     for perm in perms:

@@ -3,10 +3,11 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from latcert.exactmath import Polynomial
-from latcert.gf2codes import extended_quadratic_residue_32, reed_muller_2_5
+from latcert.gf2codes import BinaryCode, extended_quadratic_residue_32, reed_muller_2_5
 from latcert.lattice32 import Shell, build_shell
 from latcert.sphercode import (
     ALL,
@@ -55,6 +56,22 @@ def norm32_magnitudes(dim: int) -> list:
 
     extend((), 32)
     return out
+
+
+def e8_power_code() -> BinaryCode:
+    """Direct sum of four [8,4,4] extended Hamming codes: a doubly-even
+    self-dual [32,16,4] code, so its lattice is NOT extremal."""
+    base = [
+        [1, 1, 1, 1, 1, 1, 1, 1],
+        [0, 1, 0, 1, 0, 1, 0, 1],
+        [0, 0, 1, 1, 0, 0, 1, 1],
+        [0, 0, 0, 0, 1, 1, 1, 1],
+    ]
+    G = np.zeros((16, 32), dtype=np.uint8)
+    for b in range(4):
+        for r in range(4):
+            G[4 * b + r, 8 * b : 8 * b + 8] = base[r]
+    return BinaryCode(32, 16, G, "e8x4")
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from conftest import e8_power_code
 from latcert.cli import main
 from latcert.lattice32 import save_shell
 
@@ -112,6 +113,22 @@ def test_usage_errors_exit_two():
     assert run_cli("venkov", "--shell", "/nonexistent/shell.txt").returncode == 2
     assert run_cli("energy", "--potential", "coulomb").returncode == 2
     assert run_cli("--threads", "2", "selftest").returncode == 2  # flag removed
+
+
+def test_build_non_extremal_code_exits_one(tmp_path):
+    gen = tmp_path / "e8x4.txt"
+    rows = ("".join(map(str, row)) for row in e8_power_code().generator)
+    gen.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "shell.txt"
+    proc = run_cli("build", "--code", str(gen), "--out", str(out))
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "command": "build",
+        "code": str(gen),
+        "valid": False,
+        "failure": "code has weight-4 words; lattice is not extremal",
+    }
+    assert not out.exists()
 
 
 def test_venkov_witness_and_sample(shell_file):

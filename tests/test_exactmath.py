@@ -11,11 +11,9 @@ from latcert.exactmath import (
     IntervalRegion,
     Polynomial,
     closed_interval,
-    expand_factored,
     factored,
     open_interval,
     parse_region,
-    poly_eval,
     poly_from_json,
     poly_to_json,
     region_difference,
@@ -29,12 +27,12 @@ Q = Fraction(1, 4)
 
 
 def test_poly_eval_max_code_fixture():
-    assert poly_eval(MAX_CODE_POLY, 1) == Fraction(675, 1024)
-    assert poly_eval(MAX_CODE_POLY, H) == 0
+    assert MAX_CODE_POLY(1) == Fraction(675, 1024)
+    assert MAX_CODE_POLY(H) == 0
 
 
 def test_poly_eval_min_design_fixture():
-    assert poly_eval(MIN_DESIGN_POLY, 1) == Fraction(135, 64)
+    assert MIN_DESIGN_POLY(1) == Fraction(135, 64)
 
 
 def test_expand_difference_of_squares():
@@ -43,10 +41,10 @@ def test_expand_difference_of_squares():
 
 
 def test_expand_fixture_polynomials():
-    p41 = expand_factored(MAX_CODE_POLY)
+    p41 = MAX_CODE_POLY.expand()
     assert p41.degree == 10
     assert p41(Fraction(1)) == Fraction(675, 1024)
-    p51 = expand_factored(MIN_DESIGN_POLY)
+    p51 = MIN_DESIGN_POLY.expand()
     assert p51.degree == 7
     assert p51(Fraction(1)) == Fraction(135, 64)
 
@@ -94,7 +92,7 @@ def test_sign_max_code_region_nonpositive():
 
 def test_max_code_poly_positive_inside_avoided_gap():
     # all factors positive at 1/8 except (t-1/4) and (t-1/2)^3: two sign flips
-    assert poly_eval(MAX_CODE_POLY, Fraction(1, 8)) > 0
+    assert MAX_CODE_POLY(Fraction(1, 8)) > 0
 
 
 def test_sign_min_design_region_nonnegative():

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import norm32_magnitudes
+from conftest import e8_power_code, norm32_magnitudes
+from latcert import lattice32
 from latcert.gf2codes import BinaryCode, code_report
 from latcert.lattice32 import (
     SHELL_NORM,
+    _canonical_sort,
     build_shell,
     check_extremal,
     lattice_ip,
@@ -20,22 +22,6 @@ from latcert.lattice32 import (
     venkov_sample,
     witness_pair,
 )
-
-
-def _e8_power_code() -> BinaryCode:
-    """Direct sum of four [8,4,4] extended Hamming codes: a doubly-even
-    self-dual [32,16,4] code, so its lattice is NOT extremal."""
-    base = [
-        [1, 1, 1, 1, 1, 1, 1, 1],
-        [0, 1, 0, 1, 0, 1, 0, 1],
-        [0, 0, 1, 1, 0, 0, 1, 1],
-        [0, 0, 0, 0, 1, 1, 1, 1],
-    ]
-    G = np.zeros((16, 32), dtype=np.uint8)
-    for b in range(4):
-        for r in range(4):
-            G[4 * b + r, 8 * b : 8 * b + 8] = base[r]
-    return BinaryCode(32, 16, G, "e8x4")
 
 
 def test_shell_counts(rm_shell, xqr_shell):
@@ -69,7 +55,7 @@ def test_check_extremal_builtins(rm_code, xqr_code):
 
 
 def test_non_extremal_code_detected():
-    bad = _e8_power_code()
+    bad = e8_power_code()
     rep = code_report(bad)
     assert rep.self_dual and rep.doubly_even and rep.min_distance == 4
     assert not check_extremal(bad)
@@ -189,6 +175,45 @@ def test_make_shell_rejects_duplicates_and_non_antipodal():
         make_shell([[4, 4, 0, 0], [4, 4, 0, 0]], dim=4)
     with pytest.raises(ValueError, match="negation"):
         make_shell([[4, 4, 0, 0], [0, 4, 4, 0]], dim=4)
+
+
+def test_make_shell_checks_norms_before_building_keys(monkeypatch):
+    def no_keys(a):
+        raise AssertionError("row keys built before the norm check")
+
+    monkeypatch.setattr(lattice32, "_row_keys", no_keys)
+    with pytest.raises(ValueError, match="s.s = 10000"):
+        make_shell([[100, 0, 0, 0], [-100, 0, 0, 0]])
+    # an off-norm vector is reported before a duplicate
+    with pytest.raises(ValueError, match="s.s = 10000"):
+        make_shell([[100, 0, 0, 0], [100, 0, 0, 0]])
+
+
+def test_index_of_finds_every_row_and_rejects_non_members():
+    sh = make_shell([[4, 4, 0, 0], [0, 0, 4, 4], [-4, -4, 0, 0], [0, 0, -4, -4]])
+    assert [sh.index_of(row) for row in sh.vectors] == list(range(sh.count))
+    assert sh.index_of([4, -4, 0, 0]) == -1
+    assert sh.index_of(np.array([260, 4, 0, 0])) == -1  # not wrapped to int8
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_canonical_sort_matches_python_sort(data):
+    # rows are edits of one base row, so they share long prefixes, often
+    # repeat, and in dim > 16 differ in a second or third key word
+    dim = data.draw(st.integers(1, 40))
+    base = data.draw(st.lists(st.integers(-5, 5), min_size=dim, max_size=dim))
+    edit = st.tuples(st.integers(0, dim - 1), st.integers(-5, 5))
+    rows = []
+    for edits in data.draw(st.lists(st.lists(edit, max_size=3), max_size=30)):
+        row = list(base)
+        for i, v in edits:
+            row[i] = v
+        rows.append(tuple(row))
+    srt, dups = _canonical_sort(np.array(rows, dtype=np.int8).reshape(-1, dim))
+    expected = sorted(set(rows))
+    assert srt.tolist() == [list(r) for r in expected]
+    assert dups == len(rows) - len(expected)
 
 
 def test_shell_equality_is_identity():

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import norm32_magnitudes, random_polynomial
 from latcert.exactmath import Polynomial
 from latcert.gegenbauer import gegenbauer_expand, gegenbauer_poly
-from latcert.lattice32 import load_shell, make_shell
+from latcert.lattice32 import Shell, load_shell, make_shell
 from latcert.sphercode import (
     ALL,
     DistanceDistribution,
@@ -119,9 +119,8 @@ def test_sampled_invariance(rm_shell):
 
 
 def test_invariance_counterexample():
-    three = make_shell(
-        [[4, 4, 0, 0], [0, 0, 4, 4], [-4, -4, 0, 0]], dim=4, validate=False
-    )
+    rows = [[-4, -4, 0, 0], [0, 0, 4, 4], [4, 4, 0, 0]]  # sorted, not antipodal
+    three = Shell(np.array(rows, dtype=np.int8), 4)
     inv = check_distance_invariance(three, sample=ALL)
     assert not inv.invariant
     (i, di), (j, dj) = inv.counterexample
@@ -281,7 +280,7 @@ def flip_closed_shells(draw):
         x = draw(st.sampled_from(rows))
         kept = [r for r in rows if r != x and r != tuple(-v for v in x)]
         rows = kept or rows
-    return make_shell(rows, dim=dim, validate=False)
+    return Shell(np.array(rows, dtype=np.int8), dim)
 
 
 def _assert_matches_brute_force(shell):
@@ -335,10 +334,11 @@ def test_pair_passes_reject_vectors_off_norm(flags):
     # an entry of 6 puts dots outside the 65 bins; s.s = 4 is merely off-norm.
     # Both must raise a ValueError, also under -O, which drops asserts.
     script = (
-        "from latcert.lattice32 import make_shell\n"
+        "import numpy as np\n"
+        "from latcert.lattice32 import Shell\n"
         "from latcert.sphercode import ALL, check_distance_invariance, histogram\n"
         "for rows in ([[6, 0, 0, 0], [-6, 0, 0, 0]], [[2, 0, 0, 0], [-2, 0, 0, 0]]):\n"
-        "    sh = make_shell(rows, validate=False)\n"
+        "    sh = Shell(np.array(rows, dtype=np.int8), 4)\n"
         "    for run in (histogram, lambda s: check_distance_invariance(s, ALL),\n"
         "                lambda s: check_distance_invariance(s, 2)):\n"
         "        try:\n"
