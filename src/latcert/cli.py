@@ -3,7 +3,8 @@ properties, and emit bound / energy certificates.
 
 JSON is the machine interface (sorted keys, exact rationals as strings);
 text reports are rendered from the same record.  Exit status is 0 when every
-requested check is valid, 1 on a failed verification, 2 on usage errors.
+requested check is valid, 1 on a failed verification or a failed internal
+check, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -19,17 +20,13 @@ from .exactmath import parse_region, poly_from_json
 from .gegenbauer import gegenbauer_expand
 
 
-class UsageError(Exception):
-    pass
-
-
 def _load_code(source: str) -> gf2codes.BinaryCode:
     if source == "rm2_5":
         return gf2codes.reed_muller_2_5()
     if source == "xqr32":
         return gf2codes.extended_quadratic_residue_32()
     if not os.path.exists(source):
-        raise UsageError(f"code source {source!r} is neither a builtin nor a file")
+        raise ValueError(f"code source {source!r} is neither a builtin nor a file")
     return gf2codes.load_generator_matrix(source)
 
 
@@ -37,7 +34,7 @@ def _load_poly(source: str):
     if source.startswith("builtin:"):
         return lpcert.builtin_polynomial(source.split(":", 1)[1]).polynomial
     if not os.path.exists(source):
-        raise UsageError(f"polynomial source {source!r} is neither builtin nor a file")
+        raise ValueError(f"polynomial source {source!r} is neither builtin nor a file")
     with open(source) as fh:
         return poly_from_json(json.load(fh))
 
@@ -67,8 +64,8 @@ def _emit_text(record: dict, indent: str = "") -> None:
 def cmd_build(args) -> int:
     code = _load_code(args.code)
     record = {"command": "build", "code": args.code}
-    if not lattice32.check_extremal(code):
-        failure = "code has weight-4 words; lattice is not extremal"
+    failure = lattice32.shell_failure(code)
+    if failure:
         _emit({**record, "valid": False, "failure": failure}, args.format)
         return 1
     shell = lattice32.build_shell(code)
@@ -331,12 +328,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # an integrity guard inside the package
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

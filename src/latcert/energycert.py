@@ -23,7 +23,6 @@ comparisons at relative tolerance 1e-20.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
@@ -222,15 +221,21 @@ def divided_differences(h: Potential, m: NodeMultiset) -> list:
     return [table[0][j] for j in range(k)]
 
 
+def _newton_basis(m: NodeMultiset) -> list:
+    """The dense Newton basis 1, P_1, ..., P_{k-1} of the k nodes, each
+    P_i = P_{i-1} (t - t_i)."""
+    basis = [Polynomial([1])]
+    for t in m.nodes[:-1]:
+        basis.append(basis[-1] * Polynomial([-t, 1]))
+    return basis
+
+
 def hermite_interpolant(h: Potential, m: NodeMultiset) -> Polynomial:
     """Newton-form interpolant matching h at simple nodes and h, h' at
     doubled nodes; degree at most len(m) - 1."""
-    dd = divided_differences(h, m)
-    poly = Polynomial([dd[0]])
-    basis = Polynomial([1])
-    for i in range(1, len(dd)):
-        basis = basis * Polynomial([-m.nodes[i - 1], 1])
-        poly = poly + basis.scale(dd[i])
+    poly = Polynomial()
+    for d, p in zip(divided_differences(h, m), _newton_basis(m)):
+        poly = poly + p.scale(d)
     return poly
 
 
@@ -245,7 +250,7 @@ def node_polynomial(m: NodeMultiset) -> FactoredPolynomial:
 @dataclass(frozen=True)
 class PartialProduct:
     index: int
-    polynomial: FactoredPolynomial
+    polynomial: Polynomial
     expansion: GegExpansion
     pd: PDVerdict
 
@@ -254,10 +259,9 @@ def partial_products(m: NodeMultiset, n: int) -> list:
     """P_i(t) = (t - t_1)...(t - t_i) for i = 1..len(m)-1, with their exact
     Gegenbauer expansions and positive-definiteness verdicts."""
     out = []
-    for i in range(1, len(m.nodes)):
-        fp = node_polynomial(NodeMultiset(m.nodes[:i]))
-        e = gegenbauer_expand(n, fp.expand())
-        out.append(PartialProduct(i, fp, e, is_positive_definite(e)))
+    for i, p in enumerate(_newton_basis(m)[1:], 1):
+        e = gegenbauer_expand(n, p)
+        out.append(PartialProduct(i, p, e, is_positive_definite(e)))
     return out
 
 
@@ -362,8 +366,7 @@ def energy_lower_bound(h: Potential, n: int = 32, precision: int = 60) -> Energy
     nodes = PAPER_NODES
     T = T_SYMMETRIC
     N = DESIGN_SIZE
-    ctx = contextlib.nullcontext() if h.exact_on_rationals else mp.workdps(precision)
-    with ctx:
+    with mp.workdps(precision):  # no effect on exact (Fraction) potentials
         dd = divided_differences(h, nodes)
         h7 = hermite_interpolant(h, nodes)
         expansion = gegenbauer_expand(n, h7)
@@ -424,8 +427,7 @@ def energy_lower_bound(h: Potential, n: int = 32, precision: int = 60) -> Energy
 def code_energy(hist: InnerProductHistogram, h: Potential, precision: int = 60):
     """Exact (or precision-bounded) sum of h over all ordered pairs of
     distinct code points, evaluated from the inner-product histogram."""
-    ctx = contextlib.nullcontext() if h.exact_on_rationals else mp.workdps(precision)
-    with ctx:
+    with mp.workdps(precision):
         total = 0
         for t, c in sorted(hist.counts.items()):
             try:

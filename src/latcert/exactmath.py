@@ -40,10 +40,6 @@ class Polynomial:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def constant(cls, c) -> "Polynomial":
-        return cls([c])
-
-    @classmethod
     def monomial(cls, k: int, c=1) -> "Polynomial":
         return cls([0] * k + [c])
 
@@ -302,12 +298,6 @@ class SignReport:
     positive_witness: Fraction | None = None
     negative_witness: Fraction | None = None
 
-    def is_nonnegative(self) -> bool:
-        return self.negative_witness is None
-
-    def is_nonpositive(self) -> bool:
-        return self.positive_witness is None
-
 
 def _sample_points(fp: FactoredPolynomial, iv: Interval):
     """Points whose exact values determine the sign of fp on the interval.
@@ -358,25 +348,26 @@ def sign_on_region(fp: FactoredPolynomial, region: IntervalRegion) -> SignReport
 
 
 # ---------------------------------------------------------------------------
-# JSON forms
+# JSON form
 
-def poly_to_json(p) -> dict:
-    if isinstance(p, FactoredPolynomial):
-        return {
-            "factored": {
-                "leading": str(p.leading),
-                "factors": [[str(r), str(m)] for r, m in p.factors],
-            }
+def poly_to_json(p: FactoredPolynomial) -> dict:
+    return {
+        "factored": {
+            "leading": str(p.leading),
+            "factors": [[str(r), str(m)] for r, m in p.factors],
         }
-    if isinstance(p, Polynomial):
-        return {"dense": [str(c) for c in p.coeffs]}
-    raise TypeError(f"not a polynomial: {p!r}")
+    }
 
 
-def poly_from_json(obj: dict):
-    if "factored" in obj:
+def poly_from_json(obj) -> FactoredPolynomial:
+    """Inverse of poly_to_json; ValueError naming that shape for anything else."""
+    try:
         f = obj["factored"]
-        return factored(Fraction(f["leading"]), [(Fraction(r), int(m)) for r, m in f["factors"]])
-    if "dense" in obj:
-        return Polynomial([Fraction(c) for c in obj["dense"]])
-    raise ValueError("polynomial JSON needs a 'factored' or 'dense' key")
+        leading = Fraction(f["leading"])
+        pairs = [(Fraction(r), int(m)) for r, m in f["factors"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(
+            'polynomial JSON must be {"factored": {"leading": "p/q", '
+            '"factors": [["root", "multiplicity"], ...]}}'
+        ) from exc
+    return factored(leading, pairs)

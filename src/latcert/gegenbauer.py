@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactmath import Polynomial, rat
+from .exactmath import Polynomial
 
 # Basis polynomials are precomputed up to this degree; raise it if a deeper
 # expansion is ever needed (all built-in certificates stop at degree 10).

@@ -221,11 +221,6 @@ def save_generator_matrix(code: BinaryCode, path) -> None:
 
 def code_report(c: BinaryCode) -> CodeReport:
     """Exact report from full codeword enumeration."""
-    if c.dimension > MAX_ENUM_DIMENSION:
-        raise ValueError(
-            f"refusing to enumerate 2^{c.dimension} codewords "
-            f"(guard is k <= {MAX_ENUM_DIMENSION})"
-        )
     enum: dict[int, int] = {}
     for w in c.codeword_masks():
         wt = w.bit_count()
@@ -237,12 +232,3 @@ def code_report(c: BinaryCode) -> CodeReport:
     self_dual = self_orthogonal and 2 * c.dimension == c.length
     doubly_even = all(wt % 4 == 0 for wt in enum)
     return CodeReport(self_dual, doubly_even, min_distance, dict(sorted(enum.items())))
-
-
-def report_to_json(r: CodeReport) -> dict:
-    return {
-        "self_dual": r.self_dual,
-        "doubly_even": r.doubly_even,
-        "min_distance": r.min_distance,
-        "weight_enumerator": {str(w): c for w, c in r.weight_enumerator.items()},
-    }

@@ -101,19 +101,30 @@ def make_shell(vectors, dim: int | None = None, source=None) -> Shell:
     return Shell(srt, dim, source)
 
 
-def _precheck(c: BinaryCode):
+_NOT_EXTREMAL = "code has weight-4 words; lattice is not extremal"
+
+
+def shell_failure(c: BinaryCode) -> str | None:
+    """Why c does not give the 146880-vector shell, or None when it is a
+    doubly-even self-dual [32,16] code with no weight-4 words and minimum
+    distance 8."""
+    if c.length != 32 or c.dimension != 16:  # first: bounds the enumeration
+        return f"need a [32,16] code, got [{c.length},{c.dimension}]"
     report = code_report(c)
-    if c.length != 32 or c.dimension != 16:
-        raise ValueError(f"need a [32,16] code, got [{c.length},{c.dimension}]")
     if not report.self_dual:
-        raise ValueError("code is not self-dual")
+        return "code is not self-dual"
     if not report.doubly_even:
-        raise ValueError("code is not doubly even")
-    return report
+        return "code is not doubly even"
+    if report.weight_enumerator.get(4, 0):
+        return _NOT_EXTREMAL
+    if report.min_distance != 8:
+        return f"need minimum distance 8, got {report.min_distance}"
+    return None
 
 
 def check_extremal(c: BinaryCode) -> bool:
-    """Whether the lattice built from c has an empty norm-2 layer.
+    """Whether the lattice built from c has an empty norm-2 layer; ValueError
+    unless c is a doubly-even self-dual [32,16] code.
 
     Shape analysis: a norm-2 vector would have a single +-2 coordinate
     (coordinate sum +-2, not divisible by 4), or four +-1 coordinates on a
@@ -121,17 +132,17 @@ def check_extremal(c: BinaryCode) -> bool:
     Only the weight-4 case can occur, so extremality is exactly the absence
     of weight-4 words.
     """
-    report = _precheck(c)
-    return report.weight_enumerator.get(4, 0) == 0
+    failure = shell_failure(c)
+    if failure not in (None, _NOT_EXTREMAL):
+        raise ValueError(failure)
+    return failure is None
 
 
 def build_shell(c: BinaryCode) -> Shell:
     """Enumerate all 146880 norm-4 vectors of the lattice built from c."""
-    report = _precheck(c)
-    if report.weight_enumerator.get(4, 0) != 0:
-        raise ValueError("code has weight-4 words; lattice is not extremal")
-    if report.min_distance != 8:
-        raise ValueError(f"need minimum distance 8, got {report.min_distance}")
+    failure = shell_failure(c)
+    if failure:
+        raise ValueError(failure)
 
     blocks = []
 
@@ -270,13 +281,14 @@ def load_shell(path) -> Shell:
     with open(path) as fh:
         header = fh.readline().strip()
         parts = header.split()
-        if parts[:2] != _HEADER.split() or len(parts) != 5:
+        fields = dict(p.split("=", 1) for p in parts[2:] if "=" in p)
+        dim, count = fields.get("n", ""), fields.get("count", "")
+        if (parts[:2] != _HEADER.split() or len(parts) != 5 or len(fields) != 3
+                or not (dim.isdecimal() and count.isdecimal()) or int(dim) < 1):
             raise ValueError(f"{path}: bad shell header {header!r}")
-        fields = dict(p.split("=", 1) for p in parts[2:])
         if fields.get("scale") != "2sqrt2":
             raise ValueError(f"{path}: unsupported scale {fields.get('scale')!r}")
-        dim = int(fields["n"])
-        count = int(fields["count"])
+        dim, count = int(dim), int(count)
         # ValueError on ragged rows and on tokens that are not int8 integers
         with warnings.catch_warnings():  # an empty body is rejected downstream
             warnings.simplefilter("ignore", UserWarning)

@@ -71,6 +71,17 @@ class BoundCertificate:
         return d
 
 
+def _lp_bound(p: FactoredPolynomial, n: int, T: IntervalRegion, hi):
+    """What both LP certificates share: the Gegenbauer expansion of p, the
+    sign report of p on [-1, hi] minus T, and the bound f(1)/f_0."""
+    expansion = gegenbauer_expand(n, p.expand())
+    f0 = expansion.coeffs[0]
+    if f0 <= 0:
+        raise ValueError(f"f_0 = {f0} is not positive; no bound derivable")
+    report = sign_on_region(p, region_difference(closed_interval(-1, hi), T))
+    return expansion, report, p(Fraction(1)) / f0
+
+
 def certify_max_code(
     p: FactoredPolynomial,
     n: int,
@@ -80,29 +91,19 @@ def certify_max_code(
 ) -> BoundCertificate:
     """Certificate that a T-avoiding s-code of design strength >= `strength`
     has at most f(1)/f_0 points."""
-    expansion = gegenbauer_expand(n, p.expand())
-    f0 = expansion.coeffs[0]
-    if f0 <= 0:
-        raise ValueError(f"f_0 = {f0} is not positive; no bound derivable")
-    region = region_difference(closed_interval(-1, Fraction(s)), T)
-    report = sign_on_region(p, region)
+    expansion, report, bound = _lp_bound(p, n, T, Fraction(s))
+    bad = [i for i, c in enumerate(expansion.coeffs) if i > strength and c < 0]
     failure = None
     if report.positive_witness is not None:
         failure = (
             f"polynomial is positive at t = {report.positive_witness} "
             f"inside [-1,{s}] minus T"
         )
-    bad = [
-        i
-        for i in range(strength + 1, len(expansion.coeffs))
-        if expansion.coeffs[i] < 0
-    ]
-    if failure is None and bad:
+    elif bad:
         failure = (
             f"negative Gegenbauer coefficient f_{bad[0]} = "
             f"{expansion.coeffs[bad[0]]} above assumed strength {strength}"
         )
-    bound = p(Fraction(1)) / f0
     return BoundCertificate(
         kind="max_code",
         polynomial=p,
@@ -130,19 +131,13 @@ def certify_min_design(
         raise ValueError(
             f"degree {p.degree} exceeds tau = {tau}; the design identity is unavailable"
         )
-    expansion = gegenbauer_expand(n, p.expand())
-    f0 = expansion.coeffs[0]
-    if f0 <= 0:
-        raise ValueError(f"f_0 = {f0} is not positive; no bound derivable")
-    region = region_difference(closed_interval(-1, 1), T)
-    report = sign_on_region(p, region)
+    expansion, report, bound = _lp_bound(p, n, T, 1)
     failure = None
     if report.negative_witness is not None:
         failure = (
             f"polynomial is negative at t = {report.negative_witness} "
             f"inside [-1,1] minus T"
         )
-    bound = p(Fraction(1)) / f0
     return BoundCertificate(
         kind="min_design",
         polynomial=p,

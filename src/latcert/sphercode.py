@@ -172,7 +172,7 @@ def _pair_histogram(table: np.ndarray, sizes: np.ndarray) -> InnerProductHistogr
     hist[2 * SHELL_NORM] -= n
     out = InnerProductHistogram(_dist_from_column(hist).a, n)
     if out.total() != n * (n - 1):
-        raise AssertionError("histogram total does not match N(N-1)")
+        raise RuntimeError("histogram total does not match N(N-1)")
     return out
 
 

@@ -5,8 +5,11 @@ import sys
 import pytest
 
 from conftest import e8_power_code
+from latcert import sphercode
 from latcert.cli import main
+from latcert.exactmath import poly_to_json
 from latcert.lattice32 import save_shell
+from latcert.lpcert import MIN_DESIGN_POLY
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +100,27 @@ def test_certify_design_poly_from_file(tmp_path):
     assert json.loads(proc.stdout)["bound"] == "146880"
 
 
+def test_certify_design_poly_file_must_be_factored(tmp_path):
+    args = ("certify-design", "--T", "(-1/4,0)U(1/4,1/2)", "--tau", "7", "--poly")
+    for name, obj in [
+        ("dense", {"dense": ["0", "1"]}),
+        ("no_factors", {"factored": {"leading": "1"}}),
+        ("short_factor", {"factored": {"leading": "1", "factors": [["0"]]}}),
+    ]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        proc = run_cli(*args, str(path))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and '"factored"' in proc.stderr
+        assert "Traceback" not in proc.stderr
+    path = tmp_path / "mindesign.json"
+    path.write_text(json.dumps(poly_to_json(MIN_DESIGN_POLY)))
+    from_file = run_cli(*args, str(path))
+    builtin = run_cli(*args, "builtin:mindesign")
+    assert from_file.returncode == builtin.returncode == 0
+    assert from_file.stdout == builtin.stdout
+
+
 def test_energy_without_shell():
     proc = run_cli("energy", "--potential", "invlin")
     assert proc.returncode == 0, proc.stderr
@@ -115,20 +139,35 @@ def test_usage_errors_exit_two():
     assert run_cli("--threads", "2", "selftest").returncode == 2  # flag removed
 
 
+def _unit_rows(k: int, n: int, support) -> list:
+    """k rows of length n; row i has ones at support(i)."""
+    return [[int(j in support(i)) for j in range(n)] for i in range(k)]
+
+
 def test_build_non_extremal_code_exits_one(tmp_path):
-    gen = tmp_path / "e8x4.txt"
-    rows = ("".join(map(str, row)) for row in e8_power_code().generator)
-    gen.write_text("\n".join(rows) + "\n")
-    out = tmp_path / "shell.txt"
-    proc = run_cli("build", "--code", str(gen), "--out", str(out))
-    assert proc.returncode == 1, proc.stderr
-    assert json.loads(proc.stdout) == {
-        "command": "build",
-        "code": str(gen),
-        "valid": False,
-        "failure": "code has weight-4 words; lattice is not extremal",
-    }
-    assert not out.exists()
+    codes = [
+        ("e8x4", e8_power_code().generator,
+         "code has weight-4 words; lattice is not extremal"),
+        ("identity", _unit_rows(16, 32, lambda i: {i}), "code is not self-dual"),
+        ("weight2", _unit_rows(16, 32, lambda i: {2 * i, 2 * i + 1}),
+         "code is not doubly even"),
+        ("k8n16", _unit_rows(8, 16, lambda i: {i, i + 8}),
+         "need a [32,16] code, got [16,8]"),
+    ]
+    for name, generator, failure in codes:
+        gen = tmp_path / f"{name}.txt"
+        rows = ("".join(map(str, row)) for row in generator)
+        gen.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "shell.txt"
+        proc = run_cli("build", "--code", str(gen), "--out", str(out))
+        assert proc.returncode == 1, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "command": "build",
+            "code": str(gen),
+            "valid": False,
+            "failure": failure,
+        }
+        assert not out.exists()
 
 
 def test_venkov_witness_and_sample(shell_file):
@@ -198,8 +237,6 @@ def test_energy_with_small_shell_and_gap(small_shell_file):
 
 
 def test_verify_full_runs_one_orbit_pass(small_shell_file, monkeypatch, capsys):
-    from latcert import sphercode
-
     calls = []
     orbit_pass = sphercode._orbit_pass
     monkeypatch.setattr(
@@ -219,6 +256,9 @@ def test_verify_full_runs_one_orbit_pass(small_shell_file, monkeypatch, capsys):
         ("n=4 count=2", "4 4 0 0\n-4 -4 0 1.5\n", "'1.5'"),
         ("n=4 count=2", "4 4 0 0 # antipode\n-4 -4 0 0\n", "'#'"),
         ("n=4 count=0", "", "nonempty shell"),
+        ("n=0 count=0", "", "bad shell header"),
+        ("n=-2 count=2", "4 4\n-4 -4\n", "bad shell header"),
+        ("n=4 count", "4 4 0 0\n-4 -4 0 0\n", "bad shell header"),
     ],
 )
 def test_malformed_shell_file_exits_two(tmp_path, header, body, message):
@@ -229,3 +269,18 @@ def test_malformed_shell_file_exits_two(tmp_path, header, body, message):
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: ") and message in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def test_internal_check_failure_exits_one(small_shell_file, monkeypatch, capsys):
+    column_counts = sphercode._column_counts
+
+    def drop_one_count(F, cols):
+        table = column_counts(F, cols)
+        table[2 * 32, 0] -= 1  # lose the first column's self pair
+        return table
+
+    monkeypatch.setattr(sphercode, "_column_counts", drop_one_count)
+    assert main(["verify", "--shell", str(small_shell_file), "--full"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal check failed: histogram total")
+    assert "Traceback" not in err

@@ -99,6 +99,9 @@ def test_partial_products_reference_p7():
     assert pps[6].expansion.coeffs == P7_EXPANSION
     assert all(pp.pd.positive_definite for pp in pps)
     assert sum(pps[6].expansion.coeffs) == Fraction(45, 8)  # P_7(1)
+    for i in range(1, 8):  # each prefix of the nodes, expanded from its factors
+        prefix = node_polynomial(NodeMultiset(PAPER_NODES.nodes[:i]))
+        assert pps[i - 1].polynomial == prefix.expand()
 
 
 def test_node_polynomial_structure():

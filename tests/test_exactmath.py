@@ -180,8 +180,5 @@ def test_poly_json_round_trip():
     back = poly_from_json(poly_to_json(fp))
     assert isinstance(back, FactoredPolynomial)
     assert back == fp
-    dense = fp.expand()
-    back2 = poly_from_json(poly_to_json(dense))
-    assert back2 == dense
     with pytest.raises(ValueError):
         poly_from_json({"neither": []})
