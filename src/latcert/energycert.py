@@ -353,6 +353,13 @@ def design_distribution():
     )
 
 
+def _working_precision(precision: int):
+    """mp.workdps(precision) for a precision of at least one digit."""
+    if precision < 1:
+        raise ValueError(f"precision must be at least 1 digit, got {precision}")
+    return mp.workdps(precision)
+
+
 def energy_lower_bound(h: Potential, n: int = 32, precision: int = 60) -> EnergyCertificate:
     """Certified h-energy lower bound for the class of T-avoiding codes with
     146880 points (T the symmetric avoided set).
@@ -366,7 +373,7 @@ def energy_lower_bound(h: Potential, n: int = 32, precision: int = 60) -> Energy
     nodes = PAPER_NODES
     T = T_SYMMETRIC
     N = DESIGN_SIZE
-    with mp.workdps(precision):  # no effect on exact (Fraction) potentials
+    with _working_precision(precision):  # no effect on exact (Fraction) potentials
         dd = divided_differences(h, nodes)
         h7 = hermite_interpolant(h, nodes)
         expansion = gegenbauer_expand(n, h7)
@@ -427,7 +434,7 @@ def energy_lower_bound(h: Potential, n: int = 32, precision: int = 60) -> Energy
 def code_energy(hist: InnerProductHistogram, h: Potential, precision: int = 60):
     """Exact (or precision-bounded) sum of h over all ordered pairs of
     distinct code points, evaluated from the inner-product histogram."""
-    with mp.workdps(precision):
+    with _working_precision(precision):
         total = 0
         for t, c in sorted(hist.counts.items()):
             try:

@@ -268,13 +268,15 @@ def venkov_sample(shell: Shell, count: int, seed: int) -> list:
 # Shell files
 
 _HEADER = "latcert-shell v1"
+_TOKENS = np.array([str(v) for v in range(-128, 128)], dtype=object)  # int8 v at v + 128
 
 
 def save_shell(shell: Shell, path) -> None:
     with open(path, "w") as fh:
         fh.write(f"{_HEADER} n={shell.dim} count={shell.count} scale=2sqrt2\n")
-        for row in shell.vectors:
-            fh.write(" ".join(str(int(v)) for v in row) + "\n")
+        for start in range(0, shell.count, 8192):  # a few MB of tokens at a time
+            block = shell.vectors[start : start + 8192].astype(np.intp) + 128
+            fh.write("".join(" ".join(row) + "\n" for row in _TOKENS[block].tolist()))
 
 
 def load_shell(path) -> Shell:

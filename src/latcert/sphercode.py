@@ -6,18 +6,25 @@ statistic is an exact integer count keyed by an exact rational.  The pair
 passes count dot values column by column in blocked float32 matrix products.
 Every vector is checked to have s.s = 32, so |entry| <= 5 and every partial
 sum of a dot product is an integer of absolute value at most 32: the float
-path is exact.
+path is exact.  When the rows end with the first half negated in reverse
+order, as the rows of a canonical antipodal shell do, a column is counted
+over the first half only and the second half's counts are its bins
+reversed; any other row order is counted in full.
 
 The exact passes (the histogram and the full invariance check) need only one
 column per orbit of a group of coordinate sign flips that maps the shell onto
 itself: a flip is an isometry, so every point of an orbit sees the same
 distance distribution.  Candidate flips are read off the shell (the minus
-patterns of its rows with no zero entry, and negation) and each is kept only
-after an exact check that it permutes the shell.  On the lattice shells the
-rows with no zero entry are the all-+-1 vectors, whose minus sets are the
-codewords, so the group is the 2^16 codeword flips with 1117 orbits.  On any
-other shell the group is whatever verifies, down to {+-1} or the trivial
-group, and the passes stay exact.
+patterns of its rows with no zero entry, and negation).  Each row gets one
+exact key: its magnitude class (the rows with the same |x|) above its minus
+signs packed by rank within its support.  A flip XORs every key of a class
+with one mask, so it is kept only if the sorted keys are unchanged, and the
+orbits are the cosets of the kept masks' span within each class.  On the
+lattice shells the rows with no zero entry are the all-+-1 vectors, whose
+minus sets are the codewords, so the group is the 2^16 codeword flips with
+1117 orbits, one per magnitude class.  On any other shell the group is
+whatever verifies, down to {+-1} or the trivial group, and the passes stay
+exact.
 """
 
 from __future__ import annotations
@@ -95,14 +102,23 @@ _BINS = 2 * SHELL_NORM + 1  # dot values -32..32, offset by 32
 
 def _column_counts(F: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """(65, len(cols)) counts of each dot value s_x.s_c over all rows x, one
-    column per index c in cols; bin 64 holds the self pair."""
-    step = max(1, 2**23 // max(len(F), 1))  # about 2^23 float32 per block
+    column per index c in cols; bin 64 holds the self pair.  When the rows
+    end with the first half negated in reverse order (as a canonical
+    antipodal shell does), only the first half is counted: -x has dot -d
+    where x has d, so the second half's counts are the first half's with
+    the bins reversed."""
+    half = len(F) // 2
+    fold = np.array_equal(-F[half:][::-1], F[:half])
+    rows = F[:half] if fold else F
+    step = max(1, 2**21 // len(rows))  # about 2^21 float32 per block
     table = np.empty((len(cols), _BINS), dtype=np.int64)
     for j0 in range(0, len(cols), step):
-        D = F[cols[j0 : j0 + step]] @ F.T
+        D = F[cols[j0 : j0 + step]] @ rows.T
         D += SHELL_NORM
         for j, row in enumerate(D.astype(np.uint8), j0):
             table[j] = np.bincount(row, minlength=_BINS)
+    if fold:
+        table = table + table[:, ::-1]
     return table.T
 
 
@@ -124,38 +140,54 @@ def _candidate_flips(vectors: np.ndarray) -> list:
     return basis + [np.ones_like(neg)] if neg.any() else basis
 
 
-def _verified_flips(vectors: np.ndarray) -> list:
-    """Row permutations perm[x] = index of flip(x), one per candidate flip
-    that maps the shell onto itself; the rest are dropped.  The kept flips
-    are independent, so they generate a group of order 2^len.  A shell's
-    rows are canonical, so their keys are ascending; unsorted rows only
-    lose flips."""
-    keys = _row_keys(vectors)
-    perms = []
-    for flip in _candidate_flips(vectors):
-        fkeys = _row_keys(vectors * np.where(flip, -1, 1).astype(np.int8))
-        order = np.lexsort(fkeys.T[::-1])
-        if np.array_equal(fkeys[order], keys):
-            perm = np.empty(len(vectors), dtype=np.intp)
-            perm[order] = np.arange(len(vectors))
-            perms.append(perm)
-    return perms
+def _packed(bits: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """Per row, the coordinates where bits holds as one uint64: a coordinate
+    sets the bit of its rank within the row's support.  The support has at
+    most 32 coordinates, as s.s = 32."""
+    packed = np.zeros(len(bits), dtype=np.uint64)
+    rank = np.zeros(len(bits), dtype=np.uint8)
+    for b, s in zip(bits.T, support.T):
+        packed |= np.left_shift(b, rank, dtype=np.uint64)
+        rank += s
+    return packed
 
 
 def _orbit_pass(vectors: np.ndarray):
     """The exact pair pass: (representatives, orbit sizes, (65, reps) column
     table, group order).  Each orbit of the verified flip group is represented
     by its smallest index, and every point's distribution is its
-    representative's column."""
+    representative's column.  A row's key is its magnitude class above its
+    minus signs packed by rank within the class's common support; clearing
+    the pivot bits of an echelon basis of the kept masks (per class) maps
+    every key of a coset, so of an orbit, to one label."""
     F = _float32_rows(vectors)  # first: the row keys need |entry| < 8
-    perms = _verified_flips(vectors)
-    labels = np.arange(len(vectors))
-    for perm in perms:
-        # the flips commute and are involutions, so one sweep per generator
-        # leaves every label at the minimum over its orbit
-        np.minimum(labels, labels[perm], out=labels)
-    reps, sizes = np.unique(labels, return_counts=True)
-    return reps, sizes, _column_counts(F, reps), 2 ** len(perms)
+    mags = _row_keys(np.abs(vectors))
+    order = np.lexsort(mags.T[::-1])
+    mags = mags[order]
+    first = np.ones(len(vectors), dtype=bool)
+    first[1:] = (mags[1:] != mags[:-1]).any(axis=1)
+    cls = np.empty(len(vectors), dtype=np.intp)
+    cls[order] = np.cumsum(first) - 1
+    keys = cls.astype(np.uint64) << 32 | _packed(vectors < 0, vectors != 0)
+
+    support = vectors[order[first]] != 0  # one row per class
+    ref = np.sort(keys)
+    kept = []
+    for flip in _candidate_flips(vectors):
+        mask = _packed(support & flip, support)
+        if np.array_equal(np.sort(keys ^ mask[cls]), ref):
+            kept.append(mask)
+    for i, mask in enumerate(kept):
+        # the earlier pivots are already cleared from this mask, and this
+        # pivot is cleared from the later ones, so no step undoes another
+        pivot = mask & (~mask + 1)  # lowest set bit per class, 0 for none
+        keys ^= np.where(keys & pivot[cls], mask[cls], 0)
+        for later in kept[i + 1 :]:
+            later ^= np.where(later & pivot, mask, 0)
+    _, reps, sizes = np.unique(keys, return_index=True, return_counts=True)
+    by_index = np.argsort(reps)
+    reps, sizes = reps[by_index], sizes[by_index]
+    return reps, sizes, _column_counts(F, reps), 2 ** len(kept)
 
 
 def histogram(shell: Shell) -> InnerProductHistogram:

@@ -236,6 +236,15 @@ def test_energy_with_small_shell_and_gap(small_shell_file):
     assert record["gap"] != "0"
 
 
+@pytest.mark.parametrize("precision", ["0", "-3"])
+@pytest.mark.parametrize("shell", [False, True])
+def test_energy_rejects_precision_below_one(small_shell_file, precision, shell):
+    argv = ["energy", "--potential", "expt", f"--precision={precision}"]
+    proc = run_cli(*argv, *(["--shell", str(small_shell_file)] if shell else []))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"error: precision must be at least 1 digit, got {precision}\n"
+
+
 def test_verify_full_runs_one_orbit_pass(small_shell_file, monkeypatch, capsys):
     calls = []
     orbit_pass = sphercode._orbit_pass

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import norm32_magnitudes, random_polynomial
 from latcert.exactmath import Polynomial
@@ -16,6 +16,9 @@ from latcert.lattice32 import Shell, load_shell, make_shell
 from latcert.sphercode import (
     ALL,
     DistanceDistribution,
+    _candidate_flips,
+    _column_counts,
+    _orbit_pass,
     check_distance_invariance,
     design_strength,
     distance_distribution_at,
@@ -258,14 +261,15 @@ def test_main_identity_on_small_shell(small_antipodal_shell):
 # the orbit-reduced pair passes against an int64 brute force
 
 
-MAGNITUDES = {dim: norm32_magnitudes(dim) for dim in range(4, 9)}
+MAGNITUDES = {dim: norm32_magnitudes(dim) for dim in (*range(4, 9), *range(33, 41))}
 
 
 @st.composite
-def flip_closed_shells(draw):
-    """A few random norm-32 rows in dim 4-8, closed under a random set of
-    sign flips; sometimes one point and its antipode are then removed."""
-    dim = draw(st.integers(4, 8))
+def flip_closed_shells(draw, dims=(4, 8)):
+    """A few random norm-32 rows in dim 4-8 (or in dims), closed under a
+    random set of sign flips; sometimes one point and its antipode are then
+    removed."""
+    dim = draw(st.integers(*dims))
     signs = st.lists(st.booleans(), min_size=dim, max_size=dim)
     rows = set()
     for _ in range(draw(st.integers(1, 3))):
@@ -327,6 +331,92 @@ def test_full_pass_finds_flip_group_on_small_shell():
                     rows.append(row)
     inv = _assert_matches_brute_force(make_shell(rows, dim=8))
     assert (inv.group_order, inv.representatives) == (16, 29)
+
+
+def _hamming_shell(extra=()):
+    """All +-2 rows with minus sets in the [8,4,4] extended Hamming code, all
+    rows with two +-4, and the extra rows."""
+    generator = np.array([[1, 0, 0, 0, 0, 1, 1, 1], [0, 1, 0, 0, 1, 0, 1, 1],
+                          [0, 0, 1, 0, 1, 1, 0, 1], [0, 0, 0, 1, 1, 1, 1, 0]])
+    hamming = [np.array(m) @ generator % 2 for m in itertools.product((0, 1), repeat=4)]
+    rows = [list(2 - 4 * word) for word in hamming] + list(extra)
+    for i, j in itertools.combinations(range(8), 2):
+        for si, sj in itertools.product((4, -4), repeat=2):
+            row = [0] * 8
+            row[i], row[j] = si, sj
+            rows.append(row)
+    return make_shell(rows, dim=8)
+
+
+def _flip(row, flip):
+    return tuple(-v if f else v for v, f in zip(row, flip))
+
+
+def _brute_force_orbits(shell):
+    """(representatives, orbit sizes, group order) for the candidate flips
+    that map the row set onto itself, by closing Python row sets."""
+    rows = [tuple(r) for r in shell.vectors.tolist()]
+    kept = [f for f in _candidate_flips(shell.vectors)
+            if {_flip(r, f) for r in rows} == set(rows)]
+    reps, sizes, seen = [], [], set()
+    for i, row in enumerate(rows):
+        if row not in seen:
+            orbit = {row}
+            for f in kept:  # the flips commute: one pass per generator
+                orbit |= {_flip(r, f) for r in orbit}
+            seen |= orbit
+            reps.append(i)
+            sizes.append(len(orbit))
+    return reps, sizes, 2 ** len(kept)
+
+
+# 32 entries +-1 on coordinates 8..39 and two +-4 on 38, 39: minus signs
+# packed from coordinates past 32, where negation is the only candidate flip
+_WIDE_ROWS = [
+    [0] * 8 + [1 - 2 * ((m >> k) & 1) for k in range(32)] for m in (0, 5, ~0, ~5)
+] + [[0] * 38 + [4 * a, 4 * b] for a in (1, -1) for b in (1, -1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(flip_closed_shells(), flip_closed_shells(dims=(33, 40))))
+@example(make_shell(_WIDE_ROWS))
+@example(_hamming_shell())
+def test_orbits_match_brute_force_closure(shell):
+    reps, sizes, table, order = _orbit_pass(shell.vectors)
+    assert (reps.tolist(), sizes.tolist(), order) == _brute_force_orbits(shell)
+    assert table.shape == (65, len(reps))
+
+
+def test_orbit_pass_rejects_flips_that_do_not_permute_the_shell():
+    # a +-2 row with minus set {0}, and its negation: no code flip but the
+    # all-ones word maps {0} into the row set, so only negation survives
+    shell = _hamming_shell([[-2] + [2] * 7, [2] + [-2] * 7])
+    assert len(_candidate_flips(shell.vectors)) == 5
+    reps, sizes, _, order = _orbit_pass(shell.vectors)
+    assert (order, len(reps)) == (2, 65)
+    assert (reps.tolist(), sizes.tolist(), order) == _brute_force_orbits(shell)
+    _assert_matches_brute_force(shell)
+
+
+def _brute_force_columns(vectors, cols):
+    V = vectors.astype(np.int64)
+    return np.array([np.bincount(V @ V[c] + 32, minlength=65) for c in cols]).T
+
+
+@pytest.mark.parametrize("case", ["canonical", "odd", "shuffled"])
+def test_column_counts_match_brute_force(case):
+    shell = _hamming_shell()
+    V = shell.vectors  # canonical and antipodal: the fold applies
+    rng = np.random.default_rng(7)
+    if case == "odd":
+        V = V[np.sort(rng.choice(len(V), size=len(V) - 1, replace=False))]
+    elif case == "shuffled":  # antipodal rows, but not in canonical order
+        V = V[rng.permutation(len(V))]
+    half = len(V) // 2
+    assert np.array_equal(-V[half:][::-1], V[:half]) == (case == "canonical")
+    cols = np.array([0, 3, 17, len(V) - 1, 3])
+    table = _column_counts(V.astype(np.float32), cols)
+    assert np.array_equal(table, _brute_force_columns(V, cols))
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
