@@ -315,24 +315,6 @@ def test_pair_passes_match_brute_force(shell):
     assert 1 <= inv.representatives <= shell.count
 
 
-def test_full_pass_finds_flip_group_on_small_shell():
-    # all +-2 rows with minus sets in the [8,4,4] extended Hamming code, and
-    # all rows with two +-4: the 16 code flips act, with 1 + 28 orbits
-    generator = np.array([[1, 0, 0, 0, 0, 1, 1, 1], [0, 1, 0, 0, 1, 0, 1, 1],
-                          [0, 0, 1, 0, 1, 1, 0, 1], [0, 0, 0, 1, 1, 1, 1, 0]])
-    hamming = [np.array(m) @ generator % 2 for m in itertools.product((0, 1), repeat=4)]
-    rows = [list(2 - 4 * word) for word in hamming]
-    for i in range(8):
-        for j in range(i + 1, 8):
-            for si in (4, -4):
-                for sj in (4, -4):
-                    row = [0] * 8
-                    row[i], row[j] = si, sj
-                    rows.append(row)
-    inv = _assert_matches_brute_force(make_shell(rows, dim=8))
-    assert (inv.group_order, inv.representatives) == (16, 29)
-
-
 def _hamming_shell(extra=()):
     """All +-2 rows with minus sets in the [8,4,4] extended Hamming code, all
     rows with two +-4, and the extra rows."""
@@ -346,6 +328,12 @@ def _hamming_shell(extra=()):
             row[i], row[j] = si, sj
             rows.append(row)
     return make_shell(rows, dim=8)
+
+
+def test_full_pass_finds_flip_group_on_small_shell():
+    # the 16 code flips act on the Hamming shell, with 1 + 28 orbits
+    inv = _assert_matches_brute_force(_hamming_shell())
+    assert (inv.group_order, inv.representatives) == (16, 29)
 
 
 def _flip(row, flip):
