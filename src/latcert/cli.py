@@ -75,6 +75,9 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for flag, value in (("--sample", args.sample), ("--cap", args.cap)):
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
     shell = lattice32.load_shell(args.shell)
     mode = sphercode.ALL if args.full else args.sample
     inv = sphercode.check_distance_invariance(shell, sample=mode, seed=args.seed)

@@ -78,6 +78,15 @@ def _canonical_sort(arr: np.ndarray):
     return arr[order[first]], len(arr) - int(first.sum())
 
 
+def _check_norms(vectors: np.ndarray, message: str) -> None:
+    """ValueError(message with {i} and {norm}) for the first int8 row with
+    s.s != 32; every square is at most 128^2 < 2^15, so int16 is exact."""
+    norms = np.square(vectors, dtype=np.int16).sum(axis=1, dtype=np.int64)
+    bad = np.flatnonzero(norms != SHELL_NORM)
+    if len(bad):
+        raise ValueError(message.format(i=int(bad[0]), norm=int(norms[bad[0]])))
+
+
 def make_shell(vectors, dim: int | None = None, source=None) -> Shell:
     arr = np.asarray(vectors, dtype=np.int8)
     if arr.ndim != 2:
@@ -87,10 +96,7 @@ def make_shell(vectors, dim: int | None = None, source=None) -> Shell:
     if arr.shape[1] != dim:
         raise ValueError(f"expected {dim} coordinates per vector, got {arr.shape[1]}")
     # first: s.s = 32 bounds |entry| <= 5, inside the row keys' range
-    norms = (arr.astype(np.int64) ** 2).sum(axis=1)
-    if not (norms == SHELL_NORM).all():
-        bad = int(np.flatnonzero(norms != SHELL_NORM)[0])
-        raise ValueError(f"vector {bad} has s.s = {int(norms[bad])}, expected 32")
+    _check_norms(arr, "vector {i} has s.s = {norm}, expected 32")
     srt, dups = _canonical_sort(arr)
     if dups:
         raise ValueError("duplicate shell vectors")
@@ -217,13 +223,8 @@ def _float32_rows(vectors: np.ndarray) -> np.ndarray:
     by 32, so float32 dots are exact integers."""
     if not len(vectors):
         raise ValueError("pair pass needs a nonempty shell")
-    norms = (vectors.astype(np.int64) ** 2).sum(axis=1)
-    bad = np.flatnonzero(norms != SHELL_NORM)
-    if len(bad):
-        raise ValueError(
-            f"pair pass needs s.s = {SHELL_NORM} for every vector; "
-            f"vector {int(bad[0])} has s.s = {int(norms[bad[0]])}"
-        )
+    _check_norms(vectors, "pair pass needs s.s = 32 for every vector; "
+                 "vector {i} has s.s = {norm}")
     return vectors.astype(np.float32)
 
 

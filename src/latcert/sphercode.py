@@ -3,13 +3,14 @@ distributions, Gegenbauer moments, design strength, and quadrature identities.
 
 Unit-sphere inner products of shell vectors are s_x.s_y / 32, so every pair
 statistic is an exact integer count keyed by an exact rational.  The pair
-passes count dot values column by column in blocked float32 matrix products.
-Every vector is checked to have s.s = 32, so |entry| <= 5 and every partial
-sum of a dot product is an integer of absolute value at most 32: the float
-path is exact.  When the rows end with the first half negated in reverse
-order, as the rows of a canonical antipodal shell do, a column is counted
-over the first half only and the second half's counts are its bins
-reversed; any other row order is counted in full.
+passes count dot values two columns a, b at a time in blocked float32 matrix
+products: the dots with s_a + 65 s_b are d_a + 65 d_b, and one bincount of
+them gives both columns as the marginals of a 65 x 65 table.  Every vector has
+s.s = 32 (checked), so |entry| <= 5 and, by Cauchy-Schwarz, every partial sum
+is an integer of absolute value at most 66 * 32 = 2112 < 2^24: the float path
+is exact.  When the rows end with the first half negated in reverse order, as
+a canonical antipodal shell's rows do, a column is counted over the first half
+only and the second half's counts are its bins reversed.
 
 The exact passes (the histogram and the full invariance check) need only one
 column per orbit of a group of coordinate sign flips that maps the shell onto
@@ -102,7 +103,10 @@ _BINS = 2 * SHELL_NORM + 1  # dot values -32..32, offset by 32
 
 def _column_counts(F: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """(65, len(cols)) counts of each dot value s_x.s_c over all rows x, one
-    column per index c in cols; bin 64 holds the self pair.  When the rows
+    column per index c in cols; bin 64 holds the self pair.  Columns go in
+    pairs (a, b), an odd count padded with its last: d_a + 32 + 65 (d_b + 32)
+    is the exact float32 dot (s_a + 65 s_b).x + 66 * 32, a key in [0, 4224],
+    as every partial sum is at most 66 * 32 in absolute value.  When the rows
     end with the first half negated in reverse order (as a canonical
     antipodal shell does), only the first half is counted: -x has dot -d
     where x has d, so the second half's counts are the first half's with
@@ -110,16 +114,18 @@ def _column_counts(F: np.ndarray, cols: np.ndarray) -> np.ndarray:
     half = len(F) // 2
     fold = np.array_equal(-F[half:][::-1], F[:half])
     rows = F[:half] if fold else F
+    pairs = np.append(cols, cols[-1:]) if len(cols) % 2 else cols
+    P = F[pairs[0::2]] + _BINS * F[pairs[1::2]]
     step = max(1, 2**21 // len(rows))  # about 2^21 float32 per block
-    table = np.empty((len(cols), _BINS), dtype=np.int64)
-    for j0 in range(0, len(cols), step):
-        D = F[cols[j0 : j0 + step]] @ rows.T
-        D += SHELL_NORM
-        for j, row in enumerate(D.astype(np.uint8), j0):
-            table[j] = np.bincount(row, minlength=_BINS)
-    if fold:
-        table = table + table[:, ::-1]
-    return table.T
+    table = []
+    for j0 in range(0, len(P), step):
+        D = P[j0 : j0 + step] @ rows.T
+        D += SHELL_NORM * (_BINS + 1)
+        for row in D.astype(np.uint16):
+            joint = np.bincount(row, minlength=_BINS**2).reshape(_BINS, _BINS)
+            table += [joint.sum(axis=0), joint.sum(axis=1)]  # columns a, b
+    table = np.array(table[: len(cols)]).reshape(-1, _BINS)
+    return (table + table[:, ::-1] if fold else table).T
 
 
 def _candidate_flips(vectors: np.ndarray) -> list:
@@ -130,7 +136,7 @@ def _candidate_flips(vectors: np.ndarray) -> list:
     for c in range(vectors.shape[1]):
         hit = rows[:, c]
         if hit.any():
-            pivot = rows[np.argmax(hit)]  # zero before column c: echelon form
+            pivot = rows[np.argmax(hit)].copy()  # zero before c; a view would pin rows
             basis.append(pivot)
             rows = rows ^ (hit[:, None] & pivot)
     neg = np.ones(vectors.shape[1], dtype=bool)
@@ -245,6 +251,8 @@ def check_distance_invariance(
     if sample == ALL:
         cols, sizes, table, group_order = _orbit_pass(vectors)
         mode, checked, hist = "full", n, _pair_histogram(table, sizes)
+    elif int(sample) < 1:
+        raise ValueError(f"sample must be at least 1 point, got {sample}")
     else:
         k = min(int(sample), n)
         rng = np.random.default_rng(seed)
@@ -331,31 +339,14 @@ def quadrature_check(
     return QuadratureVerdict(lhs == rhs, lhs, rhs, warning)
 
 
-def _solve_exact(A: list, b: list) -> list:
-    """Gaussian elimination over Fraction with partial pivoting by nonzero."""
-    m = len(A)
-    M = [row[:] + [b[i]] for i, row in enumerate(A)]
-    for col in range(m):
-        piv = next((r for r in range(col, m) if M[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular system (duplicate quadrature nodes?)")
-        M[col], M[piv] = M[piv], M[col]
-        inv = Fraction(1) / M[col][col]
-        M[col] = [v * inv for v in M[col]]
-        for r in range(m):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [v - f * w for v, w in zip(M[r], M[col])]
-    return [M[r][m] for r in range(m)]
-
-
 def distribution_from_design(
     I, N: int, n: int, tau: int, require_integral: bool = True
 ) -> DistanceDistribution:
     """Recover the distance distribution of a distance-invariant tau-design
-    from its inner-product set alone, by solving the quadrature identities
-    for the monomials 1, t, ..., t^d on the nodes I and 1 (a Vandermonde
-    system; d = |I| must be at most tau - 1)."""
+    from its inner-product set alone.  The quadrature identity
+    sum_t A_t p(t) = N f_0(p) holds on the nodes I and 1 for every p of degree
+    d = |I| <= tau - 1, so A_t = N f_0(L_t) for the Lagrange basis polynomial
+    L_t of the nodes (1 at t, 0 at the others)."""
     nodes = sorted(Fraction(t) for t in I)
     d = len(nodes)
     if d > tau - 1:
@@ -363,9 +354,14 @@ def distribution_from_design(
     if len(set(nodes)) != d or Fraction(1) in nodes:
         raise ValueError("singular system: duplicate quadrature nodes")
     pts = nodes + [Fraction(1)]
-    A = [[t**k for t in pts] for k in range(d + 1)]
-    b = [N * gegenbauer_expand(n, Polynomial.monomial(k)).coeffs[0] for k in range(d + 1)]
-    sol = _solve_exact(A, b)
+    f0 = [gegenbauer_expand(n, Polynomial.monomial(k)).coeffs[0] for k in range(d + 1)]
+    sol = []
+    for t in pts:
+        prod = Polynomial([1])  # prod(t) L_t: x - u multiplied over the nodes u != t
+        for u in pts:
+            if u != t:
+                prod = prod * Polynomial([-u, 1])
+        sol.append(N * sum(c * m for c, m in zip(prod.coeffs, f0)) / prod(t))
     for t, a in zip(pts, sol):
         if a < 0:
             raise ValueError(f"negative distribution entry A_{t} = {a}")

@@ -245,6 +245,15 @@ def test_energy_rejects_precision_below_one(small_shell_file, precision, shell):
     assert proc.stderr == f"error: precision must be at least 1 digit, got {precision}\n"
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--sample", "0"), ("--sample", "-5"), ("--cap", "0"), ("--cap", "-3")]
+)
+def test_verify_rejects_sample_or_cap_below_one(small_shell_file, flag, value):
+    proc = run_cli("verify", "--shell", str(small_shell_file), f"{flag}={value}")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"error: {flag} must be at least 1, got {value}\n"
+
+
 def test_verify_full_runs_one_orbit_pass(small_shell_file, monkeypatch, capsys):
     calls = []
     orbit_pass = sphercode._orbit_pass

@@ -386,25 +386,82 @@ def test_orbit_pass_rejects_flips_that_do_not_permute_the_shell():
     _assert_matches_brute_force(shell)
 
 
+def test_candidate_flips_own_their_data():
+    # a basis flip that is a view of a row of an elimination step keeps that
+    # whole (rows, dim) array alive: 16 such arrays on a lattice shell
+    flips = _candidate_flips(_hamming_shell().vectors)
+    assert len(flips) == 4
+    assert all(flip.base is None for flip in flips)
+
+
 def _brute_force_columns(vectors, cols):
     V = vectors.astype(np.int64)
     return np.array([np.bincount(V @ V[c] + 32, minlength=65) for c in cols]).T
 
 
-@pytest.mark.parametrize("case", ["canonical", "odd", "shuffled"])
-def test_column_counts_match_brute_force(case):
-    shell = _hamming_shell()
-    V = shell.vectors  # canonical and antipodal: the fold applies
+def _folds(V):
+    half = len(V) // 2
+    return np.array_equal(-V[half:][::-1], V[:half])
+
+
+def _column_case(case):
+    V = _hamming_shell().vectors  # canonical and antipodal: the fold applies
     rng = np.random.default_rng(7)
     if case == "odd":
         V = V[np.sort(rng.choice(len(V), size=len(V) - 1, replace=False))]
     elif case == "shuffled":  # antipodal rows, but not in canonical order
         V = V[rng.permutation(len(V))]
-    half = len(V) // 2
-    assert np.array_equal(-V[half:][::-1], V[:half]) == (case == "canonical")
-    cols = np.array([0, 3, 17, len(V) - 1, 3])
+    assert _folds(V) == (case == "canonical")
+    return V
+
+
+CASES = ["canonical", "odd", "shuffled"]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_column_counts_match_brute_force(case):
+    V = _column_case(case)
+    cols = np.array([0, 3, 17, len(V) - 1, 3])  # odd: pads with its last column
     table = _column_counts(V.astype(np.float32), cols)
     assert np.array_equal(table, _brute_force_columns(V, cols))
+
+
+# one column, an even count, a column paired with itself (keys 0 and 4224,
+# both ends of the paired key's range) and rows paired with their antipodes
+# (keys 64 and 4160, the other two corners of the 65 x 65 table)
+@pytest.mark.parametrize(
+    "cols", [[5], [0, 17], [9, 9], "antipode"], ids=["one", "even", "self", "antipode"]
+)
+@pytest.mark.parametrize("case", CASES)
+def test_column_counts_of_paired_columns(case, cols):
+    V = _column_case(case)
+    if cols == "antipode":
+        cols = [j for i in (0, 40) for j in (i, *np.flatnonzero((V == -V[i]).all(axis=1)))]
+    cols = np.array(cols)
+    table = _column_counts(V.astype(np.float32), cols)
+    assert table.shape == (65, len(cols))
+    assert np.array_equal(table, _brute_force_columns(V, cols))
+
+
+@settings(max_examples=200, deadline=None)
+@given(flip_closed_shells(), st.booleans(), st.booleans(), st.data())
+def test_column_counts_match_brute_force_on_random_columns(shell, antipodal, shuffle, data):
+    rows = {tuple(r) for r in shell.vectors.tolist()}
+    if antipodal:
+        rows |= {tuple(-v for v in r) for r in rows}
+    V = np.array(sorted(rows), dtype=np.int8)
+    if shuffle:
+        V = V[data.draw(st.permutations(range(len(V))))]
+    assert _folds(V) or not (antipodal and not shuffle)
+    cols = np.array(data.draw(st.lists(st.integers(0, len(V) - 1), min_size=1, max_size=9)))
+    table = _column_counts(V.astype(np.float32), cols)
+    assert np.array_equal(table, _brute_force_columns(V, cols))
+
+
+@pytest.mark.parametrize("sample", [0, -5])
+def test_sampled_invariance_rejects_sample_below_one(small_antipodal_shell, sample):
+    with pytest.raises(ValueError, match="sample must be at least 1"):
+        check_distance_invariance(small_antipodal_shell, sample=sample)
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
