@@ -156,6 +156,10 @@ def cmd_energy(args) -> int:
 
 
 def cmd_venkov(args) -> int:
+    if args.sample < 0:
+        raise ValueError(f"--sample must be at least 1, got {args.sample}")
+    if not (args.witness or args.sample):
+        raise ValueError("nothing to check: give --witness or --sample of at least 1")
     shell = lattice32.load_shell(args.shell)
     record = {"command": "venkov"}
     ok = True

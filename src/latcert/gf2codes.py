@@ -1,7 +1,8 @@
 """Binary linear codes: built-in [32,16,8] constructions and exact reports.
 
-Codewords are enumerated exhaustively (2^k words, Gray-code order), which is
-the oracle for minimum distance and the weight enumerator at these sizes.
+Codewords are enumerated exhaustively (2^k words, the span doubled one row at
+a time), which is the oracle for minimum distance and the weight enumerator at
+these sizes.
 Rows are kept both as a 0/1 matrix and as integer bitmasks; bit j of a mask
 is coordinate j.
 """
@@ -27,18 +28,15 @@ class BinaryCode:
         return [_mask_of_row(row) for row in self.generator]
 
     def codeword_masks(self) -> list:
-        """All 2^k codewords as bitmask integers (Gray-code enumeration order)."""
+        """All 2^k codewords as bitmask integers, in no particular order."""
         if self.dimension > MAX_ENUM_DIMENSION:
             raise ValueError(
                 f"refusing to enumerate 2^{self.dimension} codewords "
                 f"(guard is k <= {MAX_ENUM_DIMENSION})"
             )
-        rows = self.row_masks()
-        words = [0] * (1 << self.dimension)
-        cur = 0
-        for m in range(1, 1 << self.dimension):
-            cur ^= rows[(m & -m).bit_length() - 1]
-            words[m] = cur
+        words = [0]
+        for row in self.row_masks():
+            words += [w ^ row for w in words]
         return words
 
     def same_codewords(self, other: "BinaryCode") -> bool:
@@ -110,75 +108,21 @@ def reed_muller_2_5() -> BinaryCode:
     return _make_code(rows, "rm2_5")
 
 
-def _gf32_mul(a: int, b: int) -> int:
-    # GF(2^5) with the primitive polynomial x^5 + x^2 + 1
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
-        if a & 32:
-            a ^= 0b100101
-    return r
-
-
-def _gf32_pow(a: int, e: int) -> int:
-    r = 1
-    while e:
-        if e & 1:
-            r = _gf32_mul(r, a)
-        a = _gf32_mul(a, a)
-        e >>= 1
-    return r
-
-
-def _min_poly_coeffs(r: int) -> list:
-    """Coefficients of prod_{j in coset(r)} (x - alpha^j) over GF(2)."""
-    coset = []
-    j = r
-    while j not in coset:
-        coset.append(j)
-        j = (2 * j) % 31
-    poly = [1]  # GF(32) coefficients, ascending degree
-    for j in coset:
-        root = _gf32_pow(2, j)  # alpha = x, encoded as 2
-        nxt = [0] * (len(poly) + 1)
-        for d, c in enumerate(poly):
-            nxt[d + 1] ^= c
-            nxt[d] ^= _gf32_mul(c, root)
-        poly = nxt
-    if any(c not in (0, 1) for c in poly):
-        raise RuntimeError("minimal polynomial not over GF(2)")
-    return poly
-
-
 def extended_quadratic_residue_32() -> BinaryCode:
     """Extended binary quadratic residue code of length 32.
 
-    The length-31 QR code is the cyclic code whose generator polynomial is
-    the product of the minimal polynomials of alpha^r for r in the quadratic
-    residue classes {1, 5, 7} mod 31 (degree 15, so dimension 16); appending
-    an overall parity bit yields a [32, 16, 8] doubly-even self-dual code.
+    A binary QR code of prime length p is spanned by the cyclic shifts of its
+    idempotent (MacWilliams-Sloane, ch. 16); for p = 31 = -1 mod 8, the 0/1
+    indicator of the quadratic non-residues is one.  The first 16 shifts are
+    a basis (dimension 16), and appending an overall parity bit yields a
+    [32, 16, 8] doubly-even self-dual code.
     """
-    g = [1]
-    for r in (1, 5, 7):
-        m = _min_poly_coeffs(r)
-        nxt = [0] * (len(g) + len(m) - 1)
-        for i, a in enumerate(g):
-            if a:
-                for j, b in enumerate(m):
-                    nxt[i + j] ^= b
-        g = nxt
-    if not (len(g) == 16 and g[0] == 1 and g[15] == 1):
-        raise RuntimeError("QR generator is not of degree 15 with g(0) = 1")
+    residues = {r * r % 31 for r in range(1, 31)}
+    nonresidues = [int(j != 0 and j not in residues) for j in range(31)]
     rows = []
     for shift in range(16):
-        row = [0] * 31
-        for d, c in enumerate(g):
-            row[(d + shift) % 31] = c
-        row.append(sum(row) % 2)  # overall parity bit
-        rows.append(row)
+        row = nonresidues[31 - shift :] + nonresidues[: 31 - shift]
+        rows.append(row + [sum(row) % 2])  # overall parity bit
     return _make_code(rows, "xqr32")
 
 

@@ -44,15 +44,18 @@ class Shell:
 
     vectors: np.ndarray  # (N, dim) int8, lexicographically sorted, no duplicates
     dim: int = 32
-    source: str | None = None
 
     @property
     def count(self) -> int:
         return len(self.vectors)
 
     def index_of(self, s) -> int:
-        """Index of a vector in the canonical order; -1 if absent."""
-        hits = np.flatnonzero((self.vectors == np.asarray(s)).all(axis=1))
+        """Index of a vector in the canonical order; -1 if absent.  ValueError
+        unless the probe has shape (dim,)."""
+        s = np.asarray(s)
+        if s.shape != (self.dim,):
+            raise ValueError(f"probe has shape {s.shape}, expected ({self.dim},)")
+        hits = np.flatnonzero((self.vectors == s).all(axis=1))
         return int(hits[0]) if len(hits) else -1
 
 
@@ -87,7 +90,7 @@ def _check_norms(vectors: np.ndarray, message: str) -> None:
         raise ValueError(message.format(i=int(bad[0]), norm=int(norms[bad[0]])))
 
 
-def make_shell(vectors, dim: int | None = None, source=None) -> Shell:
+def make_shell(vectors, dim: int | None = None) -> Shell:
     arr = np.asarray(vectors, dtype=np.int8)
     if arr.ndim != 2:
         raise ValueError("shell vectors must form a 2-d array")
@@ -104,7 +107,7 @@ def make_shell(vectors, dim: int | None = None, source=None) -> Shell:
     if not np.array_equal(-srt[::-1], srt):
         raise ValueError("shell is not closed under negation")
     srt.setflags(write=False)
-    return Shell(srt, dim, source)
+    return Shell(srt, dim)
 
 
 _NOT_EXTREMAL = "code has weight-4 words; lattice is not extremal"
@@ -187,7 +190,7 @@ def build_shell(c: BinaryCode) -> Shell:
     blocks.append(1 - 2 * bits)
 
     vectors = np.concatenate(blocks, axis=0)
-    shell = make_shell(vectors, 32, source=c.name)
+    shell = make_shell(vectors, 32)
     expected = 1984 + 128 * len(eight) + len(words)
     if shell.count != expected:
         raise ValueError(f"built {shell.count} shell vectors, expected {expected}")
@@ -305,4 +308,4 @@ def load_shell(path) -> Shell:
     mixed = (parities.min(axis=1) != parities.max(axis=1)).any()
     if mixed:
         raise ValueError(f"{path}: vector with mixed even/odd coordinates")
-    return make_shell(arr, dim, source=str(path))
+    return make_shell(arr, dim)

@@ -119,11 +119,13 @@ def _column_counts(F: np.ndarray, cols: np.ndarray) -> np.ndarray:
     step = max(1, 2**21 // len(rows))  # about 2^21 float32 per block
     table = []
     for j0 in range(0, len(P), step):
-        D = P[j0 : j0 + step] @ rows.T
-        D += SHELL_NORM * (_BINS + 1)
-        for row in D.astype(np.uint16):
-            joint = np.bincount(row, minlength=_BINS**2).reshape(_BINS, _BINS)
+        keys = P[j0 : j0 + step] @ rows.T
+        keys += SHELL_NORM * (_BINS + 1)
+        keys = keys.astype(np.uint16)  # frees the float block
+        for j in range(len(keys)):
+            joint = np.bincount(keys[j], minlength=_BINS**2).reshape(_BINS, _BINS)
             table += [joint.sum(axis=0), joint.sum(axis=1)]  # columns a, b
+        del keys  # one block alive at a time: none during the next product
     table = np.array(table[: len(cols)]).reshape(-1, _BINS)
     return (table + table[:, ::-1] if fold else table).T
 

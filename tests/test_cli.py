@@ -134,7 +134,8 @@ def test_usage_errors_exit_two():
     assert run_cli("certify-max", "--poly", "builtin:nope", "--s", "1/2",
                    "--strength", "3").returncode == 2
     assert run_cli("no-such-command").returncode == 2
-    assert run_cli("venkov", "--shell", "/nonexistent/shell.txt").returncode == 2
+    assert run_cli("venkov", "--shell", "/nonexistent/shell.txt",
+                   "--witness").returncode == 2
     assert run_cli("energy", "--potential", "coulomb").returncode == 2
     assert run_cli("--threads", "2", "selftest").returncode == 2  # flag removed
 
@@ -243,6 +244,26 @@ def test_energy_rejects_precision_below_one(small_shell_file, precision, shell):
     proc = run_cli(*argv, *(["--shell", str(small_shell_file)] if shell else []))
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == f"error: precision must be at least 1 digit, got {precision}\n"
+
+
+@pytest.mark.parametrize("extra, message", [
+    ([], "nothing to check: give --witness or --sample of at least 1"),
+    (["--sample=0"], "nothing to check: give --witness or --sample of at least 1"),
+    (["--sample=-5"], "--sample must be at least 1, got -5"),
+    (["--witness", "--sample=-5"], "--sample must be at least 1, got -5"),
+])
+def test_venkov_rejects_a_run_that_checks_nothing(extra, message):
+    # the arguments are checked before the shell is read
+    proc = run_cli("venkov", "--shell", "/nonexistent/shell.txt", *extra)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"
+
+
+def test_venkov_witness_on_a_shell_of_another_dimension(small_shell_file):
+    proc = run_cli("venkov", "--shell", str(small_shell_file), "--witness")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: probe has shape (32,), expected (4,)\n"
 
 
 @pytest.mark.parametrize(

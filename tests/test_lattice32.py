@@ -1,4 +1,5 @@
 import random
+import re
 import tempfile
 from pathlib import Path
 
@@ -194,6 +195,16 @@ def test_index_of_finds_every_row_and_rejects_non_members():
     assert [sh.index_of(row) for row in sh.vectors] == list(range(sh.count))
     assert sh.index_of([4, -4, 0, 0]) == -1
     assert sh.index_of(np.array([260, 4, 0, 0])) == -1  # not wrapped to int8
+
+
+@pytest.mark.parametrize("probe, shape", [([4], "(1,)"), ([[4, 4]], "(1, 2)"),
+                                          ([4, 4, 0], "(3,)")])
+def test_index_of_rejects_probes_of_the_wrong_shape(probe, shape):
+    # a short probe must not broadcast: [4] against rows (4, 4) would match
+    sh = make_shell([[4, 4], [-4, -4]])
+    with pytest.raises(ValueError, match=rf"probe has shape {re.escape(shape)}, "
+                       r"expected \(2,\)"):
+        sh.index_of(probe)
 
 
 @settings(max_examples=200, deadline=None)
