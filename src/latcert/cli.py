@@ -4,7 +4,8 @@ properties, and emit bound / energy certificates.
 JSON is the machine interface (sorted keys, exact rationals as strings);
 text reports are rendered from the same record.  Exit status is 0 when every
 requested check is valid, 1 on a failed verification or a failed internal
-check, 2 on usage errors.
+check, 2 on usage errors.  The shell modules (and numpy) are imported only by
+the commands that build or read a shell.
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ import os
 import sys
 from fractions import Fraction
 
-from . import energycert, gf2codes, lattice32, lpcert, sphercode
+from . import lpcert
 from .exactmath import parse_region, poly_from_json
 from .gegenbauer import gegenbauer_expand
 
 
-def _load_code(source: str) -> gf2codes.BinaryCode:
+def _load_code(source: str):
+    from . import gf2codes
     if source == "rm2_5":
         return gf2codes.reed_muller_2_5()
     if source == "xqr32":
@@ -62,6 +64,7 @@ def _emit_text(record: dict, indent: str = "") -> None:
 
 
 def cmd_build(args) -> int:
+    from . import lattice32
     code = _load_code(args.code)
     record = {"command": "build", "code": args.code}
     failure = lattice32.shell_failure(code)
@@ -75,6 +78,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import lattice32, sphercode
     for flag, value in (("--sample", args.sample), ("--cap", args.cap)):
         if value < 1:
             raise ValueError(f"{flag} must be at least 1, got {value}")
@@ -144,9 +148,11 @@ def cmd_certify_design(args) -> int:
 
 
 def cmd_energy(args) -> int:
+    from . import energycert
     h = energycert.potential_by_spec(args.potential)
     cert = energycert.energy_lower_bound(h, precision=args.precision)
     if args.shell:
+        from . import lattice32, sphercode
         shell = lattice32.load_shell(args.shell)
         hist = sphercode.histogram(shell)
         energy = energycert.code_energy(hist, h, precision=args.precision)
@@ -156,6 +162,7 @@ def cmd_energy(args) -> int:
 
 
 def cmd_venkov(args) -> int:
+    from . import lattice32
     if args.sample < 0:
         raise ValueError(f"--sample must be at least 1, got {args.sample}")
     if not (args.witness or args.sample):
@@ -179,6 +186,7 @@ def cmd_venkov(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from . import energycert, gf2codes, lattice32, sphercode
     results = []
 
     def check(name, fn):

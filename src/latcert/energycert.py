@@ -42,8 +42,8 @@ from .exactmath import (
     region_union,
     sign_on_region,
 )
-from .gegenbauer import GegExpansion, PDVerdict, gegenbauer_expand, is_positive_definite
-from .sphercode import InnerProductHistogram, distribution_from_design
+from .gegenbauer import (GegExpansion, InnerProductHistogram, PDVerdict,
+                         distribution_from_design, gegenbauer_expand, is_positive_definite)
 
 DESIGN_SIZE = 146880
 DESIGN_TAU = 7

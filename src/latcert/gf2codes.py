@@ -86,7 +86,7 @@ def _make_code(rows, name: str) -> BinaryCode:
     k, n = G.shape
     rank, deps = gf2_rank([_mask_of_row(r) for r in G])
     if rank != k:
-        raise ValueError(f"generator rows dependent: rows {deps[0]}")
+        raise ValueError(f"{name}: rank-deficient generator; dependent rows {deps[0]}")
     G.setflags(write=False)
     return BinaryCode(n, k, G, name)
 
@@ -151,10 +151,7 @@ def load_generator_matrix(path) -> BinaryCode:
         raise ValueError(
             f"{path}: dimension {k} exceeds n/2 = {n // 2}; not a valid input shape"
         )
-    rank, deps = gf2_rank([_mask_of_row(r) for r in rows])
-    if rank != k:
-        raise ValueError(f"{path}: rank-deficient generator; dependent rows {deps[0]}")
-    return _make_code(rows, "loaded")
+    return _make_code(rows, str(path))
 
 
 def save_generator_matrix(code: BinaryCode, path) -> None:

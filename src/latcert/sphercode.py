@@ -1,5 +1,6 @@
 """Spherical-code analytics on rescaled shells: histograms, distance
 distributions, Gegenbauer moments, design strength, and quadrature identities.
+The histogram and distribution records come from ``gegenbauer``.
 
 Unit-sphere inner products of shell vectors are s_x.s_y / 32, so every pair
 statistic is an exact integer count keyed by an exact rational.  The pair
@@ -36,35 +37,11 @@ from fractions import Fraction
 import numpy as np
 
 from .exactmath import Polynomial
-from .gegenbauer import gegenbauer_expand, gegenbauer_poly
+from .gegenbauer import (DistanceDistribution, InnerProductHistogram,
+                         gegenbauer_expand, gegenbauer_poly)
 from .lattice32 import SHELL_NORM, Shell, _float32_rows, _row_keys
 
 ALL = "all"
-
-
-@dataclass(frozen=True)
-class InnerProductHistogram:
-    """Ordered-pair counts (x != y) keyed by the unit inner product t."""
-
-    counts: dict  # Fraction -> int
-    n_points: int
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-
-@dataclass(frozen=True)
-class DistanceDistribution:
-    """Counts A_t of code points at inner product t from a fixed point,
-    including t = 1 with A_1 = 1."""
-
-    a: dict  # Fraction -> int
-
-    def total(self) -> int:
-        return sum(self.a.values())
-
-    def __getitem__(self, t):
-        return self.a.get(Fraction(t), 0)
 
 
 @dataclass(frozen=True)
@@ -339,36 +316,3 @@ def quadrature_check(
     if p.degree > tau:
         warning = f"degree {p.degree} exceeds design strength {tau}; identity not guaranteed"
     return QuadratureVerdict(lhs == rhs, lhs, rhs, warning)
-
-
-def distribution_from_design(
-    I, N: int, n: int, tau: int, require_integral: bool = True
-) -> DistanceDistribution:
-    """Recover the distance distribution of a distance-invariant tau-design
-    from its inner-product set alone.  The quadrature identity
-    sum_t A_t p(t) = N f_0(p) holds on the nodes I and 1 for every p of degree
-    d = |I| <= tau - 1, so A_t = N f_0(L_t) for the Lagrange basis polynomial
-    L_t of the nodes (1 at t, 0 at the others)."""
-    nodes = sorted(Fraction(t) for t in I)
-    d = len(nodes)
-    if d > tau - 1:
-        raise ValueError(f"|I| = {d} exceeds tau - 1 = {tau - 1}")
-    if len(set(nodes)) != d or Fraction(1) in nodes:
-        raise ValueError("singular system: duplicate quadrature nodes")
-    pts = nodes + [Fraction(1)]
-    f0 = [gegenbauer_expand(n, Polynomial.monomial(k)).coeffs[0] for k in range(d + 1)]
-    sol = []
-    for t in pts:
-        prod = Polynomial([1])  # prod(t) L_t: x - u multiplied over the nodes u != t
-        for u in pts:
-            if u != t:
-                prod = prod * Polynomial([-u, 1])
-        sol.append(N * sum(c * m for c, m in zip(prod.coeffs, f0)) / prod(t))
-    for t, a in zip(pts, sol):
-        if a < 0:
-            raise ValueError(f"negative distribution entry A_{t} = {a}")
-        if require_integral and a.denominator != 1:
-            raise ValueError(f"non-integral distribution entry A_{t} = {a}")
-    return DistanceDistribution(
-        {t: (int(a) if a.denominator == 1 else a) for t, a in zip(pts, sol)}
-    )

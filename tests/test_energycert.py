@@ -24,8 +24,8 @@ from latcert.energycert import (
     potential_by_spec,
     riesz,
 )
+from latcert.gegenbauer import InnerProductHistogram
 from latcert.lpcert import P7_EXPANSION
-from latcert.sphercode import InnerProductHistogram
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_fraction
 from latcert.exactmath import (
@@ -182,3 +183,69 @@ def test_poly_json_round_trip():
     assert back == fp
     with pytest.raises(ValueError):
         poly_from_json({"neither": []})
+
+
+UNIT = st.fractions(min_value=-1, max_value=1, max_denominator=8)
+
+
+@st.composite
+def regions(draw):
+    """A region inside [-1, 1]: consecutive pairs of sorted rational points
+    with random open/closed ends, touching neighbours allowed where one end
+    is open."""
+    points = sorted(draw(st.lists(UNIT, max_size=8)))
+    ivs = []
+    for lo, hi in zip(points[0::2], points[1::2]):
+        lo_closed, hi_closed = (True, True) if lo == hi else (
+            draw(st.booleans()), draw(st.booleans()))
+        if ivs and ivs[-1].hi == lo and ivs[-1].hi_closed and lo_closed:
+            if lo == hi:
+                continue
+            lo_closed = False
+        ivs.append(Interval(lo, hi, lo_closed, hi_closed))
+    return IntervalRegion(tuple(ivs))
+
+
+def _probes(*regions):
+    """Every endpoint, the midpoint between each two neighbouring endpoints,
+    and +-1."""
+    ends = sorted({Fraction(-1), Fraction(1)}
+                  | {t for r in regions for iv in r.intervals for t in (iv.lo, iv.hi)})
+    return ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(regions(), regions())
+def test_region_algebra_matches_pointwise_membership(a, b):
+    union, difference = region_union(a, b), region_difference(a, b)
+    for t in _probes(a, b):
+        assert union.contains(t) == (a.contains(t) or b.contains(t)), (str(union), t)
+        assert difference.contains(t) == (a.contains(t) and not b.contains(t)), (
+            str(difference), t)
+
+
+@st.composite
+def factored_polynomials(draw):
+    roots = draw(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=8),
+                          max_size=5, unique=True))
+    leading = draw(st.fractions(min_value=-4, max_value=4, max_denominator=4)
+                   .filter(lambda c: c != 0))
+    return factored(leading, [(r, draw(st.integers(1, 3))) for r in roots])
+
+
+@settings(max_examples=200, deadline=None)
+@given(factored_polynomials(), regions().filter(lambda r: not r.is_empty()))
+def test_sign_on_region_matches_dense_evaluation(fp, region):
+    report = sign_on_region(fp, region)
+    grid = [Fraction(k, 64) for k in range(-64, 65)]
+    grid += fp.roots() + [t for iv in region.intervals for t in (iv.lo, iv.hi)]
+    values = [fp(t) for t in grid if region.contains(t)]
+    if any(v > 0 for v in values):
+        assert report.verdict in ("nonnegative", "mixed")
+        assert report.positive_witness is not None
+    if any(v < 0 for v in values):
+        assert report.verdict in ("nonpositive", "mixed")
+        assert report.negative_witness is not None
+    for witness, sign in ((report.positive_witness, 1), (report.negative_witness, -1)):
+        if witness is not None:
+            assert region.contains(witness) and sign * fp(witness) > 0

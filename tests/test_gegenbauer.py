@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_polynomial
 from latcert.exactmath import Polynomial, factored
@@ -63,6 +64,13 @@ def test_round_trip_random_polynomials():
         p = random_polynomial(rng, 12)
         e = gegenbauer_expand(32, p)
         assert reconstruct(e) == p
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([3, 8, 24, 32]))
+def test_reconstruct_inverts_expand(rng, n):
+    p = random_polynomial(rng, 12)
+    assert reconstruct(gegenbauer_expand(n, p)) == p
 
 
 def test_coefficients_sum_to_value_at_one():

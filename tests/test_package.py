@@ -1,10 +1,15 @@
 import argparse
 import ast
 import inspect
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import latcert
 from latcert.cli import build_parser
+from latcert.lattice32 import make_shell, save_shell
 
 
 def test_no_assert_guards_in_package():
@@ -32,3 +37,43 @@ def test_every_subcommand_flag_is_read_by_its_command():
                    if action.option_strings and action.dest != "help"
                    and action.dest not in read]
     assert not unread, f"flags no command reads: {unread}"
+
+
+# runs one command through cli.main in a fresh interpreter, then names the
+# heavy modules it loaded on the last stderr line
+_LOADED = (
+    "import sys\n"
+    "from latcert.cli import main\n"
+    "try:\n"
+    "    main(sys.argv[1:])\n"
+    "finally:\n"
+    "    print(*sorted({'numpy', 'mpmath'} & sys.modules.keys()), file=sys.stderr)\n"
+)
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["--help"], {"numpy", "mpmath"}),
+    (["certify-max", "--poly", "builtin:maxcode", "--T", "(0,1/4)", "--s", "1/2",
+      "--strength", "3"], {"numpy", "mpmath"}),
+    (["certify-design", "--poly", "builtin:mindesign", "--T", "(-1/4,0)U(1/4,1/2)",
+      "--tau", "7"], {"numpy", "mpmath"}),
+    (["energy", "--potential", "invlin"], {"numpy"}),
+    (["energy", "--potential", "expt", "--precision", "30"], {"numpy"}),
+], ids=["help", "certify-max", "certify-design", "energy-invlin", "energy-expt"])
+def test_certificate_commands_do_not_load_the_shell_layer(argv, absent):
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stderr.splitlines()[-1].split())
+    assert not loaded & absent, f"{argv[0]} loaded {sorted(loaded & absent)}"
+
+
+def test_verify_loads_the_shell_layer(tmp_path):
+    # the control: a command that reads a shell does load numpy
+    path = tmp_path / "small.shell"
+    save_shell(make_shell([[4, 4, 0, 0], [-4, -4, 0, 0]], dim=4), path)
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED, "verify", "--shell", str(path), "--sample", "10"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "numpy" in proc.stderr.splitlines()[-1].split()

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import norm32_magnitudes, random_polynomial
 from latcert.exactmath import Polynomial
-from latcert.gegenbauer import gegenbauer_expand, gegenbauer_poly
+from latcert.gegenbauer import distribution_from_design, gegenbauer_expand, gegenbauer_poly
 from latcert.lattice32 import Shell, load_shell, make_shell
 from latcert.sphercode import (
     ALL,
@@ -22,7 +22,6 @@ from latcert.sphercode import (
     check_distance_invariance,
     design_strength,
     distance_distribution_at,
-    distribution_from_design,
     histogram,
     histogram_from_distribution,
     moments,
