@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import lpcert
 from .exactmath import parse_region, poly_from_json
-from .gegenbauer import gegenbauer_expand
+from .gegenbauer import MAX_DEGREE, gegenbauer_expand
 
 
 def _load_code(source: str):
@@ -34,7 +34,7 @@ def _load_code(source: str):
 
 def _load_poly(source: str):
     if source.startswith("builtin:"):
-        return lpcert.builtin_polynomial(source.split(":", 1)[1]).polynomial
+        return lpcert.builtin_polynomial(source.split(":", 1)[1])
     if not os.path.exists(source):
         raise ValueError(f"polynomial source {source!r} is neither builtin nor a file")
     with open(source) as fh:
@@ -82,6 +82,8 @@ def cmd_verify(args) -> int:
     for flag, value in (("--sample", args.sample), ("--cap", args.cap)):
         if value < 1:
             raise ValueError(f"{flag} must be at least 1, got {value}")
+    if args.cap > MAX_DEGREE:
+        raise ValueError(f"--cap must be at most {MAX_DEGREE}, got {args.cap}")
     shell = lattice32.load_shell(args.shell)
     mode = sphercode.ALL if args.full else args.sample
     inv = sphercode.check_distance_invariance(shell, sample=mode, seed=args.seed)
@@ -200,30 +202,28 @@ def cmd_selftest(args) -> int:
         line = "PASS" if passed else "FAIL"
         print(f"[{line}] {name}" + (f" ({detail})" if detail else ""))
 
-    b41 = lpcert.builtin_polynomial("maxcode")
-    b51 = lpcert.builtin_polynomial("mindesign")
-    bp7 = lpcert.builtin_polynomial("p7")
+    b41, b51, bp7 = lpcert.MAX_CODE_POLY, lpcert.MIN_DESIGN_POLY, lpcert.P7_POLY
     check("max-code polynomial f(1) = 675/1024",
-          lambda: b41.polynomial(Fraction(1)) == Fraction(675, 1024))
+          lambda: b41(Fraction(1)) == Fraction(675, 1024))
     check("max-code expansion matches the 11 reference coefficients",
-          lambda: gegenbauer_expand(32, b41.polynomial.expand()).coeffs
+          lambda: gegenbauer_expand(32, b41.expand()).coeffs
           == lpcert.MAX_CODE_EXPANSION)
     check("min-design polynomial f(1) = 135/64",
-          lambda: b51.polynomial(Fraction(1)) == Fraction(135, 64))
+          lambda: b51(Fraction(1)) == Fraction(135, 64))
     check("min-design f_0 = 1/69632",
-          lambda: gegenbauer_expand(32, b51.polynomial.expand()).coeffs[0]
+          lambda: gegenbauer_expand(32, b51.expand()).coeffs[0]
           == Fraction(1, 69632))
     check("partial product P_7 expansion matches the 8 reference coefficients",
-          lambda: gegenbauer_expand(32, bp7.polynomial.expand()).coeffs
+          lambda: gegenbauer_expand(32, bp7.expand()).coeffs
           == lpcert.P7_EXPANSION)
     check("max-code certificate: valid with bound 146880",
           lambda: (lambda c: c.valid and c.bound == 146880)(
               lpcert.certify_max_code(
-                  b41.polynomial, 32, lpcert.MAX_CODE_T, Fraction(1, 2), 3)))
+                  b41, 32, lpcert.MAX_CODE_T, Fraction(1, 2), 3)))
     check("min-design certificate: valid with bound 146880",
           lambda: (lambda c: c.valid and c.bound == 146880)(
               lpcert.certify_min_design(
-                  b51.polynomial, 32, lpcert.MIN_DESIGN_T, 7)))
+                  b51, 32, lpcert.MIN_DESIGN_T, 7)))
     check("design distribution recovered as {1,1240,31744,80910,31744,1240,1}",
           lambda: sorted(energycert.design_distribution().a.values())
           == [1, 1, 1240, 1240, 31744, 31744, 80910])

@@ -81,9 +81,6 @@ class NodeMultiset:
                 raise ValueError(f"node {t} repeated more than twice; unsupported")
         object.__setattr__(self, "nodes", ns)
 
-    def __len__(self):
-        return len(self.nodes)
-
 
 PAPER_NODES = NodeMultiset(
     (
@@ -105,16 +102,14 @@ class Potential:
 
     When exact_on_rationals is set, both evaluators map Fraction to
     Fraction and every downstream certificate quantity is exact.
-    Absolute monotonicity of a black-box evaluator cannot be verified;
-    the flag records the caller's assertion, while the certificate checks
-    the finite conditions it actually uses.
+    Absolute monotonicity of a black-box evaluator cannot be verified; the
+    certificate checks the finite conditions it actually uses.
     """
 
     name: str
     value: object
     derivative: object
     exact_on_rationals: bool
-    claimed_absolutely_monotone: bool = True
 
 
 def _mpf(t: Fraction):
@@ -174,16 +169,6 @@ def gauss(alpha) -> Potential:
     )
 
 
-def poly_potential(p: Polynomial, claimed_absolutely_monotone=False) -> Potential:
-    """Wrap a rational polynomial as an exact potential (used in tests)."""
-    dp = p.derivative()
-    return Potential(
-        "poly", lambda t: p(rat(t)), lambda t: dp(rat(t)),
-        exact_on_rationals=True,
-        claimed_absolutely_monotone=claimed_absolutely_monotone,
-    )
-
-
 def potential_by_spec(spec: str) -> Potential:
     """Parse 'invlin', 'expt', 'riesz:<s>' or 'gauss:<alpha>'."""
     name, _, arg = spec.partition(":")
@@ -232,7 +217,7 @@ def _newton_basis(m: NodeMultiset) -> list:
 
 def hermite_interpolant(h: Potential, m: NodeMultiset) -> Polynomial:
     """Newton-form interpolant matching h at simple nodes and h, h' at
-    doubled nodes; degree at most len(m) - 1."""
+    doubled nodes; degree at most len(m.nodes) - 1."""
     poly = Polynomial()
     for d, p in zip(divided_differences(h, m), _newton_basis(m)):
         poly = poly + p.scale(d)
@@ -250,18 +235,17 @@ def node_polynomial(m: NodeMultiset) -> FactoredPolynomial:
 @dataclass(frozen=True)
 class PartialProduct:
     index: int
-    polynomial: Polynomial
     expansion: GegExpansion
     pd: PDVerdict
 
 
 def partial_products(m: NodeMultiset, n: int) -> list:
-    """P_i(t) = (t - t_1)...(t - t_i) for i = 1..len(m)-1, with their exact
+    """P_i(t) = (t - t_1)...(t - t_i) for i = 1..len(m.nodes)-1, with their exact
     Gegenbauer expansions and positive-definiteness verdicts."""
     out = []
     for i, p in enumerate(_newton_basis(m)[1:], 1):
         e = gegenbauer_expand(n, p)
-        out.append(PartialProduct(i, p, e, is_positive_definite(e)))
+        out.append(PartialProduct(i, e, is_positive_definite(e)))
     return out
 
 
@@ -279,7 +263,6 @@ def error_sign_check(m: NodeMultiset, T: IntervalRegion) -> SignReport:
 @dataclass(frozen=True)
 class EnergyCertificate:
     potential: str
-    claimed_absolutely_monotone: bool
     dimension: int
     nodes: NodeMultiset
     avoided: IntervalRegion
@@ -304,7 +287,7 @@ class EnergyCertificate:
         return {
             "kind": "energy_lower_bound",
             "potential": self.potential,
-            "claimed_absolutely_monotone": self.claimed_absolutely_monotone,
+            "claimed_absolutely_monotone": True,  # invlin, expt, riesz and gauss all are
             "dimension": self.dimension,
             "nodes": [str(t) for t in self.nodes.nodes],
             "T": str(self.avoided),
@@ -360,7 +343,7 @@ def _working_precision(precision: int):
     return mp.workdps(precision)
 
 
-def energy_lower_bound(h: Potential, n: int = 32, precision: int = 60) -> EnergyCertificate:
+def energy_lower_bound(h: Potential, precision: int = 60) -> EnergyCertificate:
     """Certified h-energy lower bound for the class of T-avoiding codes with
     146880 points (T the symmetric avoided set).
 
@@ -368,8 +351,7 @@ def energy_lower_bound(h: Potential, n: int = 32, precision: int = 60) -> Energy
     against N^2 ((H_7)_0 - H_7(1)/N), which must agree exactly (for exact
     potentials) by the design quadrature identity.
     """
-    if n != 32:
-        raise ValueError("the energy bound fixture exists only for dimension 32")
+    n = 32
     nodes = PAPER_NODES
     T = T_SYMMETRIC
     N = DESIGN_SIZE
@@ -414,7 +396,6 @@ def energy_lower_bound(h: Potential, n: int = 32, precision: int = 60) -> Energy
             )
     return EnergyCertificate(
         potential=h.name,
-        claimed_absolutely_monotone=h.claimed_absolutely_monotone,
         dimension=n,
         nodes=nodes,
         avoided=T,

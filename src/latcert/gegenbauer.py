@@ -26,6 +26,12 @@ from .exactmath import Polynomial
 MAX_DEGREE = 64
 
 
+def check_degree(degree: int) -> None:
+    """Reject a degree above MAX_DEGREE, before any basis or expansion work."""
+    if degree > MAX_DEGREE:
+        raise ValueError(f"degree {degree} above the configured cap {MAX_DEGREE}")
+
+
 @lru_cache(maxsize=None)
 def _basis(n: int, upto: int) -> tuple:
     if n < 2:
@@ -46,8 +52,7 @@ def gegenbauer_poly(n: int, i: int) -> Polynomial:
     """The degree-i normalized Gegenbauer polynomial for dimension n."""
     if i < 0:
         raise ValueError("index must be nonnegative")
-    if i > MAX_DEGREE:
-        raise ValueError(f"degree {i} above the configured cap {MAX_DEGREE}")
+    check_degree(i)
     return _basis(n, i)[i]
 
 
@@ -61,21 +66,11 @@ class GegExpansion:
     dimension: int
     coeffs: tuple
 
-    def __len__(self):
-        return len(self.coeffs)
-
-    def __getitem__(self, i):
-        return self.coeffs[i]
-
-    def value_at_1(self):
-        return sum(self.coeffs)
-
 
 def gegenbauer_expand(n: int, p: Polynomial) -> GegExpansion:
     """Exact basis conversion by back-substitution against the triangular
     change-of-basis matrix (P_k has degree exactly k)."""
-    if p.degree > MAX_DEGREE:
-        raise ValueError(f"degree {p.degree} above the configured cap {MAX_DEGREE}")
+    check_degree(p.degree)
     if p.is_zero():
         return GegExpansion(n, (Fraction(0),))
     d = p.degree
@@ -166,9 +161,7 @@ class DistanceDistribution:
         return self.a.get(Fraction(t), 0)
 
 
-def distribution_from_design(
-    I, N: int, n: int, tau: int, require_integral: bool = True
-) -> DistanceDistribution:
+def distribution_from_design(I, N: int, n: int, tau: int) -> DistanceDistribution:
     """Recover the distance distribution of a distance-invariant tau-design
     from its inner-product set alone.  The quadrature identity
     sum_t A_t p(t) = N f_0(p) holds on the nodes I and 1 for every p of degree
@@ -192,8 +185,6 @@ def distribution_from_design(
     for t, a in zip(pts, sol):
         if a < 0:
             raise ValueError(f"negative distribution entry A_{t} = {a}")
-        if require_integral and a.denominator != 1:
+        if a.denominator != 1:
             raise ValueError(f"non-integral distribution entry A_{t} = {a}")
-    return DistanceDistribution(
-        {t: (int(a) if a.denominator == 1 else a) for t, a in zip(pts, sol)}
-    )
+    return DistanceDistribution({t: int(a) for t, a in zip(pts, sol)})

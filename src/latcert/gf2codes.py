@@ -39,11 +39,6 @@ class BinaryCode:
             words += [w ^ row for w in words]
         return words
 
-    def same_codewords(self, other: "BinaryCode") -> bool:
-        if (self.length, self.dimension) != (other.length, other.dimension):
-            return False
-        return sorted(self.codeword_masks()) == sorted(other.codeword_masks())
-
 
 @dataclass(frozen=True)
 class CodeReport:
@@ -152,12 +147,6 @@ def load_generator_matrix(path) -> BinaryCode:
             f"{path}: dimension {k} exceeds n/2 = {n // 2}; not a valid input shape"
         )
     return _make_code(rows, str(path))
-
-
-def save_generator_matrix(code: BinaryCode, path) -> None:
-    with open(path, "w") as fh:
-        for row in code.generator:
-            fh.write("".join(str(int(b)) for b in row) + "\n")
 
 
 def code_report(c: BinaryCode) -> CodeReport:

@@ -197,14 +197,6 @@ def build_shell(c: BinaryCode) -> Shell:
     return shell
 
 
-def lattice_ip(x, z) -> int:
-    """Lattice inner product of two shell vectors (s_x.s_z / 8); exact."""
-    d = int(np.asarray(x, dtype=np.int64) @ np.asarray(z, dtype=np.int64))
-    if d % 8:
-        raise ValueError(f"s-coordinate dot {d} is not a multiple of 8")
-    return d // 8
-
-
 def venkov_e22(shell: Shell, x, z) -> int:
     """Number of shell vectors y with lattice inner product 2 with both of
     the orthogonal minimal vectors x and z (the Venkov pair statistic)."""

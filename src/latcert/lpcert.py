@@ -26,7 +26,7 @@ from .exactmath import (
     region_union,
     sign_on_region,
 )
-from .gegenbauer import GegExpansion, gegenbauer_expand
+from .gegenbauer import GegExpansion, check_degree, gegenbauer_expand
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,7 @@ class BoundCertificate:
 def _lp_bound(p: FactoredPolynomial, n: int, T: IntervalRegion, hi):
     """What both LP certificates share: the Gegenbauer expansion of p, the
     sign report of p on [-1, hi] minus T, and the bound f(1)/f_0."""
+    check_degree(p.degree)  # first: expanding a high multiplicity is the slow part
     expansion = gegenbauer_expand(n, p.expand())
     f0 = expansion.coeffs[0]
     if f0 <= 0:
@@ -185,8 +186,6 @@ MAX_CODE_EXPANSION = tuple(
 MIN_DESIGN_POLY = factored(
     1, [(0, 1), (-1, 1), (-H, 2), (-Q, 1), (Q, 1), (H, 1)]
 )
-MIN_DESIGN_F0 = Fraction(1, 69632)
-MIN_DESIGN_F1 = Fraction(135, 64)  # f(1)
 
 # seventh partial product of the energy interpolant:
 # (t+1)^2(t+1/2)(t+1/4) t^2 (t-1/4)
@@ -206,38 +205,13 @@ P7_EXPANSION = tuple(
 )
 
 
-@dataclass(frozen=True)
-class BuiltinPolynomial:
-    name: str
-    polynomial: FactoredPolynomial
-    value_at_1: Fraction
-    f0: Fraction
-    reference_coeffs: tuple | None = None
+BUILTIN_POLYNOMIALS = {"maxcode": MAX_CODE_POLY, "mindesign": MIN_DESIGN_POLY, "p7": P7_POLY}
 
 
-def builtin_polynomials() -> list:
-    return [
-        BuiltinPolynomial(
-            "maxcode",
-            MAX_CODE_POLY,
-            Fraction(675, 1024),
-            MAX_CODE_EXPANSION[0],
-            MAX_CODE_EXPANSION,
-        ),
-        BuiltinPolynomial(
-            "mindesign", MIN_DESIGN_POLY, MIN_DESIGN_F1, MIN_DESIGN_F0, None
-        ),
-        BuiltinPolynomial(
-            "p7", P7_POLY, Fraction(45, 8), P7_EXPANSION[0], P7_EXPANSION
-        ),
-    ]
-
-
-def builtin_polynomial(name: str) -> BuiltinPolynomial:
-    for b in builtin_polynomials():
-        if b.name == name:
-            return b
-    raise ValueError(f"unknown builtin polynomial {name!r}")
+def builtin_polynomial(name: str) -> FactoredPolynomial:
+    if name not in BUILTIN_POLYNOMIALS:
+        raise ValueError(f"unknown builtin polynomial {name!r}")
+    return BUILTIN_POLYNOMIALS[name]
 
 
 # the avoided sets of the two built-in bounds

@@ -46,7 +46,6 @@ ALL = "all"
 
 @dataclass(frozen=True)
 class MomentVector:
-    dimension: int
     values: tuple  # (M_1, ..., M_k) as Fractions
 
     def __getitem__(self, i: int):
@@ -265,13 +264,10 @@ def _dist_from_column(col: np.ndarray) -> DistanceDistribution:
     )
 
 
-def moments(
-    shell: Shell, upto: int, hist: InnerProductHistogram | None = None
-) -> MomentVector:
+def moments(shell: Shell, upto: int, hist: InnerProductHistogram) -> MomentVector:
     """Exact Gegenbauer moments M_i = sum over ordered pairs (diagonal
-    included) of P_i at the inner products, for i = 1..upto."""
-    if hist is None:
-        hist = histogram(shell)
+    included) of P_i at the inner products, for i = 1..upto, from the
+    shell's pair histogram."""
     n = hist.n_points
     values = []
     for i in range(1, upto + 1):
@@ -280,7 +276,7 @@ def moments(
         for t, c in hist.counts.items():
             m += c * p(t)
         values.append(m)
-    return MomentVector(shell.dim, tuple(values))
+    return MomentVector(tuple(values))
 
 
 @dataclass(frozen=True)
@@ -290,9 +286,7 @@ class StrengthReport:
     moments: MomentVector
 
 
-def design_strength(
-    shell: Shell, cap: int = 12, hist: InnerProductHistogram | None = None
-) -> StrengthReport:
+def design_strength(shell: Shell, cap: int, hist: InnerProductHistogram) -> StrengthReport:
     """Largest tau with M_1 = ... = M_tau = 0, plus higher vanishing moments
     up to the cap."""
     mv = moments(shell, cap, hist)

@@ -6,16 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from latcert.exactmath import Polynomial
+from latcert.energycert import Potential
+from latcert.exactmath import Polynomial, rat
 from latcert.gf2codes import BinaryCode, extended_quadratic_residue_32, reed_muller_2_5
-from latcert.lattice32 import Shell, build_shell
-from latcert.sphercode import (
-    ALL,
-    InnerProductHistogram,
-    InvarianceReport,
-    check_distance_invariance,
-    histogram,
-)
+from latcert.lattice32 import build_shell
+from latcert.sphercode import ALL, check_distance_invariance, histogram
 
 
 # one line per acceptance criterion, echoed in the terminal summary
@@ -39,6 +34,34 @@ def random_polynomial(rng: random.Random, max_degree: int) -> Polynomial:
     if all(c == 0 for c in coeffs):
         coeffs[-1] = Fraction(1)
     return Polynomial(coeffs)
+
+
+def poly_potential(p: Polynomial) -> Potential:
+    """A rational polynomial as an exact potential."""
+    dp = p.derivative()
+    return Potential(
+        "poly", lambda t: p(rat(t)), lambda t: dp(rat(t)), exact_on_rationals=True
+    )
+
+
+def lattice_ip(x, z) -> int:
+    """Lattice inner product of two shell vectors (s_x.s_z / 8); exact."""
+    d = int(np.asarray(x, dtype=np.int64) @ np.asarray(z, dtype=np.int64))
+    if d % 8:
+        raise ValueError(f"s-coordinate dot {d} is not a multiple of 8")
+    return d // 8
+
+
+def same_codewords(a: BinaryCode, b: BinaryCode) -> bool:
+    if (a.length, a.dimension) != (b.length, b.dimension):
+        return False
+    return sorted(a.codeword_masks()) == sorted(b.codeword_masks())
+
+
+def save_generator_matrix(code: BinaryCode, path) -> None:
+    with open(path, "w") as fh:
+        for row in code.generator:
+            fh.write("".join(str(int(b)) for b in row) + "\n")
 
 
 def norm32_magnitudes(dim: int) -> list:

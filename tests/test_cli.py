@@ -38,11 +38,12 @@ def small_shell_file(tmp_path_factory):
     return path
 
 
-def run_cli(*argv):
+def run_cli(*argv, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "latcert.cli", *argv],
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
     return proc
 
@@ -119,6 +120,19 @@ def test_certify_design_poly_file_must_be_factored(tmp_path):
     builtin = run_cli(*args, "builtin:mindesign")
     assert from_file.returncode == builtin.returncode == 0
     assert from_file.stdout == builtin.stdout
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("certify-max", ["--s", "1/2", "--strength", "3"]),
+    ("certify-design", ["--tau", "1000000"]),
+])
+def test_lp_commands_reject_a_degree_above_the_cap_before_expanding(tmp_path, command, extra):
+    # expanding (t - 1/2)^1000000 would take far longer than the timeout
+    path = tmp_path / "high.json"
+    path.write_text(json.dumps({"factored": {"leading": "1", "factors": [["1/2", "1000000"]]}}))
+    proc = run_cli(command, "--poly", str(path), *extra, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: degree 1000000 above the configured cap 64\n"
 
 
 def test_energy_without_shell():
@@ -267,12 +281,15 @@ def test_venkov_witness_on_a_shell_of_another_dimension(small_shell_file):
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("--sample", "0"), ("--sample", "-5"), ("--cap", "0"), ("--cap", "-3")]
+    "flag, value",
+    [("--sample", "0"), ("--sample", "-5"), ("--cap", "0"), ("--cap", "-3"), ("--cap", "65")],
 )
-def test_verify_rejects_sample_or_cap_below_one(small_shell_file, flag, value):
-    proc = run_cli("verify", "--shell", str(small_shell_file), f"{flag}={value}")
+def test_verify_rejects_sample_or_cap_below_one(tmp_path, flag, value):
+    # the shell does not exist: each flag is checked before the shell is read
+    proc = run_cli("verify", "--shell", str(tmp_path / "missing.shell"), f"{flag}={value}")
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr == f"error: {flag} must be at least 1, got {value}\n"
+    bound = "at most 64" if int(value) > 1 else "at least 1"
+    assert proc.stderr == f"error: {flag} must be {bound}, got {value}\n"
 
 
 def test_verify_full_runs_one_orbit_pass(small_shell_file, monkeypatch, capsys):

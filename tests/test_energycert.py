@@ -3,7 +3,8 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from latcert.exactmath import EMPTY_REGION, Polynomial, open_interval, rat
+from conftest import poly_potential
+from latcert.exactmath import EMPTY_REGION, Polynomial, rat
 from latcert.energycert import (
     PAPER_NODES,
     T_SYMMETRIC,
@@ -20,11 +21,10 @@ from latcert.energycert import (
     invlin,
     node_polynomial,
     partial_products,
-    poly_potential,
     potential_by_spec,
     riesz,
 )
-from latcert.gegenbauer import InnerProductHistogram
+from latcert.gegenbauer import InnerProductHistogram, gegenbauer_expand
 from latcert.lpcert import P7_EXPANSION
 
 H = Fraction(1, 2)
@@ -46,7 +46,7 @@ def test_node_multiset_validation():
         NodeMultiset((Fraction(1), Fraction(0)))
     with pytest.raises(ValueError, match="twice"):
         NodeMultiset((Fraction(0), Fraction(0), Fraction(0)))
-    assert len(PAPER_NODES) == 8
+    assert len(PAPER_NODES.nodes) == 8
 
 
 def test_leading_divided_difference_of_monic_degree7():
@@ -101,7 +101,7 @@ def test_partial_products_reference_p7():
     assert sum(pps[6].expansion.coeffs) == Fraction(45, 8)  # P_7(1)
     for i in range(1, 8):  # each prefix of the nodes, expanded from its factors
         prefix = node_polynomial(NodeMultiset(PAPER_NODES.nodes[:i]))
-        assert pps[i - 1].polynomial == prefix.expand()
+        assert pps[i - 1].expansion == gegenbauer_expand(32, prefix.expand())
 
 
 def test_node_polynomial_structure():
@@ -139,11 +139,6 @@ def test_energy_lower_bound_invlin():
     assert cert.lower_bound == INVLIN_BOUND
     assert cert.dual_bound == INVLIN_BOUND  # the design quadrature identity
     assert cert.precision_digits is None
-
-
-def test_energy_lower_bound_rejects_other_dimensions():
-    with pytest.raises(ValueError, match="dimension 32"):
-        energy_lower_bound(invlin(), n=16)
 
 
 def test_energy_constant_potential():
@@ -203,6 +198,18 @@ def test_expt_certificate_at_precision():
     rel = abs(cert.dual_bound - cert.lower_bound) / cert.lower_bound
     assert rel < mp.mpf(10) ** -20
     assert cert.precision_digits == 60
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "transcendental verdicts rest on a relative tolerance of 1e-20, so they flip "
+    "as the precision rises; interval proofs are the ROADMAP item 'One universal "
+    "energy certificate, with interval proofs for the transcendental potentials'"))
+@pytest.mark.parametrize("spec", ["expt", "gauss:8", "riesz:7"])
+def test_valid_verdict_stays_valid_at_higher_precision(spec):
+    h = potential_by_spec(spec)
+    verdicts = [energy_lower_bound(h, precision=p).valid for p in range(1, 41)]
+    first = verdicts.index(True)
+    assert all(verdicts[first:]), [p for p, ok in enumerate(verdicts, 1) if not ok]
 
 
 def test_riesz_even_is_exact():

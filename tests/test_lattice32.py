@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import e8_power_code, norm32_magnitudes
+from conftest import e8_power_code, lattice_ip, norm32_magnitudes
 from latcert import lattice32
 from latcert.gf2codes import BinaryCode, code_report
 from latcert.lattice32 import (
@@ -15,7 +15,6 @@ from latcert.lattice32 import (
     _canonical_sort,
     build_shell,
     check_extremal,
-    lattice_ip,
     load_shell,
     make_shell,
     save_shell,

@@ -5,14 +5,15 @@ import pytest
 from latcert.exactmath import EMPTY_REGION, factored
 from latcert.gegenbauer import gegenbauer_expand, integrate_weighted
 from latcert.lpcert import (
+    BUILTIN_POLYNOMIALS,
     MAX_CODE_EXPANSION,
     MAX_CODE_POLY,
     MAX_CODE_T,
     MIN_DESIGN_POLY,
     MIN_DESIGN_T,
     P7_EXPANSION,
+    P7_POLY,
     builtin_polynomial,
-    builtin_polynomials,
     certify_max_code,
     certify_min_design,
 )
@@ -117,22 +118,31 @@ def test_certificate_chain_inequalities_on_shell(rm_shell, rm_hist):
     assert rhs >= MAX_CODE_EXPANSION[0] * N * N
 
 
+# f_0 of each builtin: the reference tables' first entries and the
+# tight-design value
+BUILTIN_F0 = {
+    "maxcode": MAX_CODE_EXPANSION[0],
+    "mindesign": Fraction(1, 69632),
+    "p7": P7_EXPANSION[0],
+}
+
+
 def test_builtin_fixture_table():
-    by_name = {b.name: b for b in builtin_polynomials()}
-    assert set(by_name) == {"maxcode", "mindesign", "p7"}
+    assert BUILTIN_POLYNOMIALS == {
+        "maxcode": MAX_CODE_POLY, "mindesign": MIN_DESIGN_POLY, "p7": P7_POLY
+    }
+    for name, poly in BUILTIN_POLYNOMIALS.items():
+        assert builtin_polynomial(name) is poly
 
-    maxcode = by_name["maxcode"]
-    assert maxcode.reference_coeffs[8] == 0
-    assert maxcode.value_at_1 == Fraction(675, 1024)
-    assert gegenbauer_expand(32, maxcode.polynomial.expand()).coeffs == maxcode.reference_coeffs
+    assert MAX_CODE_EXPANSION[8] == 0
+    assert MAX_CODE_POLY(1) == Fraction(675, 1024)
+    assert gegenbauer_expand(32, MAX_CODE_POLY.expand()).coeffs == MAX_CODE_EXPANSION
 
-    mindesign = by_name["mindesign"]
-    assert mindesign.f0 == Fraction(1, 69632)
-    assert gegenbauer_expand(32, mindesign.polynomial.expand()).coeffs[0] == mindesign.f0
+    assert MIN_DESIGN_POLY(1) == Fraction(135, 64)
+    assert gegenbauer_expand(32, MIN_DESIGN_POLY.expand()).coeffs[0] == Fraction(1, 69632)
 
-    p7 = by_name["p7"]
-    assert p7.reference_coeffs == P7_EXPANSION
-    assert p7.value_at_1 == Fraction(45, 8)
+    assert gegenbauer_expand(32, P7_POLY.expand()).coeffs == P7_EXPANSION
+    assert P7_POLY(1) == Fraction(45, 8)
     assert sum(P7_EXPANSION) == Fraction(45, 8)
 
 
@@ -142,9 +152,8 @@ def test_builtin_lookup_unknown():
 
 
 def test_expansion_f0_matches_integration_oracle():
-    for b in builtin_polynomials():
-        dense = b.polynomial.expand()
-        assert integrate_weighted(32, dense) == b.f0
+    for name, poly in BUILTIN_POLYNOMIALS.items():
+        assert integrate_weighted(32, poly.expand()) == BUILTIN_F0[name]
 
 
 def test_certificate_json_shape():

@@ -22,6 +22,26 @@ def test_no_assert_guards_in_package():
     assert not found, f"assert statements in the package: {found}"
 
 
+def test_no_unused_imports():
+    # a name bound by an import (other than from __future__) must be used
+    # as a name somewhere in its module
+    tests = Path(__file__).parent
+    paths = sorted(Path(latcert.__file__).parent.glob("*.py")) + sorted(tests.glob("*.py"))
+    unused = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{path.parent.name}/{path.name}:{node.lineno} {bound}"
+                           for alias in node.names
+                           if (bound := (alias.asname or alias.name).split(".")[0])
+                           not in used]
+    assert not unused, f"imports never used: {unused}"
+
+
 def test_every_subcommand_flag_is_read_by_its_command():
     # a flag that is accepted and then ignored misleads the user: each flag a
     # subcommand defines must appear as args.<dest> in that subcommand's fn

@@ -166,7 +166,7 @@ def test_design_strength_of_shell(rm_shell, rm_hist):
 
 
 def test_design_strength_two_point_code(tiny_pair_shell):
-    rep = design_strength(tiny_pair_shell, cap=6)
+    rep = design_strength(tiny_pair_shell, cap=6, hist=histogram(tiny_pair_shell))
     assert rep.tau == 1
     # M_2 = 2 + 2 P_2(-1) = 4 since P_2(-1) = 1
     assert rep.moments[2] == 4
@@ -228,7 +228,6 @@ def test_distribution_from_design_errors():
         distribution_from_design([H], 2, 32, 3)
     with pytest.raises(ValueError, match="non-integral"):
         distribution_from_design([-H], 5, 32, 3)
-    assert distribution_from_design([-H], 5, 32, 3, require_integral=False).a[-H] == Fraction(10, 3)
 
 
 def test_histogram_from_distribution():
