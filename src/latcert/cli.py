@@ -67,11 +67,11 @@ def cmd_build(args) -> int:
     from . import lattice32
     code = _load_code(args.code)
     record = {"command": "build", "code": args.code}
-    failure = lattice32.shell_failure(code)
-    if failure:
-        _emit({**record, "valid": False, "failure": failure}, args.format)
+    try:
+        shell = lattice32.build_shell(code)  # checks the code once
+    except lattice32.CodeRejected as exc:
+        _emit({**record, "valid": False, "failure": str(exc)}, args.format)
         return 1
-    shell = lattice32.build_shell(code)
     lattice32.save_shell(shell, args.out)
     _emit({**record, "count": shell.count, "out": args.out, "valid": True}, args.format)
     return 0

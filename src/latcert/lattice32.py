@@ -18,6 +18,16 @@ the code has no words of weight 4):
 
 For an extremal input the three families have sizes 1984, 620*128 = 79360
 and 2^16 = 65536, totalling 146880.
+
+Pair statistics (the column counts of ``sphercode`` and Venkov's e_{2,2})
+come from one kernel that counts dot values for two columns a, b at a time
+in blocked float32 matrix products: the dots with s_a + 65 s_b are
+d_a + 65 d_b, and one bincount of them gives the pair's 65 x 65 joint
+table.  Every vector has s.s = 32 (checked), so |entry| <= 5 and, by
+Cauchy-Schwarz, every partial sum is an integer of absolute value at most
+66 * 32 = 2112 < 2^24: the float path is exact.  When the rows end with the
+first half negated in reverse order, as a canonical antipodal shell's rows
+do, only the first half is counted and each table gets its reverse added.
 """
 
 from __future__ import annotations
@@ -31,6 +41,8 @@ import numpy as np
 from .gf2codes import BinaryCode, code_report
 
 SHELL_NORM = 32  # s.s for every shell vector (norm 4 at lattice scale)
+_BINS = 2 * SHELL_NORM + 1  # dot values -32..32, offset by 32
+_E22_BIN = SHELL_NORM + 16  # dot 16: lattice inner product 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,6 +125,10 @@ def make_shell(vectors, dim: int | None = None) -> Shell:
 _NOT_EXTREMAL = "code has weight-4 words; lattice is not extremal"
 
 
+class CodeRejected(ValueError):
+    """The code does not give the 146880-vector shell; the message says why."""
+
+
 def shell_failure(c: BinaryCode) -> str | None:
     """Why c does not give the 146880-vector shell, or None when it is a
     doubly-even self-dual [32,16] code with no weight-4 words and minimum
@@ -148,10 +164,11 @@ def check_extremal(c: BinaryCode) -> bool:
 
 
 def build_shell(c: BinaryCode) -> Shell:
-    """Enumerate all 146880 norm-4 vectors of the lattice built from c."""
+    """Enumerate all 146880 norm-4 vectors of the lattice built from c;
+    CodeRejected with the shell_failure message for any other code."""
     failure = shell_failure(c)
     if failure:
-        raise ValueError(failure)
+        raise CodeRejected(failure)
 
     blocks = []
 
@@ -209,7 +226,8 @@ def venkov_e22(shell: Shell, x, z) -> int:
         raise ValueError(
             f"invalid Venkov pair: lattice inner product is {int(x @ z) // 8}, not 0"
         )
-    return _e22(_float32_rows(shell.vectors), i, j)
+    (table,) = _joint_tables(_float32_rows(shell.vectors), [i], [j])
+    return int(table[_E22_BIN, _E22_BIN])
 
 
 def _float32_rows(vectors: np.ndarray) -> np.ndarray:
@@ -223,9 +241,26 @@ def _float32_rows(vectors: np.ndarray) -> np.ndarray:
     return vectors.astype(np.float32)
 
 
-def _e22(F: np.ndarray, i: int, j: int) -> int:
-    """e_{2,2} of the orthogonal pair of rows i and j of F."""
-    return int(np.count_nonzero((F @ F[i] == 16) & (F @ F[j] == 16)))
+def _joint_tables(F: np.ndarray, a, b):
+    """Yield, for each pair (a[k], b[k]) of rows of F (from _float32_rows),
+    the (65, 65) table whose entry [d_b + 32, d_a + 32] counts the rows x
+    with s_x.s_a = d_a and s_x.s_b = d_b: the key is the exact float32 dot
+    (s_a + 65 s_b).x + 66 * 32, in [0, 4224].  Folded rows count the first
+    half only, and -x has dots (-d_a, -d_b), so the table gets its reverse
+    added."""
+    half = len(F) // 2
+    fold = np.array_equal(-F[half:][::-1], F[:half])
+    rows = F[:half] if fold else F
+    P = F[a] + _BINS * F[b]
+    step = max(1, 2**21 // len(rows))  # about 2^21 float32 per block
+    for j0 in range(0, len(P), step):
+        keys = P[j0 : j0 + step] @ rows.T
+        keys += SHELL_NORM * (_BINS + 1)
+        keys = keys.astype(np.uint16)  # frees the float block
+        for j in range(len(keys)):
+            joint = np.bincount(keys[j], minlength=_BINS**2).reshape(_BINS, _BINS)
+            yield joint + joint[::-1, ::-1] if fold else joint
+        del keys  # one block alive at a time: none during the next product
 
 
 def witness_pair():
@@ -246,33 +281,41 @@ def venkov_sample(shell: Shell, count: int, seed: int) -> list:
     rng = random.Random(seed)
     F = _float32_rows(shell.vectors)
     n = shell.count
-    values = []
+    pairs = []
     budget = 10000 * count
-    while len(values) < count:
+    while len(pairs) < count:
         if budget <= 0:
             raise ValueError("no orthogonal pair found within budget; malformed shell")
         budget -= 1
         i = rng.randrange(n)
         j = rng.randrange(n)
-        if F[i] @ F[j] != 0:  # also skips i == j, where the dot is 32
-            continue
-        values.append(_e22(F, i, j))  # rows of the shell: no lookup needed
-    return values
+        if F[i] @ F[j] == 0:  # also skips i == j, where the dot is 32
+            pairs.append((i, j))  # rows of the shell: no lookup needed
+    i, j = np.array(pairs).T
+    return [int(table[_E22_BIN, _E22_BIN]) for table in _joint_tables(F, i, j)]
 
 
 # ---------------------------------------------------------------------------
 # Shell files
 
 _HEADER = "latcert-shell v1"
-_TOKENS = np.array([str(v) for v in range(-128, 128)], dtype=object)  # int8 v at v + 128
 
 
 def save_shell(shell: Shell, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"{_HEADER} n={shell.dim} count={shell.count} scale=2sqrt2\n")
-        for start in range(0, shell.count, 8192):  # a few MB of tokens at a time
-            block = shell.vectors[start : start + 8192].astype(np.intp) + 128
-            fh.write("".join(" ".join(row) + "\n" for row in _TOKENS[block].tolist()))
+    """Write the header and one line per row, entries separated by spaces;
+    ValueError, before the file is opened, unless every row has s.s = 32."""
+    # s.s = 32 bounds |entry| <= 5, so each entry is an optional '-' and one digit
+    _check_norms(shell.vectors, "cannot save vector {i}: s.s = {norm}, expected 32")
+    with open(path, "wb") as fh:
+        fh.write(f"{_HEADER} n={shell.dim} count={shell.count} scale=2sqrt2\n".encode())
+        for start in range(0, shell.count, 8192):
+            block = shell.vectors[start : start + 8192]
+            text = np.zeros((*block.shape, 3), dtype=np.uint8)  # sign, digit, separator
+            text[..., 0] = np.where(block < 0, ord("-"), 0)
+            text[..., 1] = ord("0") + np.abs(block)
+            text[..., 2] = ord(" ")
+            text[:, -1, 2] = ord("\n")
+            fh.write(text.tobytes().replace(b"\0", b""))
 
 
 def load_shell(path) -> Shell:

@@ -4,14 +4,9 @@ The histogram and distribution records come from ``gegenbauer``.
 
 Unit-sphere inner products of shell vectors are s_x.s_y / 32, so every pair
 statistic is an exact integer count keyed by an exact rational.  The pair
-passes count dot values two columns a, b at a time in blocked float32 matrix
-products: the dots with s_a + 65 s_b are d_a + 65 d_b, and one bincount of
-them gives both columns as the marginals of a 65 x 65 table.  Every vector has
-s.s = 32 (checked), so |entry| <= 5 and, by Cauchy-Schwarz, every partial sum
-is an integer of absolute value at most 66 * 32 = 2112 < 2^24: the float path
-is exact.  When the rows end with the first half negated in reverse order, as
-a canonical antipodal shell's rows do, a column is counted over the first half
-only and the second half's counts are its bins reversed.
+passes count dot values two columns at a time: each column pair's 65 x 65
+joint table from the ``lattice32`` kernel gives both columns as its
+marginals.
 
 The exact passes (the histogram and the full invariance check) need only one
 column per orbit of a group of coordinate sign flips that maps the shell onto
@@ -39,7 +34,7 @@ import numpy as np
 from .exactmath import Polynomial
 from .gegenbauer import (DistanceDistribution, InnerProductHistogram,
                          gegenbauer_expand, gegenbauer_poly)
-from .lattice32 import SHELL_NORM, Shell, _float32_rows, _row_keys
+from .lattice32 import SHELL_NORM, Shell, _float32_rows, _joint_tables, _row_keys
 
 ALL = "all"
 
@@ -74,36 +69,17 @@ class QuadratureVerdict:
     warning: str | None = None
 
 
-_BINS = 2 * SHELL_NORM + 1  # dot values -32..32, offset by 32
-
-
 def _column_counts(F: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """(65, len(cols)) counts of each dot value s_x.s_c over all rows x, one
     column per index c in cols; bin 64 holds the self pair.  Columns go in
-    pairs (a, b), an odd count padded with its last: d_a + 32 + 65 (d_b + 32)
-    is the exact float32 dot (s_a + 65 s_b).x + 66 * 32, a key in [0, 4224],
-    as every partial sum is at most 66 * 32 in absolute value.  When the rows
-    end with the first half negated in reverse order (as a canonical
-    antipodal shell does), only the first half is counted: -x has dot -d
-    where x has d, so the second half's counts are the first half's with
-    the bins reversed."""
-    half = len(F) // 2
-    fold = np.array_equal(-F[half:][::-1], F[:half])
-    rows = F[:half] if fold else F
+    pairs (a, b), an odd count padded with its last, and each pair's joint
+    table gives column a as its sums over d_b and column b as its sums over
+    d_a."""
     pairs = np.append(cols, cols[-1:]) if len(cols) % 2 else cols
-    P = F[pairs[0::2]] + _BINS * F[pairs[1::2]]
-    step = max(1, 2**21 // len(rows))  # about 2^21 float32 per block
     table = []
-    for j0 in range(0, len(P), step):
-        keys = P[j0 : j0 + step] @ rows.T
-        keys += SHELL_NORM * (_BINS + 1)
-        keys = keys.astype(np.uint16)  # frees the float block
-        for j in range(len(keys)):
-            joint = np.bincount(keys[j], minlength=_BINS**2).reshape(_BINS, _BINS)
-            table += [joint.sum(axis=0), joint.sum(axis=1)]  # columns a, b
-        del keys  # one block alive at a time: none during the next product
-    table = np.array(table[: len(cols)]).reshape(-1, _BINS)
-    return (table + table[:, ::-1] if fold else table).T
+    for joint in _joint_tables(F, pairs[0::2], pairs[1::2]):
+        table += [joint.sum(axis=0), joint.sum(axis=1)]  # columns a, b
+    return np.array(table[: len(cols)]).T
 
 
 def _candidate_flips(vectors: np.ndarray) -> list:

@@ -64,6 +64,19 @@ def save_generator_matrix(code: BinaryCode, path) -> None:
             fh.write("".join(str(int(b)) for b in row) + "\n")
 
 
+_TOKENS = np.array([str(v) for v in range(-128, 128)], dtype=object)  # int8 v at v + 128
+
+
+def save_shell_by_tokens(shell, path) -> None:
+    """Reference shell writer: the file save_shell must write, built by
+    joining the decimal tokens of the entries."""
+    with open(path, "w") as fh:
+        fh.write(f"latcert-shell v1 n={shell.dim} count={shell.count} scale=2sqrt2\n")
+        for start in range(0, shell.count, 8192):
+            block = shell.vectors[start : start + 8192].astype(np.intp) + 128
+            fh.write("".join(" ".join(row) + "\n" for row in _TOKENS[block].tolist()))
+
+
 def norm32_magnitudes(dim: int) -> list:
     """Every non-increasing tuple of |entries| <= 5 with squares summing to
     32, zero-padded to dim."""

@@ -4,10 +4,11 @@ import sys
 
 import pytest
 
-from conftest import e8_power_code
-from latcert import sphercode
+from conftest import e8_power_code, save_generator_matrix
+from latcert import gf2codes, lattice32, sphercode
 from latcert.cli import main
 from latcert.exactmath import poly_to_json
+from latcert.gf2codes import code_report
 from latcert.lattice32 import save_shell
 from latcert.lpcert import MIN_DESIGN_POLY
 
@@ -183,6 +184,25 @@ def test_build_non_extremal_code_exits_one(tmp_path):
             "failure": failure,
         }
         assert not out.exists()
+
+
+@pytest.mark.parametrize("code, rc", [("rm2_5", 0), ("e8x4", 1)])
+def test_build_checks_the_code_once(tmp_path, monkeypatch, capsys, code, rc):
+    # enumerating and weighing the 2^16 codewords is most of a build's code check
+    calls = []
+
+    def counted(c):
+        calls.append(c.name)
+        return code_report(c)
+
+    monkeypatch.setattr(gf2codes, "code_report", counted)
+    monkeypatch.setattr(lattice32, "code_report", counted)
+    if code == "e8x4":
+        code = tmp_path / "e8x4.txt"
+        save_generator_matrix(e8_power_code(), code)
+    assert main(["build", "--code", str(code), "--out", str(tmp_path / "s.txt")]) == rc
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["valid"] is (rc == 0)
 
 
 def test_venkov_witness_and_sample(shell_file):

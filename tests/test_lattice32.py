@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import e8_power_code, lattice_ip, norm32_magnitudes
+from conftest import e8_power_code, lattice_ip, norm32_magnitudes, save_shell_by_tokens
 from latcert import lattice32
 from latcert.gf2codes import BinaryCode, code_report
 from latcert.lattice32 import (
     SHELL_NORM,
+    Shell,
     _canonical_sort,
     build_shell,
     check_extremal,
@@ -104,7 +105,7 @@ def test_venkov_sample_deterministic_even_and_bounded(rm_shell):
     b = venkov_sample(sh, 30, seed=1)
     assert a == b
     assert all(v % 2 == 0 and 0 <= v <= 60 for v in a)
-    assert venkov_sample(sh, 5, seed=2) != a[:5] or True  # different seed allowed to differ
+    assert venkov_sample(sh, 5, seed=2) != a[:5]  # [0, 0, 0, 0, 0] against [12, 12, 0, 0, 0]
 
 
 def test_venkov_invariant_under_coordinate_flip(rm_shell):
@@ -136,6 +137,23 @@ def test_shell_file_round_trip(rm_shell, tmp_path):
     assert np.array_equal(back.vectors, sh.vectors)
     with open(path) as fh:
         assert fh.readline().strip() == "latcert-shell v1 n=32 count=146880 scale=2sqrt2"
+
+
+@pytest.mark.parametrize("code", ["rm", "xqr"])
+def test_save_shell_matches_the_token_writer(request, tmp_path, code):
+    sh = request.getfixturevalue(f"{code}_shell").result
+    save_shell(sh, tmp_path / "shell.txt")
+    save_shell_by_tokens(sh, tmp_path / "ref.txt")
+    assert (tmp_path / "shell.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+
+
+def test_save_shell_rejects_vectors_off_norm(tmp_path):
+    # an entry of 7 has no one-digit token; it must not reach the file
+    sh = Shell(np.array([[7, 0, 0, 0], [-7, 0, 0, 0]], dtype=np.int8), 4)
+    path = tmp_path / "shell.txt"
+    with pytest.raises(ValueError, match="cannot save vector 0: s.s = 49, expected 32"):
+        save_shell(sh, path)
+    assert not path.exists()
 
 
 def test_load_shell_rejects_bad_header(tmp_path):
@@ -238,6 +256,7 @@ def test_canonical_order_is_numeric_lexicographic(rm_shell):
 
 
 def test_venkov_sample_matches_venkov_e22_on_the_same_pairs(rm_shell):
+    # both against an int64 count of the y with lattice inner product 2 to x and z
     sh = rm_shell.result
     rng = random.Random(1)
     vecs = sh.vectors.astype(np.int64)
@@ -245,8 +264,11 @@ def test_venkov_sample_matches_venkov_e22_on_the_same_pairs(rm_shell):
     while len(expected) < 100:
         i, j = rng.randrange(sh.count), rng.randrange(sh.count)
         if i != j and vecs[i] @ vecs[j] == 0:
-            expected.append(venkov_e22(sh, vecs[i], vecs[j]))
+            oracle = int(((vecs @ vecs[i] == 16) & (vecs @ vecs[j] == 16)).sum())
+            assert venkov_e22(sh, vecs[i], vecs[j]) == oracle
+            expected.append(oracle)
     assert venkov_sample(sh, 100, 1) == expected
+    assert set(expected) == {0, 12, 60}  # not one constant value
 
 
 # load_shell rejects mixed parity, so only rows of one parity round-trip
@@ -277,8 +299,10 @@ def test_shell_file_round_trip_property(case, data):
     dim, rows = case
     shell = make_shell(rows, dim=dim)
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "shell.txt"
+        path, ref = Path(tmp) / "shell.txt", Path(tmp) / "ref.txt"
         save_shell(shell, path)
+        save_shell_by_tokens(shell, ref)
+        assert path.read_bytes() == ref.read_bytes()
         back = load_shell(path)
     assert (back.dim, back.count) == (dim, len(rows))
     assert np.array_equal(back.vectors, shell.vectors)

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import norm32_magnitudes, random_polynomial
 from latcert.exactmath import Polynomial
 from latcert.gegenbauer import distribution_from_design, gegenbauer_expand, gegenbauer_poly
-from latcert.lattice32 import Shell, load_shell, make_shell
+from latcert.lattice32 import Shell, _joint_tables, load_shell, make_shell
 from latcert.sphercode import (
     ALL,
     DistanceDistribution,
@@ -226,6 +226,9 @@ def test_distribution_from_design_errors():
         distribution_from_design([Fraction(0), Fraction(0)], 4, 32, 5)
     with pytest.raises(ValueError, match="negative"):
         distribution_from_design([H], 2, 32, 3)
+    # A_1 = -1: the guard must reject -1 as well as -2
+    with pytest.raises(ValueError, match="negative distribution entry A_1 = -1"):
+        distribution_from_design([Fraction(1, 2)], 1, 32, 3)
     with pytest.raises(ValueError, match="non-integral"):
         distribution_from_design([-H], 5, 32, 3)
 
@@ -454,6 +457,35 @@ def test_column_counts_match_brute_force_on_random_columns(shell, antipodal, shu
     cols = np.array(data.draw(st.lists(st.integers(0, len(V) - 1), min_size=1, max_size=9)))
     table = _column_counts(V.astype(np.float32), cols)
     assert np.array_equal(table, _brute_force_columns(V, cols))
+
+
+def _brute_force_joint(V, a, b):
+    """(65, 65) int64 counts of the rows x with x.V[b] + 32, x.V[a] + 32."""
+    D = V.astype(np.int64) @ V[[a, b]].astype(np.int64).T + 32
+    return np.bincount(D[:, 0] + 65 * D[:, 1], minlength=65 * 65).reshape(65, 65)
+
+
+@settings(max_examples=200, deadline=None)
+@given(flip_closed_shells(), st.data())
+def test_joint_tables_match_brute_force(shell, data):
+    rows = {tuple(r) for r in shell.vectors.tolist()}
+    rows |= {tuple(-v for v in r) for r in rows}
+    V = np.array(sorted(rows), dtype=np.int8)  # canonical and antipodal
+    # shuffled, and one row short: an odd row count never folds
+    W = V[data.draw(st.permutations(range(len(V))))][1:]
+    assert _folds(V) and not _folds(W)
+    for U in (V, W):
+        index = st.integers(0, len(U) - 1)
+        pairs = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=9))
+        i = pairs[0][0]
+        # a row with itself, with its antipode (when present), and a repeated pair
+        antipodes = np.flatnonzero((U == -U[i]).all(axis=1)).tolist()
+        pairs += [(i, i), *((i, k) for k in antipodes), pairs[0]]
+        a, b = np.array(pairs).T
+        tables = list(_joint_tables(U.astype(np.float32), a, b))
+        assert len(tables) == len(pairs)
+        for (i, j), table in zip(pairs, tables):
+            assert np.array_equal(table, _brute_force_joint(U, i, j))
 
 
 @pytest.mark.parametrize("sample", [0, -5])
