@@ -28,6 +28,8 @@ Cauchy-Schwarz, every partial sum is an integer of absolute value at most
 66 * 32 = 2112 < 2^24: the float path is exact.  When the rows end with the
 first half negated in reverse order, as a canonical antipodal shell's rows
 do, only the first half is counted and each table gets its reverse added.
+The kernel takes the int8 rows and converts only the rows it counts, and
+the combined columns, to float32.
 """
 
 from __future__ import annotations
@@ -67,7 +69,13 @@ class Shell:
         s = np.asarray(s)
         if s.shape != (self.dim,):
             raise ValueError(f"probe has shape {s.shape}, expected ({self.dim},)")
-        hits = np.flatnonzero((self.vectors == s).all(axis=1))
+        row = s.astype(np.int8)
+        if not np.array_equal(row, s):  # not wrapped into int8
+            return -1
+        # each row compared as one dim-byte record
+        record = np.dtype((np.void, self.dim))
+        rows = np.ascontiguousarray(self.vectors).view(record)[:, 0]
+        hits = np.flatnonzero(rows == row.view(record)[0])
         return int(hits[0]) if len(hits) else -1
 
 
@@ -86,6 +94,15 @@ def _canonical_sort(arr: np.ndarray):
     """Lexicographically sorted copy without duplicate rows, plus the number
     of duplicates dropped."""
     keys = _row_keys(arr)
+    # rows that already strictly increase (a saved shell's do) are sorted
+    # and distinct: a copy, so the result never aliases the caller's array
+    less = np.zeros(len(keys[1:]), dtype=bool)  # row k < row k + 1 so far
+    tied = ~less  # row k == row k + 1 so far
+    for prev, cur in zip(keys[:-1].T, keys[1:].T):
+        less |= tied & (prev < cur)
+        tied &= prev == cur
+    if less.all():
+        return arr.copy(), 0
     order = np.lexsort(keys.T[::-1])
     keys = keys[order]
     first = np.ones(len(arr), dtype=bool)
@@ -95,8 +112,8 @@ def _canonical_sort(arr: np.ndarray):
 
 def _check_norms(vectors: np.ndarray, message: str) -> None:
     """ValueError(message with {i} and {norm}) for the first int8 row with
-    s.s != 32; every square is at most 128^2 < 2^15, so int16 is exact."""
-    norms = np.square(vectors, dtype=np.int16).sum(axis=1, dtype=np.int64)
+    s.s != 32, summed in int64 without a full-size temporary."""
+    norms = np.einsum("ij,ij->i", vectors, vectors, dtype=np.int64)
     bad = np.flatnonzero(norms != SHELL_NORM)
     if len(bad):
         raise ValueError(message.format(i=int(bad[0]), norm=int(norms[bad[0]])))
@@ -226,33 +243,34 @@ def venkov_e22(shell: Shell, x, z) -> int:
         raise ValueError(
             f"invalid Venkov pair: lattice inner product is {int(x @ z) // 8}, not 0"
         )
-    (table,) = _joint_tables(_float32_rows(shell.vectors), [i], [j])
+    (table,) = _joint_tables(_checked_rows(shell.vectors), [i], [j])
     return int(table[_E22_BIN, _E22_BIN])
 
 
-def _float32_rows(vectors: np.ndarray) -> np.ndarray:
-    """The rows as float32, once there is a row and every row is checked to
-    have s.s = 32.  That bounds |entry| <= 5 and every partial sum of a dot
-    by 32, so float32 dots are exact integers."""
+def _checked_rows(vectors: np.ndarray) -> np.ndarray:
+    """The int8 rows, once there is a row and every row is checked to have
+    s.s = 32.  That bounds |entry| <= 5, so negation stays exact in int8,
+    and every partial sum of a dot by 32, so float32 dots are exact
+    integers."""
     if not len(vectors):
         raise ValueError("pair pass needs a nonempty shell")
     _check_norms(vectors, "pair pass needs s.s = 32 for every vector; "
                  "vector {i} has s.s = {norm}")
-    return vectors.astype(np.float32)
+    return vectors
 
 
-def _joint_tables(F: np.ndarray, a, b):
-    """Yield, for each pair (a[k], b[k]) of rows of F (from _float32_rows),
+def _joint_tables(V: np.ndarray, a, b):
+    """Yield, for each pair (a[k], b[k]) of rows of V (from _checked_rows),
     the (65, 65) table whose entry [d_b + 32, d_a + 32] counts the rows x
     with s_x.s_a = d_a and s_x.s_b = d_b: the key is the exact float32 dot
     (s_a + 65 s_b).x + 66 * 32, in [0, 4224].  Folded rows count the first
     half only, and -x has dots (-d_a, -d_b), so the table gets its reverse
     added."""
-    half = len(F) // 2
-    fold = np.array_equal(-F[half:][::-1], F[:half])
-    rows = F[:half] if fold else F
-    P = F[a] + _BINS * F[b]
-    step = max(1, 2**21 // len(rows))  # about 2^21 float32 per block
+    half = len(V) // 2
+    fold = np.array_equal(-V[half:][::-1], V[:half])
+    rows = (V[:half] if fold else V).astype(np.float32)  # the counted rows only
+    P = V[a] + _BINS * V[b].astype(np.float32)
+    step = max(1, 2**20 // len(rows))  # about 2^20 float32 per block
     for j0 in range(0, len(P), step):
         keys = P[j0 : j0 + step] @ rows.T
         keys += SHELL_NORM * (_BINS + 1)
@@ -279,7 +297,7 @@ def venkov_sample(shell: Shell, count: int, seed: int) -> list:
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = random.Random(seed)
-    F = _float32_rows(shell.vectors)
+    V = _checked_rows(shell.vectors)
     n = shell.count
     pairs = []
     budget = 10000 * count
@@ -289,10 +307,10 @@ def venkov_sample(shell: Shell, count: int, seed: int) -> list:
         budget -= 1
         i = rng.randrange(n)
         j = rng.randrange(n)
-        if F[i] @ F[j] == 0:  # also skips i == j, where the dot is 32
+        if V[i].astype(np.int64) @ V[j] == 0:  # also skips i == j, where the dot is 32
             pairs.append((i, j))  # rows of the shell: no lookup needed
     i, j = np.array(pairs).T
-    return [int(table[_E22_BIN, _E22_BIN]) for table in _joint_tables(F, i, j)]
+    return [int(table[_E22_BIN, _E22_BIN]) for table in _joint_tables(V, i, j)]
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +357,7 @@ def load_shell(path) -> Shell:
     arr = arr.reshape(-1, dim)
     if len(arr) != count:
         raise ValueError(f"{path}: header says {count} vectors, found {len(arr)}")
-    parities = np.abs(arr) % 2
-    mixed = (parities.min(axis=1) != parities.max(axis=1)).any()
-    if mixed:
+    odd = (arr & 1).sum(axis=1)  # per row; two's complement keeps parity
+    if ((odd > 0) & (odd < dim)).any():
         raise ValueError(f"{path}: vector with mixed even/odd coordinates")
     return make_shell(arr, dim)

@@ -34,7 +34,7 @@ import numpy as np
 from .exactmath import Polynomial
 from .gegenbauer import (DistanceDistribution, InnerProductHistogram,
                          gegenbauer_expand, gegenbauer_poly)
-from .lattice32 import SHELL_NORM, Shell, _float32_rows, _joint_tables, _row_keys
+from .lattice32 import SHELL_NORM, Shell, _checked_rows, _joint_tables, _row_keys
 
 ALL = "all"
 
@@ -69,7 +69,7 @@ class QuadratureVerdict:
     warning: str | None = None
 
 
-def _column_counts(F: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def _column_counts(V: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """(65, len(cols)) counts of each dot value s_x.s_c over all rows x, one
     column per index c in cols; bin 64 holds the self pair.  Columns go in
     pairs (a, b), an odd count padded with its last, and each pair's joint
@@ -77,7 +77,7 @@ def _column_counts(F: np.ndarray, cols: np.ndarray) -> np.ndarray:
     d_a."""
     pairs = np.append(cols, cols[-1:]) if len(cols) % 2 else cols
     table = []
-    for joint in _joint_tables(F, pairs[0::2], pairs[1::2]):
+    for joint in _joint_tables(V, pairs[0::2], pairs[1::2]):
         table += [joint.sum(axis=0), joint.sum(axis=1)]  # columns a, b
     return np.array(table[: len(cols)]).T
 
@@ -116,11 +116,18 @@ def _orbit_pass(vectors: np.ndarray):
     """The exact pair pass: (representatives, orbit sizes, (65, reps) column
     table, group order).  Each orbit of the verified flip group is represented
     by its smallest index, and every point's distribution is its
-    representative's column.  A row's key is its magnitude class above its
-    minus signs packed by rank within the class's common support; clearing
-    the pivot bits of an echelon basis of the kept masks (per class) maps
-    every key of a coset, so of an orbit, to one label."""
-    F = _float32_rows(vectors)  # first: the row keys need |entry| < 8
+    representative's column."""
+    V = _checked_rows(vectors)  # first: the row keys need |entry| < 8
+    reps, sizes, group_order = _orbits(V)  # its labels are freed here
+    return reps, sizes, _column_counts(V, reps), group_order
+
+
+def _orbits(vectors: np.ndarray):
+    """(representatives, orbit sizes, group order) of the verified flip
+    group.  A row's key is its magnitude class above its minus signs packed
+    by rank within the class's common support; clearing the pivot bits of an
+    echelon basis of the kept masks (per class) maps every key of a coset,
+    so of an orbit, to one label."""
     mags = _row_keys(np.abs(vectors))
     order = np.lexsort(mags.T[::-1])
     mags = mags[order]
@@ -146,8 +153,7 @@ def _orbit_pass(vectors: np.ndarray):
             later ^= np.where(later & pivot, mask, 0)
     _, reps, sizes = np.unique(keys, return_index=True, return_counts=True)
     by_index = np.argsort(reps)
-    reps, sizes = reps[by_index], sizes[by_index]
-    return reps, sizes, _column_counts(F, reps), 2 ** len(kept)
+    return reps[by_index], sizes[by_index], 2 ** len(kept)
 
 
 def histogram(shell: Shell) -> InnerProductHistogram:
@@ -211,7 +217,7 @@ def check_distance_invariance(
         k = min(int(sample), n)
         rng = np.random.default_rng(seed)
         cols = np.sort(rng.choice(n, size=k, replace=False))
-        table = _column_counts(_float32_rows(vectors), cols)
+        table = _column_counts(_checked_rows(vectors), cols)
         mode, checked, group_order, hist = "sampled", k, 1, None
 
     ref = table[:, 0]

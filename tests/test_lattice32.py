@@ -14,6 +14,7 @@ from latcert.lattice32 import (
     SHELL_NORM,
     Shell,
     _canonical_sort,
+    _check_norms,
     build_shell,
     check_extremal,
     load_shell,
@@ -212,6 +213,10 @@ def test_index_of_finds_every_row_and_rejects_non_members():
     assert [sh.index_of(row) for row in sh.vectors] == list(range(sh.count))
     assert sh.index_of([4, -4, 0, 0]) == -1
     assert sh.index_of(np.array([260, 4, 0, 0])) == -1  # not wrapped to int8
+    assert sh.index_of([4.5, 4, 0, 0]) == -1  # not truncated to int8
+    # rows that are not one contiguous block
+    flipped = Shell(sh.vectors[::-1], 4)
+    assert [flipped.index_of(row) for row in sh.vectors] == list(range(sh.count))[::-1]
 
 
 @pytest.mark.parametrize("probe, shape", [([4], "(1,)"), ([[4, 4]], "(1, 2)"),
@@ -228,7 +233,8 @@ def test_index_of_rejects_probes_of_the_wrong_shape(probe, shape):
 @given(st.data())
 def test_canonical_sort_matches_python_sort(data):
     # rows are edits of one base row, so they share long prefixes, often
-    # repeat, and in dim > 16 differ in a second or third key word
+    # repeat, and in dim > 16 differ in a second or third key word; they
+    # come in drawn order, sorted (repeats adjacent) or sorted and distinct
     dim = data.draw(st.integers(1, 40))
     base = data.draw(st.lists(st.integers(-5, 5), min_size=dim, max_size=dim))
     edit = st.tuples(st.integers(0, dim - 1), st.integers(-5, 5))
@@ -238,10 +244,94 @@ def test_canonical_sort_matches_python_sort(data):
         for i, v in edits:
             row[i] = v
         rows.append(tuple(row))
-    srt, dups = _canonical_sort(np.array(rows, dtype=np.int8).reshape(-1, dim))
+    order = data.draw(st.sampled_from(["drawn", "sorted", "sorted distinct"]))
+    if order != "drawn":
+        rows = sorted(set(rows) if order == "sorted distinct" else rows)
+    arr = np.array(rows, dtype=np.int8).reshape(-1, dim)
+    srt, dups = _canonical_sort(arr)
     expected = sorted(set(rows))
     assert srt.tolist() == [list(r) for r in expected]
     assert dups == len(rows) - len(expected)
+    assert not np.shares_memory(srt, arr)
+
+
+def test_load_shell_does_not_sort_a_canonical_file(tmp_path, monkeypatch):
+    rows = [[4, 4, 0, 0], [0, 0, 4, -4], [-4, -4, 0, 0], [0, 0, -4, 4]]
+    path = tmp_path / "shell.txt"
+    save_shell(make_shell(rows), path)
+    calls, lexsort = [], np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+    assert load_shell(path).vectors.tolist() == sorted(rows)
+    assert calls == []
+    make_shell(rows)  # drawn order: sorted once
+    assert calls == [1]
+
+
+def test_make_shell_of_sorted_rows_owns_them():
+    rows = np.array(sorted([[4, 4, 0, 0], [0, 0, 4, -4], [-4, -4, 0, 0], [0, 0, -4, 4]]),
+                    dtype=np.int8)
+    sh = make_shell(rows)
+    before = rows.copy()
+    rows[0] = 0
+    assert np.array_equal(sh.vectors, before)
+    assert not sh.vectors.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        sh.vectors[0, 0] = 1
+
+
+NORM32 = {dim: norm32_magnitudes(dim) for dim in range(1, 41)}
+
+
+@st.composite
+def int8_matrices(draw):
+    """0-12 int8 rows in dim 1-40 over the full range -128..127; each row has
+    any entries, even entries, odd entries, or s.s = 32 (dim >= 2), from a
+    drawn subset of these kinds."""
+    dim = draw(st.integers(1, 40))
+    entries = [st.integers(-128, 127), st.integers(-64, 63).map(lambda v: 2 * v),
+               st.integers(-64, 63).map(lambda v: 2 * v + 1)]
+    kinds = sorted(draw(st.sets(st.integers(0, 3 if NORM32[dim] else 2), min_size=1)))
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == 3:
+            mags = draw(st.sampled_from(NORM32[dim]))
+            perm = draw(st.permutations(range(dim)))
+            signs = draw(st.lists(st.booleans(), min_size=dim, max_size=dim))
+            rows.append([-mags[p] if f else mags[p] for p, f in zip(perm, signs)])
+        else:
+            rows.append(draw(st.lists(entries[kind], min_size=dim, max_size=dim)))
+    return np.array(rows, dtype=np.int8).reshape(-1, dim)
+
+
+@settings(max_examples=300, deadline=None)
+@given(int8_matrices())
+def test_check_norms_matches_the_int16_square_sum(arr):
+    norms = np.square(arr, dtype=np.int16).sum(axis=1, dtype=np.int64)
+    bad = np.flatnonzero(norms != SHELL_NORM)
+    if len(bad):
+        with pytest.raises(ValueError, match=f"^{bad[0]} {norms[bad[0]]}$"):
+            _check_norms(arr, "{i} {norm}")
+    else:
+        _check_norms(arr, "{i} {norm}")
+
+
+@settings(max_examples=200, deadline=None)
+@given(int8_matrices())
+def test_load_shell_parity_check_matches_the_min_max_rule(arr):
+    parities = np.abs(arr) % 2  # np.abs(-128) is -128 in int8: even
+    mixed = (parities.min(axis=1) != parities.max(axis=1)).any()
+    count, dim = arr.shape
+    body = "".join(" ".join(map(str, row)) + "\n" for row in arr.tolist())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "shell.txt"
+        path.write_text(f"latcert-shell v1 n={dim} count={count} scale=2sqrt2\n{body}")
+        try:
+            load_shell(path)
+            flagged = False
+        except ValueError as exc:  # other rows fail the norm or negation check
+            flagged = "mixed even/odd" in str(exc)
+    assert flagged == mixed
 
 
 def test_shell_equality_is_identity():

@@ -2,6 +2,7 @@ import itertools
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -423,7 +424,7 @@ CASES = ["canonical", "odd", "shuffled"]
 def test_column_counts_match_brute_force(case):
     V = _column_case(case)
     cols = np.array([0, 3, 17, len(V) - 1, 3])  # odd: pads with its last column
-    table = _column_counts(V.astype(np.float32), cols)
+    table = _column_counts(V, cols)
     assert np.array_equal(table, _brute_force_columns(V, cols))
 
 
@@ -439,7 +440,7 @@ def test_column_counts_of_paired_columns(case, cols):
     if cols == "antipode":
         cols = [j for i in (0, 40) for j in (i, *np.flatnonzero((V == -V[i]).all(axis=1)))]
     cols = np.array(cols)
-    table = _column_counts(V.astype(np.float32), cols)
+    table = _column_counts(V, cols)
     assert table.shape == (65, len(cols))
     assert np.array_equal(table, _brute_force_columns(V, cols))
 
@@ -455,7 +456,7 @@ def test_column_counts_match_brute_force_on_random_columns(shell, antipodal, shu
         V = V[data.draw(st.permutations(range(len(V))))]
     assert _folds(V) or not (antipodal and not shuffle)
     cols = np.array(data.draw(st.lists(st.integers(0, len(V) - 1), min_size=1, max_size=9)))
-    table = _column_counts(V.astype(np.float32), cols)
+    table = _column_counts(V, cols)
     assert np.array_equal(table, _brute_force_columns(V, cols))
 
 
@@ -473,8 +474,12 @@ def test_joint_tables_match_brute_force(shell, data):
     V = np.array(sorted(rows), dtype=np.int8)  # canonical and antipodal
     # shuffled, and one row short: an odd row count never folds
     W = V[data.draw(st.permutations(range(len(V))))][1:]
-    assert _folds(V) and not _folds(W)
-    for U in (V, W):
+    # sorted, but holding no row's negation: an even count, so the fold
+    # test must compare the rows to say no
+    X = V[len(V) // 2 :][: len(V) // 4 * 2]
+    cases = (V, W, X) if len(X) else (V, W)
+    assert _folds(V) and not any(_folds(U) for U in cases[1:])
+    for U in cases:
         index = st.integers(0, len(U) - 1)
         pairs = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=9))
         i = pairs[0][0]
@@ -482,7 +487,7 @@ def test_joint_tables_match_brute_force(shell, data):
         antipodes = np.flatnonzero((U == -U[i]).all(axis=1)).tolist()
         pairs += [(i, i), *((i, k) for k in antipodes), pairs[0]]
         a, b = np.array(pairs).T
-        tables = list(_joint_tables(U.astype(np.float32), a, b))
+        tables = list(_joint_tables(U, a, b))
         assert len(tables) == len(pairs)
         for (i, j), table in zip(pairs, tables):
             assert np.array_equal(table, _brute_force_joint(U, i, j))
@@ -531,6 +536,19 @@ def test_full_pass_uses_the_codeword_flip_group(request, code):
     hist = request.getfixturevalue(f"{code}_hist").result
     assert full.histogram.counts == hist.counts
     assert hist.counts == histogram_from_distribution(sampled.distribution, N).counts
+
+
+def test_full_pass_peak_memory(rm_shell):
+    # the kernel makes float32 only of the rows it counts: a whole-shell
+    # float32 copy is 4x the int8 rows on its own
+    shell = rm_shell.result
+    tracemalloc.start()
+    try:
+        check_distance_invariance(shell, ALL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * shell.vectors.nbytes
 
 
 def test_full_pass_on_shell_missing_an_antipodal_pair(rm_shell, rm_hist):
