@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import lpcert
-from .exactmath import parse_region, poly_from_json
+from .exactmath import parse_region, poly_from_json, rat
 from .gegenbauer import MAX_DEGREE, gegenbauer_expand
 
 
@@ -79,14 +79,18 @@ def cmd_build(args) -> int:
 
 def cmd_verify(args) -> int:
     from . import lattice32, sphercode
-    for flag, value in (("--sample", args.sample), ("--cap", args.cap)):
+    if args.full and (args.sample, args.seed) != (None, None):
+        raise ValueError("--full checks every point: --sample and --seed do not apply")
+    sample = 1000 if args.sample is None else args.sample
+    for flag, value in (("--sample", sample), ("--cap", args.cap)):
         if value < 1:
             raise ValueError(f"{flag} must be at least 1, got {value}")
     if args.cap > MAX_DEGREE:
         raise ValueError(f"--cap must be at most {MAX_DEGREE}, got {args.cap}")
     shell = lattice32.load_shell(args.shell)
-    mode = sphercode.ALL if args.full else args.sample
-    inv = sphercode.check_distance_invariance(shell, sample=mode, seed=args.seed)
+    mode = sphercode.ALL if args.full else sample
+    seed = 0 if args.seed is None else args.seed
+    inv = sphercode.check_distance_invariance(shell, sample=mode, seed=seed)
     if args.full:
         # exact global pair counts, from the same pass
         hist = inv.histogram
@@ -136,7 +140,7 @@ def cmd_verify(args) -> int:
 def cmd_certify_max(args) -> int:
     poly = _load_poly(args.poly)
     cert = lpcert.certify_max_code(
-        poly, args.dim, parse_region(args.T), Fraction(args.s), args.strength
+        poly, args.dim, parse_region(args.T), rat(args.s), args.strength
     )
     _emit({"command": "certify-max", **cert.to_json_dict()}, args.format)
     return 0 if cert.valid else 1
@@ -296,11 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="full spherical-code report for a shell")
     p.add_argument("--shell", required=True)
-    p.add_argument("--sample", type=int, default=1000,
-                   help="points for the sampled invariance check")
+    p.add_argument("--sample", type=int,
+                   help="points for the sampled invariance check (default 1000)")
     p.add_argument("--full", action="store_true",
                    help="gated full per-point invariance pass")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="sample seed (default 0)")
     p.add_argument("--cap", type=int, default=12, help="moment scan cap")
     p.set_defaults(fn=cmd_verify)
 

@@ -179,7 +179,7 @@ def potential_by_spec(spec: str) -> Potential:
     if name == "riesz":
         return riesz(int(arg))
     if name == "gauss":
-        return gauss(Fraction(arg))
+        return gauss(arg)
     raise ValueError(f"unknown potential {spec!r}")
 
 

@@ -13,11 +13,17 @@ from fractions import Fraction
 
 
 def rat(x) -> Fraction:
-    """Coerce an int, string like ``"p/q"``, or Fraction to an exact Fraction."""
+    """Coerce an int, string like ``"p/q"``, or Fraction to an exact Fraction;
+    ValueError naming a string that is not one, such as ``"1/0"``."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, int):
         return Fraction(x)
+    if isinstance(x, str):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"not an exact rational: {x!r}") from None
     raise TypeError(f"not an exact rational: {x!r}")
 
 
@@ -272,12 +278,10 @@ def parse_region(text: str) -> IntervalRegion:
         return EMPTY_REGION
     ivs = []
     for part in s.replace("u", "U").split("U"):
-        if len(part) < 5 or part[0] not in "([" or part[-1] not in ")]":
+        ends = part[1:-1].split(",")
+        if len(part) < 5 or part[0] not in "([" or part[-1] not in ")]" or len(ends) != 2:
             raise ValueError(f"bad interval syntax: {part!r}")
-        lo_s, hi_s = part[1:-1].split(",")
-        ivs.append(
-            Interval(Fraction(lo_s), Fraction(hi_s), part[0] == "[", part[-1] == "]")
-        )
+        ivs.append(Interval(rat(ends[0]), rat(ends[1]), part[0] == "[", part[-1] == "]"))
     return region_union(IntervalRegion(tuple(sorted(ivs, key=lambda i: (i.lo, i.hi)))))
 
 
@@ -365,7 +369,7 @@ def poly_from_json(obj) -> FactoredPolynomial:
         f = obj["factored"]
         leading = Fraction(f["leading"])
         pairs = [(Fraction(r), int(m)) for r, m in f["factors"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(
             'polynomial JSON must be {"factored": {"leading": "p/q", '
             '"factors": [["root", "multiplicity"], ...]}}'

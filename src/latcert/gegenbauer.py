@@ -174,14 +174,13 @@ def distribution_from_design(I, N: int, n: int, tau: int) -> DistanceDistributio
     if len(set(nodes)) != d or Fraction(1) in nodes:
         raise ValueError("singular system: duplicate quadrature nodes")
     pts = nodes + [Fraction(1)]
-    f0 = [gegenbauer_expand(n, Polynomial.monomial(k)).coeffs[0] for k in range(d + 1)]
     sol = []
     for t in pts:
         prod = Polynomial([1])  # prod(t) L_t: x - u multiplied over the nodes u != t
         for u in pts:
             if u != t:
                 prod = prod * Polynomial([-u, 1])
-        sol.append(N * sum(c * m for c, m in zip(prod.coeffs, f0)) / prod(t))
+        sol.append(N * integrate_weighted(n, prod) / prod(t))
     for t, a in zip(pts, sol):
         if a < 0:
             raise ValueError(f"negative distribution entry A_{t} = {a}")

@@ -23,13 +23,13 @@ Pair statistics (the column counts of ``sphercode`` and Venkov's e_{2,2})
 come from one kernel that counts dot values for two columns a, b at a time
 in blocked float32 matrix products: the dots with s_a + 65 s_b are
 d_a + 65 d_b, and one bincount of them gives the pair's 65 x 65 joint
-table.  Every vector has s.s = 32 (checked), so |entry| <= 5 and, by
-Cauchy-Schwarz, every partial sum is an integer of absolute value at most
-66 * 32 = 2112 < 2^24: the float path is exact.  When the rows end with the
-first half negated in reverse order, as a canonical antipodal shell's rows
-do, only the first half is counted and each table gets its reverse added.
-The kernel takes the int8 rows and converts only the rows it counts, and
-the combined columns, to float32.
+table.  Every vector has s.s = 32 (a Shell invariant), so |entry| <= 5
+and, by Cauchy-Schwarz, every partial sum is an integer of absolute value
+at most 66 * 32 = 2112 < 2^24: the float path is exact.  When the rows end
+with the first half negated in reverse order, as the rows of a shell closed
+under negation do, only the first half is counted and each table gets its
+reverse added.  The kernel takes the int8 rows and converts only the rows
+it counts, and the combined columns, to float32.
 """
 
 from __future__ import annotations
@@ -54,10 +54,34 @@ class Shell:
     `dim` is also the sphere dimension used for Gegenbauer analysis; the
     lattice construction always produces dim = 32, smaller synthetic shells
     are used in tests.
+
+    The constructor checks the invariants every kernel relies on, with
+    ValueError, and stores a read-only, C-contiguous sorted copy of the
+    rows: there is a row, no row repeats and every row has s.s = 32.  That
+    bounds |entry| <= 5, so negation stays exact in int8, the row keys'
+    nibbles hold every entry, and every partial sum of a dot is at most 32
+    in absolute value, so float32 dots are exact integers.
     """
 
     vectors: np.ndarray  # (N, dim) int8, lexicographically sorted, no duplicates
     dim: int = 32
+
+    def __post_init__(self):
+        arr = np.asarray(self.vectors, dtype=np.int8)
+        if arr.ndim != 2:
+            raise ValueError("shell vectors must form a 2-d array")
+        if arr.shape[1] != self.dim:
+            raise ValueError(f"expected {self.dim} coordinates per vector, "
+                             f"got {arr.shape[1]}")
+        if not len(arr):
+            raise ValueError("need a nonempty shell")
+        # first: s.s = 32 bounds |entry| <= 5, inside the row keys' range
+        _check_norms(arr, "vector {i} has s.s = {norm}, expected 32")
+        srt, dups = _canonical_sort(arr)
+        if dups:
+            raise ValueError("duplicate shell vectors")
+        srt.setflags(write=False)
+        object.__setattr__(self, "vectors", srt)
 
     @property
     def count(self) -> int:
@@ -74,8 +98,7 @@ class Shell:
             return -1
         # each row compared as one dim-byte record
         record = np.dtype((np.void, self.dim))
-        rows = np.ascontiguousarray(self.vectors).view(record)[:, 0]
-        hits = np.flatnonzero(rows == row.view(record)[0])
+        hits = np.flatnonzero(self.vectors.view(record)[:, 0] == row.view(record)[0])
         return int(hits[0]) if len(hits) else -1
 
 
@@ -119,24 +142,23 @@ def _check_norms(vectors: np.ndarray, message: str) -> None:
         raise ValueError(message.format(i=int(bad[0]), norm=int(norms[bad[0]])))
 
 
+def _folds(V: np.ndarray) -> bool:
+    """Whether the second half of the rows is the first half negated in
+    reverse order; an odd count never folds.  On a Shell this is closure
+    under negation, since its rows are sorted and distinct, none is zero,
+    and negation reverses the order of such rows."""
+    half = len(V) // 2
+    return np.array_equal(-V[half:][::-1], V[:half])
+
+
 def make_shell(vectors, dim: int | None = None) -> Shell:
+    """The Shell of the rows (dim defaults to their length); ValueError
+    unless it is also closed under negation."""
     arr = np.asarray(vectors, dtype=np.int8)
-    if arr.ndim != 2:
-        raise ValueError("shell vectors must form a 2-d array")
-    if dim is None:
-        dim = arr.shape[1]
-    if arr.shape[1] != dim:
-        raise ValueError(f"expected {dim} coordinates per vector, got {arr.shape[1]}")
-    # first: s.s = 32 bounds |entry| <= 5, inside the row keys' range
-    _check_norms(arr, "vector {i} has s.s = {norm}, expected 32")
-    srt, dups = _canonical_sort(arr)
-    if dups:
-        raise ValueError("duplicate shell vectors")
-    # negation reverses the order of distinct rows
-    if not np.array_equal(-srt[::-1], srt):
+    shell = Shell(arr, arr.shape[1] if dim is None and arr.ndim == 2 else dim)
+    if not _folds(shell.vectors):
         raise ValueError("shell is not closed under negation")
-    srt.setflags(write=False)
-    return Shell(srt, dim)
+    return shell
 
 
 _NOT_EXTREMAL = "code has weight-4 words; lattice is not extremal"
@@ -243,32 +265,19 @@ def venkov_e22(shell: Shell, x, z) -> int:
         raise ValueError(
             f"invalid Venkov pair: lattice inner product is {int(x @ z) // 8}, not 0"
         )
-    (table,) = _joint_tables(_checked_rows(shell.vectors), [i], [j])
+    (table,) = _joint_tables(shell.vectors, [i], [j])
     return int(table[_E22_BIN, _E22_BIN])
 
 
-def _checked_rows(vectors: np.ndarray) -> np.ndarray:
-    """The int8 rows, once there is a row and every row is checked to have
-    s.s = 32.  That bounds |entry| <= 5, so negation stays exact in int8,
-    and every partial sum of a dot by 32, so float32 dots are exact
-    integers."""
-    if not len(vectors):
-        raise ValueError("pair pass needs a nonempty shell")
-    _check_norms(vectors, "pair pass needs s.s = 32 for every vector; "
-                 "vector {i} has s.s = {norm}")
-    return vectors
-
-
 def _joint_tables(V: np.ndarray, a, b):
-    """Yield, for each pair (a[k], b[k]) of rows of V (from _checked_rows),
-    the (65, 65) table whose entry [d_b + 32, d_a + 32] counts the rows x
+    """Yield, for each pair (a[k], b[k]) of rows of V (a Shell's rows), the
+    (65, 65) table whose entry [d_b + 32, d_a + 32] counts the rows x
     with s_x.s_a = d_a and s_x.s_b = d_b: the key is the exact float32 dot
     (s_a + 65 s_b).x + 66 * 32, in [0, 4224].  Folded rows count the first
     half only, and -x has dots (-d_a, -d_b), so the table gets its reverse
     added."""
-    half = len(V) // 2
-    fold = np.array_equal(-V[half:][::-1], V[:half])
-    rows = (V[:half] if fold else V).astype(np.float32)  # the counted rows only
+    fold = _folds(V)
+    rows = (V[: len(V) // 2] if fold else V).astype(np.float32)  # the counted rows only
     P = V[a] + _BINS * V[b].astype(np.float32)
     step = max(1, 2**20 // len(rows))  # about 2^20 float32 per block
     for j0 in range(0, len(P), step):
@@ -297,7 +306,7 @@ def venkov_sample(shell: Shell, count: int, seed: int) -> list:
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = random.Random(seed)
-    V = _checked_rows(shell.vectors)
+    V = shell.vectors
     n = shell.count
     pairs = []
     budget = 10000 * count
@@ -320,10 +329,8 @@ _HEADER = "latcert-shell v1"
 
 
 def save_shell(shell: Shell, path) -> None:
-    """Write the header and one line per row, entries separated by spaces;
-    ValueError, before the file is opened, unless every row has s.s = 32."""
+    """Write the header and one line per row, entries separated by spaces."""
     # s.s = 32 bounds |entry| <= 5, so each entry is an optional '-' and one digit
-    _check_norms(shell.vectors, "cannot save vector {i}: s.s = {norm}, expected 32")
     with open(path, "wb") as fh:
         fh.write(f"{_HEADER} n={shell.dim} count={shell.count} scale=2sqrt2\n".encode())
         for start in range(0, shell.count, 8192):

@@ -34,7 +34,7 @@ import numpy as np
 from .exactmath import Polynomial
 from .gegenbauer import (DistanceDistribution, InnerProductHistogram,
                          gegenbauer_expand, gegenbauer_poly)
-from .lattice32 import SHELL_NORM, Shell, _checked_rows, _joint_tables, _row_keys
+from .lattice32 import SHELL_NORM, Shell, _joint_tables, _row_keys
 
 ALL = "all"
 
@@ -100,26 +100,25 @@ def _candidate_flips(vectors: np.ndarray) -> list:
     return basis + [np.ones_like(neg)] if neg.any() else basis
 
 
-def _packed(bits: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """Per row, the coordinates where bits holds as one uint64: a coordinate
-    sets the bit of its rank within the row's support.  The support has at
-    most 32 coordinates, as s.s = 32."""
-    packed = np.zeros(len(bits), dtype=np.uint64)
-    rank = np.zeros(len(bits), dtype=np.uint8)
-    for b, s in zip(bits.T, support.T):
-        packed |= np.left_shift(b, rank, dtype=np.uint64)
-        rank += s
+def _packed(rows: np.ndarray) -> np.ndarray:
+    """Per row, its minus signs as one uint64: a negative coordinate sets the
+    bit of its rank among the row's nonzero coordinates.  A row has at most
+    32 of them, as s.s = 32."""
+    packed = np.zeros(len(rows), dtype=np.uint64)
+    rank = np.zeros(len(rows), dtype=np.uint8)
+    for col in rows.T:
+        packed |= np.left_shift(col < 0, rank, dtype=np.uint64)
+        rank += col != 0
     return packed
 
 
 def _orbit_pass(vectors: np.ndarray):
-    """The exact pair pass: (representatives, orbit sizes, (65, reps) column
-    table, group order).  Each orbit of the verified flip group is represented
-    by its smallest index, and every point's distribution is its
-    representative's column."""
-    V = _checked_rows(vectors)  # first: the row keys need |entry| < 8
-    reps, sizes, group_order = _orbits(V)  # its labels are freed here
-    return reps, sizes, _column_counts(V, reps), group_order
+    """The exact pair pass over a Shell's rows: (representatives, orbit
+    sizes, (65, reps) column table, group order).  Each orbit of the
+    verified flip group is represented by its smallest index, and every
+    point's distribution is its representative's column."""
+    reps, sizes, group_order = _orbits(vectors)  # its labels are freed here
+    return reps, sizes, _column_counts(vectors, reps), group_order
 
 
 def _orbits(vectors: np.ndarray):
@@ -135,13 +134,13 @@ def _orbits(vectors: np.ndarray):
     first[1:] = (mags[1:] != mags[:-1]).any(axis=1)
     cls = np.empty(len(vectors), dtype=np.intp)
     cls[order] = np.cumsum(first) - 1
-    keys = cls.astype(np.uint64) << 32 | _packed(vectors < 0, vectors != 0)
+    keys = cls.astype(np.uint64) << 32 | _packed(vectors)
 
-    support = vectors[order[first]] != 0  # one row per class
+    mags = np.abs(vectors[order[first]])  # one row per class
     ref = np.sort(keys)
     kept = []
     for flip in _candidate_flips(vectors):
-        mask = _packed(support & flip, support)
+        mask = _packed(np.where(flip, -mags, mags))
         if np.array_equal(np.sort(keys ^ mask[cls]), ref):
             kept.append(mask)
     for i, mask in enumerate(kept):
@@ -217,7 +216,7 @@ def check_distance_invariance(
         k = min(int(sample), n)
         rng = np.random.default_rng(seed)
         cols = np.sort(rng.choice(n, size=k, replace=False))
-        table = _column_counts(_checked_rows(vectors), cols)
+        table = _column_counts(vectors, cols)
         mode, checked, group_order, hist = "sampled", k, 1, None
 
     ref = table[:, 0]

@@ -205,6 +205,24 @@ def test_build_checks_the_code_once(tmp_path, monkeypatch, capsys, code, rc):
     assert json.loads(capsys.readouterr().out)["valid"] is (rc == 0)
 
 
+@pytest.mark.parametrize("argv", [
+    ["build", "--code", "rm2_5", "--out", "{out}"],
+    ["verify", "--shell", "{shell}", "--full"],
+    ["venkov", "--shell", "{shell}", "--witness", "--sample", "5"],
+], ids=["build", "verify-full", "venkov"])
+def test_shell_commands_check_the_norms_once(shell_file, tmp_path, monkeypatch, capsys,
+                                             argv):
+    # s.s = 32 is checked when the Shell is made, not again by a pass or a save
+    calls = []
+    check_norms = lattice32._check_norms
+    monkeypatch.setattr(lattice32, "_check_norms",
+                        lambda *a: calls.append(1) or check_norms(*a))
+    argv = [a.format(out=tmp_path / "s.shell", shell=shell_file) for a in argv]
+    assert main(argv) == 0
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["valid"] is True
+
+
 def test_venkov_witness_and_sample(shell_file):
     proc = run_cli(
         "venkov", "--shell", str(shell_file), "--witness", "--sample", "5",
@@ -310,6 +328,37 @@ def test_verify_rejects_sample_or_cap_below_one(tmp_path, flag, value):
     assert proc.returncode == 2, proc.stderr
     bound = "at most 64" if int(value) > 1 else "at least 1"
     assert proc.stderr == f"error: {flag} must be {bound}, got {value}\n"
+
+
+@pytest.mark.parametrize("extra", [["--sample=5"], ["--seed=9"], ["--sample=5", "--seed=9"],
+                                   ["--sample=1000"]])
+def test_verify_full_rejects_sample_and_seed(tmp_path, extra):
+    # --full checks every point, so a sample size or seed would be ignored;
+    # the flags are checked before the shell is read
+    proc = run_cli("verify", "--shell", str(tmp_path / "missing.shell"), "--full", *extra)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "error: --full checks every point: --sample and --seed do not apply\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["certify-max", "--poly", "builtin:maxcode", "--s", "1/0", "--strength", "3"], "'1/0'"),
+    (["certify-max", "--poly", "builtin:maxcode", "--T", "(0,1/0)", "--s", "1/2",
+      "--strength", "3"], "'1/0'"),
+    (["certify-design", "--poly", "builtin:mindesign", "--T", "(0,1/4,1)", "--tau", "7"],
+     "bad interval syntax: '(0,1/4,1)'"),
+    (["energy", "--potential", "gauss:1/0"], "'1/0'"),
+    (["certify-design", "--poly", "{poly}", "--tau", "7"], "polynomial JSON must be"),
+], ids=["s", "T", "T-three-ends", "gauss", "poly-leading"])
+def test_malformed_rationals_exit_two(tmp_path, argv, message):
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps({"factored": {"leading": "1/0", "factors": [["1/2", "1"]]}}))
+    proc = run_cli(*(a.format(poly=poly) for a in argv))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ") and message in line
+    assert "Traceback" not in proc.stderr
 
 
 def test_verify_full_runs_one_orbit_pass(small_shell_file, monkeypatch, capsys):

@@ -149,11 +149,10 @@ def test_save_shell_matches_the_token_writer(request, tmp_path, code):
 
 
 def test_save_shell_rejects_vectors_off_norm(tmp_path):
-    # an entry of 7 has no one-digit token; it must not reach the file
-    sh = Shell(np.array([[7, 0, 0, 0], [-7, 0, 0, 0]], dtype=np.int8), 4)
+    # an entry of 7 has no one-digit token; no Shell holds it, so no file does
     path = tmp_path / "shell.txt"
-    with pytest.raises(ValueError, match="cannot save vector 0: s.s = 49, expected 32"):
-        save_shell(sh, path)
+    with pytest.raises(ValueError, match="vector 0 has s.s = 49, expected 32"):
+        save_shell(Shell(np.array([[7, 0, 0, 0], [-7, 0, 0, 0]], dtype=np.int8), 4), path)
     assert not path.exists()
 
 
@@ -214,9 +213,10 @@ def test_index_of_finds_every_row_and_rejects_non_members():
     assert sh.index_of([4, -4, 0, 0]) == -1
     assert sh.index_of(np.array([260, 4, 0, 0])) == -1  # not wrapped to int8
     assert sh.index_of([4.5, 4, 0, 0]) == -1  # not truncated to int8
-    # rows that are not one contiguous block
+    # rows that are not one contiguous block are stored sorted, as one block
     flipped = Shell(sh.vectors[::-1], 4)
-    assert [flipped.index_of(row) for row in sh.vectors] == list(range(sh.count))[::-1]
+    assert flipped.vectors.flags.c_contiguous
+    assert [flipped.index_of(row) for row in sh.vectors] == list(range(sh.count))
 
 
 @pytest.mark.parametrize("probe, shape", [([4], "(1,)"), ([[4, 4]], "(1, 2)"),

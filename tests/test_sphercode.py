@@ -289,6 +289,29 @@ def flip_closed_shells(draw, dims=(4, 8)):
     return Shell(np.array(rows, dtype=np.int8), dim)
 
 
+@settings(max_examples=200, deadline=None)
+@given(flip_closed_shells(), st.booleans(), st.data())
+def test_shell_sorts_its_rows_and_make_shell_checks_negation(shell, antipodal, data):
+    rows = {tuple(r) for r in shell.vectors.tolist()}
+    if antipodal:
+        rows |= {tuple(-v for v in r) for r in rows}
+    drawn = np.array(data.draw(st.permutations(sorted(rows))), dtype=np.int8)
+    layout = data.draw(st.sampled_from(["C", "reversed", "Fortran"]))
+    arr = {"C": drawn, "reversed": drawn[::-1], "Fortran": np.asfortranarray(drawn)}[layout]
+    made = Shell(arr, shell.dim)
+    assert made.vectors.tolist() == [list(r) for r in sorted(rows)]
+    assert made.vectors.flags.c_contiguous and not made.vectors.flags.writeable
+    assert not np.shares_memory(made.vectors, drawn)
+    closed = {tuple(-v for v in r) for r in rows} == rows
+    try:
+        make_shell(arr)
+        accepted = True
+    except ValueError as exc:
+        assert str(exc) == "shell is not closed under negation"
+        accepted = False
+    assert accepted == closed
+
+
 def _assert_matches_brute_force(shell):
     D = shell.vectors.astype(np.int64) @ shell.vectors.astype(np.int64).T
     per_point = [{Fraction(v, 32): c for v, c in Counter(r.tolist()).items()} for r in D]
@@ -502,22 +525,19 @@ def test_sampled_invariance_rejects_sample_below_one(small_antipodal_shell, samp
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_pair_passes_reject_vectors_off_norm(flags):
     # an entry of 6 puts dots outside the 65 bins; s.s = 4 is merely off-norm.
-    # Both must raise a ValueError, also under -O, which drops asserts.
+    # No Shell holds either, so no pass sees them: the constructor raises a
+    # ValueError, also under -O, which drops asserts.
     script = (
         "import numpy as np\n"
         "from latcert.lattice32 import Shell\n"
-        "from latcert.sphercode import ALL, check_distance_invariance, histogram\n"
         "for rows in ([[6, 0, 0, 0], [-6, 0, 0, 0]], [[2, 0, 0, 0], [-2, 0, 0, 0]]):\n"
-        "    sh = Shell(np.array(rows, dtype=np.int8), 4)\n"
-        "    for run in (histogram, lambda s: check_distance_invariance(s, ALL),\n"
-        "                lambda s: check_distance_invariance(s, 2)):\n"
-        "        try:\n"
-        "            run(sh)\n"
-        "        except ValueError as exc:\n"
-        "            if 'needs s.s = 32' not in str(exc):\n"
-        "                raise\n"
-        "        else:\n"
-        "            raise SystemExit(f'accepted {rows}')\n"
+        "    try:\n"
+        "        Shell(np.array(rows, dtype=np.int8), 4)\n"
+        "    except ValueError as exc:\n"
+        "        if 'vector 0 has s.s = ' not in str(exc):\n"
+        "            raise\n"
+        "    else:\n"
+        "        raise SystemExit(f'accepted {rows}')\n"
     )
     proc = subprocess.run([sys.executable, *flags, "-c", script],
                           capture_output=True, text=True)
@@ -574,12 +594,11 @@ def test_full_pass_on_shell_missing_an_antipodal_pair(rm_shell, rm_hist):
 
 
 def test_pair_passes_reject_an_empty_shell(tmp_path):
+    # no Shell is empty, so no pass sees one
     p = tmp_path / "empty.txt"
     p.write_text("latcert-shell v1 n=4 count=0 scale=2sqrt2\n")
-    loaded = load_shell(p)
-    assert loaded.vectors.shape == (0, 4)
-    for sh in (loaded, make_shell(np.zeros((0, 4), dtype=np.int8))):
-        for run in (histogram, lambda s: check_distance_invariance(s, ALL),
-                    lambda s: check_distance_invariance(s, 10)):
-            with pytest.raises(ValueError, match="pair pass needs a nonempty shell"):
-                run(sh)
+    empty = np.zeros((0, 4), dtype=np.int8)
+    for make in (lambda: load_shell(p), lambda: make_shell(empty),
+                 lambda: Shell(empty, 4)):
+        with pytest.raises(ValueError, match="nonempty shell"):
+            make()
