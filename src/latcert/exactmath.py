@@ -17,7 +17,7 @@ def rat(x) -> Fraction:
     ValueError naming a string that is not one, such as ``"1/0"``."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if type(x) is int:  # a bool is not a rational
         return Fraction(x)
     if isinstance(x, str):
         try:
@@ -363,15 +363,33 @@ def poly_to_json(p: FactoredPolynomial) -> dict:
     }
 
 
+_POLY_JSON_SHAPE = ('polynomial JSON must be {"factored": {"leading": "p/q", '
+                    '"factors": [["root", "multiplicity"], ...]}}')
+
+
+def _multiplicity(m) -> int:
+    """m as an int, from an int or a string of one; ValueError naming
+    anything else, such as 1.5, which int() would truncate."""
+    try:
+        if type(m) is int or isinstance(m, str):  # not a bool or a float
+            return int(m)
+    except ValueError:
+        pass
+    raise ValueError(f"not an integer multiplicity: {m!r}")
+
+
 def poly_from_json(obj) -> FactoredPolynomial:
-    """Inverse of poly_to_json; ValueError naming that shape for anything else."""
+    """Inverse of poly_to_json; ValueError naming that shape for anything
+    else, and naming a value that is not an exact rational (a JSON float is
+    not) or an integer multiplicity."""
     try:
         f = obj["factored"]
-        leading = Fraction(f["leading"])
-        pairs = [(Fraction(r), int(m)) for r, m in f["factors"]]
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ValueError(
-            'polynomial JSON must be {"factored": {"leading": "p/q", '
-            '"factors": [["root", "multiplicity"], ...]}}'
-        ) from exc
+        leading, factors = f["leading"], [(r, m) for r, m in f["factors"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(_POLY_JSON_SHAPE) from exc
+    try:
+        leading = rat(leading)
+        pairs = [(rat(r), _multiplicity(m)) for r, m in factors]
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{_POLY_JSON_SHAPE}: {exc}") from exc
     return factored(leading, pairs)

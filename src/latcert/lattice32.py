@@ -34,6 +34,7 @@ it counts, and the combined columns, to float32.
 
 from __future__ import annotations
 
+import os
 import random
 import warnings
 from dataclasses import dataclass
@@ -343,25 +344,89 @@ def save_shell(shell: Shell, path) -> None:
             fh.write(text.tobytes().replace(b"\0", b""))
 
 
-def load_shell(path) -> Shell:
+def _parse_header(header: str, path) -> tuple:
+    """(dim, count) of a stripped header line; ValueError naming the path."""
+    parts = header.split()
+    fields = dict(p.split("=", 1) for p in parts[2:] if "=" in p)
+    dim, count = fields.get("n", ""), fields.get("count", "")
+    if (parts[:2] != _HEADER.split() or len(parts) != 5 or len(fields) != 3
+            or not (dim.isdecimal() and count.isdecimal()) or int(dim) < 1):
+        raise ValueError(f"{path}: bad shell header {header!r}")
+    if fields.get("scale") != "2sqrt2":
+        raise ValueError(f"{path}: unsupported scale {fields.get('scale')!r}")
+    return int(dim), int(count)
+
+
+def _read_saved(path):
+    """(dim, count, rows) of a file in the grammar save_shell writes, or None
+    for any other file.  That grammar is an ASCII header line without '\r',
+    then lines of dim tokens, each an optional '-' and one digit followed
+    by a space, the last token of a line by a newline instead.
+
+    The body is read in blocks of about 2^19 bytes cut at newlines into one
+    int8 array of min(count, body bytes // (2 dim)) rows, since a row takes
+    at least 2 dim bytes: a header count or dim that the body cannot hold
+    allocates nothing for it."""
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        if b"\r" in line:  # text mode would end the header line there
+            return None
+        try:
+            dim, count = _parse_header(line.decode("ascii").strip(), path)
+        except ValueError:  # also non-ASCII: the text reader gives the message
+            return None
+        room = min(count, (os.fstat(fh.fileno()).st_size - fh.tell()) // (2 * dim))
+        if not room:  # an empty body, or no row fits: the text reader
+            return None
+        out = np.empty((room, dim), dtype=np.int8)
+        seps = np.full(dim, ord(" "), dtype=np.uint8)
+        seps[-1] = ord("\n")
+        rows = 0
+        while block := fh.read(max(2**19, 3 * dim)):  # holds a whole line
+            cut = block.rfind(b"\n") + 1
+            if not cut:  # no final newline, or a line longer than 3 dim bytes
+                return None
+            fh.seek(cut - len(block), os.SEEK_CUR)
+            block = block[:cut]
+            # the k-th '-' (from 0), at byte i, precedes byte i - k of the block
+            # without them: a token's digit slot (even), and no two share one
+            at = np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == ord("-"))
+            at -= np.arange(len(at))
+            text = np.frombuffer(block.translate(None, b"-"), dtype=np.uint8)
+            if len(text) % (2 * dim) or (at & 1).any() or (np.diff(at) == 0).any():
+                return None
+            grid = text.reshape(-1, dim, 2)  # (digit, separator) per token
+            digits = grid[..., 0] - np.uint8(ord("0"))  # wraps above 9 if not a digit
+            if (digits > 9).any() or (grid[..., 1] != seps).any():
+                return None
+            if rows + len(grid) > len(out):  # more rows than the header count
+                return None
+            new = out[rows : rows + len(grid)]
+            new[...] = digits
+            new.reshape(-1)[at >> 1] *= -1
+            rows += len(grid)
+    return dim, count, out[:rows]
+
+
+def _read_text(path):
+    """(dim, count, rows) of any file np.loadtxt reads as a shell file;
+    ValueError (UnicodeDecodeError for a byte that is not UTF-8) otherwise."""
     with open(path) as fh:
-        header = fh.readline().strip()
-        parts = header.split()
-        fields = dict(p.split("=", 1) for p in parts[2:] if "=" in p)
-        dim, count = fields.get("n", ""), fields.get("count", "")
-        if (parts[:2] != _HEADER.split() or len(parts) != 5 or len(fields) != 3
-                or not (dim.isdecimal() and count.isdecimal()) or int(dim) < 1):
-            raise ValueError(f"{path}: bad shell header {header!r}")
-        if fields.get("scale") != "2sqrt2":
-            raise ValueError(f"{path}: unsupported scale {fields.get('scale')!r}")
-        dim, count = int(dim), int(count)
+        dim, count = _parse_header(fh.readline().strip(), path)
         # ValueError on ragged rows and on tokens that are not int8 integers
         with warnings.catch_warnings():  # an empty body is rejected downstream
             warnings.simplefilter("ignore", UserWarning)
             arr = np.loadtxt(fh, dtype=np.int8, ndmin=2, comments=None)
     if arr.size and arr.shape[1] != dim:
         raise ValueError(f"{path}: expected {dim} coordinates, got {arr.shape[1]}")
-    arr = arr.reshape(-1, dim)
+    return dim, count, arr.reshape(-1, dim)
+
+
+def load_shell(path) -> Shell:
+    """The Shell of a shell file.  A file in the grammar save_shell writes
+    is parsed directly; any other file goes through np.loadtxt, which gives
+    every other accepted spelling and every error message."""
+    dim, count, arr = _read_saved(path) or _read_text(path)
     if len(arr) != count:
         raise ValueError(f"{path}: header says {count} vectors, found {len(arr)}")
     odd = (arr & 1).sum(axis=1)  # per row; two's complement keeps parity

@@ -1,5 +1,6 @@
 import random
 import time
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 from latcert.energycert import Potential
 from latcert.exactmath import Polynomial, rat
 from latcert.gf2codes import BinaryCode, extended_quadratic_residue_32, reed_muller_2_5
-from latcert.lattice32 import build_shell
+from latcert.lattice32 import _HEADER, build_shell, make_shell
 from latcert.sphercode import ALL, check_distance_invariance, histogram
 
 
@@ -75,6 +76,35 @@ def save_shell_by_tokens(shell, path) -> None:
         for start in range(0, shell.count, 8192):
             block = shell.vectors[start : start + 8192].astype(np.intp) + 128
             fh.write("".join(" ".join(row) + "\n" for row in _TOKENS[block].tolist()))
+
+
+def load_shell_by_loadtxt(path):
+    """Reference shell reader: every file goes through np.loadtxt, so it
+    gives the shell, or the exception and message, load_shell must give."""
+    with open(path) as fh:
+        header = fh.readline().strip()
+        parts = header.split()
+        fields = dict(p.split("=", 1) for p in parts[2:] if "=" in p)
+        dim, count = fields.get("n", ""), fields.get("count", "")
+        if (parts[:2] != _HEADER.split() or len(parts) != 5 or len(fields) != 3
+                or not (dim.isdecimal() and count.isdecimal()) or int(dim) < 1):
+            raise ValueError(f"{path}: bad shell header {header!r}")
+        if fields.get("scale") != "2sqrt2":
+            raise ValueError(f"{path}: unsupported scale {fields.get('scale')!r}")
+        dim, count = int(dim), int(count)
+        # ValueError on ragged rows and on tokens that are not int8 integers
+        with warnings.catch_warnings():  # an empty body is rejected downstream
+            warnings.simplefilter("ignore", UserWarning)
+            arr = np.loadtxt(fh, dtype=np.int8, ndmin=2, comments=None)
+    if arr.size and arr.shape[1] != dim:
+        raise ValueError(f"{path}: expected {dim} coordinates, got {arr.shape[1]}")
+    arr = arr.reshape(-1, dim)
+    if len(arr) != count:
+        raise ValueError(f"{path}: header says {count} vectors, found {len(arr)}")
+    odd = (arr & 1).sum(axis=1)  # per row; two's complement keeps parity
+    if ((odd > 0) & (odd < dim)).any():
+        raise ValueError(f"{path}: vector with mixed even/odd coordinates")
+    return make_shell(arr, dim)
 
 
 def norm32_magnitudes(dim: int) -> list:

@@ -361,6 +361,25 @@ def test_malformed_rationals_exit_two(tmp_path, argv, message):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("leading, factor, message", [
+    (0.1, ["1/4", 1], "not an exact rational: 0.1"),
+    ("1", [0.5, 1], "not an exact rational: 0.5"),
+    ("1", ["1/4", 1.5], "not an integer multiplicity: 1.5"),
+    ("1", [True, 1], "not an exact rational: True"),
+], ids=["float-leading", "float-root", "fractional-multiplicity", "bool-root"])
+def test_poly_json_values_must_be_exact(tmp_path, leading, factor, message):
+    # a JSON float is a binary value, int() would truncate 1.5 to 1, and
+    # true is not 1
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps({"factored": {"leading": leading,
+                                             "factors": [["-1/2", 1], factor]}}))
+    proc = run_cli("certify-design", "--poly", str(poly), "--tau", "3")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ") and line.endswith(message)
+
+
 def test_verify_full_runs_one_orbit_pass(small_shell_file, monkeypatch, capsys):
     calls = []
     orbit_pass = sphercode._orbit_pass
@@ -394,6 +413,40 @@ def test_malformed_shell_file_exits_two(tmp_path, header, body, message):
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: ") and message in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("edit, rc, stderr", [
+    (lambda b: b.replace(b"v1", b"v1\xff", 1), 2,
+     "error: 'utf-8' codec can't decode byte 0xff in position 16: invalid start byte\n"),
+    (lambda b: b.replace(b" 4", b" 4\xff", 1), 2,
+     "error: 'utf-8' codec can't decode byte 0xff in position 81: invalid start byte\n"),
+    (lambda b: b.replace(b"\n", b"\r\n"), 0, ""),
+    (lambda b: b[:-1], 0, ""),
+], ids=["non-utf-8-header", "non-utf-8-body", "crlf", "no-final-newline"])
+def test_shell_files_outside_the_saved_grammar(small_shell_file, tmp_path, edit, rc, stderr):
+    # read by np.loadtxt as before: the same shell, or the same error line
+    path = tmp_path / "edited.shell"
+    path.write_bytes(edit(small_shell_file.read_bytes()))
+    proc = run_cli("verify", "--shell", str(path), "--full")
+    assert (proc.returncode, proc.stderr) == (rc, stderr)
+    if rc == 0:
+        assert proc.stdout == run_cli("verify", "--shell", str(small_shell_file), "--full").stdout
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("body, message", [
+    ("4 4 0 0\n-4 -4 0 4-\n", "could not convert string '4-' to int8"),
+    ("4 4 0 0\n-4 -4 0\n", "the number of columns changed from 4 to 3"),
+], ids=["bad-token", "ragged-row"])
+def test_shell_grammar_checks_hold_under_optimize(tmp_path, flags, body, message):
+    # -O drops asserts: the reader's checks must still send these to an error line
+    path = tmp_path / "bad.shell"
+    path.write_text(f"latcert-shell v1 n=4 count=2 scale=2sqrt2\n{body}")
+    proc = subprocess.run([sys.executable, *flags, "-m", "latcert.cli", "verify",
+                           "--shell", str(path), "--full"], capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ") and message in line
 
 
 def test_internal_check_failure_exits_one(small_shell_file, monkeypatch, capsys):

@@ -1,13 +1,20 @@
 import random
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import e8_power_code, lattice_ip, norm32_magnitudes, save_shell_by_tokens
+from conftest import (
+    e8_power_code,
+    lattice_ip,
+    load_shell_by_loadtxt,
+    norm32_magnitudes,
+    save_shell_by_tokens,
+)
 from latcert import lattice32
 from latcert.gf2codes import BinaryCode, code_report
 from latcert.lattice32 import (
@@ -414,3 +421,92 @@ def test_load_shell_rejects_malformed_rows(tmp_path, header, body, message):
     p.write_text(f"latcert-shell v1 {header} scale=2sqrt2\n{body}")
     with pytest.raises(ValueError, match=message):
         load_shell(p)
+
+
+def _outcome(reader, path):
+    """(dim, rows) of the shell a reader gives, or (exception type, message)."""
+    try:
+        shell = reader(path)
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+    return shell.dim, shell.vectors.tolist()
+
+
+def _matches_the_loadtxt_reader(data: bytes) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "shell.txt"
+        path.write_bytes(data)
+        assert _outcome(load_shell, path) == _outcome(load_shell_by_loadtxt, path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(int8_matrices())
+def test_load_shell_matches_the_loadtxt_reader(arr):
+    count, dim = arr.shape
+    body = "".join(" ".join(map(str, row)) + "\n" for row in arr.tolist())
+    _matches_the_loadtxt_reader(
+        f"latcert-shell v1 n={dim} count={count} scale=2sqrt2\n{body}".encode())
+
+
+@pytest.mark.parametrize("header", ["n=4 count=3", "n=4 count=0", f"n=4 count={10**30}",
+                                    f"n={10**30} count=2", "n=9 count=2"])
+def test_load_shell_matches_the_loadtxt_reader_on_wrong_headers(header):
+    # a header count or dim the body cannot hold allocates nothing for it
+    _matches_the_loadtxt_reader(
+        f"latcert-shell v1 {header} scale=2sqrt2\n4 4 0 0\n-4 -4 0 0\n".encode())
+
+
+# each edit replaces the bytes of one drawn match of a pattern in a saved file
+FILE_EDITS = {
+    "double space": (rb" ", rb"  "),
+    "tab": (rb" ", rb"\t"),
+    "crlf": (rb"\n", rb"\r\n"),
+    "cr": (rb"\n", rb"\r"),
+    "cr for a space": (rb" ", rb"\r"),
+    "no final newline": (rb"\n\Z", rb""),
+    "plus": (rb"(?<![-\d])\d", rb"+\g<0>"),
+    "leading zero": (rb"(?<![-\d])\d", rb"0\g<0>"),
+    "double minus": (rb"(?<![-\d])\d", rb"--\g<0>"),
+    "trailing minus": (rb"\d(?=[ \n])", rb"\g<0>-"),
+    "minus before newline": (rb"\n", rb" -\n"),
+    "two digits": (rb"(?<![-\d])\d", rb"1\g<0>"),
+    "three digits": (rb"(?<![-\d])\d", rb"200"),
+    "non-utf-8 byte": (rb"[^\n]", b"\\g<0>\xff"),
+    "non-utf-8 digit": (rb"\d", b"\xff"),
+    "blank line": (rb"\n", rb"\n\n"),
+    "extra row": (rb"\n\Z", rb"\n" + b"4 " * 7 + b"4\n"),
+    "none": (rb"\A", rb""),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(antipodal_shells(), st.sampled_from(sorted(FILE_EDITS)), st.data())
+def test_load_shell_matches_the_loadtxt_reader_on_edited_files(case, edit, data):
+    # save_shell's grammar is read without np.loadtxt; any edit of it must
+    # give the rows, or the exception and message, the loadtxt reader gives
+    dim, rows = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "shell.txt"
+        save_shell(make_shell(rows, dim=dim), path)
+        saved = path.read_bytes()
+    pattern, replacement = FILE_EDITS[edit]
+    matches = list(re.finditer(pattern, saved))
+    m = data.draw(st.sampled_from(matches))
+    edited = saved[: m.start()] + m.expand(replacement) + saved[m.end() :]
+    _matches_the_loadtxt_reader(edited)
+
+
+def test_load_shell_peak_memory(rm_shell, tmp_path):
+    # the body is parsed in blocks of about 2^19 bytes: the same reader
+    # holding the whole 10.8 MB body at once peaks at 11x the int8 rows
+    shell = rm_shell.result
+    path = tmp_path / "shell.txt"
+    save_shell(shell, path)
+    tracemalloc.start()
+    try:
+        back = load_shell(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.vectors, shell.vectors)
+    assert peak <= 4 * shell.vectors.nbytes
