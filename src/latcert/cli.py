@@ -4,8 +4,11 @@ properties, and emit bound / energy certificates.
 JSON is the machine interface (sorted keys, exact rationals as strings);
 text reports are rendered from the same record.  Exit status is 0 when every
 requested check is valid, 1 on a failed verification or a failed internal
-check, 2 on usage errors.  The shell modules (and numpy) are imported only by
-the commands that build or read a shell.
+check, 2 on usage errors.  Each command imports only the modules it uses:
+the shell modules (and numpy) load only in the commands that build or read
+a shell, ``lpcert`` only in ``certify-max``, ``certify-design`` and
+``selftest``, and mpmath (through ``energycert``) only for a transcendental
+potential.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import os
 import sys
 from fractions import Fraction
 
-from . import lpcert
 from .exactmath import parse_region, poly_from_json, rat
 from .gegenbauer import MAX_DEGREE, gegenbauer_expand
 
@@ -34,7 +36,8 @@ def _load_code(source: str):
 
 def _load_poly(source: str):
     if source.startswith("builtin:"):
-        return lpcert.builtin_polynomial(source.split(":", 1)[1])
+        from .lpcert import builtin_polynomial
+        return builtin_polynomial(source.split(":", 1)[1])
     if not os.path.exists(source):
         raise ValueError(f"polynomial source {source!r} is neither builtin nor a file")
     with open(source) as fh:
@@ -138,6 +141,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_certify_max(args) -> int:
+    from . import lpcert
     poly = _load_poly(args.poly)
     cert = lpcert.certify_max_code(
         poly, args.dim, parse_region(args.T), rat(args.s), args.strength
@@ -147,6 +151,7 @@ def cmd_certify_max(args) -> int:
 
 
 def cmd_certify_design(args) -> int:
+    from . import lpcert
     poly = _load_poly(args.poly)
     cert = lpcert.certify_min_design(poly, args.dim, parse_region(args.T), args.tau)
     _emit({"command": "certify-design", **cert.to_json_dict()}, args.format)
@@ -192,7 +197,7 @@ def cmd_venkov(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    from . import energycert, gf2codes, lattice32, sphercode
+    from . import energycert, gf2codes, lattice32, lpcert, sphercode
     results = []
 
     def check(name, fn):

@@ -16,18 +16,20 @@ conditions the argument needs:
   * the degree-8 node polynomial nonnegative on [-1,1] \\ T,
 
 and cross-checks the quadrature form of the bound against
-N^2 ((H_7)_0 - H_7(1)/N).  Rational potentials run exactly; transcendental
-ones run in mpmath at a configurable precision (default 60 digits) with
-comparisons at relative tolerance 1e-20.
+N^2 ((H_7)_0 - H_7(1)/N).  Rational potentials (``invlin``, even ``riesz``)
+run exactly, and without mpmath; transcendental ones (``expt``, ``gauss``,
+odd ``riesz``) run in mpmath at a configurable precision (default 60
+digits) with comparisons at relative tolerance 1e-20.  mpmath is imported
+only when such a potential is built, or a value that is not a Fraction is
+formatted or compared.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
+import re
+from collections import namedtuple
+from contextlib import nullcontext
 from fractions import Fraction
-
-import mpmath as mp
 
 from .exactmath import (
     FactoredPolynomial,
@@ -42,7 +44,7 @@ from .exactmath import (
     region_union,
     sign_on_region,
 )
-from .gegenbauer import (GegExpansion, InnerProductHistogram, PDVerdict,
+from .gegenbauer import (MAX_RIESZ_EXPONENT, InnerProductHistogram,
                          distribution_from_design, gegenbauer_expand, is_positive_definite)
 
 DESIGN_SIZE = 146880
@@ -65,21 +67,20 @@ T_SYMMETRIC = region_union(
 REL_TOL = Fraction(1, 10**20)
 
 
-@dataclass(frozen=True)
-class NodeMultiset:
+class NodeMultiset(namedtuple("NodeMultiset", "nodes")):
     """Interpolation nodes, ascending, each repeated at most twice (only
     first derivatives of potentials are available)."""
 
-    nodes: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        ns = tuple(rat(t) for t in self.nodes)
+    def __new__(cls, nodes):
+        ns = tuple(rat(t) for t in nodes)
         if list(ns) != sorted(ns):
             raise ValueError("nodes must be ascending")
         for t in set(ns):
             if ns.count(t) > 2:
                 raise ValueError(f"node {t} repeated more than twice; unsupported")
-        object.__setattr__(self, "nodes", ns)
+        return super().__new__(cls, ns)
 
 
 PAPER_NODES = NodeMultiset(
@@ -96,91 +97,124 @@ PAPER_NODES = NodeMultiset(
 )
 
 
-@dataclass(frozen=True)
-class Potential:
+class Potential(namedtuple(
+    "Potential", "name value derivative exact_on_rationals absolutely_monotone"
+)):
     """Interaction potential with value and first-derivative evaluators.
 
     When exact_on_rationals is set, both evaluators map Fraction to
     Fraction and every downstream certificate quantity is exact.
-    Absolute monotonicity of a black-box evaluator cannot be verified; the
-    certificate checks the finite conditions it actually uses.
+    absolutely_monotone states that every derivative of h is >= 0 on
+    [-1, 1); it is the premise of the universal bound, known by theorem for
+    the built-in potentials, and the JSON record reports it.  A black-box
+    evaluator cannot be checked for it: the certificate checks the finite
+    conditions it actually uses.
     """
 
-    name: str
-    value: object
-    derivative: object
-    exact_on_rationals: bool
+    __slots__ = ()
 
 
 def _mpf(t: Fraction):
+    import mpmath as mp
     return mp.mpf(t.numerator) / t.denominator
 
 
 def invlin() -> Potential:
-    """h(t) = 1/(2-2t), the canonical exact test potential (absolutely
-    monotone: h^(k)(t) = 2^k k! (2-2t)^(-k-1) > 0)."""
+    """h(t) = 1/(2-2t), the canonical exact test potential; absolutely
+    monotone, as h^(k)(t) = 2^k k! (2-2t)^(-k-1) > 0 for t < 1."""
     return Potential(
         "invlin",
         lambda t: 1 / (2 - 2 * rat(t)),
         lambda t: 2 / (2 - 2 * rat(t)) ** 2,
         exact_on_rationals=True,
+        absolutely_monotone=True,
     )
 
 
 def riesz(s: int) -> Potential:
-    """Riesz-type potential (2-2t)^(-s/2); exact for even s."""
-    if s < 1:
-        raise ValueError("riesz exponent must be a positive integer")
+    """Riesz-type potential (2-2t)^(-s/2), for 1 <= s <= MAX_RIESZ_EXPONENT;
+    exact for even s.  Absolutely monotone, as its k-th derivative is
+    2^k (s/2)(s/2 + 1)...(s/2 + k - 1) (2-2t)^(-s/2-k) > 0 for t < 1."""
+    if not 1 <= s <= MAX_RIESZ_EXPONENT:
+        raise ValueError(f"riesz exponent must be in 1..{MAX_RIESZ_EXPONENT}, got {s}")
     if s % 2 == 0:
         return Potential(
             f"riesz:{s}",
             lambda t: (2 - 2 * rat(t)) ** (-(s // 2)),
             lambda t: s * (2 - 2 * rat(t)) ** (-(s // 2) - 1),
             exact_on_rationals=True,
+            absolutely_monotone=True,
         )
+    import mpmath as mp
     return Potential(
         f"riesz:{s}",
         lambda t: mp.power(2 - 2 * _mpf(rat(t)), mp.mpf(-s) / 2),
         lambda t: s * mp.power(2 - 2 * _mpf(rat(t)), mp.mpf(-s) / 2 - 1),
         exact_on_rationals=False,
+        absolutely_monotone=True,
     )
 
 
 def expt() -> Potential:
-    """h(t) = e^t."""
+    """h(t) = e^t; absolutely monotone, as every derivative is e^t > 0."""
+    import mpmath as mp
     return Potential(
         "expt",
         lambda t: mp.exp(_mpf(rat(t))),
         lambda t: mp.exp(_mpf(rat(t))),
         exact_on_rationals=False,
+        absolutely_monotone=True,
     )
 
 
 def gauss(alpha) -> Potential:
-    """Gaussian potential e^(-alpha (2-2t)), absolutely monotone for alpha > 0."""
+    """Gaussian potential e^(-alpha (2-2t)) for alpha > 0; absolutely
+    monotone, as its k-th derivative is (2 alpha)^k e^(-alpha (2-2t)) > 0."""
     a = rat(alpha)
     if a <= 0:
         raise ValueError("gauss parameter must be positive")
+    import mpmath as mp
     return Potential(
         f"gauss:{a}",
         lambda t: mp.exp(-_mpf(a) * (2 - 2 * _mpf(rat(t)))),
         lambda t: 2 * _mpf(a) * mp.exp(-_mpf(a) * (2 - 2 * _mpf(rat(t)))),
         exact_on_rationals=False,
+        absolutely_monotone=True,
     )
 
 
+# what may follow each potential name in a spec: nothing, ':' and decimal
+# digits, or ':' and p or p/q in decimal digits
+_SPEC_ARGUMENT = {"invlin": "", "expt": "", "riesz": ":[0-9]+", "gauss": ":[0-9]+(/[0-9]+)?"}
+_RIESZ_CAP = str(MAX_RIESZ_EXPONENT)
+
+
 def potential_by_spec(spec: str) -> Potential:
-    """Parse 'invlin', 'expt', 'riesz:<s>' or 'gauss:<alpha>'."""
+    """The potential of 'invlin', 'expt', 'riesz:<s>' (s in decimal digits,
+    at most MAX_RIESZ_EXPONENT) or 'gauss:<alpha>' (alpha = p or p/q in
+    decimal digits, positive); ValueError naming any other spec, before any
+    potential is built."""
     name, _, arg = spec.partition(":")
+    if name not in _SPEC_ARGUMENT:
+        raise ValueError(f"unknown potential {spec!r}")
+    if not re.fullmatch(_SPEC_ARGUMENT[name], spec[len(name):]):
+        raise ValueError(f"bad potential {spec!r}: expected invlin, expt, "
+                         "riesz:<digits> or gauss:<p/q>")
     if name == "invlin":
         return invlin()
     if name == "expt":
         return expt()
     if name == "riesz":
-        return riesz(int(arg))
-    if name == "gauss":
-        return gauss(arg)
-    raise ValueError(f"unknown potential {spec!r}")
+        # compared as digits: int() of a long string is slow, or refused
+        s = arg.lstrip("0")
+        if not s or (len(s), s) > (len(_RIESZ_CAP), _RIESZ_CAP):
+            raise ValueError(f"bad potential {spec!r}: the riesz exponent must be "
+                             f"in 1..{MAX_RIESZ_EXPONENT}")
+        return riesz(int(s))
+    alpha = rat(arg)  # its message names a p/0
+    if alpha <= 0:
+        raise ValueError(f"bad potential {spec!r}: the gauss parameter must be positive")
+    return gauss(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +266,7 @@ def node_polynomial(m: NodeMultiset) -> FactoredPolynomial:
     return factored(1, pairs)
 
 
-@dataclass(frozen=True)
-class PartialProduct:
-    index: int
-    expansion: GegExpansion
-    pd: PDVerdict
+PartialProduct = namedtuple("PartialProduct", "index expansion pd")
 
 
 def partial_products(m: NodeMultiset, n: int) -> list:
@@ -260,34 +290,27 @@ def error_sign_check(m: NodeMultiset, T: IntervalRegion) -> SignReport:
 # Certificates
 
 
-@dataclass(frozen=True)
-class EnergyCertificate:
-    potential: str
-    dimension: int
-    nodes: NodeMultiset
-    avoided: IntervalRegion
-    interpolant: Polynomial
-    interpolant_expansion: GegExpansion
-    divided_differences: tuple
-    partial_products: tuple
-    error_sign: SignReport
-    lower_bound: object
-    dual_bound: object
-    valid: bool
-    failure: str | None = None
-    precision_digits: int | None = None
-    code_energy: object = None
-    gap: object = None
+class EnergyCertificate(namedtuple(
+    "EnergyCertificate",
+    "potential absolutely_monotone dimension nodes avoided interpolant"
+    " interpolant_expansion divided_differences partial_products error_sign"
+    " lower_bound dual_bound valid failure precision_digits code_energy gap",
+    defaults=(None, None, None, None),
+)):
+    """An energy lower-bound certificate of the named potential; the bounds
+    are Fractions for an exact potential and mpmath numbers otherwise."""
+
+    __slots__ = ()
 
     def with_energy(self, energy) -> "EnergyCertificate":
-        return dataclasses.replace(self, code_energy=energy, gap=energy - self.lower_bound)
+        return self._replace(code_energy=energy, gap=energy - self.lower_bound)
 
     def to_json_dict(self) -> dict:
         num = _fmt_value
         return {
             "kind": "energy_lower_bound",
             "potential": self.potential,
-            "claimed_absolutely_monotone": True,  # invlin, expt, riesz and gauss all are
+            "claimed_absolutely_monotone": self.absolutely_monotone,
             "dimension": self.dimension,
             "nodes": [str(t) for t in self.nodes.nodes],
             "T": str(self.avoided),
@@ -311,12 +334,14 @@ class EnergyCertificate:
 def _fmt_value(x) -> str:
     if isinstance(x, Fraction) or isinstance(x, int):
         return str(x)
+    import mpmath as mp
     return mp.nstr(x, 40)
 
 
 def _is_negative(x, exact: bool) -> bool:
     if exact:
         return x < 0
+    import mpmath as mp
     scale = max(mp.mpf(1), abs(x))
     return x < -scale / REL_TOL.denominator
 
@@ -324,6 +349,7 @@ def _is_negative(x, exact: bool) -> bool:
 def _close(a, b, exact: bool) -> bool:
     if exact:
         return a == b
+    import mpmath as mp
     scale = max(mp.mpf(1), abs(a), abs(b))
     return abs(a - b) <= scale / REL_TOL.denominator
 
@@ -336,10 +362,14 @@ def design_distribution():
     )
 
 
-def _working_precision(precision: int):
-    """mp.workdps(precision) for a precision of at least one digit."""
+def _working_precision(precision: int, h: Potential):
+    """mp.workdps(precision) for a precision of at least one digit, or no
+    context for an exact potential, which never reads it."""
     if precision < 1:
         raise ValueError(f"precision must be at least 1 digit, got {precision}")
+    if h.exact_on_rationals:
+        return nullcontext()
+    import mpmath as mp
     return mp.workdps(precision)
 
 
@@ -355,7 +385,7 @@ def energy_lower_bound(h: Potential, precision: int = 60) -> EnergyCertificate:
     nodes = PAPER_NODES
     T = T_SYMMETRIC
     N = DESIGN_SIZE
-    with _working_precision(precision):  # no effect on exact (Fraction) potentials
+    with _working_precision(precision, h):
         dd = divided_differences(h, nodes)
         h7 = hermite_interpolant(h, nodes)
         expansion = gegenbauer_expand(n, h7)
@@ -396,6 +426,7 @@ def energy_lower_bound(h: Potential, precision: int = 60) -> EnergyCertificate:
             )
     return EnergyCertificate(
         potential=h.name,
+        absolutely_monotone=h.absolutely_monotone,
         dimension=n,
         nodes=nodes,
         avoided=T,
@@ -415,7 +446,7 @@ def energy_lower_bound(h: Potential, precision: int = 60) -> EnergyCertificate:
 def code_energy(hist: InnerProductHistogram, h: Potential, precision: int = 60):
     """Exact (or precision-bounded) sum of h over all ordered pairs of
     distinct code points, evaluated from the inner-product histogram."""
-    with _working_precision(precision):
+    with _working_precision(precision, h):
         total = 0
         for t, c in sorted(hist.counts.items()):
             try:

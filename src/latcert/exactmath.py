@@ -1,4 +1,5 @@
-"""Exact rational scalars, univariate polynomials, and sign analysis on interval regions.
+"""Exact rational scalars, univariate polynomials, and sign analysis on interval regions,
+with the base class of the package's records that are not named tuples.
 
 Everything in this module runs on ``fractions.Fraction``; there is no floating
 point anywhere.  Polynomials come in two representations: dense monomial
@@ -8,7 +9,7 @@ form (``FactoredPolynomial``) whose rational roots make sign analysis exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 
@@ -25,6 +26,38 @@ def rat(x) -> Fraction:
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"not an exact rational: {x!r}") from None
     raise TypeError(f"not an exact rational: {x!r}")
+
+
+class Frozen:
+    """Base of the records that are not named tuples, because a field is an
+    array or the record indexes like a sequence.  The fields are the
+    __slots__, set once by __init__, and assignment raises AttributeError.
+    Records are equal, and hashed, by the tuple of their fields, _key()."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 class Polynomial:
@@ -107,22 +140,21 @@ class Polynomial:
         return f"Polynomial({list(map(str, self.coeffs))})"
 
 
-@dataclass(frozen=True)
-class FactoredPolynomial:
-    """``leading * prod (t - root)^mult`` with pairwise-distinct rational roots."""
+class FactoredPolynomial(namedtuple("FactoredPolynomial", "leading factors")):
+    """``leading * prod (t - root)^mult`` with pairwise-distinct rational roots;
+    ``factors`` is a tuple of (root: Fraction, multiplicity: int)."""
 
-    leading: Fraction
-    factors: tuple  # of (root: Fraction, multiplicity: int)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "leading", rat(self.leading))
-        facs = tuple((rat(r), int(m)) for r, m in self.factors)
+    def __new__(cls, leading, factors):
+        leading = rat(leading)
+        facs = tuple((rat(r), int(m)) for r, m in factors)
         roots = [r for r, _ in facs]
         if len(set(roots)) != len(roots):
             raise ValueError("factored polynomial has a repeated root entry")
         if any(m < 1 for _, m in facs):
             raise ValueError("factor multiplicities must be positive")
-        object.__setattr__(self, "factors", facs)
+        return super().__new__(cls, leading, facs)
 
     @property
     def degree(self) -> int:
@@ -155,20 +187,16 @@ def factored(leading, pairs) -> FactoredPolynomial:
 # Interval regions
 
 
-@dataclass(frozen=True)
-class Interval:
-    lo: Fraction
-    hi: Fraction
-    lo_closed: bool = True
-    hi_closed: bool = True
+class Interval(namedtuple("Interval", "lo hi lo_closed hi_closed")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", rat(self.lo))
-        object.__setattr__(self, "hi", rat(self.hi))
+    def __new__(cls, lo, hi, lo_closed=True, hi_closed=True):
+        self = super().__new__(cls, rat(lo), rat(hi), lo_closed, hi_closed)
         if self.lo > self.hi:
             raise ValueError(f"interval with lo > hi: {self}")
         if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
             raise ValueError(f"degenerate interval must be closed: {self}")
+        return self
 
     def contains(self, t) -> bool:
         t = rat(t)
@@ -186,18 +214,17 @@ class Interval:
         return f"{lb}{self.lo},{self.hi}{rb}"
 
 
-@dataclass(frozen=True)
-class IntervalRegion:
+class IntervalRegion(namedtuple("IntervalRegion", "intervals")):
     """A finite union of disjoint intervals, sorted ascending."""
 
-    intervals: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        ivs = tuple(self.intervals)
+    def __new__(cls, intervals=()):
+        ivs = tuple(intervals)
         for a, b in zip(ivs, ivs[1:]):
             if b.lo < a.hi or (b.lo == a.hi and (a.hi_closed and b.lo_closed)):
                 raise ValueError(f"intervals not disjoint/sorted: {a}, {b}")
-        object.__setattr__(self, "intervals", ivs)
+        return super().__new__(cls, ivs)
 
     def is_empty(self) -> bool:
         return not self.intervals
@@ -289,8 +316,8 @@ def parse_region(text: str) -> IntervalRegion:
 # Sign analysis
 
 
-@dataclass(frozen=True)
-class SignReport:
+class SignReport(namedtuple("SignReport", "verdict positive_witness negative_witness",
+                            defaults=(None, None))):
     """Outcome of exact sign analysis: one of nonnegative / nonpositive / mixed.
 
     Witnesses are rational points where a strictly positive (resp. negative)
@@ -298,9 +325,7 @@ class SignReport:
     ``positive_witness`` is not None.
     """
 
-    verdict: str
-    positive_witness: Fraction | None = None
-    negative_witness: Fraction | None = None
+    __slots__ = ()
 
 
 def _sample_points(fp: FactoredPolynomial, iv: Interval):

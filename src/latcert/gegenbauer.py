@@ -15,15 +15,20 @@ identity in this basis, live here too, so the energy certificates need no numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactmath import Polynomial
+from .exactmath import Frozen, Polynomial
 
 # Basis polynomials are precomputed up to this degree; raise it if a deeper
 # expansion is ever needed (all built-in certificates stop at degree 10).
 MAX_DEGREE = 64
+
+# Largest Riesz exponent s of the energy potential (2-2t)^(-s/2).  Each
+# exact (even-s) energy value is a fraction of about 1.8 s digits (1781
+# characters at s = 1000); from s = 4900 on, Python refuses to print one.
+MAX_RIESZ_EXPONENT = 1000
 
 
 def check_degree(degree: int) -> None:
@@ -56,15 +61,13 @@ def gegenbauer_poly(n: int, i: int) -> Polynomial:
     return _basis(n, i)[i]
 
 
-@dataclass(frozen=True)
-class GegExpansion:
-    """Coefficients f_0..f_d of f(t) = sum f_i P_i(t) in dimension n.
+class GegExpansion(namedtuple("GegExpansion", "dimension coeffs")):
+    """Coefficients f_0..f_d (a tuple) of f(t) = sum f_i P_i(t) in dimension n.
 
     Since every basis element is 1 at t = 1, the coefficients sum to f(1).
     """
 
-    dimension: int
-    coeffs: tuple
+    __slots__ = ()
 
 
 def gegenbauer_expand(n: int, p: Polynomial) -> GegExpansion:
@@ -94,10 +97,7 @@ def reconstruct(e: GegExpansion) -> Polynomial:
     return p
 
 
-@dataclass(frozen=True)
-class PDVerdict:
-    positive_definite: bool
-    negative_indices: tuple = ()
+PDVerdict = namedtuple("PDVerdict", "positive_definite negative_indices", defaults=((),))
 
 
 def is_positive_definite(e: GegExpansion) -> PDVerdict:
@@ -136,23 +136,20 @@ def integrate_weighted(n: int, p: Polynomial) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
-class InnerProductHistogram:
-    """Ordered-pair counts (x != y) keyed by the unit inner product t."""
+class InnerProductHistogram(namedtuple("InnerProductHistogram", "counts n_points")):
+    """Ordered-pair counts (x != y), a dict keyed by the unit inner product t."""
 
-    counts: dict  # Fraction -> int
-    n_points: int
+    __slots__ = ()
 
     def total(self) -> int:
         return sum(self.counts.values())
 
 
-@dataclass(frozen=True)
-class DistanceDistribution:
+class DistanceDistribution(Frozen):
     """Counts A_t of code points at inner product t from a fixed point,
-    including t = 1 with A_1 = 1."""
+    including t = 1 with A_1 = 1: the dict ``a``, Fraction -> int."""
 
-    a: dict  # Fraction -> int
+    __slots__ = ("a",)
 
     def total(self) -> int:
         return sum(self.a.values())

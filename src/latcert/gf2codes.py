@@ -9,20 +9,30 @@ is coordinate j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
+
+from .exactmath import Frozen
 
 # Exhaustive enumeration guard: 2^k words.
 MAX_ENUM_DIMENSION = 28
 
 
-@dataclass(frozen=True)
-class BinaryCode:
-    length: int
-    dimension: int
-    generator: np.ndarray  # (k, n) uint8, rows linearly independent
-    name: str = "code"
+class BinaryCode(Frozen):
+    """A binary [length, dimension] code: ``generator`` is its (k, n) uint8
+    generator matrix, rows linearly independent.  Codes are equal when every
+    field is, the generator compared entry by entry."""
+
+    __slots__ = ("length", "dimension", "generator", "name")
+
+    def __init__(self, length: int, dimension: int, generator: np.ndarray,
+                 name: str = "code"):
+        super().__init__(length, dimension, generator, name)
+
+    def _key(self) -> tuple:
+        g = self.generator
+        return self.length, self.dimension, g.shape, g.tobytes(), self.name
 
     def row_masks(self) -> list:
         return [_mask_of_row(row) for row in self.generator]
@@ -40,12 +50,7 @@ class BinaryCode:
         return words
 
 
-@dataclass(frozen=True)
-class CodeReport:
-    self_dual: bool
-    doubly_even: bool
-    min_distance: int
-    weight_enumerator: dict  # weight -> count
+CodeReport = namedtuple("CodeReport", "self_dual doubly_even min_distance weight_enumerator")
 
 
 def _mask_of_row(row) -> int:

@@ -37,10 +37,10 @@ from __future__ import annotations
 import os
 import random
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
+from .exactmath import Frozen
 from .gf2codes import BinaryCode, code_report
 
 SHELL_NORM = 32  # s.s for every shell vector (norm 4 at lattice scale)
@@ -48,8 +48,7 @@ _BINS = 2 * SHELL_NORM + 1  # dot values -32..32, offset by 32
 _E22_BIN = SHELL_NORM + 16  # dot 16: lattice inner product 2
 
 
-@dataclass(frozen=True, eq=False)
-class Shell:
+class Shell(Frozen):
     """Canonically sorted integer vectors with s.s = 32, in `dim` coordinates.
 
     `dim` is also the sphere dimension used for Gegenbauer analysis; the
@@ -61,18 +60,20 @@ class Shell:
     rows: there is a row, no row repeats and every row has s.s = 32.  That
     bounds |entry| <= 5, so negation stays exact in int8, the row keys'
     nibbles hold every entry, and every partial sum of a dot is at most 32
-    in absolute value, so float32 dots are exact integers.
+    in absolute value, so float32 dots are exact integers.  Two shells are
+    equal only when they are the same object.
     """
 
-    vectors: np.ndarray  # (N, dim) int8, lexicographically sorted, no duplicates
-    dim: int = 32
+    # vectors: (N, dim) int8, lexicographically sorted, no duplicates
+    __slots__ = ("vectors", "dim")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        arr = np.asarray(self.vectors, dtype=np.int8)
+    def __init__(self, vectors, dim: int = 32):
+        arr = np.asarray(vectors, dtype=np.int8)
         if arr.ndim != 2:
             raise ValueError("shell vectors must form a 2-d array")
-        if arr.shape[1] != self.dim:
-            raise ValueError(f"expected {self.dim} coordinates per vector, "
+        if arr.shape[1] != dim:
+            raise ValueError(f"expected {dim} coordinates per vector, "
                              f"got {arr.shape[1]}")
         if not len(arr):
             raise ValueError("need a nonempty shell")
@@ -82,7 +83,7 @@ class Shell:
         if dups:
             raise ValueError("duplicate shell vectors")
         srt.setflags(write=False)
-        object.__setattr__(self, "vectors", srt)
+        super().__init__(srt, dim)
 
     @property
     def count(self) -> int:

@@ -11,13 +11,12 @@ certificate always carries a rational witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .exactmath import (
     FactoredPolynomial,
     IntervalRegion,
-    SignReport,
     closed_interval,
     factored,
     open_interval,
@@ -26,23 +25,19 @@ from .exactmath import (
     region_union,
     sign_on_region,
 )
-from .gegenbauer import GegExpansion, check_degree, gegenbauer_expand
+from .gegenbauer import check_degree, gegenbauer_expand
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
-    kind: str  # "max_code" | "min_design"
-    polynomial: FactoredPolynomial
-    dimension: int
-    avoided: IntervalRegion
-    expansion: GegExpansion
-    sign_report: SignReport
-    bound: Fraction
-    valid: bool
-    s_max: Fraction | None = None
-    assumed_strength: int | None = None
-    tau: int | None = None
-    failure: str | None = None
+class BoundCertificate(namedtuple(
+    "BoundCertificate",
+    "kind polynomial dimension avoided expansion sign_report bound valid"
+    " s_max assumed_strength tau failure",
+    defaults=(None, None, None, None),
+)):
+    """An LP bound certificate; ``kind`` is "max_code" (with ``s_max`` and
+    ``assumed_strength``) or "min_design" (with ``tau``)."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         pos = self.sign_report.positive_witness

@@ -26,12 +26,12 @@ exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
 
-from .exactmath import Polynomial
+from .exactmath import Frozen, Polynomial
 from .gegenbauer import (DistanceDistribution, InnerProductHistogram,
                          gegenbauer_expand, gegenbauer_poly)
 from .lattice32 import SHELL_NORM, Shell, _joint_tables, _row_keys
@@ -39,9 +39,11 @@ from .lattice32 import SHELL_NORM, Shell, _joint_tables, _row_keys
 ALL = "all"
 
 
-@dataclass(frozen=True)
-class MomentVector:
-    values: tuple  # (M_1, ..., M_k) as Fractions
+class MomentVector(Frozen):
+    """The moments (M_1, ..., M_k) as a tuple of Fractions, ``values``;
+    indexed from 1, as M_i."""
+
+    __slots__ = ("values",)
 
     def __getitem__(self, i: int):
         if i < 1 or i > len(self.values):
@@ -49,24 +51,23 @@ class MomentVector:
         return self.values[i - 1]
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
-    invariant: bool
-    distribution: DistanceDistribution | None
-    counterexample: tuple | None  # ((index, distribution), (index, distribution))
-    checked: int
-    mode: str
-    group_order: int  # order of the sign-flip group used; 1 when sampled
-    representatives: int  # columns counted: one per orbit or per sampled point
-    histogram: InnerProductHistogram | None  # exact pair counts; None when sampled
+class InvarianceReport(namedtuple(
+    "InvarianceReport",
+    "invariant distribution counterexample checked mode group_order"
+    " representatives histogram",
+)):
+    """Outcome of the distance-invariance check.  ``distribution`` is the
+    common DistanceDistribution (None without one); ``counterexample`` is
+    None or ((index, distribution), (index, distribution)); ``group_order``
+    is the order of the sign-flip group used, 1 when sampled;
+    ``representatives`` counts the columns, one per orbit or per sampled
+    point; ``histogram`` holds the exact pair counts, None when sampled."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class QuadratureVerdict:
-    holds: bool
-    lhs: Fraction
-    rhs: Fraction
-    warning: str | None = None
+QuadratureVerdict = namedtuple("QuadratureVerdict", "holds lhs rhs warning",
+                               defaults=(None,))
 
 
 def _column_counts(V: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -260,11 +261,7 @@ def moments(shell: Shell, upto: int, hist: InnerProductHistogram) -> MomentVecto
     return MomentVector(tuple(values))
 
 
-@dataclass(frozen=True)
-class StrengthReport:
-    tau: int
-    extra_vanishing: tuple
-    moments: MomentVector
+StrengthReport = namedtuple("StrengthReport", "tau extra_vanishing moments")
 
 
 def design_strength(shell: Shell, cap: int, hist: InnerProductHistogram) -> StrengthReport:

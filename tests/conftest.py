@@ -38,10 +38,17 @@ def random_polynomial(rng: random.Random, max_degree: int) -> Polynomial:
 
 
 def poly_potential(p: Polynomial) -> Potential:
-    """A rational polynomial as an exact potential."""
-    dp = p.derivative()
+    """A rational polynomial as an exact potential.  It is absolutely
+    monotone on [-1, 1] exactly when every Taylor coefficient at t = -1,
+    p^(k)(-1) / k!, is >= 0: then every derivative is a sum of nonnegative
+    multiples of powers of t + 1."""
+    dp, q, derivatives = p.derivative(), p, []
+    while not q.is_zero():
+        derivatives.append(q(Fraction(-1)))
+        q = q.derivative()
     return Potential(
-        "poly", lambda t: p(rat(t)), lambda t: dp(rat(t)), exact_on_rationals=True
+        "poly", lambda t: p(rat(t)), lambda t: dp(rat(t)), exact_on_rationals=True,
+        absolutely_monotone=all(d >= 0 for d in derivatives),
     )
 
 

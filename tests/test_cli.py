@@ -380,6 +380,55 @@ def test_poly_json_values_must_be_exact(tmp_path, leading, factor, message):
     assert line.startswith("error: ") and line.endswith(message)
 
 
+_SPEC_GRAMMAR = "expected invlin, expt, riesz:<digits> or gauss:<p/q>"
+_RIESZ_RANGE = "the riesz exponent must be in 1..1000"
+
+
+_BAD_SPECS = [
+    ("invlin:3", _SPEC_GRAMMAR),
+    ("invlin:", _SPEC_GRAMMAR),
+    ("expt:junk", _SPEC_GRAMMAR),
+    ("riesz", _SPEC_GRAMMAR),
+    ("riesz:4_0", _SPEC_GRAMMAR),
+    ("riesz:+4", _SPEC_GRAMMAR),
+    ("riesz: 4", _SPEC_GRAMMAR),
+    ("riesz:x", _SPEC_GRAMMAR),
+    ("riesz:4.0", _SPEC_GRAMMAR),
+    ("riesz:\u0664", _SPEC_GRAMMAR),  # ARABIC-INDIC DIGIT FOUR, which int() reads
+    ("riesz:0", _RIESZ_RANGE),
+    ("riesz:1001", _RIESZ_RANGE),
+    ("riesz:4900", _RIESZ_RANGE),
+    ("riesz:" + "9" * 5000, _RIESZ_RANGE),  # above int()'s 4300-digit limit
+    ("gauss:0.5", _SPEC_GRAMMAR),
+    ("gauss:+1", _SPEC_GRAMMAR),
+    ("gauss:-1", _SPEC_GRAMMAR),
+    ("gauss: 1/2", _SPEC_GRAMMAR),
+    ("gauss:", _SPEC_GRAMMAR),
+    ("gauss:0", "the gauss parameter must be positive"),
+    ("gauss:0/3", "the gauss parameter must be positive"),
+]
+
+
+@pytest.mark.parametrize("spec, reason", _BAD_SPECS,
+                         ids=[spec[:16] for spec, _ in _BAD_SPECS])
+def test_energy_rejects_a_potential_spec_outside_the_grammar(spec, reason):
+    # each of these ran, or failed with Python's message, before the spec
+    # grammar: the argument was ignored or read as another number
+    proc = run_cli("energy", "--potential", spec)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: bad potential {spec!r}: {reason}\n"
+
+
+@pytest.mark.parametrize("spec, name", [
+    ("riesz:1000", "riesz:1000"), ("riesz:007", "riesz:7"), ("gauss:2/4", "gauss:1/2"),
+])
+def test_energy_accepts_digits_and_names_the_potential(spec, name):
+    proc = run_cli("energy", "--potential", spec)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["potential"] == name
+
+
 def test_verify_full_runs_one_orbit_pass(small_shell_file, monkeypatch, capsys):
     calls = []
     orbit_pass = sphercode._orbit_pass

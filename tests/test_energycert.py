@@ -153,6 +153,20 @@ def test_energy_invalid_for_non_monotone_potential():
     assert "divided difference" in cert.failure
 
 
+def test_absolute_monotonicity_is_reported_not_claimed():
+    # the record states what the potential carries: true by theorem for the
+    # builtins, from the Taylor coefficients at t = -1 for a polynomial
+    def reported(h):
+        return energy_lower_bound(h).to_json_dict()["claimed_absolutely_monotone"]
+
+    for spec in ("invlin", "expt", "riesz:3", "riesz:4", "gauss:7/4"):
+        assert reported(potential_by_spec(spec)) is True, spec
+    assert reported(poly_potential(Polynomial([0, 0, -1]))) is False  # -t^2
+    cases = {(1, 2, 1): True, (0, 1): False, (0, 0, 1): False, (2, 1): True, (1, 1, 1): False}
+    for coeffs, expected in cases.items():  # (t+1)^2, t, t^2, 2+t, 1+t+t^2
+        assert poly_potential(Polynomial(coeffs)).absolutely_monotone is expected, coeffs
+
+
 def test_energy_attained_on_shell(rm_hist):
     h = invlin()
     cert = energy_lower_bound(h)
@@ -177,6 +191,7 @@ def test_code_energy_singular_potential():
         lambda t: 1 / (2 + 2 * rat(t)),
         lambda t: -2 / (2 + 2 * rat(t)) ** 2,
         exact_on_rationals=True,
+        absolutely_monotone=False,
     )
     two = InnerProductHistogram({Fraction(-1): 2}, 2)
     with pytest.raises(ValueError, match="singular at t = -1"):

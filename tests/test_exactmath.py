@@ -224,6 +224,15 @@ def test_region_algebra_matches_pointwise_membership(a, b):
             str(difference), t)
 
 
+@settings(max_examples=300, deadline=None)
+@given(regions())
+def test_parse_region_inverts_str(region):
+    r = region_union(region)  # the normal form, which parse_region gives
+    back = parse_region(str(r))
+    assert back == r and hash(back) == hash(r)
+    assert type(back) is IntervalRegion and all(type(iv) is Interval for iv in back.intervals)
+
+
 @st.composite
 def factored_polynomials(draw):
     roots = draw(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=8),

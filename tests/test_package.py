@@ -22,6 +22,20 @@ def test_no_assert_guards_in_package():
     assert not found, f"assert statements in the package: {found}"
 
 
+def test_no_dataclasses_in_package():
+    # dataclasses imports inspect and generates each record's methods with
+    # exec, at every start of the CLI; the records are named tuples or Frozen
+    found = []
+    for path in sorted(Path(latcert.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name and name.split(".")[0] == "dataclasses"]
+    assert not found, f"dataclasses imported in the package: {found}"
+
+
 def test_no_unused_imports():
     # a name bound by an import (other than from __future__) must be used
     # as a name somewhere in its module
@@ -61,39 +75,58 @@ def test_every_subcommand_flag_is_read_by_its_command():
 
 # runs one command through cli.main in a fresh interpreter, then names the
 # heavy modules it loaded on the last stderr line
+_WATCHED = {"numpy", "mpmath", "dataclasses", "inspect", "latcert.lpcert"}
 _LOADED = (
     "import sys\n"
     "from latcert.cli import main\n"
     "try:\n"
     "    main(sys.argv[1:])\n"
     "finally:\n"
-    "    print(*sorted({'numpy', 'mpmath'} & sys.modules.keys()), file=sys.stderr)\n"
+    f"    print(*sorted({sorted(_WATCHED)} & sys.modules.keys()), file=sys.stderr)\n"
 )
 
 
+def _loaded(*argv) -> set:
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.splitlines()[-1].split())
+
+
 @pytest.mark.parametrize("argv, absent", [
-    (["--help"], {"numpy", "mpmath"}),
+    (["--help"], {"numpy", "mpmath", "latcert.lpcert"}),
     (["certify-max", "--poly", "builtin:maxcode", "--T", "(0,1/4)", "--s", "1/2",
       "--strength", "3"], {"numpy", "mpmath"}),
     (["certify-design", "--poly", "builtin:mindesign", "--T", "(-1/4,0)U(1/4,1/2)",
       "--tau", "7"], {"numpy", "mpmath"}),
-    (["energy", "--potential", "invlin"], {"numpy"}),
-    (["energy", "--potential", "expt", "--precision", "30"], {"numpy"}),
-], ids=["help", "certify-max", "certify-design", "energy-invlin", "energy-expt"])
+    (["energy", "--potential", "invlin"], {"numpy", "mpmath", "latcert.lpcert"}),
+    (["energy", "--potential", "riesz:4"], {"numpy", "mpmath", "latcert.lpcert"}),
+    (["energy", "--potential", "expt", "--precision", "30"], {"numpy", "latcert.lpcert"}),
+    (["energy", "--potential", "gauss:7/4"], {"numpy", "latcert.lpcert"}),
+    (["energy", "--potential", "riesz:3"], {"numpy", "latcert.lpcert"}),
+], ids=["help", "certify-max", "certify-design", "energy-invlin", "energy-riesz-even",
+        "energy-expt", "energy-gauss", "energy-riesz-odd"])
 def test_certificate_commands_do_not_load_the_shell_layer(argv, absent):
-    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stderr.splitlines()[-1].split())
+    # nor mpmath for an exact potential, nor lpcert outside the LP commands,
+    # nor dataclasses and inspect, which generated code for the records
+    absent = absent | {"dataclasses", "inspect"}
+    loaded = _loaded(*argv)
     assert not loaded & absent, f"{argv[0]} loaded {sorted(loaded & absent)}"
 
 
+@pytest.mark.parametrize("spec", ["expt", "gauss:7/4", "riesz:3"])
+def test_transcendental_potentials_load_mpmath(spec):
+    # the control: the exact potentials above run without it
+    assert "mpmath" in _loaded("energy", "--potential", spec)
+
+
 def test_verify_loads_the_shell_layer(tmp_path):
-    # the control: a command that reads a shell does load numpy
+    # the control: a command that reads a shell does load numpy, and no
+    # verify or energy run loads lpcert
     path = tmp_path / "small.shell"
     save_shell(make_shell([[4, 4, 0, 0], [-4, -4, 0, 0]], dim=4), path)
-    proc = subprocess.run(
-        [sys.executable, "-c", _LOADED, "verify", "--shell", str(path), "--sample", "10"],
-        capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert "numpy" in proc.stderr.splitlines()[-1].split()
+    for argv in (["verify", "--shell", str(path), "--sample", "10"],
+                 ["verify", "--shell", str(path), "--full"],
+                 ["energy", "--shell", str(path), "--potential", "invlin"]):
+        loaded = _loaded(*argv)
+        assert "numpy" in loaded and "latcert.lpcert" not in loaded, (argv, loaded)
