@@ -30,9 +30,9 @@ def _derivative(t):
     return 2 / (2 - 2 * t) ** 2
 
 
-# each builder makes a new record from equal fields on every call; the
+# each factory makes a new record from equal fields on every call; the
 # records with a dict field are not hashable
-BUILDERS = {
+FACTORIES = {
     FactoredPolynomial: (lambda: factored(2, [(0, 1), ("1/2", 3)]), True),
     Interval: (lambda: Interval(0, "1/2", False, True), True),
     IntervalRegion: (lambda: parse_region("(0,1/4)U[1/2,1]"), True),
@@ -56,14 +56,14 @@ BUILDERS = {
     BinaryCode: (reed_muller_2_5, True),
     CodeReport: (lambda: code_report(reed_muller_2_5()), False),
 }
-IDS = [cls.__name__ for cls in BUILDERS]
+IDS = [cls.__name__ for cls in FACTORIES]
 
 
 def _fields(record) -> tuple:
     return getattr(record, "_fields", None) or record.__slots__
 
 
-@pytest.mark.parametrize("build, hashable", BUILDERS.values(), ids=IDS)
+@pytest.mark.parametrize("build, hashable", FACTORIES.values(), ids=IDS)
 def test_records_are_immutable_and_equal_by_value(build, hashable):
     a, b = build(), build()
     for name in _fields(a):
@@ -85,9 +85,9 @@ def test_every_record_type_is_covered():
     records = {obj for module in modules for obj in vars(module).values()
                if isinstance(obj, type) and obj.__module__ == module.__name__
                and issubclass(obj, (tuple, Frozen)) and obj is not Frozen}
-    assert records == set(BUILDERS) | {Shell}
+    assert records == set(FACTORIES) | {Shell}
     assert len(records) == 20
-    assert all(type(build()) is cls for cls, (build, _) in BUILDERS.items())
+    assert all(type(build()) is cls for cls, (build, _) in FACTORIES.items())
 
 
 def test_records_of_different_fields_differ():
