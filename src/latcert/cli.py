@@ -17,10 +17,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
-
-from .exactmath import parse_region, poly_from_json, rat
-from .gegenbauer import MAX_DEGREE, gegenbauer_expand
 
 
 def _load_code(source: str):
@@ -40,6 +36,7 @@ def _load_poly(source: str):
         return builtin_polynomial(source.split(":", 1)[1])
     if not os.path.exists(source):
         raise ValueError(f"polynomial source {source!r} is neither builtin nor a file")
+    from .exactmath import poly_from_json
     with open(source) as fh:
         return poly_from_json(json.load(fh))
 
@@ -82,6 +79,7 @@ def cmd_build(args) -> int:
 
 def cmd_verify(args) -> int:
     from . import lattice32, sphercode
+    from .gegenbauer import MAX_DEGREE
     if args.full and (args.sample, args.seed) != (None, None):
         raise ValueError("--full checks every point: --sample and --seed do not apply")
     sample = 1000 if args.sample is None else args.sample
@@ -142,6 +140,7 @@ def cmd_verify(args) -> int:
 
 def cmd_certify_max(args) -> int:
     from . import lpcert
+    from .exactmath import parse_region, rat
     poly = _load_poly(args.poly)
     cert = lpcert.certify_max_code(
         poly, args.dim, parse_region(args.T), rat(args.s), args.strength
@@ -152,6 +151,7 @@ def cmd_certify_max(args) -> int:
 
 def cmd_certify_design(args) -> int:
     from . import lpcert
+    from .exactmath import parse_region
     poly = _load_poly(args.poly)
     cert = lpcert.certify_min_design(poly, args.dim, parse_region(args.T), args.tau)
     _emit({"command": "certify-design", **cert.to_json_dict()}, args.format)
@@ -197,7 +197,10 @@ def cmd_venkov(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from fractions import Fraction
+
     from . import energycert, gf2codes, lattice32, lpcert, sphercode
+    from .gegenbauer import gegenbauer_expand
     results = []
 
     def check(name, fn):

@@ -28,8 +28,9 @@ and, by Cauchy-Schwarz, every partial sum is an integer of absolute value
 at most 66 * 32 = 2112 < 2^24: the float path is exact.  When the rows end
 with the first half negated in reverse order, as the rows of a shell closed
 under negation do, only the first half is counted and each table gets its
-reverse added.  The kernel takes the int8 rows and converts only the rows
-it counts, and the combined columns, to float32.
+reverse added.  The kernel keeps one uint16 block of about 2^21 keys (28
+pairs on a folded 146880-row shell) and fills it 8192 counted rows at a
+time, each converted from int8 to float32 just before its product.
 """
 
 from __future__ import annotations
@@ -111,8 +112,10 @@ def _row_keys(a: np.ndarray) -> np.ndarray:
     [-8, 8)."""
     n, dim = a.shape
     nib = np.full((n, -(-dim // 16) * 16), 8, dtype=np.uint8)
-    nib[:, :dim] = a + 8
-    return ((nib[:, 0::2] << 4) | nib[:, 1::2]).view(">u8")
+    np.add(a.view(np.uint8), 8, out=nib[:, :dim])  # wraps to entry + 8
+    keys = nib[:, 0::2] << 4
+    keys |= nib[:, 1::2]
+    return keys.view(">u8")
 
 
 def _canonical_sort(arr: np.ndarray):
@@ -149,8 +152,8 @@ def _folds(V: np.ndarray) -> bool:
     reverse order; an odd count never folds.  On a Shell this is closure
     under negation, since its rows are sorted and distinct, none is zero,
     and negation reverses the order of such rows."""
-    half = len(V) // 2
-    return np.array_equal(-V[half:][::-1], V[:half])
+    half = len(V) // 2  # int8 sums wrap as int8 negation does
+    return len(V) % 2 == 0 and not (V[:half] + V[half:][::-1]).any()
 
 
 def make_shell(vectors, dim: int | None = None) -> Shell:
@@ -279,17 +282,20 @@ def _joint_tables(V: np.ndarray, a, b):
     half only, and -x has dots (-d_a, -d_b), so the table gets its reverse
     added."""
     fold = _folds(V)
-    rows = (V[: len(V) // 2] if fold else V).astype(np.float32)  # the counted rows only
+    rows = V[: len(V) // 2] if fold else V  # the counted rows only
     P = V[a] + _BINS * V[b].astype(np.float32)
-    step = max(1, 2**20 // len(rows))  # about 2^20 float32 per block
+    step = max(1, 2**21 // len(rows))  # pairs per block: about 2^21 uint16 keys
     for j0 in range(0, len(P), step):
-        keys = P[j0 : j0 + step] @ rows.T
-        keys += SHELL_NORM * (_BINS + 1)
-        keys = keys.astype(np.uint16)  # frees the float block
+        block = P[j0 : j0 + step]
+        keys = np.empty((len(block), len(rows)), dtype=np.uint16)
+        for r0 in range(0, len(rows), 8192):  # float32 of 8192 rows at a time
+            dots = block @ rows[r0 : r0 + 8192].T.astype(np.float32)
+            dots += SHELL_NORM * (_BINS + 1)
+            keys[:, r0 : r0 + 8192] = dots
         for j in range(len(keys)):
             joint = np.bincount(keys[j], minlength=_BINS**2).reshape(_BINS, _BINS)
             yield joint + joint[::-1, ::-1] if fold else joint
-        del keys  # one block alive at a time: none during the next product
+        del keys  # one block alive at a time: none while the next is filled
 
 
 def witness_pair():

@@ -86,7 +86,7 @@ def _column_counts(V: np.ndarray, cols: np.ndarray) -> np.ndarray:
 def _candidate_flips(vectors: np.ndarray) -> list:
     """Sign-flip masks to try: a GF(2) basis of the minus patterns of the rows
     with no zero entry, then negation if it lies outside their span."""
-    rows = vectors[(vectors != 0).all(axis=1)] < 0
+    rows = vectors[vectors.all(axis=1)] < 0
     basis = []
     for c in range(vectors.shape[1]):
         hit = rows[:, c]

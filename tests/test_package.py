@@ -94,7 +94,8 @@ def _loaded(*argv) -> set:
 
 
 @pytest.mark.parametrize("argv, absent", [
-    (["--help"], {"numpy", "mpmath", "latcert.lpcert"}),
+    (["--help"], {"numpy", "mpmath", "latcert.lpcert", "latcert.exactmath",
+                  "latcert.gegenbauer", "fractions"}),
     (["certify-max", "--poly", "builtin:maxcode", "--T", "(0,1/4)", "--s", "1/2",
       "--strength", "3"], {"numpy", "mpmath"}),
     (["certify-design", "--poly", "builtin:mindesign", "--T", "(-1/4,0)U(1/4,1/2)",

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import norm32_magnitudes, random_polynomial
 from latcert.exactmath import Polynomial
 from latcert.gegenbauer import distribution_from_design, gegenbauer_expand, gegenbauer_poly
-from latcert.lattice32 import Shell, _joint_tables, load_shell, make_shell
+from latcert.lattice32 import Shell, _joint_tables, load_shell, make_shell, venkov_sample
 from latcert.sphercode import (
     ALL,
     DistanceDistribution,
@@ -468,6 +468,20 @@ def test_column_counts_of_paired_columns(case, cols):
     assert np.array_equal(table, _brute_force_columns(V, cols))
 
 
+@pytest.mark.parametrize("fold", [True, False], ids=["folded", "rolled"])
+def test_column_counts_match_brute_force_across_blocks(rm_shell, fold):
+    # 121 columns: 61 pairs, more than two key blocks (28 pairs of the 73440
+    # counted rows, 14 of all 146880), the last one partial, as is the last
+    # 8192-row block of either row count; rows 0 and N - 1 among the columns
+    V = rm_shell.result.vectors
+    V = V if fold else np.roll(V, 1, axis=0)
+    assert _folds(V) == fold
+    rng = np.random.default_rng(17)
+    cols = np.r_[0, N - 1, rng.choice(np.arange(1, N - 1), 119, replace=False)]
+    table = _column_counts(V, cols)
+    assert np.array_equal(table, _brute_force_columns(V, cols))
+
+
 @settings(max_examples=200, deadline=None)
 @given(flip_closed_shells(), st.booleans(), st.booleans(), st.data())
 def test_column_counts_match_brute_force_on_random_columns(shell, antipodal, shuffle, data):
@@ -558,17 +572,29 @@ def test_full_pass_uses_the_codeword_flip_group(request, code):
     assert hist.counts == histogram_from_distribution(sampled.distribution, N).counts
 
 
-def test_full_pass_peak_memory(rm_shell):
-    # the kernel makes float32 only of the rows it counts: a whole-shell
-    # float32 copy is 4x the int8 rows on its own
-    shell = rm_shell.result
+def _peak_over_rows(shell, fn):
+    """fn()'s tracemalloc peak as a multiple of the shell's int8 bytes."""
     tracemalloc.start()
     try:
-        check_distance_invariance(shell, ALL)
+        fn()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * shell.vectors.nbytes
+    return peak / shell.vectors.nbytes
+
+
+def test_full_pass_peak_memory(rm_shell):
+    # the kernel makes float32 of 8192 counted rows at a time: a float32 copy
+    # of all of them is 2x the int8 rows on its own, of the whole shell 4x
+    shell = rm_shell.result
+    assert _peak_over_rows(shell, lambda: check_distance_invariance(shell, ALL)) <= 3
+
+
+def test_pair_kernel_peak_memory(rm_shell):
+    # one uint16 key block of about 2^21 keys (0.9x) and one 8192-row
+    # float32 product at a time
+    shell = rm_shell.result
+    assert _peak_over_rows(shell, lambda: venkov_sample(shell, 100, 1)) <= 2
 
 
 def test_full_pass_on_shell_missing_an_antipodal_pair(rm_shell, rm_hist):
