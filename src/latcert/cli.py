@@ -161,12 +161,15 @@ def cmd_certify_design(args) -> int:
 def cmd_energy(args) -> int:
     from . import energycert
     h = energycert.potential_by_spec(args.potential)
-    cert = energycert.energy_lower_bound(h, precision=args.precision)
+    precision = {} if args.precision is None else {"precision": args.precision}
+    if precision and h.exact_on_rationals:
+        raise ValueError(f"--precision applies only to expt, gauss and odd riesz, not {h.name}")
+    cert = energycert.energy_lower_bound(h, **precision)
     if args.shell:
         from . import lattice32, sphercode
         shell = lattice32.load_shell(args.shell)
         hist = sphercode.histogram(shell)
-        energy = energycert.code_energy(hist, h, precision=args.precision)
+        energy = energycert.code_energy(hist, h, **precision)
         cert = cert.with_energy(energy)
     _emit({"command": "energy", **cert.to_json_dict()}, args.format)
     return 0 if cert.valid else 1
@@ -335,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shell", help="also compute the shell's exact energy and gap")
     p.add_argument("--potential", required=True,
                    help="invlin | expt | riesz:<s> | gauss:<alpha>")
-    p.add_argument("--precision", type=int, default=60)
+    p.add_argument("--precision", type=int)
     p.set_defaults(fn=cmd_energy)
 
     p = sub.add_parser("venkov", help="Venkov e_2,2 statistics")

@@ -15,13 +15,13 @@ conditions the argument needs:
   * all partial products positive definite in the Gegenbauer basis,
   * the degree-8 node polynomial nonnegative on [-1,1] \\ T,
 
-and cross-checks the quadrature form of the bound against
-N^2 ((H_7)_0 - H_7(1)/N).  Rational potentials (``invlin``, even ``riesz``)
-run exactly, and without mpmath; transcendental ones (``expt``, ``gauss``,
-odd ``riesz``) run in mpmath at a configurable precision (default 60
-digits) with comparisons at relative tolerance 1e-20.  mpmath is imported
-only when such a potential is built, or a value that is not a Fraction is
-formatted or compared.
+and checks the design identity sum_t A_t P_i(t) = N (P_i)_0 once, exactly, for
+the Newton basis P_0 = 1, P_1..P_7, so the bound's quadrature form equals
+N^2 ((H_7)_0 - H_7(1)/N) for every potential.  Rational potentials run exactly,
+without mpmath; the others (``expt``, ``gauss``, odd ``riesz``) run in mpmath,
+and have their divided-difference signs read, at a configurable precision
+(default 60 digits, at most MAX_PRECISION).  mpmath is imported only when such
+a potential is built, or a value that is not a Fraction is formatted.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .exactmath import (
     region_union,
     sign_on_region,
 )
-from .gegenbauer import (MAX_RIESZ_EXPONENT, InnerProductHistogram,
+from .gegenbauer import (MAX_PRECISION, MAX_RIESZ_EXPONENT, InnerProductHistogram,
                          distribution_from_design, gegenbauer_expand, is_positive_definite)
 
 DESIGN_SIZE = 146880
@@ -63,9 +63,6 @@ T_SYMMETRIC = region_union(
     open_interval(Fraction(-1, 2), Fraction(-1, 4)),
     open_interval(Fraction(1, 4), Fraction(1, 2)),
 )
-
-REL_TOL = Fraction(1, 10**20)
-
 
 class NodeMultiset(namedtuple("NodeMultiset", "nodes")):
     """Interpolation nodes, ascending, each repeated at most twice (only
@@ -338,22 +335,6 @@ def _fmt_value(x) -> str:
     return mp.nstr(x, 40)
 
 
-def _is_negative(x, exact: bool) -> bool:
-    if exact:
-        return x < 0
-    import mpmath as mp
-    scale = max(mp.mpf(1), abs(x))
-    return x < -scale / REL_TOL.denominator
-
-
-def _close(a, b, exact: bool) -> bool:
-    if exact:
-        return a == b
-    import mpmath as mp
-    scale = max(mp.mpf(1), abs(a), abs(b))
-    return abs(a - b) <= scale / REL_TOL.denominator
-
-
 def design_distribution():
     """The distance distribution {1, 1240, 31744, 80910, 31744, 1240, 1} of
     the 146880-point design, recovered from the quadrature identities."""
@@ -363,10 +344,12 @@ def design_distribution():
 
 
 def _working_precision(precision: int, h: Potential):
-    """mp.workdps(precision) for a precision of at least one digit, or no
-    context for an exact potential, which never reads it."""
+    """mp.workdps(precision) for a precision of 1..MAX_PRECISION digits, or
+    no context for an exact potential, which never reads it."""
     if precision < 1:
         raise ValueError(f"precision must be at least 1 digit, got {precision}")
+    if precision > MAX_PRECISION:
+        raise ValueError(f"precision must be at most {MAX_PRECISION} digits, got {precision}")
     if h.exact_on_rationals:
         return nullcontext()
     import mpmath as mp
@@ -377,9 +360,8 @@ def energy_lower_bound(h: Potential, precision: int = 60) -> EnergyCertificate:
     """Certified h-energy lower bound for the class of T-avoiding codes with
     146880 points (T the symmetric avoided set).
 
-    The bound value is N * sum over t != 1 of A_t h(t); it is cross-checked
-    against N^2 ((H_7)_0 - H_7(1)/N), which must agree exactly (for exact
-    potentials) by the design quadrature identity.
+    The bound value is N * sum over t != 1 of A_t h(t); by the design identity,
+    checked exactly, it equals the dual form N^2 ((H_7)_0 - H_7(1)/N).
     """
     n = 32
     nodes = PAPER_NODES
@@ -399,7 +381,7 @@ def energy_lower_bound(h: Potential, precision: int = 60) -> EnergyCertificate:
 
         failure = None
         for i, d in enumerate(dd):
-            if _is_negative(d, h.exact_on_rationals):
+            if d < 0:
                 label = "h[t_1]" if i == 0 else f"h[t_1..t_{i + 1}]"
                 failure = (
                     f"divided difference {label} = {_fmt_value(d)} is negative; "
@@ -419,7 +401,18 @@ def energy_lower_bound(h: Potential, precision: int = 60) -> EnergyCertificate:
                 f"node polynomial is negative at t = {err.negative_witness} "
                 "inside [-1,1] minus T"
             )
-        if failure is None and not _close(bound, dual, h.exact_on_rationals):
+        if failure is None:
+            sums = [0] * len(nodes.nodes)
+            for t, term in dist.a.items():
+                for i, node in enumerate(nodes.nodes):
+                    sums[i] += term  # A_t P_i(t)
+                    term *= t - node
+            for i, c in enumerate([1] + [pp.expansion.coeffs[0] for pp in pps]):
+                if sums[i] != N * c:
+                    failure = (f"design identity fails for P_{i}: sum of A_t P_{i}(t) "
+                               f"= {sums[i]}, N (P_{i})_0 = {N * c}")
+                    break
+        if failure is None and h.exact_on_rationals and bound != dual:
             failure = (
                 f"quadrature form {_fmt_value(bound)} and dual form "
                 f"{_fmt_value(dual)} disagree"

@@ -30,6 +30,9 @@ MAX_DEGREE = 64
 # characters at s = 1000); from s = 4900 on, Python refuses to print one.
 MAX_RIESZ_EXPONENT = 1000
 
+# Largest mpmath precision of an energy certificate (`expt`: about 1 s there).
+MAX_PRECISION = 10000
+
 
 def check_degree(degree: int) -> None:
     """Reject a degree above MAX_DEGREE, before any basis or expansion work."""

@@ -298,6 +298,26 @@ def test_energy_rejects_precision_below_one(small_shell_file, precision, shell):
     assert proc.stderr == f"error: precision must be at least 1 digit, got {precision}\n"
 
 
+@pytest.mark.parametrize("precision", ["10001", "1000000"])
+@pytest.mark.parametrize("shell", [False, True])
+def test_energy_rejects_precision_above_the_cap(small_shell_file, precision, shell):
+    # the cap is checked before any work, so even a million digits exits at once
+    argv = ["energy", "--potential", "expt", f"--precision={precision}"]
+    proc = run_cli(*argv, *(["--shell", str(small_shell_file)] if shell else []), timeout=20)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: precision must be at most 10000 digits, got {precision}\n"
+
+
+@pytest.mark.parametrize("spec", ["invlin", "riesz:2", "riesz:8"])
+def test_energy_rejects_precision_for_an_exact_potential(capsys, spec):
+    # an exact potential never reads the precision, so the flag would be ignored
+    assert main(["energy", "--potential", spec, "--precision", "60"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --precision applies only to expt, gauss and odd riesz, not {spec}\n"
+
+
 @pytest.mark.parametrize("extra, message", [
     ([], "nothing to check: give --witness or --sample of at least 1"),
     (["--sample=0"], "nothing to check: give --witness or --sample of at least 1"),

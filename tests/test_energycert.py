@@ -24,7 +24,8 @@ from latcert.energycert import (
     potential_by_spec,
     riesz,
 )
-from latcert.gegenbauer import InnerProductHistogram, gegenbauer_expand
+from latcert.gegenbauer import (MAX_PRECISION, DistanceDistribution, InnerProductHistogram,
+                                gegenbauer_expand)
 from latcert.lpcert import P7_EXPANSION
 
 H = Fraction(1, 2)
@@ -215,16 +216,47 @@ def test_expt_certificate_at_precision():
     assert cert.precision_digits == 60
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "transcendental verdicts rest on a relative tolerance of 1e-20, so they flip "
-    "as the precision rises; interval proofs are the ROADMAP item 'One universal "
-    "energy certificate, with interval proofs for the transcendental potentials'"))
-@pytest.mark.parametrize("spec", ["expt", "gauss:8", "riesz:7"])
+@pytest.mark.parametrize("spec", [
+    "expt", "gauss:8", "riesz:7", "riesz:1", "riesz:3", "gauss:1/4",
+    pytest.param("gauss:1/2", marks=pytest.mark.xfail(strict=True, reason=(
+        "valid at 3 digits and invalid at 4: a divided-difference sign is read "
+        "in rounded arithmetic; interval enclosures are ROADMAP item 1"))),
+])
 def test_valid_verdict_stays_valid_at_higher_precision(spec):
     h = potential_by_spec(spec)
     verdicts = [energy_lower_bound(h, precision=p).valid for p in range(1, 41)]
     first = verdicts.index(True)
     assert all(verdicts[first:]), [p for p, ok in enumerate(verdicts, 1) if not ok]
+
+
+@pytest.mark.parametrize("spec, precision", [("invlin", 60), ("expt", 60), ("expt", 3)])
+def test_design_identity_failure_is_caught(monkeypatch, spec, precision):
+    # one point moved from A_0 to A_{1/4} puts sum_t A_t P_1(t) off by 1/4, a
+    # fault no rounding tolerance may hide
+    a = dict(design_distribution().a)
+    a[Fraction(0)] -= 1
+    a[Q] += 1
+    monkeypatch.setattr("latcert.energycert.design_distribution",
+                        lambda: DistanceDistribution(a))
+    cert = energy_lower_bound(potential_by_spec(spec), precision=precision)
+    assert not cert.valid
+    assert cert.failure.startswith("design identity fails for P_1:"), cert.failure
+
+
+def test_wrong_derivative_is_caught():
+    h = expt()
+    wrong = h._replace(derivative=lambda t: -h.derivative(t))
+    cert = energy_lower_bound(wrong, precision=60)
+    assert not cert.valid
+    assert cert.failure.startswith("divided difference h[t_1..t_2] = -0.367879"), cert.failure
+
+
+def test_precision_above_the_cap_is_refused_before_any_work():
+    for precision in (MAX_PRECISION + 1, 10**6):
+        with pytest.raises(ValueError, match=f"at most {MAX_PRECISION} digits"):
+            energy_lower_bound(expt(), precision=precision)
+        with pytest.raises(ValueError, match=f"at most {MAX_PRECISION} digits"):
+            code_energy(InnerProductHistogram({Fraction(-1): 2}, 2), expt(), precision)
 
 
 def test_riesz_even_is_exact():
