@@ -249,8 +249,13 @@ def _newton_basis(m: NodeMultiset) -> list:
 def hermite_interpolant(h: Potential, m: NodeMultiset) -> Polynomial:
     """Newton-form interpolant matching h at simple nodes and h, h' at
     doubled nodes; degree at most len(m.nodes) - 1."""
+    return _newton_form(divided_differences(h, m), m)
+
+
+def _newton_form(dd: list, m: NodeMultiset) -> Polynomial:
+    """The sum of the divided differences dd times the Newton basis of m."""
     poly = Polynomial()
-    for d, p in zip(divided_differences(h, m), _newton_basis(m)):
+    for d, p in zip(dd, _newton_basis(m)):
         poly = poly + p.scale(d)
     return poly
 
@@ -369,7 +374,7 @@ def energy_lower_bound(h: Potential, precision: int = 60) -> EnergyCertificate:
     N = DESIGN_SIZE
     with _working_precision(precision, h):
         dd = divided_differences(h, nodes)
-        h7 = hermite_interpolant(h, nodes)
+        h7 = _newton_form(dd, nodes)  # h and h' evaluated once per node
         expansion = gegenbauer_expand(n, h7)
         pps = tuple(partial_products(nodes, n))
         err = error_sign_check(nodes, T)

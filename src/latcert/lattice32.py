@@ -28,9 +28,13 @@ and, by Cauchy-Schwarz, every partial sum is an integer of absolute value
 at most 66 * 32 = 2112 < 2^24: the float path is exact.  When the rows end
 with the first half negated in reverse order, as the rows of a shell closed
 under negation do, only the first half is counted and each table gets its
-reverse added.  The kernel keeps one uint16 block of about 2^21 keys (28
-pairs on a folded 146880-row shell) and fills it 8192 counted rows at a
-time, each converted from int8 to float32 just before its product.
+reverse added.  The counted rows are all rows, or the rows at given
+ascending indices (the orbit pass of ``sphercode`` counts each size class
+of orbits against the rows of orbits no larger); an index set folds when it
+holds the mirror index of each of its indices.  The kernel keeps one uint16
+block of at most 32 pairs and about 2^21 keys (28 pairs on a folded
+146880-row shell) and fills it 8192 counted rows at a time, each converted
+from int8 (gathered, for an index set) to float32 just before its product.
 """
 
 from __future__ import annotations
@@ -274,22 +278,32 @@ def venkov_e22(shell: Shell, x, z) -> int:
     return int(table[_E22_BIN, _E22_BIN])
 
 
-def _joint_tables(V: np.ndarray, a, b):
+def _joint_tables(V: np.ndarray, a, b, rows=None):
     """Yield, for each pair (a[k], b[k]) of rows of V (a Shell's rows), the
-    (65, 65) table whose entry [d_b + 32, d_a + 32] counts the rows x
-    with s_x.s_a = d_a and s_x.s_b = d_b: the key is the exact float32 dot
-    (s_a + 65 s_b).x + 66 * 32, in [0, 4224].  Folded rows count the first
-    half only, and -x has dots (-d_a, -d_b), so the table gets its reverse
-    added."""
+    (65, 65) table whose entry [d_b + 32, d_a + 32] counts the counted rows
+    x with s_x.s_a = d_a and s_x.s_b = d_b: the key is the exact float32
+    dot (s_a + 65 s_b).x + 66 * 32, in [0, 4224].  The counted rows are all
+    of V, or the rows at the ascending indices ``rows``, gathered 8192 at a
+    time.  Folded rows count the first half only, and -x has dots (-d_a,
+    -d_b), so the table gets its reverse added; an index set folds when V
+    does and it holds the mirror index len(V) - 1 - k of each k."""
     fold = _folds(V)
-    rows = V[: len(V) // 2] if fold else V  # the counted rows only
+    if rows is None:  # contiguous: the counted rows are a view of V
+        counted = V[: len(V) // 2] if fold else V
+    else:
+        fold = fold and np.array_equal(rows[::-1], len(V) - 1 - rows)
+        counted = rows[: len(rows) // 2] if fold else rows
     P = V[a] + _BINS * V[b].astype(np.float32)
-    step = max(1, 2**21 // len(rows))  # pairs per block: about 2^21 uint16 keys
+    # pairs per block: at most 32, so a product is at most 32 x 8192 float32,
+    # and about 2^21 uint16 keys from 2^16 counted rows up
+    step = max(1, 2**21 // max(len(counted), 2**16))
     for j0 in range(0, len(P), step):
         block = P[j0 : j0 + step]
-        keys = np.empty((len(block), len(rows)), dtype=np.uint16)
-        for r0 in range(0, len(rows), 8192):  # float32 of 8192 rows at a time
-            dots = block @ rows[r0 : r0 + 8192].T.astype(np.float32)
+        keys = np.empty((len(block), len(counted)), dtype=np.uint16)
+        for r0 in range(0, len(counted), 8192):  # float32 of 8192 rows at a time
+            part = counted[r0 : r0 + 8192]
+            part = part if rows is None else V[part]
+            dots = block @ part.T.astype(np.float32)
             dots += SHELL_NORM * (_BINS + 1)
             keys[:, r0 : r0 + 8192] = dots
         for j in range(len(keys)):

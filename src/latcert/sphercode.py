@@ -22,6 +22,13 @@ minus sets are the codewords, so the group is the 2^16 codeword flips with
 1117 orbits, one per magnitude class.  On any other shell the group is
 whatever verifies, down to {+-1} or the trivial group, and the passes stay
 exact.
+
+Each pair of orbits is counted once, from the smaller orbit's rows: for
+orbits O_i and O_j, n_i N(i->j, d) = n_j N(j->i, d), where N(i->j, d) counts
+the points of O_j at dot d from a point of O_i.  The lattice shells have
+496 orbits of 4 points, 620 of 128 and one of 65536, so the pass counts
+about 12.9M kernel keys and 1.3M dots of smaller orbits, against 41.1M keys
+for each column against every row.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ import numpy as np
 from .exactmath import Frozen, Polynomial
 from .gegenbauer import (DistanceDistribution, InnerProductHistogram,
                          gegenbauer_expand, gegenbauer_poly)
-from .lattice32 import SHELL_NORM, Shell, _joint_tables, _row_keys
+from .lattice32 import _BINS, SHELL_NORM, Shell, _joint_tables, _row_keys
 
 ALL = "all"
 
@@ -70,15 +77,15 @@ QuadratureVerdict = namedtuple("QuadratureVerdict", "holds lhs rhs warning",
                                defaults=(None,))
 
 
-def _column_counts(V: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """(65, len(cols)) counts of each dot value s_x.s_c over all rows x, one
-    column per index c in cols; bin 64 holds the self pair.  Columns go in
-    pairs (a, b), an odd count padded with its last, and each pair's joint
-    table gives column a as its sums over d_b and column b as its sums over
-    d_a."""
+def _column_counts(V: np.ndarray, cols: np.ndarray, rows=None) -> np.ndarray:
+    """(65, len(cols)) counts of each dot value s_x.s_c over the counted rows
+    x, all of V or those at the ascending indices rows, one column per index
+    c in cols; bin 64 holds the self pair.  Columns go in pairs (a, b), an
+    odd count padded with its last, and each pair's joint table gives column
+    a as its sums over d_b and column b as its sums over d_a."""
     pairs = np.append(cols, cols[-1:]) if len(cols) % 2 else cols
     table = []
-    for joint in _joint_tables(V, pairs[0::2], pairs[1::2]):
+    for joint in _joint_tables(V, pairs[0::2], pairs[1::2], rows):
         table += [joint.sum(axis=0), joint.sum(axis=1)]  # columns a, b
     return np.array(table[: len(cols)]).T
 
@@ -118,17 +125,70 @@ def _orbit_pass(vectors: np.ndarray):
     sizes, (65, reps) column table, group order).  Each orbit of the
     verified flip group is represented by its smallest index, and every
     point's distribution is its representative's column."""
-    reps, sizes, group_order = _orbits(vectors)  # its labels are freed here
-    return reps, sizes, _column_counts(vectors, reps), group_order
+    reps, sizes, labels, group_order = _orbits(vectors)
+    return reps, sizes, _orbit_pair_counts(vectors, reps, sizes, labels), group_order
+
+
+def _orbit_pair_counts(V: np.ndarray, reps, sizes, labels) -> np.ndarray:
+    """The (65, reps) table _column_counts(V, reps) gives, with each pair of
+    orbits counted once, from the smaller orbit's rows.
+
+    For orbits O_i and O_j of sizes n_i and n_j, every point of O_i sees the
+    same N(i->j, d) points of O_j at dot d, so counting the pairs of
+    O_i x O_j at dot d both ways gives n_i N(i->j, d) = n_j N(j->i, d).  The
+    orbits are taken by size, smallest first.  Each size class's columns
+    count the rows of the orbits no larger than it directly; for each
+    smaller orbit O_i, the class's dots with its rows, times the class size,
+    add up to n_i N(i->j, d) over the class's orbits O_j, and are divided
+    by n_i at the end."""
+    by_size = np.argsort(sizes, kind="stable")
+    ordered = sizes[by_size]
+    rank = np.empty(len(reps), dtype=np.int32)
+    rank[by_size] = np.arange(len(reps), dtype=np.int32)
+    ranks = rank[labels]  # per row, its orbit's place by size
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    table = np.empty((_BINS, len(reps)), dtype=np.int64)
+    scaled = np.zeros((starts[-1], _BINS), dtype=np.int64)  # n_i N(i->j, d), by rank
+    for lo, hi in zip(starts, [*starts[1:], len(reps)]):
+        cols = reps[by_size[lo:hi]]
+        # the largest orbits count every row, through the contiguous path
+        rows = None if hi == len(reps) else np.flatnonzero(ranks < hi).astype(np.int32)
+        table[:, by_size[lo:hi]] = _column_counts(V, cols, rows)
+        if lo:
+            scaled[:lo] += ordered[lo] * _orbit_dot_counts(V, cols, ranks, lo)
+    counts, remainder = np.divmod(scaled, ordered[: len(scaled), None])
+    if remainder.any():
+        raise RuntimeError("orbit pair counts are not multiples of the orbit sizes")
+    table[:, by_size[: len(scaled)]] += counts.T
+    return table
+
+
+def _orbit_dot_counts(V: np.ndarray, cols, ranks, lo: int) -> np.ndarray:
+    """(lo, 65) counts, over the columns c and the rows x whose rank is
+    below lo, of the dot values s_x.s_c, by the row's rank.  The rows are
+    gathered in blocks of at most 8192 and about 2^17 dots."""
+    rows = np.flatnonzero(ranks < lo).astype(np.int32)
+    C = V[cols].T.astype(np.float32)
+    out = np.zeros(lo * _BINS, dtype=np.int64)
+    step = max(1, min(8192, 2**17 // len(cols)))
+    for r0 in range(0, len(rows), step):
+        part = rows[r0 : r0 + step]
+        keys = (V[part].astype(np.float32) @ C).astype(np.int32)  # exact dots
+        keys += (ranks[part] * _BINS + SHELL_NORM)[:, None]
+        out += np.bincount(keys.ravel(), minlength=len(out))
+    return out.reshape(lo, _BINS)
 
 
 def _orbits(vectors: np.ndarray):
-    """(representatives, orbit sizes, group order) of the verified flip
-    group.  A row's key is its magnitude class above its minus signs packed
-    by rank within the class's common support; clearing the pivot bits of an
-    echelon basis of the kept masks (per class) maps every key of a coset,
-    so of an orbit, to one label."""
-    mags = _row_keys(np.abs(vectors))
+    """(representatives, orbit sizes, int32 orbit label per row, group
+    order) of the verified flip group; label k is the orbit of the k-th
+    representative.  A row's key is its magnitude class above its minus
+    signs packed by rank within the class's common support; clearing the
+    pivot bits of an echelon basis of the kept masks (per class) maps every
+    key of a coset, so of an orbit, to one label."""
+    mags = np.empty((len(vectors), -(-vectors.shape[1] // 16)), dtype=">u8")
+    for r0 in range(0, len(vectors), 8192):  # no full-size |vectors|
+        mags[r0 : r0 + 8192] = _row_keys(np.abs(vectors[r0 : r0 + 8192]))
     order = np.lexsort(mags.T[::-1])
     mags = mags[order]
     first = np.ones(len(vectors), dtype=bool)
@@ -151,9 +211,13 @@ def _orbits(vectors: np.ndarray):
         keys ^= np.where(keys & pivot[cls], mask[cls], 0)
         for later in kept[i + 1 :]:
             later ^= np.where(later & pivot, mask, 0)
-    _, reps, sizes = np.unique(keys, return_index=True, return_counts=True)
+    ukeys, reps, sizes = np.unique(keys, return_index=True, return_counts=True)
     by_index = np.argsort(reps)
-    return reps[by_index], sizes[by_index], 2 ** len(kept)
+    label = np.empty(len(reps), dtype=np.int32)
+    label[by_index] = np.arange(len(reps), dtype=np.int32)
+    # a lookup: return_inverse's full-size int64 temporaries add 2.5 MB of RSS
+    labels = label[np.searchsorted(ukeys, keys)]
+    return reps[by_index], sizes[by_index], labels, 2 ** len(kept)
 
 
 def histogram(shell: Shell) -> InnerProductHistogram:

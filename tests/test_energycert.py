@@ -251,6 +251,19 @@ def test_wrong_derivative_is_caught():
     assert cert.failure.startswith("divided difference h[t_1..t_2] = -0.367879"), cert.failure
 
 
+def test_energy_bound_evaluates_the_potential_once_per_node():
+    # 8 values and 2 derivatives (the doubled nodes -1 and 0) for the divided
+    # differences, and 6 values for the bound over the t != 1 support
+    h, calls = expt(), []
+    counted = h._replace(
+        value=lambda t: calls.append("value") or h.value(t),
+        derivative=lambda t: calls.append("derivative") or h.derivative(t),
+    )
+    cert = energy_lower_bound(counted, precision=60)
+    assert (calls.count("value"), calls.count("derivative")) == (14, 2)
+    assert cert.to_json_dict() == energy_lower_bound(h, precision=60).to_json_dict()
+
+
 def test_precision_above_the_cap_is_refused_before_any_work():
     for precision in (MAX_PRECISION + 1, 10**6):
         with pytest.raises(ValueError, match=f"at most {MAX_PRECISION} digits"):

@@ -8,12 +8,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from conftest import norm32_magnitudes, random_polynomial
 from latcert.exactmath import Polynomial
 from latcert.gegenbauer import distribution_from_design, gegenbauer_expand, gegenbauer_poly
-from latcert.lattice32 import Shell, _joint_tables, load_shell, make_shell, venkov_sample
+from latcert import sphercode
+from latcert.cli import main
+from latcert.lattice32 import (Shell, _joint_tables, load_shell, make_shell, save_shell,
+                               venkov_sample)
 from latcert.sphercode import (
     ALL,
     DistanceDistribution,
@@ -264,22 +267,31 @@ def test_main_identity_on_small_shell(small_antipodal_shell):
 
 
 MAGNITUDES = {dim: norm32_magnitudes(dim) for dim in (*range(4, 9), *range(33, 41))}
+FULL_MAGNITUDES = {dim: [m for m in MAGNITUDES[dim] if all(m)] for dim in range(5, 9)}
 
 
 @st.composite
-def flip_closed_shells(draw, dims=(4, 8)):
+def flip_closed_shells(draw, dims=(4, 8), full_row=False):
     """A few random norm-32 rows in dim 4-8 (or in dims), closed under a
     random set of sign flips; sometimes one point and its antipode are then
-    removed."""
+    removed.  With full_row (dims within 5-8), the first row has no zero
+    entry and no minus sign, so the minus signs of its flips are the span of
+    the drawn flips: the orbit pass finds them, and the rows whose support
+    they act on in fewer ways get smaller orbits."""
     dim = draw(st.integers(*dims))
     signs = st.lists(st.booleans(), min_size=dim, max_size=dim)
     rows = set()
-    for _ in range(draw(st.integers(1, 3))):
-        mags = draw(st.sampled_from(MAGNITUDES[dim]))
+    for k in range(draw(st.integers(1 + full_row, 3))):
+        if full_row and not k:  # no zero entry
+            mags = draw(st.sampled_from(FULL_MAGNITUDES[dim]))
+        elif full_row:  # two +-4
+            mags = (4, 4) + (0,) * (dim - 2)
+        else:
+            mags = draw(st.sampled_from(MAGNITUDES[dim]))
         perm = draw(st.permutations(range(dim)))
-        neg = draw(signs)
+        neg = [False] * dim if full_row and not k else draw(signs)
         rows.add(tuple(-mags[p] if f else mags[p] for p, f in zip(perm, neg)))
-    for flip in draw(st.lists(signs, max_size=4)):
+    for flip in draw(st.lists(signs, min_size=3 if full_row else 0, max_size=4)):
         rows |= {tuple(-v if f else v for v, f in zip(r, flip)) for r in rows}
     rows = sorted(rows)
     if draw(st.booleans()):
@@ -497,6 +509,23 @@ def test_column_counts_match_brute_force_on_random_columns(shell, antipodal, shu
     assert np.array_equal(table, _brute_force_columns(V, cols))
 
 
+@settings(max_examples=200, deadline=None)
+@given(flip_closed_shells(), st.booleans(), st.data())
+def test_column_counts_over_row_subsets_match_brute_force(shell, mirrored, data):
+    rows = {tuple(r) for r in shell.vectors.tolist()}
+    rows |= {tuple(-v for v in r) for r in rows}
+    V = np.array(sorted(rows), dtype=np.int8)  # canonical and antipodal
+    if mirrored:  # the subset folds with V: it holds len(V) - 1 - k for each k
+        half = np.array(sorted(data.draw(st.sets(st.integers(0, len(V) // 2 - 1), min_size=1))))
+        subset = np.union1d(half, len(V) - 1 - half)
+    else:
+        subset = np.array(sorted(data.draw(st.sets(st.integers(0, len(V) - 1), min_size=1))))
+    cols = np.array(data.draw(st.lists(st.integers(0, len(V) - 1), min_size=1, max_size=9)))
+    table = _column_counts(V, cols, subset.astype(np.int32))
+    dots = V[subset].astype(np.int64) @ V[cols].astype(np.int64).T + 32
+    assert np.array_equal(table, np.array([np.bincount(d, minlength=65) for d in dots.T]).T)
+
+
 def _brute_force_joint(V, a, b):
     """(65, 65) int64 counts of the rows x with x.V[b] + 32, x.V[a] + 32."""
     D = V.astype(np.int64) @ V[[a, b]].astype(np.int64).T + 32
@@ -528,6 +557,65 @@ def test_joint_tables_match_brute_force(shell, data):
         assert len(tables) == len(pairs)
         for (i, j), table in zip(pairs, tables):
             assert np.array_equal(table, _brute_force_joint(U, i, j))
+
+
+def test_orbit_pair_counts_match_the_one_sided_table(rm_shell):
+    # orbits of sizes 4, 128 and 65536: each pair of orbits counted once
+    V = rm_shell.result.vectors
+    reps, sizes, table, _ = _orbit_pass(V)
+    assert np.unique(sizes).tolist() == [4, 128, 65536]
+    assert np.array_equal(table, _column_counts(V, reps))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(flip_closed_shells(), flip_closed_shells(dims=(5, 8), full_row=True)))
+@example(_hamming_shell())
+@example(make_shell(_WIDE_ROWS))
+def test_orbit_pair_counts_match_brute_force(shell):
+    V = shell.vectors
+    reps, sizes, table, _ = _orbit_pass(V)
+    event(f"{len(np.unique(sizes))} orbit sizes")
+    assert np.array_equal(table, _column_counts(V, reps))
+    assert np.array_equal(table, _brute_force_columns(V, reps))
+
+
+def test_orbit_pair_counts_without_negation():
+    # flipping coordinates 0 and 1 maps these rows onto themselves, and
+    # negation does not: orbits of sizes 1 and 2, and the rows do not fold
+    rows = [[2] * 8, [-2, -2] + [2] * 6, [4, 4] + [0] * 6, [-4, -4] + [0] * 6,
+            [4, 0, 4] + [0] * 5, [-4, 0, 4] + [0] * 5,
+            [0, 0, 4, 4] + [0] * 4, [0, 0, 4, -4] + [0] * 4]
+    shell = Shell(np.array(rows, dtype=np.int8), 8)
+    assert not _folds(shell.vectors)
+    reps, sizes, table, order = _orbit_pass(shell.vectors)
+    assert (order, sorted(sizes.tolist())) == (2, [1, 1, 2, 2, 2])
+    assert np.array_equal(table, _brute_force_columns(shell.vectors, reps))
+    _assert_matches_brute_force(shell)
+
+
+def test_orbit_pair_counts_reject_rows_outside_their_orbit(monkeypatch, tmp_path, capsys):
+    # one row of an orbit of 4 labelled as a row of another: "orbits" of 3
+    # and 5, whose counts from the orbit of 16 are not multiples of 3 and 5
+    orbits = sphercode._orbits
+
+    def moved(V):
+        reps, sizes, labels, order = orbits(V)
+        i, j = np.flatnonzero(sizes == 4)[:2]
+        labels[np.flatnonzero(labels == i)[-1]] = j  # not i's representative
+        sizes[[i, j]] += [-1, 1]
+        return reps, sizes, labels, order
+
+    monkeypatch.setattr(sphercode, "_orbits", moved)
+    shell = _hamming_shell()
+    message = "orbit pair counts are not multiples of the orbit sizes"
+    with pytest.raises(RuntimeError, match=message):
+        check_distance_invariance(shell, ALL)
+    path = tmp_path / "hamming.shell"
+    save_shell(shell, path)
+    assert main(["verify", "--shell", str(path), "--full"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: internal check failed: {message}\n"
 
 
 @pytest.mark.parametrize("sample", [0, -5])
