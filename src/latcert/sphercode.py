@@ -166,7 +166,7 @@ def _orbit_pair_counts(V: np.ndarray, reps, sizes, labels) -> np.ndarray:
 def _orbit_dot_counts(V: np.ndarray, cols, ranks, lo: int) -> np.ndarray:
     """(lo, 65) counts, over the columns c and the rows x whose rank is
     below lo, of the dot values s_x.s_c, by the row's rank.  The rows are
-    gathered in blocks of at most 8192 and about 2^17 dots."""
+    gathered in blocks of at most 8192 rows and 2^17 dots."""
     rows = np.flatnonzero(ranks < lo).astype(np.int32)
     C = V[cols].T.astype(np.float32)
     out = np.zeros(lo * _BINS, dtype=np.int64)
