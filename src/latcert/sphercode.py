@@ -12,14 +12,18 @@ The exact passes (the histogram and the full invariance check) need only one
 column per orbit of a group of coordinate sign flips that maps the shell onto
 itself: a flip is an isometry, so every point of an orbit sees the same
 distance distribution.  Candidate flips are read off the shell (the minus
-patterns of its rows with no zero entry, and negation).  Each row gets one
-exact key: its magnitude class (the rows with the same |x|) above its minus
-signs packed by rank within its support.  A flip XORs every key of a class
-with one mask, so it is kept only if the sorted keys are unchanged, and the
-orbits are the cosets of the kept masks' span within each class.  On the
-lattice shells the rows with no zero entry are the all-+-1 vectors, whose
-minus sets are the codewords, so the group is the 2^16 codeword flips with
-1117 orbits, one per magnitude class.  On any other shell the group is
+patterns of its rows with no zero entry, and negation).  Each row's minus
+signs are one uint32 word, and a flip XORs the words of a magnitude class
+(the rows with the same |x|) with one mask, its bits on the class's
+support.  So a flip maps the shell onto itself exactly when it maps every
+class onto itself, and the orbits of the kept flips are the cosets of their
+masks' span within each class.  The words are reduced once by an echelon
+basis of all the candidates' masks and counted: a class in which every
+coset is whole is mapped onto itself by every candidate, and only the rows
+of the other classes check each flip on its own.  On the lattice shells the
+rows with no zero entry are the all-+-1 vectors, whose minus sets are the
+codewords, so every class is whole and the group is the 2^16 codeword flips
+with 1117 orbits, one per magnitude class.  On any other shell the group is
 whatever verifies, down to {+-1} or the trivial group, and the passes stay
 exact.
 
@@ -90,34 +94,74 @@ def _column_counts(V: np.ndarray, cols: np.ndarray, rows=None) -> np.ndarray:
     return np.array(table[: len(cols)]).T
 
 
-def _candidate_flips(vectors: np.ndarray) -> list:
-    """Sign-flip masks to try: a GF(2) basis of the minus patterns of the rows
-    with no zero entry, then negation if it lies outside their span."""
-    rows = vectors[vectors.all(axis=1)] < 0
-    basis = []
-    for c in range(vectors.shape[1]):
-        hit = rows[:, c]
-        if hit.any():
-            pivot = rows[np.argmax(hit)].copy()  # zero before c; a view would pin rows
-            basis.append(pivot)
-            rows = rows ^ (hit[:, None] & pivot)
-    neg = np.ones(vectors.shape[1], dtype=bool)
-    for pivot in basis:
-        if neg[np.argmax(pivot)]:
-            neg = neg ^ pivot
-    return basis + [np.ones_like(neg)] if neg.any() else basis
-
-
-def _packed(rows: np.ndarray) -> np.ndarray:
-    """Per row, its minus signs as one uint64: a negative coordinate sets the
-    bit of its rank among the row's nonzero coordinates.  A row has at most
-    32 of them, as s.s = 32."""
-    packed = np.zeros(len(rows), dtype=np.uint64)
+def _sign_words(rows: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Per row, the set entries of the bool array bits (of rows' shape) as
+    one uint32.  At dim <= 32 bit k is coordinate k; above it, bit k is the
+    row's k-th nonzero coordinate, which fits as s.s = 32 allows at most 32
+    of them.  The rows of a magnitude class share their support, so within
+    a class either packing is one-to-one."""
+    if rows.shape[1] <= 32:
+        packed = np.zeros((len(rows), 4), dtype=np.uint8)
+        packed[:, : -(-rows.shape[1] // 8)] = np.packbits(bits, axis=1, bitorder="little")
+        return packed.view("<u4")[:, 0]
+    words = np.zeros(len(rows), dtype=np.uint32)
     rank = np.zeros(len(rows), dtype=np.uint8)
-    for col in rows.T:
-        packed |= np.left_shift(col < 0, rank, dtype=np.uint64)
+    for col, bit in zip(rows.T, bits.T):
+        words |= np.left_shift(bit, rank, dtype=np.uint32)
         rank += col != 0
-    return packed
+    return words
+
+
+def _candidate_flips(words: np.ndarray, dim: int) -> list:
+    """Sign-flip words to try, as Python ints: a GF(2) basis of the minus
+    words of the rows with no zero entry, in row order, then negation if it
+    lies outside their span.  The pivots go from the lowest coordinate up;
+    each is the first row that has its coordinate once the earlier pivots
+    are cleared.  Above dim 32 no row lacks a zero, so negation is the only
+    candidate."""
+    ones = (1 << min(dim, 32)) - 1  # negation
+    basis = []
+    for c in range(min(dim, 32)):
+        hit = words & np.uint32(1 << c)
+        if hit.any():
+            pivot = words[np.argmax(hit)]
+            basis.append(int(pivot))
+            words = words ^ np.where(hit, pivot, 0)
+    neg = ones
+    for pivot in basis:
+        if neg & pivot & -pivot:
+            neg ^= pivot
+    return basis + [ones] if neg else basis
+
+
+def _coset_keys(words: np.ndarray, masks: list, class_sizes: np.ndarray):
+    """(uint64 key per row, rank per class) for rows in class order and
+    per-class masks: a row's key is its class above its word with the pivot
+    bits of a per-class echelon of the masks cleared, so the rows of one
+    coset of the masks' span, and only they, share a key."""
+    words = words.copy()
+    masks = [mask.copy() for mask in masks]
+    rank = np.zeros(len(class_sizes), dtype=np.int64)
+    for i, mask in enumerate(masks):
+        # the earlier pivots are already cleared from this mask, and this
+        # pivot is cleared from the later ones, so no step undoes another
+        pivot = mask & (~mask + 1)  # lowest set bit per class, 0 for none
+        rank += pivot != 0
+        words ^= np.where(words & np.repeat(pivot, class_sizes),
+                          np.repeat(mask, class_sizes), 0)
+        for later in masks[i + 1 :]:
+            later ^= np.where(later & pivot, mask, 0)
+    keys = np.repeat(np.arange(len(class_sizes), dtype=np.uint64) << 32, class_sizes)
+    keys |= words
+    return keys, rank
+
+
+def _groups(keys: np.ndarray):
+    """(argsort of keys, start of each run of equal keys in it, run
+    lengths)."""
+    perm = np.argsort(keys)
+    starts = np.flatnonzero(np.r_[True, np.diff(keys[perm]) != 0])
+    return perm, starts, np.diff(np.append(starts, len(keys)))
 
 
 def _orbit_pass(vectors: np.ndarray):
@@ -182,41 +226,57 @@ def _orbit_dot_counts(V: np.ndarray, cols, ranks, lo: int) -> np.ndarray:
 def _orbits(vectors: np.ndarray):
     """(representatives, orbit sizes, int32 orbit label per row, group
     order) of the verified flip group; label k is the orbit of the k-th
-    representative.  A row's key is its magnitude class above its minus
-    signs packed by rank within the class's common support; clearing the
-    pivot bits of an echelon basis of the kept masks (per class) maps every
-    key of a coset, so of an orbit, to one label."""
-    mags = np.empty((len(vectors), -(-vectors.shape[1] // 16)), dtype=">u8")
-    for r0 in range(0, len(vectors), 8192):  # no full-size |vectors|
-        mags[r0 : r0 + 8192] = _row_keys(np.abs(vectors[r0 : r0 + 8192]))
+    representative, its smallest row index.
+
+    The rows are sorted by magnitude class, and each row's minus signs are
+    one uint32 word (_sign_words; only that packing depends on dim), so a
+    flip's mask on a class is flip & the class's support word.  Every row's
+    word is reduced by the per-class echelon of all candidate masks and the
+    keys are counted once: a class whose every key occurs 2^rank times is a
+    union of cosets (the rows are distinct, so no count is larger), which
+    every candidate maps onto itself.  Only the rows of the other classes
+    check each flip by sorting their keys with and without its masks, and if
+    a flip fails there the words are reduced again by the kept masks."""
+    n, dim = vectors.shape
+    mags = np.empty((n, -(-dim // 16)), dtype=">u8")
+    words = np.empty(n, dtype=np.uint32)
+    for r0 in range(0, n, 8192):  # no full-size |vectors| or sign bits
+        block = vectors[r0 : r0 + 8192]
+        mags[r0 : r0 + 8192] = _row_keys(np.abs(block))
+        words[r0 : r0 + 8192] = _sign_words(block, block < 0)
     order = np.lexsort(mags.T[::-1])
     mags = mags[order]
-    first = np.ones(len(vectors), dtype=bool)
+    first = np.ones(n, dtype=bool)
     first[1:] = (mags[1:] != mags[:-1]).any(axis=1)
-    cls = np.empty(len(vectors), dtype=np.intp)
-    cls[order] = np.cumsum(first) - 1
-    keys = cls.astype(np.uint64) << 32 | _packed(vectors)
+    del mags
+    heads = np.flatnonzero(first)
+    class_sizes = np.diff(np.append(heads, n))
+    lead = vectors[order[heads]]  # one row per class
+    full = np.zeros(n, dtype=bool)  # the rows with no zero entry
+    full[order] = np.repeat(lead.all(axis=1), class_sizes)
+    support = _sign_words(lead, lead != 0)
+    masks = [np.uint32(flip) & support for flip in _candidate_flips(words[full], dim)]
+    words = words[order]  # class order from here on
 
-    mags = np.abs(vectors[order[first]])  # one row per class
-    ref = np.sort(keys)
-    kept = []
-    for flip in _candidate_flips(vectors):
-        mask = _packed(np.where(flip, -mags, mags))
-        if np.array_equal(np.sort(keys ^ mask[cls]), ref):
-            kept.append(mask)
-    for i, mask in enumerate(kept):
-        # the earlier pivots are already cleared from this mask, and this
-        # pivot is cleared from the later ones, so no step undoes another
-        pivot = mask & (~mask + 1)  # lowest set bit per class, 0 for none
-        keys ^= np.where(keys & pivot[cls], mask[cls], 0)
-        for later in kept[i + 1 :]:
-            later ^= np.where(later & pivot, mask, 0)
-    ukeys, reps, sizes = np.unique(keys, return_index=True, return_counts=True)
+    keys, rank = _coset_keys(words, masks, class_sizes)
+    perm, starts, sizes = _groups(keys)
+    cls = keys[perm[starts]] >> 32
+    bad = np.zeros(len(class_sizes), dtype=bool)  # the classes that are no union of cosets
+    bad[cls[sizes != 1 << rank[cls]]] = True
+    kept = masks
+    if bad.any():
+        own = _coset_keys(words, [], class_sizes)[0][np.repeat(bad, class_sizes)]
+        ref = np.sort(own)
+        kept = [mask for mask in masks if np.array_equal(
+            np.sort(own ^ np.repeat(mask[bad], class_sizes[bad])), ref)]
+        perm, starts, sizes = _groups(_coset_keys(words, kept, class_sizes)[0])
+    rows = order[perm]  # row index per key-sorted place
+    reps = np.minimum.reduceat(rows, starts)
     by_index = np.argsort(reps)
     label = np.empty(len(reps), dtype=np.int32)
     label[by_index] = np.arange(len(reps), dtype=np.int32)
-    # a lookup: return_inverse's full-size int64 temporaries add 2.5 MB of RSS
-    labels = label[np.searchsorted(ukeys, keys)]
+    labels = np.empty(n, dtype=np.int32)
+    labels[rows] = np.repeat(label, sizes)
     return reps[by_index], sizes[by_index], labels, 2 ** len(kept)
 
 

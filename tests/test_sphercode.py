@@ -23,6 +23,7 @@ from latcert.sphercode import (
     _candidate_flips,
     _column_counts,
     _orbit_pass,
+    _sign_words,
     check_distance_invariance,
     design_strength,
     distance_distribution_at,
@@ -271,13 +272,14 @@ FULL_MAGNITUDES = {dim: [m for m in MAGNITUDES[dim] if all(m)] for dim in range(
 
 
 @st.composite
-def flip_closed_shells(draw, dims=(4, 8), full_row=False):
+def flip_closed_shells(draw, dims=(4, 8), full_row=False, drop=False):
     """A few random norm-32 rows in dim 4-8 (or in dims), closed under a
     random set of sign flips; sometimes one point and its antipode are then
     removed.  With full_row (dims within 5-8), the first row has no zero
     entry and no minus sign, so the minus signs of its flips are the span of
     the drawn flips: the orbit pass finds them, and the rows whose support
-    they act on in fewer ways get smaller orbits."""
+    they act on in fewer ways get smaller orbits.  With drop, one point is
+    always removed, and its antipode too unless a drawn boolean keeps it."""
     dim = draw(st.integers(*dims))
     signs = st.lists(st.booleans(), min_size=dim, max_size=dim)
     rows = set()
@@ -294,10 +296,10 @@ def flip_closed_shells(draw, dims=(4, 8), full_row=False):
     for flip in draw(st.lists(signs, min_size=3 if full_row else 0, max_size=4)):
         rows |= {tuple(-v if f else v for v, f in zip(r, flip)) for r in rows}
     rows = sorted(rows)
-    if draw(st.booleans()):
+    if drop or draw(st.booleans()):
         x = draw(st.sampled_from(rows))
-        kept = [r for r in rows if r != x and r != tuple(-v for v in x)]
-        rows = kept or rows
+        gone = {x} if drop and draw(st.booleans()) else {x, tuple(-v for v in x)}
+        rows = [r for r in rows if r not in gone] or rows
     return Shell(np.array(rows, dtype=np.int8), dim)
 
 
@@ -374,14 +376,40 @@ def test_full_pass_finds_flip_group_on_small_shell():
 
 
 def _flip(row, flip):
-    return tuple(-v if f else v for v, f in zip(row, flip))
+    """row with the coordinates in the bit set flip negated."""
+    return tuple(-v if flip >> k & 1 else v for k, v in enumerate(row))
+
+
+def _brute_force_flips(rows, dim):
+    """The candidate flips as coordinate bit sets, by Python-int elimination
+    of the minus sets of the rows with no zero entry: pivots from the lowest
+    coordinate up, each the first row with its coordinate once the earlier
+    pivots are cleared; then negation if it lies outside their span."""
+    sets = [sum(1 << k for k, v in enumerate(r) if v < 0) for r in rows if all(r)]
+    basis = []
+    for c in range(dim):
+        hit = [m for m in sets if m >> c & 1]
+        if hit:
+            basis.append(hit[0])
+            sets = [m ^ hit[0] if m >> c & 1 else m for m in sets]
+    neg = (1 << dim) - 1
+    for pivot in basis:
+        if neg & pivot & -pivot:
+            neg ^= pivot
+    return basis + [(1 << dim) - 1] if neg else basis
+
+
+def _flips_of(V):
+    """_candidate_flips on the minus words of V's rows with no zero entry."""
+    full = V[V.all(axis=1)]
+    return _candidate_flips(_sign_words(full, full < 0), V.shape[1])
 
 
 def _brute_force_orbits(shell):
     """(representatives, orbit sizes, group order) for the candidate flips
     that map the row set onto itself, by closing Python row sets."""
     rows = [tuple(r) for r in shell.vectors.tolist()]
-    kept = [f for f in _candidate_flips(shell.vectors)
+    kept = [f for f in _brute_force_flips(rows, shell.dim)
             if {_flip(r, f) for r in rows} == set(rows)]
     reps, sizes, seen = [], [], set()
     for i, row in enumerate(rows):
@@ -416,7 +444,7 @@ def test_orbit_pass_rejects_flips_that_do_not_permute_the_shell():
     # a +-2 row with minus set {0}, and its negation: no code flip but the
     # all-ones word maps {0} into the row set, so only negation survives
     shell = _hamming_shell([[-2] + [2] * 7, [2] + [-2] * 7])
-    assert len(_candidate_flips(shell.vectors)) == 5
+    assert len(_flips_of(shell.vectors)) == 5
     reps, sizes, _, order = _orbit_pass(shell.vectors)
     assert (order, len(reps)) == (2, 65)
     assert (reps.tolist(), sizes.tolist(), order) == _brute_force_orbits(shell)
@@ -425,10 +453,50 @@ def test_orbit_pass_rejects_flips_that_do_not_permute_the_shell():
 
 def test_candidate_flips_own_their_data():
     # a basis flip that is a view of a row of an elimination step keeps that
-    # whole (rows, dim) array alive: 16 such arrays on a lattice shell
-    flips = _candidate_flips(_hamming_shell().vectors)
+    # whole array alive: 16 such arrays on a lattice shell.  Python ints
+    # hold no array.
+    flips = _flips_of(_hamming_shell().vectors)
     assert len(flips) == 4
-    assert all(flip.base is None for flip in flips)
+    assert all(type(flip) is int for flip in flips)
+
+
+def test_candidate_flips_above_dim_32_are_negation_only():
+    # s.s = 32 leaves every row of a shell past dim 32 a zero entry
+    shell = make_shell(_WIDE_ROWS)
+    assert _flips_of(shell.vectors) == [2**32 - 1]
+    assert _brute_force_flips(shell.vectors.tolist(), shell.dim) == [2**40 - 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(flip_closed_shells(drop=True),
+                 flip_closed_shells(dims=(5, 8), full_row=True, drop=True),
+                 flip_closed_shells(dims=(33, 40), drop=True)))
+def test_orbits_match_brute_force_on_shells_missing_points(shell):
+    # a class that lost points is not a union of cosets of every candidate:
+    # its rows check each flip, and the kept flips give the orbits
+    rows = shell.vectors.tolist()
+    flips = _flips_of(shell.vectors)
+    if shell.dim <= 32:  # the same coordinate bit sets
+        assert flips == _brute_force_flips(rows, shell.dim)
+    else:
+        assert flips == [2**32 - 1]
+    reps, sizes, labels, order = sphercode._orbits(shell.vectors)
+    event("a candidate flip fails" if order < 2 ** len(flips) else "every candidate holds")
+    assert (reps.tolist(), sizes.tolist(), order) == _brute_force_orbits(shell)
+    assert np.array_equal(np.bincount(labels, minlength=len(reps)), sizes)
+    assert np.array_equal(labels[reps], np.arange(len(reps)))
+
+
+def test_orbits_on_rm_shell_missing_a_pair_of_a_128_orbit(rm_shell):
+    # x and -x leave the class of a 128-orbit, which is then no union of
+    # cosets of the 2^16 code flips: only that class's rows check each flip
+    V = rm_shell.result.vectors
+    reps, sizes, _, _ = sphercode._orbits(V)
+    x = V[reps[np.flatnonzero(sizes == 128)[0]]]
+    W = make_shell(V[~((V == x).all(axis=1) | (V == -x).all(axis=1))]).vectors
+    reps, sizes, table, order = _orbit_pass(W)
+    assert (len(W), len(reps), order) == (N - 2, 2411, 1024)
+    assert np.array_equal(table, _column_counts(W, reps))
 
 
 def _brute_force_columns(vectors, cols):
