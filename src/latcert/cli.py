@@ -171,6 +171,9 @@ def cmd_energy(args) -> int:
         hist = sphercode.histogram(shell)
         energy = energycert.code_energy(hist, h, **precision)
         cert = cert.with_energy(energy)
+        failure = cert.valid and cert.hypothesis_failure(shell.dim, hist)
+        if failure:  # a valid bound that does not cover this shell
+            cert = cert._replace(valid=False, failure=failure)
     _emit({"command": "energy", **cert.to_json_dict()}, args.format)
     return 0 if cert.valid else 1
 

@@ -307,6 +307,20 @@ class EnergyCertificate(namedtuple(
     def with_energy(self, energy) -> "EnergyCertificate":
         return self._replace(code_energy=energy, gap=energy - self.lower_bound)
 
+    def hypothesis_failure(self, dim: int, hist: InnerProductHistogram) -> str | None:
+        """The first hypothesis of the bound that a code in dimension dim
+        with this ordered-pair histogram fails, with the code's value, or
+        None when the bound covers the code: DESIGN_SIZE points in the
+        certificate's dimension and no inner product in its avoided set."""
+        if dim != self.dimension:
+            return f"shell dimension is {dim}; the bound needs {self.dimension}"
+        if hist.n_points != DESIGN_SIZE:
+            return f"shell has {hist.n_points} points; the bound needs {DESIGN_SIZE}"
+        inside = [t for t in sorted(hist.counts) if self.avoided.contains(t)]
+        if inside:
+            return f"shell has inner product {inside[0]} in T = {self.avoided}"
+        return None
+
     def to_json_dict(self) -> dict:
         num = _fmt_value
         return {

@@ -3,39 +3,27 @@
 Codewords are enumerated exhaustively (2^k words, the span doubled one row at
 a time), which is the oracle for minimum distance and the weight enumerator at
 these sizes.
-Rows are kept both as a 0/1 matrix and as integer bitmasks; bit j of a mask
-is coordinate j.
+A code is its generator rows as integer bitmasks; bit j of a mask is
+coordinate j.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-import numpy as np
-
-from .exactmath import Frozen
-
 # Exhaustive enumeration guard: 2^k words.
 MAX_ENUM_DIMENSION = 28
 
 
-class BinaryCode(Frozen):
-    """A binary [length, dimension] code: ``generator`` is its (k, n) uint8
-    generator matrix, rows linearly independent.  Codes are equal when every
-    field is, the generator compared entry by entry."""
+class BinaryCode(namedtuple("BinaryCode", "length rows name", defaults=("code",))):
+    """A binary [length, dimension] code: ``rows`` is the tuple of its
+    generator rows as bitmasks, linearly independent."""
 
-    __slots__ = ("length", "dimension", "generator", "name")
+    __slots__ = ()
 
-    def __init__(self, length: int, dimension: int, generator: np.ndarray,
-                 name: str = "code"):
-        super().__init__(length, dimension, generator, name)
-
-    def _key(self) -> tuple:
-        g = self.generator
-        return self.length, self.dimension, g.shape, g.tobytes(), self.name
-
-    def row_masks(self) -> list:
-        return [_mask_of_row(row) for row in self.generator]
+    @property
+    def dimension(self) -> int:
+        return len(self.rows)
 
     def codeword_masks(self) -> list:
         """All 2^k codewords as bitmask integers, in no particular order."""
@@ -45,7 +33,7 @@ class BinaryCode(Frozen):
                 f"(guard is k <= {MAX_ENUM_DIMENSION})"
             )
         words = [0]
-        for row in self.row_masks():
+        for row in self.rows:
             words += [w ^ row for w in words]
         return words
 
@@ -54,11 +42,7 @@ CodeReport = namedtuple("CodeReport", "self_dual doubly_even min_distance weight
 
 
 def _mask_of_row(row) -> int:
-    m = 0
-    for j, b in enumerate(row):
-        if b:
-            m |= 1 << j
-    return m
+    return sum(b << j for j, b in enumerate(row))
 
 
 def gf2_rank(masks: list) -> tuple:
@@ -82,13 +66,11 @@ def gf2_rank(masks: list) -> tuple:
 
 
 def _make_code(rows, name: str) -> BinaryCode:
-    G = np.array(rows, dtype=np.uint8)
-    k, n = G.shape
-    rank, deps = gf2_rank([_mask_of_row(r) for r in G])
-    if rank != k:
+    masks = tuple(_mask_of_row(r) for r in rows)
+    rank, deps = gf2_rank(masks)
+    if rank != len(masks):
         raise ValueError(f"{name}: rank-deficient generator; dependent rows {deps[0]}")
-    G.setflags(write=False)
-    return BinaryCode(n, k, G, name)
+    return BinaryCode(len(rows[0]), masks, name)
 
 
 def reed_muller_2_5() -> BinaryCode:
@@ -162,8 +144,7 @@ def code_report(c: BinaryCode) -> CodeReport:
         enum[wt] = enum.get(wt, 0) + 1
     nonzero = [wt for wt in enum if wt > 0]
     min_distance = min(nonzero) if nonzero else 0
-    G = c.generator.astype(np.int64)
-    self_orthogonal = not ((G @ G.T) % 2).any()
+    self_orthogonal = all((a & b).bit_count() % 2 == 0 for a in c.rows for b in c.rows)
     self_dual = self_orthogonal and 2 * c.dimension == c.length
     doubly_even = all(wt % 4 == 0 for wt in enum)
     return CodeReport(self_dual, doubly_even, min_distance, dict(sorted(enum.items())))

@@ -54,11 +54,11 @@ _E22_BIN = SHELL_NORM + 16  # dot 16: lattice inner product 2
 
 
 class Shell(Frozen):
-    """Canonically sorted integer vectors with s.s = 32, in `dim` coordinates.
+    """Canonically sorted integer vectors with s.s = 32.
 
-    `dim` is also the sphere dimension used for Gegenbauer analysis; the
-    lattice construction always produces dim = 32, smaller synthetic shells
-    are used in tests.
+    ``dim``, the length of the rows, is also the sphere dimension used for
+    Gegenbauer analysis; the lattice construction always produces dim = 32,
+    smaller synthetic shells are used in tests.
 
     The constructor checks the invariants every kernel relies on, with
     ValueError, and stores a read-only, C-contiguous sorted copy of the
@@ -70,16 +70,13 @@ class Shell(Frozen):
     """
 
     # vectors: (N, dim) int8, lexicographically sorted, no duplicates
-    __slots__ = ("vectors", "dim")
+    __slots__ = ("vectors",)
     __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __init__(self, vectors, dim: int = 32):
+    def __init__(self, vectors):
         arr = np.asarray(vectors, dtype=np.int8)
         if arr.ndim != 2:
             raise ValueError("shell vectors must form a 2-d array")
-        if arr.shape[1] != dim:
-            raise ValueError(f"expected {dim} coordinates per vector, "
-                             f"got {arr.shape[1]}")
         if not len(arr):
             raise ValueError("need a nonempty shell")
         # first: s.s = 32 bounds |entry| <= 5, inside the row keys' range
@@ -88,7 +85,11 @@ class Shell(Frozen):
         if dups:
             raise ValueError("duplicate shell vectors")
         srt.setflags(write=False)
-        super().__init__(srt, dim)
+        super().__init__(srt)
+
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[1]
 
     @property
     def count(self) -> int:
@@ -160,11 +161,10 @@ def _folds(V: np.ndarray) -> bool:
     return len(V) % 2 == 0 and not (V[:half] + V[half:][::-1]).any()
 
 
-def make_shell(vectors, dim: int | None = None) -> Shell:
-    """The Shell of the rows (dim defaults to their length); ValueError
-    unless it is also closed under negation."""
-    arr = np.asarray(vectors, dtype=np.int8)
-    shell = Shell(arr, arr.shape[1] if dim is None and arr.ndim == 2 else dim)
+def make_shell(vectors) -> Shell:
+    """The Shell of the rows; ValueError unless it is also closed under
+    negation."""
+    shell = Shell(vectors)
     if not _folds(shell.vectors):
         raise ValueError("shell is not closed under negation")
     return shell
@@ -255,7 +255,7 @@ def build_shell(c: BinaryCode) -> Shell:
     blocks.append(1 - 2 * bits)
 
     vectors = np.concatenate(blocks, axis=0)
-    shell = make_shell(vectors, 32)
+    shell = make_shell(vectors)
     expected = 1984 + 128 * len(eight) + len(words)
     if shell.count != expected:
         raise ValueError(f"built {shell.count} shell vectors, expected {expected}")
@@ -379,7 +379,7 @@ def _parse_header(header: str, path) -> tuple:
 
 
 def _read_saved(path):
-    """(dim, count, rows) of a file in the grammar save_shell writes, or None
+    """(count, rows) of a file in the grammar save_shell writes, or None
     for any other file.  That grammar is an ASCII header line without '\r',
     then lines of dim tokens, each an optional '-' and one digit followed
     by a space, the last token of a line by a newline instead.
@@ -426,11 +426,11 @@ def _read_saved(path):
             new[...] = digits
             new.reshape(-1)[at >> 1] *= -1
             rows += len(grid)
-    return dim, count, out[:rows]
+    return count, out[:rows]
 
 
 def _read_text(path):
-    """(dim, count, rows) of any file np.loadtxt reads as a shell file;
+    """(count, rows) of any file np.loadtxt reads as a shell file;
     ValueError (UnicodeDecodeError for a byte that is not UTF-8) otherwise."""
     with open(path) as fh:
         dim, count = _parse_header(fh.readline().strip(), path)
@@ -440,17 +440,17 @@ def _read_text(path):
             arr = np.loadtxt(fh, dtype=np.int8, ndmin=2, comments=None)
     if arr.size and arr.shape[1] != dim:
         raise ValueError(f"{path}: expected {dim} coordinates, got {arr.shape[1]}")
-    return dim, count, arr.reshape(-1, dim)
+    return count, arr.reshape(-1, dim)
 
 
 def load_shell(path) -> Shell:
     """The Shell of a shell file.  A file in the grammar save_shell writes
     is parsed directly; any other file goes through np.loadtxt, which gives
     every other accepted spelling and every error message."""
-    dim, count, arr = _read_saved(path) or _read_text(path)
+    count, arr = _read_saved(path) or _read_text(path)
     if len(arr) != count:
         raise ValueError(f"{path}: header says {count} vectors, found {len(arr)}")
     odd = (arr & 1).sum(axis=1)  # per row; two's complement keeps parity
-    if ((odd > 0) & (odd < dim)).any():
+    if ((odd > 0) & (odd < arr.shape[1])).any():
         raise ValueError(f"{path}: vector with mixed even/odd coordinates")
-    return make_shell(arr, dim)
+    return make_shell(arr)

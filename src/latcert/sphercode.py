@@ -134,11 +134,14 @@ def _candidate_flips(words: np.ndarray, dim: int) -> list:
     return basis + [ones] if neg else basis
 
 
-def _coset_keys(words: np.ndarray, masks: list, class_sizes: np.ndarray):
-    """(uint64 key per row, rank per class) for rows in class order and
-    per-class masks: a row's key is its class above its word with the pivot
-    bits of a per-class echelon of the masks cleared, so the rows of one
-    coset of the masks' span, and only they, share a key."""
+def _cosets(words: np.ndarray, masks: list, class_sizes: np.ndarray):
+    """(argsort of the rows' keys, start of each coset in it, coset sizes,
+    whether each class is a union of whole cosets) for rows in class order
+    and per-class masks.  A row's key is its class above its word with the
+    pivot bits of a per-class echelon of the masks cleared, so the rows of
+    one coset of the masks' span, and only they, share a key.  A class is
+    whole when each of its keys occurs 2^rank times; the rows are distinct,
+    so no key occurs more often."""
     words = words.copy()
     masks = [mask.copy() for mask in masks]
     rank = np.zeros(len(class_sizes), dtype=np.int64)
@@ -153,15 +156,13 @@ def _coset_keys(words: np.ndarray, masks: list, class_sizes: np.ndarray):
             later ^= np.where(later & pivot, mask, 0)
     keys = np.repeat(np.arange(len(class_sizes), dtype=np.uint64) << 32, class_sizes)
     keys |= words
-    return keys, rank
-
-
-def _groups(keys: np.ndarray):
-    """(argsort of keys, start of each run of equal keys in it, run
-    lengths)."""
     perm = np.argsort(keys)
     starts = np.flatnonzero(np.r_[True, np.diff(keys[perm]) != 0])
-    return perm, starts, np.diff(np.append(starts, len(keys)))
+    sizes = np.diff(np.append(starts, len(keys)))
+    cls = keys[perm[starts]] >> 32
+    whole = np.ones(len(class_sizes), dtype=bool)
+    whole[cls[sizes != 1 << rank[cls]]] = False
+    return perm, starts, sizes, whole
 
 
 def _orbit_pass(vectors: np.ndarray):
@@ -232,11 +233,10 @@ def _orbits(vectors: np.ndarray):
     one uint32 word (_sign_words; only that packing depends on dim), so a
     flip's mask on a class is flip & the class's support word.  Every row's
     word is reduced by the per-class echelon of all candidate masks and the
-    keys are counted once: a class whose every key occurs 2^rank times is a
-    union of cosets (the rows are distinct, so no count is larger), which
-    every candidate maps onto itself.  Only the rows of the other classes
-    check each flip by sorting their keys with and without its masks, and if
-    a flip fails there the words are reduced again by the kept masks."""
+    keys are counted once (_cosets): a class that is a union of whole cosets
+    is mapped onto itself by every candidate.  If some class is not, a flip
+    is kept when each such class is a union of cosets of that flip's mask
+    alone, and the words are reduced again by the kept masks."""
     n, dim = vectors.shape
     mags = np.empty((n, -(-dim // 16)), dtype=">u8")
     words = np.empty(n, dtype=np.uint32)
@@ -258,18 +258,14 @@ def _orbits(vectors: np.ndarray):
     masks = [np.uint32(flip) & support for flip in _candidate_flips(words[full], dim)]
     words = words[order]  # class order from here on
 
-    keys, rank = _coset_keys(words, masks, class_sizes)
-    perm, starts, sizes = _groups(keys)
-    cls = keys[perm[starts]] >> 32
-    bad = np.zeros(len(class_sizes), dtype=bool)  # the classes that are no union of cosets
-    bad[cls[sizes != 1 << rank[cls]]] = True
+    perm, starts, sizes, whole = _cosets(words, masks, class_sizes)
     kept = masks
-    if bad.any():
-        own = _coset_keys(words, [], class_sizes)[0][np.repeat(bad, class_sizes)]
-        ref = np.sort(own)
-        kept = [mask for mask in masks if np.array_equal(
-            np.sort(own ^ np.repeat(mask[bad], class_sizes[bad])), ref)]
-        perm, starts, sizes = _groups(_coset_keys(words, kept, class_sizes)[0])
+    if not whole.all():
+        bad = ~whole
+        own = words[np.repeat(bad, class_sizes)]
+        kept = [mask for mask in masks
+                if _cosets(own, [mask[bad]], class_sizes[bad])[3].all()]
+        perm, starts, sizes, _ = _cosets(words, kept, class_sizes)
     rows = order[perm]  # row index per key-sorted place
     reps = np.minimum.reduceat(rows, starts)
     by_index = np.argsort(reps)
@@ -313,11 +309,7 @@ def distance_distribution_at(shell: Shell, x) -> DistanceDistribution:
     xi = shell.index_of(x)
     if xi < 0:
         raise ValueError("point is not in the shell")
-    dots = shell.vectors.astype(np.int32) @ np.asarray(x, dtype=np.int32)
-    vals, cnts = np.unique(dots, return_counts=True)
-    return DistanceDistribution(
-        {Fraction(int(v), SHELL_NORM): int(c) for v, c in zip(vals, cnts)}
-    )
+    return _dist_from_column(_column_counts(shell.vectors, [xi])[:, 0])
 
 
 def check_distance_invariance(

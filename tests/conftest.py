@@ -66,10 +66,15 @@ def same_codewords(a: BinaryCode, b: BinaryCode) -> bool:
     return sorted(a.codeword_masks()) == sorted(b.codeword_masks())
 
 
+def bit_rows(code: BinaryCode) -> list:
+    """The generator rows as lists of 0/1 entries."""
+    return [[(mask >> j) & 1 for j in range(code.length)] for mask in code.rows]
+
+
 def save_generator_matrix(code: BinaryCode, path) -> None:
     with open(path, "w") as fh:
-        for row in code.generator:
-            fh.write("".join(str(int(b)) for b in row) + "\n")
+        for row in bit_rows(code):
+            fh.write("".join(map(str, row)) + "\n")
 
 
 _TOKENS = np.array([str(v) for v in range(-128, 128)], dtype=object)  # int8 v at v + 128
@@ -111,7 +116,7 @@ def load_shell_by_loadtxt(path):
     odd = (arr & 1).sum(axis=1)  # per row; two's complement keeps parity
     if ((odd > 0) & (odd < dim)).any():
         raise ValueError(f"{path}: vector with mixed even/odd coordinates")
-    return make_shell(arr, dim)
+    return make_shell(arr)
 
 
 def norm32_magnitudes(dim: int) -> list:
@@ -131,20 +136,27 @@ def norm32_magnitudes(dim: int) -> list:
     return out
 
 
+# generator masks of the [8,4,4] extended Hamming code; bit j is coordinate j
+HAMMING_8 = (0b11111111, 0b10101010, 0b11001100, 0b11110000)
+
+
 def e8_power_code() -> BinaryCode:
     """Direct sum of four [8,4,4] extended Hamming codes: a doubly-even
     self-dual [32,16,4] code, so its lattice is NOT extremal."""
-    base = [
-        [1, 1, 1, 1, 1, 1, 1, 1],
-        [0, 1, 0, 1, 0, 1, 0, 1],
-        [0, 0, 1, 1, 0, 0, 1, 1],
-        [0, 0, 0, 0, 1, 1, 1, 1],
-    ]
-    G = np.zeros((16, 32), dtype=np.uint8)
-    for b in range(4):
-        for r in range(4):
-            G[4 * b + r, 8 * b : 8 * b + 8] = base[r]
-    return BinaryCode(32, 16, G, "e8x4")
+    return BinaryCode(32, tuple(m << 8 * b for b in range(4) for m in HAMMING_8), "e8x4")
+
+
+def e8_root_rows() -> np.ndarray:
+    """The 240 roots of E8 times 4, so that s.s = 32: the 112 rows with two
+    entries +-4, then the 128 rows of eight entries +-2 with an even number
+    of minus signs."""
+    i, j = np.triu_indices(8, 1)
+    pairs = np.zeros((len(i), 4, 8), dtype=np.int8)
+    pairs[np.arange(len(i)), :, i] = [4, 4, -4, -4]
+    pairs[np.arange(len(i)), :, j] = [4, -4, 4, -4]
+    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    halves = 2 - 4 * bits[bits.sum(axis=1) % 2 == 0]
+    return np.concatenate([pairs.reshape(-1, 8), halves]).astype(np.int8)
 
 
 @dataclass(frozen=True)

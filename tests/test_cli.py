@@ -2,9 +2,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from conftest import e8_power_code, save_generator_matrix
+from conftest import bit_rows, e8_power_code, e8_root_rows, save_generator_matrix
 from latcert import gf2codes, lattice32, sphercode
 from latcert.cli import main
 from latcert.exactmath import poly_to_json
@@ -35,7 +36,7 @@ def small_shell_file(tmp_path_factory):
                     row[i], row[j] = si, sj
                     rows.append(row)
     path = tmp_path_factory.mktemp("shells") / "small.shell"
-    save_shell(make_shell(rows, dim=4), path)
+    save_shell(make_shell(rows), path)
     return path
 
 
@@ -162,7 +163,7 @@ def _unit_rows(k: int, n: int, support) -> list:
 
 def test_build_non_extremal_code_exits_one(tmp_path):
     codes = [
-        ("e8x4", e8_power_code().generator,
+        ("e8x4", bit_rows(e8_power_code()),
          "code has weight-4 words; lattice is not extremal"),
         ("identity", _unit_rows(16, 32, lambda i: {i}), "code is not self-dual"),
         ("weight2", _unit_rows(16, 32, lambda i: {2 * i, 2 * i + 1}),
@@ -281,12 +282,44 @@ def test_selftest_passes():
 def test_energy_with_small_shell_and_gap(small_shell_file):
     proc = run_cli("energy", "--shell", str(small_shell_file),
                    "--potential", "invlin")
-    # the 24-point shell is not the 146880 design, so the gap is nonzero and
-    # the command still reports the certificate
-    assert proc.returncode == 0, proc.stderr
+    # the 24-point shell is not the 146880 design, so the gap is nonzero, the
+    # bound does not cover it, and the command still reports the certificate
+    assert proc.returncode == 1, proc.stderr
     record = json.loads(proc.stdout)
     assert record["code_energy"] is not None
     assert record["gap"] != "0"
+    assert record["valid"] is False
+    assert record["failure"] == "shell dimension is 4; the bound needs 32"
+
+
+def _outside_the_bound(request, case):
+    if case != "rm2_5-variant":
+        e8 = e8_root_rows()
+        return e8 if case == "e8" else np.pad(e8, ((0, 0), (0, 24)))
+    # one antipodal pair of rm2_5 replaced by +-(2 on {0,...,6,8}), which has
+    # inner products +-3/8 with some rows of the shell
+    V = request.getfixturevalue("rm_shell").result.vectors.copy()
+    V[0] = 0
+    V[0, [0, 1, 2, 3, 4, 5, 6, 8]] = 2
+    V[-1] = -V[0]
+    return V
+
+
+@pytest.mark.parametrize("case, failure", [
+    ("e8", "shell dimension is 8; the bound needs 32"),
+    ("e8-padded", "shell has 240 points; the bound needs 146880"),
+    ("rm2_5-variant", "shell has inner product -3/8 in T = (-1/2,-1/4)U(1/4,1/2)"),
+], ids=["e8", "e8-padded", "rm2_5-variant"])
+def test_energy_rejects_a_shell_the_bound_does_not_cover(request, tmp_path, capsys,
+                                                         case, failure):
+    # the certificate is valid, but the bound holds only for 146880 points
+    # in dimension 32 with no inner product in T: exit 1, energy still given
+    path = tmp_path / "outside.shell"
+    save_shell(lattice32.make_shell(_outside_the_bound(request, case)), path)
+    assert main(["energy", "--shell", str(path), "--potential", "invlin"]) == 1
+    record = json.loads(capsys.readouterr().out)
+    assert (record["valid"], record["failure"]) == (False, failure)
+    assert record["code_energy"] is not None and record["gap"] is not None
 
 
 @pytest.mark.parametrize("precision", ["0", "-3"])

@@ -1,13 +1,20 @@
 import hashlib
 import subprocess
 import sys
+import tempfile
+from collections import Counter
+from functools import reduce
+from operator import xor
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
-from conftest import same_codewords, save_generator_matrix
+from conftest import HAMMING_8, bit_rows, same_codewords, save_generator_matrix
 from latcert.gf2codes import (
     BinaryCode,
+    CodeReport,
     code_report,
     extended_quadratic_residue_32,
     gf2_rank,
@@ -75,7 +82,7 @@ def test_loader_whitespace_tolerant(tmp_path):
 
 def test_loader_rejects_duplicate_rows(rm, tmp_path):
     path = tmp_path / "dup.gen"
-    rows = ["".join(str(int(b)) for b in row) for row in rm.generator[:4]]
+    rows = ["".join(map(str, row)) for row in bit_rows(rm)[:4]]
     rows.append(rows[0])
     path.write_text("\n".join(rows) + "\n")
     with pytest.raises(ValueError, match="dependent rows"):
@@ -84,7 +91,7 @@ def test_loader_rejects_duplicate_rows(rm, tmp_path):
 
 def test_loader_rejects_seventeenth_row(rm, tmp_path):
     path = tmp_path / "big.gen"
-    rows = ["".join(str(int(b)) for b in row) for row in rm.generator]
+    rows = ["".join(map(str, row)) for row in bit_rows(rm)]
     rows.append("1" + "0" * 31)
     path.write_text("\n".join(rows) + "\n")
     with pytest.raises(ValueError, match="dimension"):
@@ -113,10 +120,7 @@ def test_gf2_rank_reports_dependency():
 
 
 def test_enumeration_guard():
-    G = np.zeros((29, 60), dtype=np.uint8)
-    for i in range(29):
-        G[i, i] = 1
-    code = BinaryCode(60, 29, G)
+    code = BinaryCode(60, tuple(1 << i for i in range(29)))
     with pytest.raises(ValueError, match="refusing"):
         code_report(code)
 
@@ -124,7 +128,7 @@ def test_enumeration_guard():
 def test_codeword_masks_contains_rows_and_zero(rm):
     words = set(rm.codeword_masks())
     assert 0 in words
-    for mask in rm.row_masks():
+    for mask in rm.rows:
         assert mask in words
     assert len(words) == 2**16
 
@@ -155,3 +159,62 @@ def test_xqr_integrity_guards_survive_python_O():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["32 16 8"]
+
+
+@st.composite
+def small_codes(draw):
+    """A code from random rows of length 1-12, each dropped if it depends on
+    the earlier ones; or a direct sum of one or two [2,1,2] and [8,4,4]
+    blocks with its coordinates permuted, which is self-dual, and doubly
+    even when every block is [8,4,4]."""
+    if draw(st.booleans()):
+        n, masks = 0, []
+        for length, rows in draw(st.lists(st.sampled_from([(2, (0b11,)), (8, HAMMING_8)]),
+                                          min_size=1, max_size=2)):
+            masks += [m << n for m in rows]
+            n += length
+        perm = draw(st.permutations(range(n)))
+        masks = [sum(((m >> j) & 1) << perm[j] for j in range(n)) for m in masks]
+    else:
+        n = draw(st.integers(1, 12))
+        masks = []
+        for m in draw(st.lists(st.integers(1, 2**n - 1), min_size=1, max_size=n)):
+            if gf2_rank(masks + [m])[0] > len(masks):
+                masks.append(m)
+    return BinaryCode(n, tuple(masks))
+
+
+def _report_by_matrix(code: BinaryCode) -> CodeReport:
+    """code_report from the 0/1 generator matrix: every codeword as a
+    message times the matrix mod 2, self-orthogonality as G G^T = 0 mod 2."""
+    G = np.array(bit_rows(code), dtype=np.int64)
+    k = len(G)
+    messages = (np.arange(2**k)[:, None] >> np.arange(k)) & 1
+    enum = Counter(((messages @ G) % 2).sum(axis=1).tolist())
+    self_dual = not ((G @ G.T) % 2).any() and 2 * k == code.length
+    return CodeReport(self_dual, all(w % 4 == 0 for w in enum),
+                      min(w for w in enum if w), dict(sorted(enum.items())))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_codes())
+def test_code_report_matches_the_matrix_oracle(code):
+    report = code_report(code)
+    event(f"self_dual={report.self_dual} doubly_even={report.doubly_even}")
+    assert report == _report_by_matrix(code)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_codes(), st.data())
+def test_generator_file_round_trip_and_dependent_rows(code, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "code.gen"
+        if 2 * code.dimension <= code.length:
+            save_generator_matrix(code, path)
+            assert load_generator_matrix(path) == BinaryCode(code.length, code.rows, str(path))
+        if 2 * code.dimension + 2 <= code.length:  # room for one more row
+            picks = data.draw(st.lists(st.sampled_from(code.rows), min_size=1, unique=True))
+            dependent = BinaryCode(code.length, (*code.rows, reduce(xor, picks)))
+            save_generator_matrix(dependent, path)
+            with pytest.raises(ValueError, match="dependent rows"):
+                load_generator_matrix(path)

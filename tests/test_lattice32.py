@@ -73,11 +73,9 @@ def test_non_extremal_code_detected():
 
 
 def test_precondition_rejects_non_self_dual():
-    G = np.zeros((16, 32), dtype=np.uint8)
-    for i in range(16):
-        G[i, i] = 1
+    identity = BinaryCode(32, tuple(1 << i for i in range(16)), "identity")
     with pytest.raises(ValueError, match="self-dual"):
-        check_extremal(BinaryCode(32, 16, G, "identity"))
+        check_extremal(identity)
 
 
 def test_witness_pair_value(rm_shell):
@@ -123,7 +121,7 @@ def test_venkov_invariant_under_coordinate_flip(rm_shell):
     x, z = witness_pair()
     flipped = sh.vectors.copy()
     flipped[:, 0] *= -1
-    fsh = make_shell(flipped, 32)
+    fsh = make_shell(flipped)
     fx, fz = x.copy(), z.copy()
     fx[0] *= -1
     fz[0] *= -1
@@ -159,7 +157,7 @@ def test_save_shell_rejects_vectors_off_norm(tmp_path):
     # an entry of 7 has no one-digit token; no Shell holds it, so no file does
     path = tmp_path / "shell.txt"
     with pytest.raises(ValueError, match="vector 0 has s.s = 49, expected 32"):
-        save_shell(Shell(np.array([[7, 0, 0, 0], [-7, 0, 0, 0]], dtype=np.int8), 4), path)
+        save_shell(Shell(np.array([[7, 0, 0, 0], [-7, 0, 0, 0]], dtype=np.int8)), path)
     assert not path.exists()
 
 
@@ -197,9 +195,9 @@ def test_load_shell_rejects_mixed_parity(tmp_path):
 
 def test_make_shell_rejects_duplicates_and_non_antipodal():
     with pytest.raises(ValueError, match="duplicate"):
-        make_shell([[4, 4, 0, 0], [4, 4, 0, 0]], dim=4)
+        make_shell([[4, 4, 0, 0], [4, 4, 0, 0]])
     with pytest.raises(ValueError, match="negation"):
-        make_shell([[4, 4, 0, 0], [0, 4, 4, 0]], dim=4)
+        make_shell([[4, 4, 0, 0], [0, 4, 4, 0]])
 
 
 def test_make_shell_checks_norms_before_building_keys(monkeypatch):
@@ -221,7 +219,7 @@ def test_index_of_finds_every_row_and_rejects_non_members():
     assert sh.index_of(np.array([260, 4, 0, 0])) == -1  # not wrapped to int8
     assert sh.index_of([4.5, 4, 0, 0]) == -1  # not truncated to int8
     # rows that are not one contiguous block are stored sorted, as one block
-    flipped = Shell(sh.vectors[::-1], 4)
+    flipped = Shell(sh.vectors[::-1])
     assert flipped.vectors.flags.c_contiguous
     assert [flipped.index_of(row) for row in sh.vectors] == list(range(sh.count))
 
@@ -342,8 +340,8 @@ def test_load_shell_parity_check_matches_the_min_max_rule(arr):
 
 
 def test_shell_equality_is_identity():
-    sh = make_shell([[4, 4, 0, 0], [-4, -4, 0, 0]], dim=4)
-    assert sh == sh and sh != make_shell(sh.vectors, dim=4)
+    sh = make_shell([[4, 4, 0, 0], [-4, -4, 0, 0]])
+    assert sh == sh and sh != make_shell(sh.vectors)
 
 
 def test_canonical_order_is_numeric_lexicographic(rm_shell):
@@ -394,7 +392,7 @@ def antipodal_shells(draw):
 @given(antipodal_shells(), st.data())
 def test_shell_file_round_trip_property(case, data):
     dim, rows = case
-    shell = make_shell(rows, dim=dim)
+    shell = make_shell(rows)
     with tempfile.TemporaryDirectory() as tmp:
         path, ref = Path(tmp) / "shell.txt", Path(tmp) / "ref.txt"
         save_shell(shell, path)
@@ -406,7 +404,7 @@ def test_shell_file_round_trip_property(case, data):
     assert shell.vectors.tolist() == sorted(map(list, rows))
     x = data.draw(st.sampled_from(rows))
     with pytest.raises(ValueError, match="negation"):
-        make_shell([r for r in rows if r != tuple(-v for v in x)], dim=dim)
+        make_shell([r for r in rows if r != tuple(-v for v in x)])
 
 
 @pytest.mark.parametrize(
@@ -487,7 +485,7 @@ def test_load_shell_matches_the_loadtxt_reader_on_edited_files(case, edit, data)
     dim, rows = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "shell.txt"
-        save_shell(make_shell(rows, dim=dim), path)
+        save_shell(make_shell(rows), path)
         saved = path.read_bytes()
     pattern, replacement = FILE_EDITS[edit]
     matches = list(re.finditer(pattern, saved))

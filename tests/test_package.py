@@ -22,18 +22,30 @@ def test_no_assert_guards_in_package():
     assert not found, f"assert statements in the package: {found}"
 
 
+def _imports(path) -> list:
+    """(top-level module name, line) of each import statement of a file."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                 else [node.module] if isinstance(node, ast.ImportFrom) else [])
+        found += [(name.split(".")[0], node.lineno) for name in names if name]
+    return found
+
+
 def test_no_dataclasses_in_package():
     # dataclasses imports inspect and generates each record's methods with
     # exec, at every start of the CLI; the records are named tuples or Frozen
-    found = []
-    for path in sorted(Path(latcert.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
-            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
-                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
-            found += [f"{path.name}:{node.lineno}" for name in names
-                      if name and name.split(".")[0] == "dataclasses"]
+    found = [f"{path.name}:{line}"
+             for path in sorted(Path(latcert.__file__).parent.glob("*.py"))
+             for name, line in _imports(path) if name == "dataclasses"]
     assert not found, f"dataclasses imported in the package: {found}"
+
+
+def test_gf2codes_imports_no_numpy():
+    # a code is its generator rows as bit masks: no 0/1 matrix copy of them
+    path = Path(latcert.__file__).parent / "gf2codes.py"
+    found = [line for name, line in _imports(path) if name == "numpy"]
+    assert not found, f"gf2codes imports numpy at lines {found}"
 
 
 def test_no_unused_imports():
@@ -125,7 +137,7 @@ def test_verify_loads_the_shell_layer(tmp_path):
     # the control: a command that reads a shell does load numpy, and no
     # verify or energy run loads lpcert
     path = tmp_path / "small.shell"
-    save_shell(make_shell([[4, 4, 0, 0], [-4, -4, 0, 0]], dim=4), path)
+    save_shell(make_shell([[4, 4, 0, 0], [-4, -4, 0, 0]]), path)
     for argv in (["verify", "--shell", str(path), "--sample", "10"],
                  ["verify", "--shell", str(path), "--full"],
                  ["energy", "--shell", str(path), "--potential", "invlin"]):

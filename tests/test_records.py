@@ -48,7 +48,7 @@ FACTORIES = {
     PartialProduct: (lambda: partial_products(PAPER_NODES, 32)[2], True),
     EnergyCertificate: (lambda: energy_lower_bound(invlin()), True),
     MomentVector: (lambda: MomentVector((Fraction(0), Fraction(5, 2))), True),
-    InvarianceReport: (lambda: check_distance_invariance(make_shell(SMALL_ROWS, 4), ALL),
+    InvarianceReport: (lambda: check_distance_invariance(make_shell(SMALL_ROWS), ALL),
                        False),
     QuadratureVerdict: (lambda: quadrature_check(DistanceDistribution({Fraction(1): 1}),
                                                  Polynomial([1]), 32, 1, 7), True),
@@ -95,14 +95,13 @@ def test_records_of_different_fields_differ():
     assert DistanceDistribution({Fraction(1): 1}) != DistanceDistribution({Fraction(1): 2})
     assert MomentVector((Fraction(0),)) != MomentVector((Fraction(1),))
     code = reed_muller_2_5()
-    flipped = code.generator.copy()
-    flipped[0, 0] ^= 1
-    assert code != BinaryCode(code.length, code.dimension, flipped, code.name)
-    assert code != BinaryCode(code.length, code.dimension, code.generator, "other")
+    flipped = (code.rows[0] ^ 1, *code.rows[1:])
+    assert code != BinaryCode(code.length, flipped, code.name)
+    assert code != BinaryCode(code.length, code.rows, "other")
 
 
 def test_shells_are_equal_only_to_themselves():
-    a, b = Shell(SMALL_ROWS, 4), Shell(SMALL_ROWS, 4)
+    a, b = Shell(SMALL_ROWS), Shell(SMALL_ROWS)
     assert a == a and a != b
     assert len({a, b}) == 2
     for name in ("vectors", "dim"):
@@ -132,14 +131,13 @@ def test_with_energy_changes_only_energy_and_gap():
      "factor multiplicities must be positive"),
     (lambda: NodeMultiset((0, -1)), "nodes must be ascending"),
     (lambda: NodeMultiset((-1, 0, 0, 0)), "node 0 repeated more than twice; unsupported"),
-    (lambda: Shell(np.zeros(4, dtype=np.int8), 4), "shell vectors must form a 2-d array"),
-    (lambda: Shell(SMALL_ROWS, 3), "expected 3 coordinates per vector, got 4"),
-    (lambda: Shell(np.zeros((0, 4), dtype=np.int8), 4), "need a nonempty shell"),
-    (lambda: Shell([[4, 4, 0, 0], [4, 4, 1, 0]], 4), "vector 1 has s.s = 33, expected 32"),
-    (lambda: Shell([[4, 4, 0, 0], [4, 4, 0, 0]], 4), "duplicate shell vectors"),
+    (lambda: Shell(np.zeros(4, dtype=np.int8)), "shell vectors must form a 2-d array"),
+    (lambda: Shell(np.zeros((0, 4), dtype=np.int8)), "need a nonempty shell"),
+    (lambda: Shell([[4, 4, 0, 0], [4, 4, 1, 0]]), "vector 1 has s.s = 33, expected 32"),
+    (lambda: Shell([[4, 4, 0, 0], [4, 4, 0, 0]]), "duplicate shell vectors"),
 ], ids=["lo-above-hi", "open-degenerate-lo", "open-degenerate-hi", "overlap", "shared-end",
         "repeated-root", "multiplicity-zero", "unsorted-nodes", "node-thrice", "shell-1d",
-        "shell-dim", "shell-empty", "shell-norm", "shell-duplicate"])
+        "shell-empty", "shell-norm", "shell-duplicate"])
 def test_constructor_checks_keep_their_messages(build, message):
     with pytest.raises(ValueError) as info:
         build()

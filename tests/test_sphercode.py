@@ -51,7 +51,7 @@ SUPPORT = {Fraction(-1), -H, -Q, Fraction(0), Q, H}
 
 @pytest.fixture(scope="module")
 def tiny_pair_shell():
-    return make_shell([[4, 4, 0, 0], [-4, -4, 0, 0]], dim=4)
+    return make_shell([[4, 4, 0, 0], [-4, -4, 0, 0]])
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +65,7 @@ def small_antipodal_shell():
                     row = [0, 0, 0, 0]
                     row[i], row[j] = si, sj
                     rows.append(row)
-    return make_shell(rows, dim=4)
+    return make_shell(rows)
 
 
 def test_histogram_support_and_scaling(rm_hist):
@@ -127,7 +127,7 @@ def test_sampled_invariance(rm_shell):
 
 def test_invariance_counterexample():
     rows = [[-4, -4, 0, 0], [0, 0, 4, 4], [4, 4, 0, 0]]  # sorted, not antipodal
-    three = Shell(np.array(rows, dtype=np.int8), 4)
+    three = Shell(np.array(rows, dtype=np.int8))
     inv = check_distance_invariance(three, sample=ALL)
     assert not inv.invariant
     (i, di), (j, dj) = inv.counterexample
@@ -300,7 +300,7 @@ def flip_closed_shells(draw, dims=(4, 8), full_row=False, drop=False):
         x = draw(st.sampled_from(rows))
         gone = {x} if drop and draw(st.booleans()) else {x, tuple(-v for v in x)}
         rows = [r for r in rows if r not in gone] or rows
-    return Shell(np.array(rows, dtype=np.int8), dim)
+    return Shell(np.array(rows, dtype=np.int8))
 
 
 @settings(max_examples=200, deadline=None)
@@ -312,7 +312,7 @@ def test_shell_sorts_its_rows_and_make_shell_checks_negation(shell, antipodal, d
     drawn = np.array(data.draw(st.permutations(sorted(rows))), dtype=np.int8)
     layout = data.draw(st.sampled_from(["C", "reversed", "Fortran"]))
     arr = {"C": drawn, "reversed": drawn[::-1], "Fortran": np.asfortranarray(drawn)}[layout]
-    made = Shell(arr, shell.dim)
+    made = Shell(arr)
     assert made.vectors.tolist() == [list(r) for r in sorted(rows)]
     assert made.vectors.flags.c_contiguous and not made.vectors.flags.writeable
     assert not np.shares_memory(made.vectors, drawn)
@@ -366,7 +366,7 @@ def _hamming_shell(extra=()):
             row = [0] * 8
             row[i], row[j] = si, sj
             rows.append(row)
-    return make_shell(rows, dim=8)
+    return make_shell(rows)
 
 
 def test_full_pass_finds_flip_group_on_small_shell():
@@ -438,6 +438,17 @@ def test_orbits_match_brute_force_closure(shell):
     reps, sizes, table, order = _orbit_pass(shell.vectors)
     assert (reps.tolist(), sizes.tolist(), order) == _brute_force_orbits(shell)
     assert table.shape == (65, len(reps))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(flip_closed_shells(), flip_closed_shells(drop=True),
+                 flip_closed_shells(dims=(33, 40))))
+def test_distance_distribution_at_matches_integer_dots(shell):
+    V = shell.vectors.astype(np.int64)
+    event("folded" if shell.count % 2 == 0 and (V == -V[::-1]).all() else "unfolded")
+    for x in V:
+        brute = Counter(Fraction(d, 32) for d in (V @ x).tolist())
+        assert distance_distribution_at(shell, x).a == brute
 
 
 def test_orbit_pass_rejects_flips_that_do_not_permute_the_shell():
@@ -653,7 +664,7 @@ def test_orbit_pair_counts_without_negation():
     rows = [[2] * 8, [-2, -2] + [2] * 6, [4, 4] + [0] * 6, [-4, -4] + [0] * 6,
             [4, 0, 4] + [0] * 5, [-4, 0, 4] + [0] * 5,
             [0, 0, 4, 4] + [0] * 4, [0, 0, 4, -4] + [0] * 4]
-    shell = Shell(np.array(rows, dtype=np.int8), 8)
+    shell = Shell(np.array(rows, dtype=np.int8))
     assert not _folds(shell.vectors)
     reps, sizes, table, order = _orbit_pass(shell.vectors)
     assert (order, sorted(sizes.tolist())) == (2, [1, 1, 2, 2, 2])
@@ -702,7 +713,7 @@ def test_pair_passes_reject_vectors_off_norm(flags):
         "from latcert.lattice32 import Shell\n"
         "for rows in ([[6, 0, 0, 0], [-6, 0, 0, 0]], [[2, 0, 0, 0], [-2, 0, 0, 0]]):\n"
         "    try:\n"
-        "        Shell(np.array(rows, dtype=np.int8), 4)\n"
+        "        Shell(np.array(rows, dtype=np.int8))\n"
         "    except ValueError as exc:\n"
         "        if 'vector 0 has s.s = ' not in str(exc):\n"
         "            raise\n"
@@ -781,6 +792,6 @@ def test_pair_passes_reject_an_empty_shell(tmp_path):
     p.write_text("latcert-shell v1 n=4 count=0 scale=2sqrt2\n")
     empty = np.zeros((0, 4), dtype=np.int8)
     for make in (lambda: load_shell(p), lambda: make_shell(empty),
-                 lambda: Shell(empty, 4)):
+                 lambda: Shell(empty)):
         with pytest.raises(ValueError, match="nonempty shell"):
             make()
