@@ -1,5 +1,4 @@
-"""Exact rational scalars, univariate polynomials, and sign analysis on interval regions,
-with the base class of the package's records that are not named tuples.
+"""Exact rational scalars, univariate polynomials, and sign analysis on interval regions.
 
 Everything in this module runs on ``fractions.Fraction``; there is no floating
 point anywhere.  Polynomials come in two representations: dense monomial
@@ -26,38 +25,6 @@ def rat(x) -> Fraction:
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"not an exact rational: {x!r}") from None
     raise TypeError(f"not an exact rational: {x!r}")
-
-
-class Frozen:
-    """Base of the records that are not named tuples, because a field is an
-    array or the record indexes like a sequence.  The fields are the
-    __slots__, set once by __init__, and assignment raises AttributeError.
-    Records are equal, and hashed, by the tuple of their fields, _key()."""
-
-    __slots__ = ()
-
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
 
 
 class Polynomial:

@@ -19,7 +19,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactmath import Frozen, Polynomial
+from .exactmath import Polynomial
 
 # Basis polynomials are precomputed up to this degree; raise it if a deeper
 # expansion is ever needed (all built-in certificates stop at degree 10).
@@ -148,11 +148,11 @@ class InnerProductHistogram(namedtuple("InnerProductHistogram", "counts n_points
         return sum(self.counts.values())
 
 
-class DistanceDistribution(Frozen):
+class DistanceDistribution(namedtuple("DistanceDistribution", "a")):
     """Counts A_t of code points at inner product t from a fixed point,
     including t = 1 with A_1 = 1: the dict ``a``, Fraction -> int."""
 
-    __slots__ = ("a",)
+    __slots__ = ()
 
     def total(self) -> int:
         return sum(self.a.values())

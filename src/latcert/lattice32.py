@@ -7,17 +7,17 @@ so a minimal vector (v.v = 4) has s.s = 32 and every quantity downstream is
 an exact integer or rational: lattice inner products are s_x.s_y / 8 and
 unit-sphere inner products are s_x.s_y / 32.
 
-A norm-4 vector falls into exactly one of three integer shapes (given that
-the code has no words of weight 4):
+Given that the code has no words of weight 4, the norm-4 vectors follow
+one rule: +-m on a support S, with the minus signs on a set of S, for
+exactly one of three choices of (m, S, minus sets):
 
-  (i)  two coordinates +-4,
-  (ii) eight coordinates +-2 supported on a weight-8 codeword, with an even
-       number of minus signs,
-  (iii) all 32 coordinates +-1, the minus positions forming a codeword
-        (the half-vector coset).
+  m = 4, S any two coordinates, any signs;
+  m = 2, S a weight-8 codeword, an even number of minus signs;
+  m = 1, S all 32 coordinates, the minus set a codeword (the half-vector
+         coset).
 
-For an extremal input the three families have sizes 1984, 620*128 = 79360
-and 2^16 = 65536, totalling 146880.
+For an extremal input these give 496 * 4 = 1984, 620 * 128 = 79360 and
+2^16 = 65536 vectors, 146880 in all.
 
 Pair statistics (the column counts of ``sphercode`` and Venkov's e_{2,2})
 come from one kernel that counts dot values for two columns a, b at a time
@@ -42,10 +42,10 @@ from __future__ import annotations
 import os
 import random
 import warnings
+from itertools import combinations
 
 import numpy as np
 
-from .exactmath import Frozen
 from .gf2codes import BinaryCode, code_report
 
 SHELL_NORM = 32  # s.s for every shell vector (norm 4 at lattice scale)
@@ -53,7 +53,7 @@ _BINS = 2 * SHELL_NORM + 1  # dot values -32..32, offset by 32
 _E22_BIN = SHELL_NORM + 16  # dot 16: lattice inner product 2
 
 
-class Shell(Frozen):
+class Shell:
     """Canonically sorted integer vectors with s.s = 32.
 
     ``dim``, the length of the rows, is also the sphere dimension used for
@@ -66,12 +66,12 @@ class Shell(Frozen):
     bounds |entry| <= 5, so negation stays exact in int8, the row keys'
     nibbles hold every entry, and every partial sum of a dot is at most 32
     in absolute value, so float32 dots are exact integers.  Two shells are
-    equal only when they are the same object.
+    equal only when they are the same object, and ``vectors`` can be
+    neither reassigned nor deleted.
     """
 
     # vectors: (N, dim) int8, lexicographically sorted, no duplicates
     __slots__ = ("vectors",)
-    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, vectors):
         arr = np.asarray(vectors, dtype=np.int8)
@@ -85,7 +85,12 @@ class Shell(Frozen):
         if dups:
             raise ValueError("duplicate shell vectors")
         srt.setflags(write=False)
-        super().__init__(srt)
+        object.__setattr__(self, "vectors", srt)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
 
     @property
     def dim(self) -> int:
@@ -218,48 +223,29 @@ def build_shell(c: BinaryCode) -> Shell:
     if failure:
         raise CodeRejected(failure)
 
-    blocks = []
-
-    # (i) two coordinates +-4
-    pair_rows = []
-    for i in range(32):
-        for j in range(i + 1, 32):
-            for si in (4, -4):
-                for sj in (4, -4):
-                    row = np.zeros(32, dtype=np.int8)
-                    row[i] = si
-                    row[j] = sj
-                    pair_rows.append(row)
-    blocks.append(np.array(pair_rows, dtype=np.int8))
-
-    # (ii) eight coordinates +-2 on each weight-8 codeword, even minus count
     words = c.codeword_masks()
-    eight = [w for w in words if w.bit_count() == 8]
-    sign_patterns = np.array(
-        [
-            [2 - 4 * ((m >> b) & 1) for b in range(8)]
-            for m in range(256)
-            if (m.bit_count() % 2) == 0
-        ],
-        dtype=np.int8,
-    )  # (128, 8)
-    for w in eight:
-        support = [b for b in range(32) if (w >> b) & 1]
-        rows = np.zeros((128, 32), dtype=np.int8)
-        rows[:, support] = sign_patterns
-        blocks.append(rows)
+    return make_shell(np.concatenate([
+        _signed([(1 << i) | (1 << j) for i, j in combinations(range(32), 2)], range(4), 4),
+        _signed([w for w in words if w.bit_count() == 8],
+                [m for m in range(256) if m.bit_count() % 2 == 0], 2),
+        _signed([2**32 - 1], words, 1),
+    ]))
 
-    # (iii) the half-vector coset: all +-1, minus signs on a codeword
-    masks = np.array(words, dtype=np.uint32)
-    bits = ((masks[:, None] >> np.arange(32, dtype=np.uint32)) & 1).astype(np.int8)
-    blocks.append(1 - 2 * bits)
 
-    vectors = np.concatenate(blocks, axis=0)
-    shell = make_shell(vectors)
-    expected = 1984 + 128 * len(eight) + len(words)
-    if shell.count != expected:
-        raise ValueError(f"built {shell.count} shell vectors, expected {expected}")
-    return shell
+def _signed(supports, signs, magnitude: int) -> np.ndarray:
+    """The int8 rows of length 32 with +-magnitude on a support and 0 off
+    it, one per sign mask and support: the supports are integer masks of
+    one weight w, and a sign mask's bit k puts a minus on the support's
+    k-th coordinate, counted from 0 in ascending order."""
+    bit = np.arange(32, dtype=np.uint32)
+    on = (np.asarray(supports, dtype=np.uint32)[:, None] >> bit) & 1  # (S, 32)
+    # the entry at coordinate c is the sign mask's value at c's rank in the
+    # support, or the zero after the 32 values when c is off the support
+    rank = np.where(on == 1, np.cumsum(on, axis=1) - on, 32)
+    minus = (np.asarray(signs, dtype=np.uint32)[:, None] >> bit) & 1  # (M, 32)
+    values = np.zeros((len(minus), 33), dtype=np.int8)
+    values[:, :32] = magnitude * (1 - 2 * minus.astype(np.int8))
+    return values[:, rank].reshape(-1, 32)
 
 
 def venkov_e22(shell: Shell, x, z) -> int:
@@ -315,11 +301,8 @@ def _joint_tables(V: np.ndarray, a, b, rows=None):
 def witness_pair():
     """The explicit orthogonal pair attaining e_{2,2} = 60: in s-coordinates
     (0,...,0,4,4) and (0,...,0,-4,4)."""
-    x = np.zeros(32, dtype=np.int8)
-    z = np.zeros(32, dtype=np.int8)
-    x[30] = x[31] = 4
-    z[30] = -4
-    z[31] = 4
+    x, z = np.zeros((2, 32), dtype=np.int8)
+    x[30:], z[30:] = (4, 4), (-4, 4)
     return x, z
 
 

@@ -45,6 +45,47 @@ def test_shell_family_sizes(rm_shell):
     assert int((amax == 1).sum()) == 2**16
 
 
+@pytest.fixture(scope="module")
+def permuted_rm(rm_code):
+    """(perm, shell) of rm2_5 with coordinate j moved to perm[j]."""
+    perm = np.random.default_rng(23).permutation(32)
+    rows = tuple(sum(1 << int(perm[j]) for j in range(32) if mask >> j & 1)
+                 for mask in rm_code.rows)
+    code = BinaryCode(32, rows, "rm2_5-permuted")
+    return perm, (code, build_shell(code))
+
+
+@pytest.mark.parametrize("case", ["rm", "xqr", "rm-permuted"])
+def test_shell_rows_meet_the_lattice_membership_rule(request, rm_code, xqr_code, case):
+    # s/2 is in the lattice of the mod-4 construction (s/2 mod 2 a codeword,
+    # coordinate sum 0 mod 4), or s is in the half-vector coset (all +-1,
+    # minus set a codeword); with s.s = 32 and no repeats, 146880 such rows
+    # are every norm-4 vector
+    code, shell = {
+        "rm": lambda: (rm_code, request.getfixturevalue("rm_shell").result),
+        "xqr": lambda: (xqr_code, request.getfixturevalue("xqr_shell").result),
+        "rm-permuted": lambda: request.getfixturevalue("permuted_rm")[1],
+    }[case]()
+    words = np.array(code.codeword_masks(), dtype=np.int64)
+    bits = 1 << np.arange(32, dtype=np.int64)
+    V = shell.vectors.astype(np.int64)
+    even = (V % 2 == 0).all(axis=1)
+    half = V[even] // 2
+    assert np.isin((half % 2) @ bits, words).all()
+    assert (half.sum(axis=1) % 4 == 0).all()
+    odd = V[~even]
+    assert (np.abs(odd) == 1).all()
+    assert np.isin((odd < 0) @ bits, words).all()
+    assert shell.count == 146880
+
+
+def test_permuted_code_gives_the_permuted_shell(rm_shell, permuted_rm):
+    perm, (_, shell) = permuted_rm
+    moved = np.empty_like(rm_shell.result.vectors)
+    moved[:, perm] = rm_shell.result.vectors
+    assert np.array_equal(Shell(moved).vectors, shell.vectors)
+
+
 def test_shell_norms_and_parity(rm_shell):
     vecs = rm_shell.result.vectors.astype(np.int64)
     assert ((vecs**2).sum(axis=1) == SHELL_NORM).all()

@@ -34,7 +34,8 @@ def _imports(path) -> list:
 
 def test_no_dataclasses_in_package():
     # dataclasses imports inspect and generates each record's methods with
-    # exec, at every start of the CLI; the records are named tuples or Frozen
+    # exec, at every start of the CLI; the records are named tuples and Shell
+    # a plain class
     found = [f"{path.name}:{line}"
              for path in sorted(Path(latcert.__file__).parent.glob("*.py"))
              for name, line in _imports(path) if name == "dataclasses"]

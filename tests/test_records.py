@@ -9,7 +9,7 @@ import pytest
 from latcert import energycert, exactmath, gegenbauer, gf2codes, lattice32, lpcert, sphercode
 from latcert.energycert import (PAPER_NODES, EnergyCertificate, NodeMultiset, PartialProduct,
                                 Potential, energy_lower_bound, invlin, partial_products)
-from latcert.exactmath import (FactoredPolynomial, Frozen, Interval, IntervalRegion, Polynomial,
+from latcert.exactmath import (FactoredPolynomial, Interval, IntervalRegion, Polynomial,
                                SignReport, factored, parse_region)
 from latcert.gegenbauer import (DistanceDistribution, GegExpansion, InnerProductHistogram,
                                 PDVerdict, gegenbauer_expand, is_positive_definite)
@@ -69,6 +69,8 @@ def test_records_are_immutable_and_equal_by_value(build, hashable):
     for name in _fields(a):
         with pytest.raises(AttributeError):
             setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
     with pytest.raises(AttributeError):
         a.no_such_field = 1  # no instance dict either
     assert a == b and not a != b
@@ -80,13 +82,14 @@ def test_records_are_immutable_and_equal_by_value(build, hashable):
 
 
 def test_every_record_type_is_covered():
-    # a record is a named tuple or a Frozen class defined in the package
+    # a record is a named tuple defined in the package; Shell, compared by
+    # identity, is the one record of its own kind
     modules = (energycert, exactmath, gegenbauer, gf2codes, lattice32, lpcert, sphercode)
     records = {obj for module in modules for obj in vars(module).values()
                if isinstance(obj, type) and obj.__module__ == module.__name__
-               and issubclass(obj, (tuple, Frozen)) and obj is not Frozen}
-    assert records == set(FACTORIES) | {Shell}
-    assert len(records) == 20
+               and issubclass(obj, tuple)}
+    assert records == set(FACTORIES)
+    assert len(records) == 19
     assert all(type(build()) is cls for cls, (build, _) in FACTORIES.items())
 
 
@@ -107,6 +110,9 @@ def test_shells_are_equal_only_to_themselves():
     for name in ("vectors", "dim"):
         with pytest.raises(AttributeError):
             setattr(a, name, None)
+    with pytest.raises(AttributeError):
+        del a.vectors
+    assert a.vectors.shape == (4, 4)
 
 
 def test_with_energy_changes_only_energy_and_gap():
