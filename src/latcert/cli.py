@@ -169,7 +169,10 @@ def cmd_energy(args) -> int:
         from . import lattice32, sphercode
         shell = lattice32.load_shell(args.shell)
         hist = sphercode.histogram(shell)
-        energy = energycert.code_energy(hist, h, **precision)
+        N, design = energycert.DESIGN_SIZE, energycert.design_distribution().a
+        attained = hist.counts == {t: N * a for t, a in design.items() if t != 1}
+        # the design's own histogram: its energy is the bound's sum, exactly
+        energy = cert.lower_bound if attained else energycert.code_energy(hist, h, **precision)
         cert = cert.with_energy(energy)
         failure = cert.valid and cert.hypothesis_failure(shell.dim, hist)
         if failure:  # a valid bound that does not cover this shell

@@ -305,21 +305,32 @@ def _outside_the_bound(request, case):
     return V
 
 
-@pytest.mark.parametrize("case, failure", [
-    ("e8", "shell dimension is 8; the bound needs 32"),
-    ("e8-padded", "shell has 240 points; the bound needs 146880"),
-    ("rm2_5-variant", "shell has inner product -3/8 in T = (-1/2,-1/4)U(1/4,1/2)"),
+@pytest.mark.parametrize("case, failure, gap", [
+    ("e8", "shell dimension is 8; the bound needs 32", "-11158271588"),
+    ("e8-padded", "shell has 240 points; the bound needs 146880", "-11158271588"),
+    ("rm2_5-variant", "shell has inner product -3/8 in T = (-1/2,-1/4)U(1/4,1/2)",
+     "700564/45045"),
 ], ids=["e8", "e8-padded", "rm2_5-variant"])
 def test_energy_rejects_a_shell_the_bound_does_not_cover(request, tmp_path, capsys,
-                                                         case, failure):
+                                                         case, failure, gap):
     # the certificate is valid, but the bound holds only for 146880 points
-    # in dimension 32 with no inner product in T: exit 1, energy still given
+    # in dimension 32 with no inner product in T: exit 1, and the energy
+    # still comes from the shell's own histogram
     path = tmp_path / "outside.shell"
     save_shell(lattice32.make_shell(_outside_the_bound(request, case)), path)
     assert main(["energy", "--shell", str(path), "--potential", "invlin"]) == 1
     record = json.loads(capsys.readouterr().out)
-    assert (record["valid"], record["failure"]) == (False, failure)
-    assert record["code_energy"] is not None and record["gap"] is not None
+    assert (record["valid"], record["failure"], record["gap"]) == (False, failure, gap)
+
+
+@pytest.mark.parametrize("spec, gap", [("invlin", "0"), ("gauss:7/4", "0.0")])
+def test_energy_of_the_design_is_the_bound_exactly(shell_file, capsys, spec, gap):
+    # the shell's histogram is N A_t, so its energy is the bound's own sum:
+    # no rounding residue under mpmath
+    assert main(["energy", "--shell", str(shell_file), "--potential", spec]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["code_energy"] == record["lower_bound"]
+    assert (record["valid"], record["gap"]) == (True, gap)
 
 
 @pytest.mark.parametrize("precision", ["0", "-3"])
