@@ -65,9 +65,8 @@ class Shell:
     rows: there is a row, no row repeats and every row has s.s = 32.  That
     bounds |entry| <= 5, so negation stays exact in int8, the row keys'
     nibbles hold every entry, and every partial sum of a dot is at most 32
-    in absolute value, so float32 dots are exact integers.  Two shells are
-    equal only when they are the same object, and ``vectors`` can be
-    neither reassigned nor deleted.
+    in absolute value, so float32 dots are exact integers.  ``vectors`` is
+    set once; two shells are equal only when they are the same object.
     """
 
     # vectors: (N, dim) int8, lexicographically sorted, no duplicates
@@ -301,8 +300,11 @@ def _joint_tables(V: np.ndarray, a, b, rows=None):
 def witness_pair():
     """The explicit orthogonal pair attaining e_{2,2} = 60: in s-coordinates
     (0,...,0,4,4) and (0,...,0,-4,4)."""
-    x, z = np.zeros((2, 32), dtype=np.int8)
-    x[30:], z[30:] = (4, 4), (-4, 4)
+    x = np.zeros(32, dtype=np.int8)
+    z = np.zeros(32, dtype=np.int8)
+    x[30] = x[31] = 4
+    z[30] = -4
+    z[31] = 4
     return x, z
 
 
