@@ -233,18 +233,18 @@ def build_shell(c: BinaryCode) -> Shell:
 
 def _signed(supports, signs, magnitude: int) -> np.ndarray:
     """The int8 rows of length 32 with +-magnitude on a support and 0 off
-    it, one per sign mask and support: the supports are integer masks of
+    it, one per support and sign mask: the supports are integer masks of
     one weight w, and a sign mask's bit k puts a minus on the support's
     k-th coordinate, counted from 0 in ascending order."""
-    bit = np.arange(32, dtype=np.uint32)
-    on = (np.asarray(supports, dtype=np.uint32)[:, None] >> bit) & 1  # (S, 32)
+    # each mask as 32 entries 0/1, bit k in column k
+    on, minus = (np.unpackbits(np.asarray(masks, dtype="<u4").view(np.uint8).reshape(-1, 4),
+                               axis=1, bitorder="little") for masks in (supports, signs))
     # the entry at coordinate c is the sign mask's value at c's rank in the
     # support, or the zero after the 32 values when c is off the support
     rank = np.where(on == 1, np.cumsum(on, axis=1) - on, 32)
-    minus = (np.asarray(signs, dtype=np.uint32)[:, None] >> bit) & 1  # (M, 32)
     values = np.zeros((len(minus), 33), dtype=np.int8)
-    values[:, :32] = magnitude * (1 - 2 * minus.astype(np.int8))
-    return values[:, rank].reshape(-1, 32)
+    values[:, :32] = magnitude * (1 - 2 * minus.view(np.int8))
+    return values[:, rank].swapaxes(0, 1).reshape(-1, 32)
 
 
 def venkov_e22(shell: Shell, x, z) -> int:
