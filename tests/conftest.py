@@ -136,6 +136,11 @@ def norm32_magnitudes(dim: int) -> list:
     return out
 
 
+# the 24 rows of dimension 4 with two entries +-4: a small shell, not the design
+PAIRS_4 = [[s * (k == i) + t * (k == j) for k in range(4)]
+           for i in range(4) for j in range(i + 1, 4) for s in (4, -4) for t in (4, -4)]
+
+
 # generator masks of the [8,4,4] extended Hamming code; bit j is coordinate j
 HAMMING_8 = (0b11111111, 0b10101010, 0b11001100, 0b11110000)
 

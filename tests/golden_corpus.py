@@ -23,16 +23,12 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+from conftest import PAIRS_4
 from latcert.cli import main
 from latcert.gf2codes import extended_quadratic_residue_32, reed_muller_2_5
 from latcert.lattice32 import build_shell, make_shell, save_shell
 
 GOLDEN = Path(__file__).parent / "golden"
-PROGRAM = "latcert"
-
-# the rows of dimension 4 with two entries +-4: 24 points, not the design
-SMALL_ROWS = [[s * (k == i) + t * (k == j) for k in range(4)]
-              for i in range(4) for j in range(i + 1, 4) for s in (4, -4) for t in (4, -4)]
 
 
 def write_inputs(directory: Path, rm_shell, xqr_shell) -> dict:
@@ -42,7 +38,7 @@ def write_inputs(directory: Path, rm_shell, xqr_shell) -> dict:
              for name in ("rm2_5", "xqr32", "small", "missing", "out")}
     save_shell(rm_shell, paths["{rm2_5}"])
     save_shell(xqr_shell, paths["{xqr32}"])
-    save_shell(make_shell(SMALL_ROWS), paths["{small}"])
+    save_shell(make_shell(PAIRS_4), paths["{small}"])
     return paths
 
 

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import bit_rows, e8_power_code, e8_root_rows, save_generator_matrix
+from conftest import PAIRS_4, bit_rows, e8_power_code, e8_root_rows, save_generator_matrix
 from latcert import gf2codes, lattice32, sphercode
 from latcert.cli import main
 from latcert.exactmath import poly_to_json
@@ -25,18 +25,8 @@ def shell_file(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def small_shell_file(tmp_path_factory):
-    from latcert.lattice32 import make_shell
-
-    rows = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            for si in (4, -4):
-                for sj in (4, -4):
-                    row = [0, 0, 0, 0]
-                    row[i], row[j] = si, sj
-                    rows.append(row)
     path = tmp_path_factory.mktemp("shells") / "small.shell"
-    save_shell(make_shell(rows), path)
+    save_shell(lattice32.make_shell(PAIRS_4), path)
     return path
 
 

@@ -47,25 +47,25 @@ def test_shell_family_sizes(rm_shell):
 
 @pytest.fixture(scope="module")
 def permuted_rm(rm_code):
-    """(perm, shell) of rm2_5 with coordinate j moved to perm[j]."""
+    """(perm, code, shell) of rm2_5 with coordinate j moved to perm[j]."""
     perm = np.random.default_rng(23).permutation(32)
     rows = tuple(sum(1 << int(perm[j]) for j in range(32) if mask >> j & 1)
                  for mask in rm_code.rows)
     code = BinaryCode(32, rows, "rm2_5-permuted")
-    return perm, (code, build_shell(code))
+    return perm, code, build_shell(code)
 
 
 @pytest.mark.parametrize("case", ["rm", "xqr", "rm-permuted"])
-def test_shell_rows_meet_the_lattice_membership_rule(request, rm_code, xqr_code, case):
+def test_shell_rows_meet_the_lattice_membership_rule(request, case):
     # s/2 is in the lattice of the mod-4 construction (s/2 mod 2 a codeword,
     # coordinate sum 0 mod 4), or s is in the half-vector coset (all +-1,
     # minus set a codeword); with s.s = 32 and no repeats, 146880 such rows
     # are every norm-4 vector
-    code, shell = {
-        "rm": lambda: (rm_code, request.getfixturevalue("rm_shell").result),
-        "xqr": lambda: (xqr_code, request.getfixturevalue("xqr_shell").result),
-        "rm-permuted": lambda: request.getfixturevalue("permuted_rm")[1],
-    }[case]()
+    if case == "rm-permuted":
+        _, code, shell = request.getfixturevalue("permuted_rm")
+    else:
+        code = request.getfixturevalue(f"{case}_code")
+        shell = request.getfixturevalue(f"{case}_shell").result
     words = np.array(code.codeword_masks(), dtype=np.int64)
     bits = 1 << np.arange(32, dtype=np.int64)
     V = shell.vectors.astype(np.int64)
@@ -80,7 +80,7 @@ def test_shell_rows_meet_the_lattice_membership_rule(request, rm_code, xqr_code,
 
 
 def test_permuted_code_gives_the_permuted_shell(rm_shell, permuted_rm):
-    perm, (_, shell) = permuted_rm
+    perm, _, shell = permuted_rm
     moved = np.empty_like(rm_shell.result.vectors)
     moved[:, perm] = rm_shell.result.vectors
     assert np.array_equal(Shell(moved).vectors, shell.vectors)
