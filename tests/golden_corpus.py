@@ -17,6 +17,7 @@ run the script.  Not a test: pytest collects only test_*.py.
 
 import hashlib
 import io
+import json
 import shlex
 import sys
 import tempfile
@@ -25,20 +26,36 @@ from pathlib import Path
 
 from conftest import PAIRS_4
 from latcert.cli import main
+from latcert.exactmath import poly_to_json
 from latcert.gf2codes import extended_quadratic_residue_32, reed_muller_2_5
 from latcert.lattice32 import build_shell, make_shell, save_shell
+from latcert.lpcert import MIN_DESIGN_POLY
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
+# +-(4,4,0,0), +-(0,0,4,4), +-(4,0,4,0): antipodal but not distance invariant,
+# as the last pair sees 1/2 twice and the others see 0 twice
+BENT = [[v * sign for v in row] for row in ([4, 4, 0, 0], [0, 0, 4, 4], [4, 0, 4, 0])
+        for sign in (1, -1)]
+
+
 def write_inputs(directory: Path, rm_shell, xqr_shell) -> dict:
-    """Placeholder -> path of each input in directory: the rm2_5, xqr32 and
-    24-point shell files, written there, and two paths with no file yet."""
+    """Placeholder -> path of each input in directory: the rm2_5, xqr32,
+    24-point and 6-point bent shell files, the min-design polynomial as
+    JSON and the 16 x 32 identity generator matrix (not self-dual), written
+    there, and two paths with no file yet."""
     paths = {f"{{{name}}}": str(directory / f"{name}.shell")
-             for name in ("rm2_5", "xqr32", "small", "missing", "out")}
+             for name in ("rm2_5", "xqr32", "small", "bent", "missing", "out")}
+    paths["{poly}"] = str(directory / "poly.json")
+    paths["{ident}"] = str(directory / "ident.txt")
     save_shell(rm_shell, paths["{rm2_5}"])
     save_shell(xqr_shell, paths["{xqr32}"])
     save_shell(make_shell(PAIRS_4), paths["{small}"])
+    save_shell(make_shell(BENT), paths["{bent}"])
+    Path(paths["{poly}"]).write_text(json.dumps(poly_to_json(MIN_DESIGN_POLY)))
+    Path(paths["{ident}"]).write_text("".join("0" * j + "1" + "0" * (31 - j) + "\n"
+                                              for j in range(16)))
     return paths
 
 

@@ -20,4 +20,6 @@ def test_cli_output_matches_the_golden_file(path, inputs):
 
 
 def test_golden_corpus_is_there():
-    assert len(FILES) >= 34
+    # the exact count, so that a lost file fails; a change that adds or
+    # drops a case updates it
+    assert len(FILES) == 105
