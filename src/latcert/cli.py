@@ -41,11 +41,13 @@ def _load_poly(source: str):
         return poly_from_json(json.load(fh))
 
 
-def _emit(record: dict, fmt_kind: str) -> None:
+def _emit(record: dict, fmt_kind: str) -> int:
+    """Print the record; the exit status, 0 when it is valid, else 1."""
     if fmt_kind == "json":
         print(json.dumps(record, sort_keys=True, indent=2))
     else:
         _emit_text(record)
+    return 0 if record["valid"] else 1
 
 
 def _emit_text(record: dict, indent: str = "") -> None:
@@ -70,11 +72,9 @@ def cmd_build(args) -> int:
     try:
         shell = lattice32.build_shell(code)  # checks the code once
     except lattice32.CodeRejected as exc:
-        _emit({**record, "valid": False, "failure": str(exc)}, args.format)
-        return 1
+        return _emit({**record, "valid": False, "failure": str(exc)}, args.format)
     lattice32.save_shell(shell, args.out)
-    _emit({**record, "count": shell.count, "out": args.out, "valid": True}, args.format)
-    return 0
+    return _emit({**record, "count": shell.count, "out": args.out, "valid": True}, args.format)
 
 
 def cmd_verify(args) -> int:
@@ -134,8 +134,7 @@ def cmd_verify(args) -> int:
                 {str(t): c for t, c in sorted(dj.a.items())},
             ],
         }
-    _emit(record, args.format)
-    return 0 if inv.invariant else 1
+    return _emit(record, args.format)
 
 
 def cmd_certify_max(args) -> int:
@@ -145,8 +144,7 @@ def cmd_certify_max(args) -> int:
     cert = lpcert.certify_max_code(
         poly, args.dim, parse_region(args.T), rat(args.s), args.strength
     )
-    _emit({"command": "certify-max", **cert.to_json_dict()}, args.format)
-    return 0 if cert.valid else 1
+    return _emit({"command": "certify-max", **cert.to_json_dict()}, args.format)
 
 
 def cmd_certify_design(args) -> int:
@@ -154,8 +152,7 @@ def cmd_certify_design(args) -> int:
     from .exactmath import parse_region
     poly = _load_poly(args.poly)
     cert = lpcert.certify_min_design(poly, args.dim, parse_region(args.T), args.tau)
-    _emit({"command": "certify-design", **cert.to_json_dict()}, args.format)
-    return 0 if cert.valid else 1
+    return _emit({"command": "certify-design", **cert.to_json_dict()}, args.format)
 
 
 def cmd_energy(args) -> int:
@@ -169,16 +166,15 @@ def cmd_energy(args) -> int:
         from . import lattice32, sphercode
         shell = lattice32.load_shell(args.shell)
         hist = sphercode.histogram(shell)
-        N, design = energycert.DESIGN_SIZE, energycert.design_distribution().a
-        attained = hist.counts == {t: N * a for t, a in design.items() if t != 1}
+        attained = hist == sphercode.histogram_from_distribution(
+            energycert.design_distribution(), energycert.DESIGN_SIZE)
         # the design's own histogram: its energy is the bound's sum, exactly
         energy = cert.lower_bound if attained else energycert.code_energy(hist, h, **precision)
         cert = cert.with_energy(energy)
         failure = cert.valid and cert.hypothesis_failure(shell.dim, hist)
         if failure:  # a valid bound that does not cover this shell
             cert = cert._replace(valid=False, failure=failure)
-    _emit({"command": "energy", **cert.to_json_dict()}, args.format)
-    return 0 if cert.valid else 1
+    return _emit({"command": "energy", **cert.to_json_dict()}, args.format)
 
 
 def cmd_venkov(args) -> int:
@@ -201,8 +197,7 @@ def cmd_venkov(args) -> int:
         record["seed"] = args.seed
         ok = ok and all(v % 2 == 0 and 0 <= v <= 60 for v in values)
     record["valid"] = ok
-    _emit(record, args.format)
-    return 0 if ok else 1
+    return _emit(record, args.format)
 
 
 def cmd_selftest(args) -> int:

@@ -37,7 +37,6 @@ from .exactmath import (
     Polynomial,
     SignReport,
     closed_interval,
-    factored,
     open_interval,
     rat,
     region_difference,
@@ -117,15 +116,10 @@ def _mpf(t: Fraction):
 
 
 def invlin() -> Potential:
-    """h(t) = 1/(2-2t), the canonical exact test potential; absolutely
-    monotone, as h^(k)(t) = 2^k k! (2-2t)^(-k-1) > 0 for t < 1."""
-    return Potential(
-        "invlin",
-        lambda t: 1 / (2 - 2 * rat(t)),
-        lambda t: 2 / (2 - 2 * rat(t)) ** 2,
-        exact_on_rationals=True,
-        absolutely_monotone=True,
-    )
+    """h(t) = 1/(2-2t), the canonical exact test potential: riesz(2) under
+    its own name; absolutely monotone, as h^(k)(t) = 2^k k! (2-2t)^(-k-1) > 0
+    for t < 1."""
+    return riesz(2)._replace(name="invlin")
 
 
 def riesz(s: int) -> Potential:
@@ -265,7 +259,7 @@ def node_polynomial(m: NodeMultiset) -> FactoredPolynomial:
     pairs = []
     for t in sorted(set(m.nodes)):
         pairs.append((t, m.nodes.count(t)))
-    return factored(1, pairs)
+    return FactoredPolynomial(1, pairs)
 
 
 PartialProduct = namedtuple("PartialProduct", "index expansion pd")

@@ -146,10 +146,6 @@ class FactoredPolynomial(namedtuple("FactoredPolynomial", "leading factors")):
         return p
 
 
-def factored(leading, pairs) -> FactoredPolynomial:
-    return FactoredPolynomial(rat(leading), tuple((rat(r), int(m)) for r, m in pairs))
-
-
 # ---------------------------------------------------------------------------
 # Interval regions
 
@@ -384,4 +380,4 @@ def poly_from_json(obj) -> FactoredPolynomial:
         pairs = [(rat(r), _multiplicity(m)) for r, m in factors]
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{_POLY_JSON_SHAPE}: {exc}") from exc
-    return factored(leading, pairs)
+    return FactoredPolynomial(leading, pairs)

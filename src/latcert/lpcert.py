@@ -18,7 +18,6 @@ from .exactmath import (
     FactoredPolynomial,
     IntervalRegion,
     closed_interval,
-    factored,
     open_interval,
     poly_to_json,
     region_difference,
@@ -66,16 +65,19 @@ class BoundCertificate(namedtuple(
         return d
 
 
-def _lp_bound(p: FactoredPolynomial, n: int, T: IntervalRegion, hi):
-    """What both LP certificates share: the Gegenbauer expansion of p, the
-    sign report of p on [-1, hi] minus T, and the bound f(1)/f_0."""
+def _lp_bound(p: FactoredPolynomial, n: int, T: IntervalRegion, hi, **kind) -> BoundCertificate:
+    """The valid certificate of p with the kind's own fields: the Gegenbauer
+    expansion of p, the sign report of p on [-1, hi] minus T and the bound
+    f(1)/f_0.  Each bound returns it, or replaces it with its first failed
+    condition."""
     check_degree(p.degree)  # first: expanding a high multiplicity is the slow part
     expansion = gegenbauer_expand(n, p.expand())
     f0 = expansion.coeffs[0]
     if f0 <= 0:
         raise ValueError(f"f_0 = {f0} is not positive; no bound derivable")
     report = sign_on_region(p, region_difference(closed_interval(-1, hi), T))
-    return expansion, report, p(Fraction(1)) / f0
+    return BoundCertificate(polynomial=p, dimension=n, avoided=T, expansion=expansion,
+                            sign_report=report, bound=p(Fraction(1)) / f0, valid=True, **kind)
 
 
 def certify_max_code(
@@ -87,32 +89,18 @@ def certify_max_code(
 ) -> BoundCertificate:
     """Certificate that a T-avoiding s-code of design strength >= `strength`
     has at most f(1)/f_0 points."""
-    expansion, report, bound = _lp_bound(p, n, T, Fraction(s))
-    bad = [i for i, c in enumerate(expansion.coeffs) if i > strength and c < 0]
-    failure = None
-    if report.positive_witness is not None:
-        failure = (
-            f"polynomial is positive at t = {report.positive_witness} "
-            f"inside [-1,{s}] minus T"
-        )
-    elif bad:
-        failure = (
-            f"negative Gegenbauer coefficient f_{bad[0]} = "
-            f"{expansion.coeffs[bad[0]]} above assumed strength {strength}"
-        )
-    return BoundCertificate(
-        kind="max_code",
-        polynomial=p,
-        dimension=n,
-        avoided=T,
-        expansion=expansion,
-        sign_report=report,
-        bound=bound,
-        valid=failure is None,
-        s_max=Fraction(s),
-        assumed_strength=strength,
-        failure=failure,
-    )
+    s_max = Fraction(s)
+    cert = _lp_bound(p, n, T, s_max, kind="max_code", s_max=s_max, assumed_strength=strength)
+    witness, coeffs = cert.sign_report.positive_witness, cert.expansion.coeffs
+    bad = [i for i, c in enumerate(coeffs) if i > strength and c < 0]
+    if witness is not None:
+        return cert._replace(valid=False, failure=(
+            f"polynomial is positive at t = {witness} inside [-1,{s}] minus T"))
+    if bad:
+        return cert._replace(valid=False, failure=(
+            f"negative Gegenbauer coefficient f_{bad[0]} = {coeffs[bad[0]]} "
+            f"above assumed strength {strength}"))
+    return cert
 
 
 def certify_min_design(
@@ -127,25 +115,12 @@ def certify_min_design(
         raise ValueError(
             f"degree {p.degree} exceeds tau = {tau}; the design identity is unavailable"
         )
-    expansion, report, bound = _lp_bound(p, n, T, 1)
-    failure = None
-    if report.negative_witness is not None:
-        failure = (
-            f"polynomial is negative at t = {report.negative_witness} "
-            f"inside [-1,1] minus T"
-        )
-    return BoundCertificate(
-        kind="min_design",
-        polynomial=p,
-        dimension=n,
-        avoided=T,
-        expansion=expansion,
-        sign_report=report,
-        bound=bound,
-        valid=failure is None,
-        tau=tau,
-        failure=failure,
-    )
+    cert = _lp_bound(p, n, T, 1, kind="min_design", tau=tau)
+    witness = cert.sign_report.negative_witness
+    if witness is not None:
+        return cert._replace(valid=False, failure=(
+            f"polynomial is negative at t = {witness} inside [-1,1] minus T"))
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +131,7 @@ Q = Fraction(1, 4)
 
 # degree-10 polynomial of the maximal-code bound:
 # (t+1)(t+1/2)^2(t+1/4)^2 t (t-1/4)(t-1/2)^3
-MAX_CODE_POLY = factored(
+MAX_CODE_POLY = FactoredPolynomial(
     1, [(-1, 1), (-H, 2), (-Q, 2), (0, 1), (Q, 1), (H, 3)]
 )
 MAX_CODE_EXPANSION = tuple(
@@ -178,13 +153,13 @@ MAX_CODE_EXPANSION = tuple(
 
 # degree-7 polynomial of the tight-design bound:
 # t(t+1)(t+1/2)^2(t+1/4)(t-1/4)(t-1/2)
-MIN_DESIGN_POLY = factored(
+MIN_DESIGN_POLY = FactoredPolynomial(
     1, [(0, 1), (-1, 1), (-H, 2), (-Q, 1), (Q, 1), (H, 1)]
 )
 
 # seventh partial product of the energy interpolant:
 # (t+1)^2(t+1/2)(t+1/4) t^2 (t-1/4)
-P7_POLY = factored(1, [(-1, 2), (-H, 1), (-Q, 1), (0, 2), (Q, 1)])
+P7_POLY = FactoredPolynomial(1, [(-1, 2), (-H, 1), (-Q, 1), (0, 2), (Q, 1)])
 P7_EXPANSION = tuple(
     Fraction(*pq)
     for pq in [

@@ -12,7 +12,6 @@ from latcert.exactmath import (
     IntervalRegion,
     Polynomial,
     closed_interval,
-    factored,
     open_interval,
     parse_region,
     poly_from_json,
@@ -37,7 +36,7 @@ def test_poly_eval_min_design_fixture():
 
 
 def test_expand_difference_of_squares():
-    fp = factored(1, [(-1, 1), (1, 1)])
+    fp = FactoredPolynomial(1, [(-1, 1), (1, 1)])
     assert fp.expand() == Polynomial([-1, 0, 1])
 
 
@@ -52,9 +51,9 @@ def test_expand_fixture_polynomials():
 
 def test_factored_rejects_repeated_roots_and_bad_multiplicity():
     with pytest.raises(ValueError):
-        factored(1, [(0, 1), (0, 2)])
+        FactoredPolynomial(1, [(0, 1), (0, 2)])
     with pytest.raises(ValueError):
-        factored(1, [(0, 0)])
+        FactoredPolynomial(1, [(0, 0)])
 
 
 def test_expand_agrees_with_per_factor_eval_at_random_points():
@@ -64,7 +63,7 @@ def test_expand_agrees_with_per_factor_eval_at_random_points():
         roots = set()
         while len(roots) < n_roots:
             roots.add(random_fraction(rng, span=5, max_den=6))
-        fp = factored(
+        fp = FactoredPolynomial(
             random_fraction(rng, span=5, max_den=4) or Fraction(1),
             [(r, rng.randint(1, 3)) for r in roots],
         )
@@ -133,7 +132,7 @@ def test_sign_region_outside_unit_interval_rejected():
 
 
 def test_sign_on_degenerate_point_region():
-    fp = factored(1, [(-1, 1)])  # 1 + t
+    fp = FactoredPolynomial(1, [(-1, 1)])  # 1 + t
     rep = sign_on_region(fp, closed_interval(-1, -1))
     assert rep.verdict == "nonnegative"
     assert rep.positive_witness is None and rep.negative_witness is None
@@ -239,7 +238,7 @@ def factored_polynomials(draw):
                           max_size=5, unique=True))
     leading = draw(st.fractions(min_value=-4, max_value=4, max_denominator=4)
                    .filter(lambda c: c != 0))
-    return factored(leading, [(r, draw(st.integers(1, 3))) for r in roots])
+    return FactoredPolynomial(leading, [(r, draw(st.integers(1, 3))) for r in roots])
 
 
 @settings(max_examples=200, deadline=None)

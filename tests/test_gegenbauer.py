@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_polynomial
-from latcert.exactmath import Polynomial, factored
+from latcert.exactmath import FactoredPolynomial, Polynomial
 from latcert.gegenbauer import (
     gegenbauer_expand,
     gegenbauer_poly,
@@ -123,5 +123,5 @@ def test_positive_definite_verdicts():
     assert not verdict.positive_definite
     assert verdict.negative_indices == (2, 3)
 
-    shifted = gegenbauer_expand(32, factored(1, [(Fraction(-1, 2), 1)]).expand())
+    shifted = gegenbauer_expand(32, FactoredPolynomial(1, [(Fraction(-1, 2), 1)]).expand())
     assert is_positive_definite(shifted).positive_definite

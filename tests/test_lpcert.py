@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from latcert.exactmath import EMPTY_REGION, factored
+from latcert.exactmath import EMPTY_REGION, FactoredPolynomial
 from latcert.gegenbauer import gegenbauer_expand, integrate_weighted
 from latcert.lpcert import (
     BUILTIN_POLYNOMIALS,
@@ -42,7 +42,7 @@ def test_max_code_antipodal_pair_bound():
     # 1 + t on the single admissible inner product -1: the classic bound |C| <= 2.
     # (With s = 0 the polynomial is positive inside (-1, 0], so the same
     # certificate must be rejected with an exact witness.)
-    p = factored(1, [(-1, 1)])
+    p = FactoredPolynomial(1, [(-1, 1)])
     cert = certify_max_code(p, 32, EMPTY_REGION, Fraction(-1), strength=0)
     assert cert.valid
     assert cert.bound == 2
@@ -54,7 +54,7 @@ def test_max_code_antipodal_pair_bound():
 
 def test_max_code_requires_positive_f0():
     with pytest.raises(ValueError, match="f_0"):
-        certify_max_code(factored(1, [(0, 1)]), 32, EMPTY_REGION, 0, 0)
+        certify_max_code(FactoredPolynomial(1, [(0, 1)]), 32, EMPTY_REGION, 0, 0)
 
 
 def test_min_design_certificate_fixture():
@@ -65,21 +65,21 @@ def test_min_design_certificate_fixture():
 
 
 def test_min_design_square_bound():
-    cert = certify_min_design(factored(1, [(-1, 2)]), 32, EMPTY_REGION, tau=2)
+    cert = certify_min_design(FactoredPolynomial(1, [(-1, 2)]), 32, EMPTY_REGION, tau=2)
     assert cert.valid
     assert cert.expansion.coeffs[0] == 1 + Fraction(1, 32)
     assert cert.bound == Fraction(128, 33)
 
 
 def test_min_design_rejects_degree_above_tau():
-    p = factored(1, [(-1, 2), (0, 2), (H, 2), (Fraction(1, 4), 2)])  # degree 8
+    p = FactoredPolynomial(1, [(-1, 2), (0, 2), (H, 2), (Fraction(1, 4), 2)])  # degree 8
     with pytest.raises(ValueError, match="exceeds tau"):
         certify_min_design(p, 32, EMPTY_REGION, tau=7)
 
 
 def test_min_design_invalid_with_witness():
     # t has a sign change on [-1,1]; certificate must carry a witness
-    p = factored(1, [(0, 1), (-1, 1)])  # t(t+1) >= 0 fails on (-1,0)
+    p = FactoredPolynomial(1, [(0, 1), (-1, 1)])  # t(t+1) >= 0 fails on (-1,0)
     cert = certify_min_design(p, 32, EMPTY_REGION, tau=2)
     assert not cert.valid
     assert p(cert.sign_report.negative_witness) < 0
@@ -87,7 +87,7 @@ def test_min_design_invalid_with_witness():
 
 def test_bound_is_scale_free():
     for scale in (Fraction(3), Fraction(1, 7), Fraction(22, 5)):
-        p = factored(scale, MAX_CODE_POLY.factors)
+        p = FactoredPolynomial(scale, MAX_CODE_POLY.factors)
         cert = certify_max_code(p, 32, MAX_CODE_T, H, strength=3)
         assert cert.valid and cert.bound == N
 

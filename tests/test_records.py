@@ -10,7 +10,7 @@ from latcert import energycert, exactmath, gegenbauer, gf2codes, lattice32, lpce
 from latcert.energycert import (PAPER_NODES, EnergyCertificate, NodeMultiset, PartialProduct,
                                 Potential, energy_lower_bound, invlin, partial_products)
 from latcert.exactmath import (FactoredPolynomial, Interval, IntervalRegion, Polynomial,
-                               SignReport, factored, parse_region)
+                               SignReport, parse_region)
 from latcert.gegenbauer import (DistanceDistribution, GegExpansion, InnerProductHistogram,
                                 PDVerdict, gegenbauer_expand, is_positive_definite)
 from latcert.gf2codes import BinaryCode, CodeReport, code_report, reed_muller_2_5
@@ -33,7 +33,7 @@ def _derivative(t):
 # each factory makes a new record from equal fields on every call; the
 # records with a dict field are not hashable
 FACTORIES = {
-    FactoredPolynomial: (lambda: factored(2, [(0, 1), ("1/2", 3)]), True),
+    FactoredPolynomial: (lambda: FactoredPolynomial(2, [(0, 1), ("1/2", 3)]), True),
     Interval: (lambda: Interval(0, "1/2", False, True), True),
     IntervalRegion: (lambda: parse_region("(0,1/4)U[1/2,1]"), True),
     SignReport: (lambda: SignReport("mixed", Fraction(1, 2), Fraction(-1, 2)), True),
@@ -94,7 +94,7 @@ def test_every_record_type_is_covered():
 
 
 def test_records_of_different_fields_differ():
-    assert factored(1, [(0, 1)]) != factored(1, [(0, 2)])
+    assert FactoredPolynomial(1, [(0, 1)]) != FactoredPolynomial(1, [(0, 2)])
     assert DistanceDistribution({Fraction(1): 1}) != DistanceDistribution({Fraction(1): 2})
     assert MomentVector((Fraction(0),)) != MomentVector((Fraction(1),))
     code = reed_muller_2_5()
