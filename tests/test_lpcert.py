@@ -38,6 +38,14 @@ def test_max_code_fails_at_lower_assumed_strength():
     assert cert.bound == N  # the bound value itself is unchanged, just unproven
 
 
+def test_max_code_names_the_positive_witness_before_a_negative_coefficient():
+    # with T empty the polynomial is positive at 1/8, and f_2 < 0 lies above
+    # strength 1: both conditions fail, and the sign condition is checked first
+    cert = certify_max_code(MAX_CODE_POLY, 32, EMPTY_REGION, H, strength=1)
+    assert cert.expansion.coeffs[2] < 0
+    assert cert.failure == "polynomial is positive at t = 1/8 inside [-1,1/2] minus T"
+
+
 def test_max_code_antipodal_pair_bound():
     # 1 + t on the single admissible inner product -1: the classic bound |C| <= 2.
     # (With s = 0 the polynomial is positive inside (-1, 0], so the same
