@@ -83,14 +83,15 @@ def cmd_verify(args) -> int:
     if args.full and (args.sample, args.seed) != (None, None):
         raise ValueError("--full checks every point: --sample and --seed do not apply")
     sample = 1000 if args.sample is None else args.sample
-    for flag, value in (("--sample", sample), ("--cap", args.cap)):
-        if value < 1:
-            raise ValueError(f"{flag} must be at least 1, got {value}")
+    seed = 0 if args.seed is None else args.seed
+    for flag, value, least in (("--sample", sample, 1), ("--seed", seed, 0),
+                               ("--cap", args.cap, 1)):
+        if value < least:
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
     if args.cap > MAX_DEGREE:
         raise ValueError(f"--cap must be at most {MAX_DEGREE}, got {args.cap}")
     shell = lattice32.load_shell(args.shell)
     mode = sphercode.ALL if args.full else sample
-    seed = 0 if args.seed is None else args.seed
     inv = sphercode.check_distance_invariance(shell, sample=mode, seed=seed)
     if args.full:
         # exact global pair counts, from the same pass

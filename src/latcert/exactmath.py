@@ -262,7 +262,9 @@ def region_difference(base: IntervalRegion, minus: IntervalRegion) -> IntervalRe
 
 
 def parse_region(text: str) -> IntervalRegion:
-    """Parse strings like ``(0,1/4)``, ``[-1,0]U(1/4,1/2)``, or ``empty``."""
+    """Parse strings like ``(0,1/4)``, ``[-1,0]U(1/4,1/2)``, or ``empty``.
+    The intervals may come in any order; overlapping or touching ones are
+    merged."""
     s = text.strip().replace(" ", "")
     if s in ("", "empty", "none", "{}"):
         return EMPTY_REGION
@@ -272,7 +274,7 @@ def parse_region(text: str) -> IntervalRegion:
         if len(part) < 5 or part[0] not in "([" or part[-1] not in ")]" or len(ends) != 2:
             raise ValueError(f"bad interval syntax: {part!r}")
         ivs.append(Interval(rat(ends[0]), rat(ends[1]), part[0] == "[", part[-1] == "]"))
-    return region_union(IntervalRegion(tuple(sorted(ivs, key=lambda i: (i.lo, i.hi)))))
+    return region_union(*(IntervalRegion((iv,)) for iv in ivs))
 
 
 # ---------------------------------------------------------------------------

@@ -42,18 +42,15 @@ def check_degree(degree: int) -> None:
 
 @lru_cache(maxsize=None)
 def _basis(n: int, upto: int) -> tuple:
+    """P_0..P_upto for dimension n: the cached P_0..P_{upto-1} and one more
+    recurrence step, so each P_i is built once per dimension."""
     if n < 2:
         raise ValueError(f"invalid dimension n={n}; need n >= 2")
-    polys = [Polynomial([1])]
-    if upto >= 1:
-        polys.append(Polynomial([0, 1]))
-    t = Polynomial([0, 1])
-    for i in range(1, upto):
-        nxt = (t * polys[i]).scale(Fraction(2 * i + n - 2, i + n - 2)) - polys[
-            i - 1
-        ].scale(Fraction(i, i + n - 2))
-        polys.append(nxt)
-    return tuple(polys)
+    if upto <= 1:
+        return (Polynomial([1]), Polynomial([0, 1]))[: upto + 1]
+    polys, i = _basis(n, upto - 1), upto - 1
+    t_p = (Polynomial([0, 1]) * polys[i]).scale(Fraction(2 * i + n - 2, i + n - 2))
+    return polys + (t_p - polys[i - 1].scale(Fraction(i, i + n - 2)),)
 
 
 def gegenbauer_poly(n: int, i: int) -> Polynomial:

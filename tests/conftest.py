@@ -1,12 +1,16 @@
+import io
 import random
 import time
 import warnings
+from collections import namedtuple
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from latcert.cli import main
 from latcert.energycert import Potential
 from latcert.exactmath import Polynomial, rat
 from latcert.gf2codes import BinaryCode, extended_quadratic_residue_32, reed_muller_2_5
@@ -23,6 +27,23 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+CliRun = namedtuple("CliRun", "returncode stdout stderr")
+
+
+def run_cli(*argv) -> CliRun:
+    """Run ``latcert.cli.main(argv)`` in-process: its exit code, stdout and
+    stderr.  argparse's usage errors leave through SystemExit, whose code is
+    the exit code.  The one way the tests run the CLI; a fresh interpreter
+    is started only where the process itself is under test."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return CliRun(code, out.getvalue(), err.getvalue())
 
 
 def random_fraction(rng: random.Random, span: int = 20, max_den: int = 12) -> Fraction:

@@ -2,7 +2,7 @@
 
 Each file holds the command on its first line, with the inputs as
 placeholders, then the exit code, stdout and stderr of the command run
-in-process through ``latcert.cli.main``, every input path in them replaced
+in-process through ``conftest.run_cli``, every input path in them replaced
 by its placeholder; a run that writes {out} ends with the sha256 of that
 file.  ``test_golden.py`` compares every file byte for byte.
 
@@ -16,16 +16,13 @@ run the script.  Not a test: pytest collects only test_*.py.
 """
 
 import hashlib
-import io
 import json
 import shlex
 import sys
 import tempfile
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from conftest import PAIRS_4
-from latcert.cli import main
+from conftest import PAIRS_4, run_cli
 from latcert.exactmath import poly_to_json
 from latcert.gf2codes import extended_quadratic_residue_32, reed_muller_2_5
 from latcert.lattice32 import build_shell, make_shell, save_shell
@@ -66,10 +63,8 @@ def render(command: str, paths: dict) -> str:
     argv = shlex.split(command)[1:]
     for placeholder, path in paths.items():
         argv = [arg.replace(placeholder, path) for arg in argv]
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
-    text = f"{command}\nexit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+    code, out, err = run_cli(*argv)
+    text = f"{command}\nexit {code}\n--- stdout\n{out}--- stderr\n{err}"
     for placeholder, path in paths.items():
         text = text.replace(path, placeholder)
     if "{out}" in command:

@@ -5,9 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import PAIRS_4, bit_rows, e8_power_code, e8_root_rows, save_generator_matrix
+from conftest import (PAIRS_4, bit_rows, e8_power_code, e8_root_rows, run_cli,
+                      save_generator_matrix)
 from latcert import gf2codes, lattice32, sphercode
-from latcert.cli import main
 from latcert.exactmath import poly_to_json
 from latcert.gf2codes import code_report
 from latcert.lattice32 import save_shell
@@ -18,8 +18,7 @@ from latcert.lpcert import MIN_DESIGN_POLY
 def shell_file(tmp_path_factory):
     # build once through the CLI so the build command itself is exercised
     path = tmp_path_factory.mktemp("shells") / "rm.shell"
-    rc = main(["build", "--code", "rm2_5", "--out", str(path)])
-    assert rc == 0
+    assert run_cli("build", "--code", "rm2_5", "--out", str(path)).returncode == 0
     return path
 
 
@@ -30,26 +29,25 @@ def small_shell_file(tmp_path_factory):
     return path
 
 
-def run_cli(*argv, timeout=None):
-    proc = subprocess.run(
-        [sys.executable, "-m", "latcert.cli", *argv],
-        capture_output=True,
-        text=True,
-        timeout=timeout,
-    )
-    return proc
+def run_process(*argv, flags=(), timeout=None):
+    """Run the CLI in a fresh interpreter, for the tests where the process
+    itself is under test: -O, a timeout, determinism across processes and
+    the module's exit status.  Every other test runs it in-process."""
+    return subprocess.run([sys.executable, *flags, "-m", "latcert.cli", *argv],
+                          capture_output=True, text=True, timeout=timeout)
 
 
-def test_certify_max_fixture_exit_zero():
-    proc = run_cli(
-        "certify-max", "--poly", "builtin:maxcode", "--dim", "32",
-        "--T", "(0,1/4)", "--s", "1/2", "--strength", "3",
-    )
-    assert proc.returncode == 0, proc.stderr
-    record = json.loads(proc.stdout)
-    assert record["valid"] is True
-    assert record["bound"] == "146880"
-    assert record["coefficients"][2] == "-31/196608"
+@pytest.mark.parametrize("argv, rc", [
+    (["energy", "--potential", "invlin"], 0),
+    (["certify-max", "--poly", "builtin:maxcode", "--T", "empty", "--s", "1/2",
+      "--strength", "3"], 1),
+    (["energy", "--potential", "coulomb"], 2),
+], ids=["valid", "invalid", "usage"])
+def test_the_module_exits_with_the_status_of_main(argv, rc):
+    # python -m latcert.cli prints what main prints and exits with its status
+    proc = run_process(*argv)
+    assert proc.returncode == rc
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(*argv)
 
 
 def test_certify_max_invalid_exit_one():
@@ -60,16 +58,6 @@ def test_certify_max_invalid_exit_one():
     assert proc.returncode == 1
     record = json.loads(proc.stdout)
     assert record["valid"] is False
-
-
-def test_certify_design_fixture():
-    proc = run_cli(
-        "certify-design", "--poly", "builtin:mindesign", "--dim", "32",
-        "--T", "(-1/4,0)U(1/4,1/2)", "--tau", "7",
-    )
-    assert proc.returncode == 0, proc.stderr
-    record = json.loads(proc.stdout)
-    assert record["valid"] is True and record["bound"] == "146880"
 
 
 def test_certify_design_poly_from_file(tmp_path):
@@ -122,7 +110,7 @@ def test_lp_commands_reject_a_degree_above_the_cap_before_expanding(tmp_path, co
     # expanding (t - 1/2)^1000000 would take far longer than the timeout
     path = tmp_path / "high.json"
     path.write_text(json.dumps({"factored": {"leading": "1", "factors": [["1/2", "1000000"]]}}))
-    proc = run_cli(command, "--poly", str(path), *extra, timeout=30)
+    proc = run_process(command, "--poly", str(path), *extra, timeout=30)
     assert proc.returncode == 2
     assert proc.stderr == "error: degree 1000000 above the configured cap 64\n"
 
@@ -137,12 +125,7 @@ def test_energy_without_shell():
 
 
 def test_usage_errors_exit_two():
-    assert run_cli("certify-max", "--poly", "builtin:nope", "--s", "1/2",
-                   "--strength", "3").returncode == 2
     assert run_cli("no-such-command").returncode == 2
-    assert run_cli("venkov", "--shell", "/nonexistent/shell.txt",
-                   "--witness").returncode == 2
-    assert run_cli("energy", "--potential", "coulomb").returncode == 2
     assert run_cli("--threads", "2", "selftest").returncode == 2  # flag removed
 
 
@@ -178,7 +161,7 @@ def test_build_non_extremal_code_exits_one(tmp_path):
 
 
 @pytest.mark.parametrize("code, rc", [("rm2_5", 0), ("e8x4", 1)])
-def test_build_checks_the_code_once(tmp_path, monkeypatch, capsys, code, rc):
+def test_build_checks_the_code_once(tmp_path, monkeypatch, code, rc):
     # enumerating and weighing the 2^16 codewords is most of a build's code check
     calls = []
 
@@ -191,9 +174,10 @@ def test_build_checks_the_code_once(tmp_path, monkeypatch, capsys, code, rc):
     if code == "e8x4":
         code = tmp_path / "e8x4.txt"
         save_generator_matrix(e8_power_code(), code)
-    assert main(["build", "--code", str(code), "--out", str(tmp_path / "s.txt")]) == rc
+    proc = run_cli("build", "--code", str(code), "--out", str(tmp_path / "s.txt"))
+    assert proc.returncode == rc
     assert len(calls) == 1
-    assert json.loads(capsys.readouterr().out)["valid"] is (rc == 0)
+    assert json.loads(proc.stdout)["valid"] is (rc == 0)
 
 
 @pytest.mark.parametrize("argv", [
@@ -201,17 +185,17 @@ def test_build_checks_the_code_once(tmp_path, monkeypatch, capsys, code, rc):
     ["verify", "--shell", "{shell}", "--full"],
     ["venkov", "--shell", "{shell}", "--witness", "--sample", "5"],
 ], ids=["build", "verify-full", "venkov"])
-def test_shell_commands_check_the_norms_once(shell_file, tmp_path, monkeypatch, capsys,
-                                             argv):
+def test_shell_commands_check_the_norms_once(shell_file, tmp_path, monkeypatch, argv):
     # s.s = 32 is checked when the Shell is made, not again by a pass or a save
     calls = []
     check_norms = lattice32._check_norms
     monkeypatch.setattr(lattice32, "_check_norms",
                         lambda *a: calls.append(1) or check_norms(*a))
     argv = [a.format(out=tmp_path / "s.shell", shell=shell_file) for a in argv]
-    assert main(argv) == 0
+    proc = run_cli(*argv)
+    assert proc.returncode == 0
     assert len(calls) == 1
-    assert json.loads(capsys.readouterr().out)["valid"] is True
+    assert json.loads(proc.stdout)["valid"] is True
 
 
 def test_venkov_witness_and_sample(shell_file):
@@ -249,8 +233,8 @@ def test_verify_full_on_small_shell(small_shell_file):
 
 def test_json_reports_are_deterministic(shell_file):
     args = ("venkov", "--shell", str(shell_file), "--sample", "4", "--seed", "9")
-    first = run_cli(*args)
-    second = run_cli(*args)
+    first = run_process(*args)
+    second = run_process(*args)
     assert first.stdout == second.stdout
     assert first.returncode == second.returncode == 0
 
@@ -260,13 +244,6 @@ def test_text_format(shell_file):
                    "--witness")
     assert proc.returncode == 0
     assert "witness_e22: 60" in proc.stdout
-
-
-def test_selftest_passes():
-    proc = run_cli("selftest")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "FAIL" not in proc.stdout
-    assert "25/25 fixtures passed" in proc.stdout
 
 
 def test_energy_with_small_shell_and_gap(small_shell_file):
@@ -301,24 +278,26 @@ def _outside_the_bound(request, case):
     ("rm2_5-variant", "shell has inner product -3/8 in T = (-1/2,-1/4)U(1/4,1/2)",
      "700564/45045"),
 ], ids=["e8", "e8-padded", "rm2_5-variant"])
-def test_energy_rejects_a_shell_the_bound_does_not_cover(request, tmp_path, capsys,
-                                                         case, failure, gap):
+def test_energy_rejects_a_shell_the_bound_does_not_cover(request, tmp_path, case, failure,
+                                                         gap):
     # the certificate is valid, but the bound holds only for 146880 points
     # in dimension 32 with no inner product in T: exit 1, and the energy
     # still comes from the shell's own histogram
     path = tmp_path / "outside.shell"
     save_shell(lattice32.make_shell(_outside_the_bound(request, case)), path)
-    assert main(["energy", "--shell", str(path), "--potential", "invlin"]) == 1
-    record = json.loads(capsys.readouterr().out)
+    proc = run_cli("energy", "--shell", str(path), "--potential", "invlin")
+    assert proc.returncode == 1
+    record = json.loads(proc.stdout)
     assert (record["valid"], record["failure"], record["gap"]) == (False, failure, gap)
 
 
 @pytest.mark.parametrize("spec, gap", [("invlin", "0"), ("gauss:7/4", "0.0")])
-def test_energy_of_the_design_is_the_bound_exactly(shell_file, capsys, spec, gap):
+def test_energy_of_the_design_is_the_bound_exactly(shell_file, spec, gap):
     # the shell's histogram is N A_t, so its energy is the bound's own sum:
     # no rounding residue under mpmath
-    assert main(["energy", "--shell", str(shell_file), "--potential", spec]) == 0
-    record = json.loads(capsys.readouterr().out)
+    proc = run_cli("energy", "--shell", str(shell_file), "--potential", spec)
+    assert proc.returncode == 0
+    record = json.loads(proc.stdout)
     assert record["code_energy"] == record["lower_bound"]
     assert (record["valid"], record["gap"]) == (True, gap)
 
@@ -337,17 +316,18 @@ def test_energy_rejects_precision_below_one(small_shell_file, precision, shell):
 def test_energy_rejects_precision_above_the_cap(small_shell_file, precision, shell):
     # the cap is checked before any work, so even a million digits exits at once
     argv = ["energy", "--potential", "expt", f"--precision={precision}"]
-    proc = run_cli(*argv, *(["--shell", str(small_shell_file)] if shell else []), timeout=20)
+    proc = run_process(*argv, *(["--shell", str(small_shell_file)] if shell else []),
+                       timeout=20)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == f"error: precision must be at most 10000 digits, got {precision}\n"
 
 
 @pytest.mark.parametrize("spec", ["invlin", "riesz:2", "riesz:8"])
-def test_energy_rejects_precision_for_an_exact_potential(capsys, spec):
+def test_energy_rejects_precision_for_an_exact_potential(spec):
     # an exact potential never reads the precision, so the flag would be ignored
-    assert main(["energy", "--potential", spec, "--precision", "60"]) == 2
-    out, err = capsys.readouterr()
+    rc, out, err = run_cli("energy", "--potential", spec, "--precision", "60")
+    assert rc == 2
     assert out == ""
     assert err == f"error: --precision applies only to expt, gauss and odd riesz, not {spec}\n"
 
@@ -483,15 +463,16 @@ def test_energy_accepts_digits_and_names_the_potential(spec, name):
     assert json.loads(proc.stdout)["potential"] == name
 
 
-def test_verify_full_runs_one_orbit_pass(small_shell_file, monkeypatch, capsys):
+def test_verify_full_runs_one_orbit_pass(small_shell_file, monkeypatch):
     calls = []
     orbit_pass = sphercode._orbit_pass
     monkeypatch.setattr(
         sphercode, "_orbit_pass", lambda v: calls.append(len(v)) or orbit_pass(v)
     )
-    assert main(["verify", "--shell", str(small_shell_file), "--full"]) == 0
+    proc = run_cli("verify", "--shell", str(small_shell_file), "--full")
+    assert proc.returncode == 0
     assert calls == [24]
-    assert json.loads(capsys.readouterr().out)["histogram"] == {
+    assert json.loads(proc.stdout)["histogram"] == {
         "-1": 24, "-1/2": 192, "0": 144, "1/2": 192
     }
 
@@ -545,14 +526,13 @@ def test_shell_grammar_checks_hold_under_optimize(tmp_path, flags, body, message
     # -O drops asserts: the reader's checks must still send these to an error line
     path = tmp_path / "bad.shell"
     path.write_text(f"latcert-shell v1 n=4 count=2 scale=2sqrt2\n{body}")
-    proc = subprocess.run([sys.executable, *flags, "-m", "latcert.cli", "verify",
-                           "--shell", str(path), "--full"], capture_output=True, text=True)
+    proc = run_process("verify", "--shell", str(path), "--full", flags=flags)
     assert proc.returncode == 2, proc.stderr
     (line,) = proc.stderr.splitlines()
     assert line.startswith("error: ") and message in line
 
 
-def test_internal_check_failure_exits_one(small_shell_file, monkeypatch, capsys):
+def test_internal_check_failure_exits_one(small_shell_file, monkeypatch):
     column_counts = sphercode._column_counts
 
     def drop_one_count(F, cols, rows=None):
@@ -561,7 +541,7 @@ def test_internal_check_failure_exits_one(small_shell_file, monkeypatch, capsys)
         return table
 
     monkeypatch.setattr(sphercode, "_column_counts", drop_one_count)
-    assert main(["verify", "--shell", str(small_shell_file), "--full"]) == 1
-    err = capsys.readouterr().err
+    rc, _, err = run_cli("verify", "--shell", str(small_shell_file), "--full")
+    assert rc == 1
     assert err.startswith("error: internal check failed: histogram total")
     assert "Traceback" not in err

@@ -233,6 +233,26 @@ def test_parse_region_inverts_str(region):
 
 
 @st.composite
+def intervals(draw):
+    """One interval inside [-1, 1], with random open/closed ends."""
+    lo, hi = sorted((draw(UNIT), draw(UNIT)))
+    if lo == hi:
+        return Interval(lo, hi)
+    return Interval(lo, hi, draw(st.booleans()), draw(st.booleans()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(intervals(), min_size=1, max_size=5))
+def test_parse_region_merges_intervals_in_any_order(ivs):
+    # overlapping or touching intervals are merged, not refused
+    singles = [IntervalRegion((iv,)) for iv in ivs]
+    parsed = parse_region("U".join(map(str, ivs)))
+    assert parsed == region_union(*singles)
+    for t in _probes(parsed, *singles):
+        assert parsed.contains(t) == any(iv.contains(t) for iv in ivs), (str(parsed), t)
+
+
+@st.composite
 def factored_polynomials(draw):
     roots = draw(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=8),
                           max_size=5, unique=True))

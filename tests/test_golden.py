@@ -22,4 +22,4 @@ def test_cli_output_matches_the_golden_file(path, inputs):
 def test_golden_corpus_is_there():
     # the exact count, so that a lost file fails; a change that adds or
     # drops a case updates it
-    assert len(FILES) == 105
+    assert len(FILES) == 108

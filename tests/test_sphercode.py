@@ -10,11 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
-from conftest import norm32_magnitudes, random_polynomial
+from conftest import norm32_magnitudes, random_polynomial, run_cli
 from latcert.exactmath import Polynomial
 from latcert.gegenbauer import distribution_from_design, gegenbauer_expand, gegenbauer_poly
 from latcert import sphercode
-from latcert.cli import main
 from latcert.lattice32 import (Shell, _joint_tables, load_shell, make_shell, save_shell,
                                venkov_sample)
 from latcert.sphercode import (
@@ -672,7 +671,7 @@ def test_orbit_pair_counts_without_negation():
     _assert_matches_brute_force(shell)
 
 
-def test_orbit_pair_counts_reject_rows_outside_their_orbit(monkeypatch, tmp_path, capsys):
+def test_orbit_pair_counts_reject_rows_outside_their_orbit(monkeypatch, tmp_path):
     # one row of an orbit of 4 labelled as a row of another: "orbits" of 3
     # and 5, whose counts from the orbit of 16 are not multiples of 3 and 5
     orbits = sphercode._orbits
@@ -691,10 +690,8 @@ def test_orbit_pair_counts_reject_rows_outside_their_orbit(monkeypatch, tmp_path
         check_distance_invariance(shell, ALL)
     path = tmp_path / "hamming.shell"
     save_shell(shell, path)
-    assert main(["verify", "--shell", str(path), "--full"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: internal check failed: {message}\n"
+    assert run_cli("verify", "--shell", str(path), "--full") == (
+        1, "", f"error: internal check failed: {message}\n")
 
 
 @pytest.mark.parametrize("sample", [0, -5])
