@@ -182,6 +182,8 @@ def cmd_venkov(args) -> int:
     from . import lattice32
     if args.sample < 0:
         raise ValueError(f"--sample must be at least 1, got {args.sample}")
+    if args.seed < 0:  # random.Random(-1) draws the sample of seed 1
+        raise ValueError(f"--seed must be at least 0, got {args.seed}")
     if not (args.witness or args.sample):
         raise ValueError("nothing to check: give --witness or --sample of at least 1")
     shell = lattice32.load_shell(args.shell)

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from latcert.cli import main
+from latcert.cli import build_parser, main
 from latcert.energycert import Potential
 from latcert.exactmath import Polynomial, rat
 from latcert.gf2codes import BinaryCode, extended_quadratic_residue_32, reed_muller_2_5
@@ -44,6 +44,14 @@ def run_cli(*argv) -> CliRun:
         except SystemExit as exc:
             code = exc.code
     return CliRun(code, out.getvalue(), err.getvalue())
+
+
+def cli_vocabulary() -> set:
+    """The CLI's subcommands and option strings, -h/--help left out."""
+    parser = build_parser()
+    (commands,) = [a.choices for a in parser._actions if a.choices and not a.option_strings]
+    return {*commands, *(opt for p in (parser, *commands.values()) for a in p._actions
+                         for opt in a.option_strings)} - {"-h", "--help"}
 
 
 def random_fraction(rng: random.Random, span: int = 20, max_den: int = 12) -> Fraction:

@@ -37,17 +37,19 @@ BENT = [[v * sign for v in row] for row in ([4, 4, 0, 0], [0, 0, 4, 4], [4, 0, 4
         for sign in (1, -1)]
 
 
-def write_inputs(directory: Path, rm_shell, xqr_shell) -> dict:
-    """Placeholder -> path of each input in directory: the rm2_5, xqr32,
-    24-point and 6-point bent shell files, the min-design polynomial as
-    JSON and the 16 x 32 identity generator matrix (not self-dual), written
-    there, and two paths with no file yet."""
+def write_inputs(directory: Path, rm_shell=None, xqr_shell=None) -> dict:
+    """Placeholder -> path of each input in directory: the rm2_5 and xqr32
+    shell files when their shells are given, the 24-point and 6-point bent
+    shell files, the min-design polynomial as JSON and the 16 x 32 identity
+    generator matrix (not self-dual), written there, and two paths with no
+    file yet."""
     paths = {f"{{{name}}}": str(directory / f"{name}.shell")
              for name in ("rm2_5", "xqr32", "small", "bent", "missing", "out")}
     paths["{poly}"] = str(directory / "poly.json")
     paths["{ident}"] = str(directory / "ident.txt")
-    save_shell(rm_shell, paths["{rm2_5}"])
-    save_shell(xqr_shell, paths["{xqr32}"])
+    for name, shell in (("{rm2_5}", rm_shell), ("{xqr32}", xqr_shell)):
+        if shell is not None:
+            save_shell(shell, paths[name])
     save_shell(make_shell(PAIRS_4), paths["{small}"])
     save_shell(make_shell(BENT), paths["{bent}"])
     Path(paths["{poly}"]).write_text(json.dumps(poly_to_json(MIN_DESIGN_POLY)))

@@ -1,17 +1,18 @@
 import json
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
-from conftest import (PAIRS_4, bit_rows, e8_power_code, e8_root_rows, run_cli,
-                      save_generator_matrix)
+from conftest import (PAIRS_4, bit_rows, cli_vocabulary, e8_power_code, e8_root_rows,
+                      run_cli, save_generator_matrix)
+from golden_corpus import write_inputs
 from latcert import gf2codes, lattice32, sphercode
-from latcert.exactmath import poly_to_json
 from latcert.gf2codes import code_report
 from latcert.lattice32 import save_shell
-from latcert.lpcert import MIN_DESIGN_POLY
 
 
 @pytest.fixture(scope="module")
@@ -50,37 +51,6 @@ def test_the_module_exits_with_the_status_of_main(argv, rc):
     assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(*argv)
 
 
-def test_certify_max_invalid_exit_one():
-    proc = run_cli(
-        "certify-max", "--poly", "builtin:maxcode", "--dim", "32",
-        "--T", "(0,1/4)", "--s", "1/2", "--strength", "1",
-    )
-    assert proc.returncode == 1
-    record = json.loads(proc.stdout)
-    assert record["valid"] is False
-
-
-def test_certify_design_poly_from_file(tmp_path):
-    poly_path = tmp_path / "poly.json"
-    poly_path.write_text(
-        json.dumps(
-            {
-                "factored": {
-                    "leading": "1",
-                    "factors": [["0", "1"], ["-1", "1"], ["-1/2", "2"],
-                                ["-1/4", "1"], ["1/4", "1"], ["1/2", "1"]],
-                }
-            }
-        )
-    )
-    proc = run_cli(
-        "certify-design", "--poly", str(poly_path), "--dim", "32",
-        "--T", "(-1/4,0)U(1/4,1/2)", "--tau", "7",
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["bound"] == "146880"
-
-
 def test_certify_design_poly_file_must_be_factored(tmp_path):
     args = ("certify-design", "--T", "(-1/4,0)U(1/4,1/2)", "--tau", "7", "--poly")
     for name, obj in [
@@ -94,12 +64,6 @@ def test_certify_design_poly_file_must_be_factored(tmp_path):
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: ") and '"factored"' in proc.stderr
         assert "Traceback" not in proc.stderr
-    path = tmp_path / "mindesign.json"
-    path.write_text(json.dumps(poly_to_json(MIN_DESIGN_POLY)))
-    from_file = run_cli(*args, str(path))
-    builtin = run_cli(*args, "builtin:mindesign")
-    assert from_file.returncode == builtin.returncode == 0
-    assert from_file.stdout == builtin.stdout
 
 
 @pytest.mark.parametrize("command, extra", [
@@ -115,20 +79,6 @@ def test_lp_commands_reject_a_degree_above_the_cap_before_expanding(tmp_path, co
     assert proc.stderr == "error: degree 1000000 above the configured cap 64\n"
 
 
-def test_energy_without_shell():
-    proc = run_cli("energy", "--potential", "invlin")
-    assert proc.returncode == 0, proc.stderr
-    record = json.loads(proc.stdout)
-    assert record["valid"] is True
-    assert record["lower_bound"] == record["dual_form"]
-    assert record["code_energy"] is None
-
-
-def test_usage_errors_exit_two():
-    assert run_cli("no-such-command").returncode == 2
-    assert run_cli("--threads", "2", "selftest").returncode == 2  # flag removed
-
-
 def _unit_rows(k: int, n: int, support) -> list:
     """k rows of length n; row i has ones at support(i)."""
     return [[int(j in support(i)) for j in range(n)] for i in range(k)]
@@ -138,7 +88,6 @@ def test_build_non_extremal_code_exits_one(tmp_path):
     codes = [
         ("e8x4", bit_rows(e8_power_code()),
          "code has weight-4 words; lattice is not extremal"),
-        ("identity", _unit_rows(16, 32, lambda i: {i}), "code is not self-dual"),
         ("weight2", _unit_rows(16, 32, lambda i: {2 * i, 2 * i + 1}),
          "code is not doubly even"),
         ("k8n16", _unit_rows(8, 16, lambda i: {i, i + 8}),
@@ -246,19 +195,6 @@ def test_text_format(shell_file):
     assert "witness_e22: 60" in proc.stdout
 
 
-def test_energy_with_small_shell_and_gap(small_shell_file):
-    proc = run_cli("energy", "--shell", str(small_shell_file),
-                   "--potential", "invlin")
-    # the 24-point shell is not the 146880 design, so the gap is nonzero, the
-    # bound does not cover it, and the command still reports the certificate
-    assert proc.returncode == 1, proc.stderr
-    record = json.loads(proc.stdout)
-    assert record["code_energy"] is not None
-    assert record["gap"] != "0"
-    assert record["valid"] is False
-    assert record["failure"] == "shell dimension is 4; the bound needs 32"
-
-
 def _outside_the_bound(request, case):
     if case != "rm2_5-variant":
         e8 = e8_root_rows()
@@ -291,24 +227,16 @@ def test_energy_rejects_a_shell_the_bound_does_not_cover(request, tmp_path, case
     assert (record["valid"], record["failure"], record["gap"]) == (False, failure, gap)
 
 
-@pytest.mark.parametrize("spec, gap", [("invlin", "0"), ("gauss:7/4", "0.0")])
+@pytest.mark.parametrize("spec, gap", [("gauss:7/4", "0.0")])
 def test_energy_of_the_design_is_the_bound_exactly(shell_file, spec, gap):
     # the shell's histogram is N A_t, so its energy is the bound's own sum:
-    # no rounding residue under mpmath
+    # no rounding residue under mpmath (golden energy-shell-invlin-rm2_5
+    # pins the exact case)
     proc = run_cli("energy", "--shell", str(shell_file), "--potential", spec)
     assert proc.returncode == 0
     record = json.loads(proc.stdout)
     assert record["code_energy"] == record["lower_bound"]
     assert (record["valid"], record["gap"]) == (True, gap)
-
-
-@pytest.mark.parametrize("precision", ["0", "-3"])
-@pytest.mark.parametrize("shell", [False, True])
-def test_energy_rejects_precision_below_one(small_shell_file, precision, shell):
-    argv = ["energy", "--potential", "expt", f"--precision={precision}"]
-    proc = run_cli(*argv, *(["--shell", str(small_shell_file)] if shell else []))
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr == f"error: precision must be at least 1 digit, got {precision}\n"
 
 
 @pytest.mark.parametrize("precision", ["10001", "1000000"])
@@ -323,76 +251,14 @@ def test_energy_rejects_precision_above_the_cap(small_shell_file, precision, she
     assert proc.stderr == f"error: precision must be at most 10000 digits, got {precision}\n"
 
 
-@pytest.mark.parametrize("spec", ["invlin", "riesz:2", "riesz:8"])
-def test_energy_rejects_precision_for_an_exact_potential(spec):
-    # an exact potential never reads the precision, so the flag would be ignored
-    rc, out, err = run_cli("energy", "--potential", spec, "--precision", "60")
-    assert rc == 2
-    assert out == ""
-    assert err == f"error: --precision applies only to expt, gauss and odd riesz, not {spec}\n"
-
-
-@pytest.mark.parametrize("extra, message", [
-    ([], "nothing to check: give --witness or --sample of at least 1"),
-    (["--sample=0"], "nothing to check: give --witness or --sample of at least 1"),
-    (["--sample=-5"], "--sample must be at least 1, got -5"),
-    (["--witness", "--sample=-5"], "--sample must be at least 1, got -5"),
-])
-def test_venkov_rejects_a_run_that_checks_nothing(extra, message):
-    # the arguments are checked before the shell is read
-    proc = run_cli("venkov", "--shell", "/nonexistent/shell.txt", *extra)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stdout == ""
-    assert proc.stderr == f"error: {message}\n"
-
-
-def test_venkov_witness_on_a_shell_of_another_dimension(small_shell_file):
-    proc = run_cli("venkov", "--shell", str(small_shell_file), "--witness")
-    assert proc.returncode == 2
-    assert proc.stderr == "error: probe has shape (32,), expected (4,)\n"
-
-
-@pytest.mark.parametrize(
-    "flag, value",
-    [("--sample", "0"), ("--sample", "-5"), ("--cap", "0"), ("--cap", "-3"), ("--cap", "65")],
-)
-def test_verify_rejects_sample_or_cap_below_one(tmp_path, flag, value):
-    # the shell does not exist: each flag is checked before the shell is read
-    proc = run_cli("verify", "--shell", str(tmp_path / "missing.shell"), f"{flag}={value}")
-    assert proc.returncode == 2, proc.stderr
-    bound = "at most 64" if int(value) > 1 else "at least 1"
-    assert proc.stderr == f"error: {flag} must be {bound}, got {value}\n"
-
-
-@pytest.mark.parametrize("extra", [["--sample=5"], ["--seed=9"], ["--sample=5", "--seed=9"],
-                                   ["--sample=1000"]])
-def test_verify_full_rejects_sample_and_seed(tmp_path, extra):
-    # --full checks every point, so a sample size or seed would be ignored;
-    # the flags are checked before the shell is read
-    proc = run_cli("verify", "--shell", str(tmp_path / "missing.shell"), "--full", *extra)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stdout == ""
-    assert proc.stderr == "error: --full checks every point: --sample and --seed do not apply\n"
-
-
-@pytest.mark.parametrize("argv, message", [
-    (["certify-max", "--poly", "builtin:maxcode", "--s", "1/0", "--strength", "3"], "'1/0'"),
-    (["certify-max", "--poly", "builtin:maxcode", "--T", "(0,1/0)", "--s", "1/2",
-      "--strength", "3"], "'1/0'"),
-    (["certify-design", "--poly", "builtin:mindesign", "--T", "(0,1/4,1)", "--tau", "7"],
-     "bad interval syntax: '(0,1/4,1)'"),
-    (["energy", "--potential", "gauss:1/0"], "'1/0'"),
-    (["certify-design", "--poly", "{poly}", "--tau", "7"], "polynomial JSON must be"),
-], ids=["s", "T", "T-three-ends", "gauss", "poly-leading"])
-def test_malformed_rationals_exit_two(tmp_path, argv, message):
+@pytest.mark.parametrize("leading", ["1/0"], ids=["poly-leading"])
+def test_malformed_rationals_exit_two(tmp_path, leading):
+    # a p/0 in a polynomial file; golden error-rational-* pin --s, --T and gauss
     poly = tmp_path / "poly.json"
-    poly.write_text(json.dumps({"factored": {"leading": "1/0", "factors": [["1/2", "1"]]}}))
-    proc = run_cli(*(a.format(poly=poly) for a in argv))
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stdout == ""
-    (line,) = proc.stderr.splitlines()
-    assert line.startswith("error: ") and message in line
-    assert "Traceback" not in proc.stderr
+    poly.write_text(json.dumps({"factored": {"leading": leading, "factors": [["1/2", "1"]]}}))
+    rc, out, err = run_cli("certify-design", "--poly", str(poly), "--tau", "7")
+    assert (rc, out, err.count("\n")) == (2, "", 1)
+    assert err.startswith("error: polynomial JSON must be") and err.endswith("'1/0'\n")
 
 
 @pytest.mark.parametrize("leading, factor, message", [
@@ -412,46 +278,6 @@ def test_poly_json_values_must_be_exact(tmp_path, leading, factor, message):
     assert proc.stdout == ""
     (line,) = proc.stderr.splitlines()
     assert line.startswith("error: ") and line.endswith(message)
-
-
-_SPEC_GRAMMAR = "expected invlin, expt, riesz:<digits> or gauss:<p/q>"
-_RIESZ_RANGE = "the riesz exponent must be in 1..1000"
-
-
-_BAD_SPECS = [
-    ("invlin:3", _SPEC_GRAMMAR),
-    ("invlin:", _SPEC_GRAMMAR),
-    ("expt:junk", _SPEC_GRAMMAR),
-    ("riesz", _SPEC_GRAMMAR),
-    ("riesz:4_0", _SPEC_GRAMMAR),
-    ("riesz:+4", _SPEC_GRAMMAR),
-    ("riesz: 4", _SPEC_GRAMMAR),
-    ("riesz:x", _SPEC_GRAMMAR),
-    ("riesz:4.0", _SPEC_GRAMMAR),
-    ("riesz:\u0664", _SPEC_GRAMMAR),  # ARABIC-INDIC DIGIT FOUR, which int() reads
-    ("riesz:0", _RIESZ_RANGE),
-    ("riesz:1001", _RIESZ_RANGE),
-    ("riesz:4900", _RIESZ_RANGE),
-    ("riesz:" + "9" * 5000, _RIESZ_RANGE),  # above int()'s 4300-digit limit
-    ("gauss:0.5", _SPEC_GRAMMAR),
-    ("gauss:+1", _SPEC_GRAMMAR),
-    ("gauss:-1", _SPEC_GRAMMAR),
-    ("gauss: 1/2", _SPEC_GRAMMAR),
-    ("gauss:", _SPEC_GRAMMAR),
-    ("gauss:0", "the gauss parameter must be positive"),
-    ("gauss:0/3", "the gauss parameter must be positive"),
-]
-
-
-@pytest.mark.parametrize("spec, reason", _BAD_SPECS,
-                         ids=[spec[:16] for spec, _ in _BAD_SPECS])
-def test_energy_rejects_a_potential_spec_outside_the_grammar(spec, reason):
-    # each of these ran, or failed with Python's message, before the spec
-    # grammar: the argument was ignored or read as another number
-    proc = run_cli("energy", "--potential", spec)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stdout == ""
-    assert proc.stderr == f"error: bad potential {spec!r}: {reason}\n"
 
 
 @pytest.mark.parametrize("spec, name", [
@@ -545,3 +371,97 @@ def test_internal_check_failure_exits_one(small_shell_file, monkeypatch):
     assert rc == 1
     assert err.startswith("error: internal check failed: histogram total")
     assert "Traceback" not in err
+
+
+def test_venkov_sample_gives_up_on_a_shell_with_no_orthogonal_pair(tmp_path):
+    # 10000 draws per requested value, so keep --sample small: about 40 ms each
+    path = tmp_path / "pair.shell"
+    save_shell(lattice32.make_shell([[4, 4, 0, 0], [-4, -4, 0, 0]]), path)
+    assert run_cli("venkov", "--shell", str(path), "--sample", "1") == (
+        2, "", "error: no orthogonal pair found within budget; malformed shell\n")
+
+
+# The CLI contract's grammar: every subcommand but selftest (seconds; golden
+# pins it), each option with the values a command takes, boundaries included,
+# and values it refuses.  None is a bare switch, ... leaves the option out.
+# The paths are the golden inputs that load in milliseconds: not {rm2_5}, {xqr32}.
+_SHELLS = (["{small}", "{bent}"], ["{missing}", "{out}", "{poly}", "{ident}"])
+_POLYS = (["builtin:maxcode", "builtin:mindesign", "{poly}"],
+          ["builtin:nope", "{missing}", "{small}"])
+_DIMS = ([..., "32", "2"], ["1", "0", "x"])
+_SAMPLES = ([..., "1", "5"], ["0", "-5", "x"])
+_SEEDS = ([..., "0", "9"], ["-1", "x"])
+_REGIONS = ([..., "empty", "(0,1/4)", "(-1/4,0)U(1/4,1/2)", "(0,1/8]U[1/8,1/4)"],
+            ["[-1,1]", "(1/2,0)", "(0,1/0)", "x"])
+_GRAMMAR = {
+    "build": {"--code": (["{ident}"], ["{small}", "{missing}", "rm2_6"]),
+              "--out": (["{out}"], [])},
+    "verify": {"--shell": _SHELLS, "--full": ([..., None], []), "--sample": _SAMPLES,
+               "--seed": _SEEDS, "--cap": ([..., "1", "12", "64"], ["0", "65", "-3", "x"])},
+    "certify-max": {"--poly": _POLYS, "--dim": _DIMS, "--T": _REGIONS,
+                    "--s": (["1/2", "-1", "1"], ["2", "1/0", "x"]),
+                    "--strength": (["3", "1", "0"], ["x"])},
+    "certify-design": {"--poly": _POLYS, "--dim": _DIMS, "--T": _REGIONS,
+                       "--tau": (["7", "8"], ["3", "-1", "x"])},
+    "energy": {"--shell": ([..., "{small}", "{bent}"], _SHELLS[1]),
+               "--potential": (["invlin", "expt", "riesz:1", "riesz:2", "riesz:1000", "gauss:7/4"],
+                               ["riesz:0", "gauss:0", "gauss:1/0", "invlin:3", "coulomb"]),
+               "--precision": ([..., "1", "3", "60"], ["0", "-3", "10001", "x"])},
+    "venkov": {"--shell": _SHELLS, "--witness": ([..., None], []), "--sample": _SAMPLES,
+               "--seed": _SEEDS},
+}
+
+
+@st.composite
+def cli_argvs(draw):
+    """(argv, --format, whether argparse must refuse it).  Half the draws may
+    take refused values; one in three has a fault: an unknown subcommand or
+    format, the removed --threads, or its first option left out."""
+    command = draw(st.sampled_from(sorted(_GRAMMAR)))
+    fmt = draw(st.sampled_from([None, "json", "text"]))
+    fault = draw(st.sampled_from([None] * 8 + ["subcommand", "format", "threads", "omit"]))
+    malformed = draw(st.booleans())
+    options = []
+    for flag, (takes, refuses) in _GRAMMAR[command].items():
+        value = draw(st.sampled_from(takes + refuses if malformed else takes))
+        if value is None:
+            options.append([flag])
+        elif value is not ...:
+            options.append([f"{flag}={value}"] if draw(st.booleans()) else [flag, value])
+    options = draw(st.permutations(options))[fault == "omit":]
+    fmt = "xml" if fault == "format" else fmt
+    head = (["--format", fmt] if fmt else []) + (["--threads", "2"] if fault == "threads" else [])
+    command = "no-such-command" if fault == "subcommand" else command
+    argv = [*head, command, *(arg for option in options for arg in option)]
+    return argv, fmt, fault in ("subcommand", "format", "threads")
+
+
+@pytest.fixture(scope="module")
+def contract_inputs(tmp_path_factory):
+    return write_inputs(tmp_path_factory.mktemp("contract"))
+
+
+def test_the_contract_grammar_draws_every_subcommand_and_option():
+    assert cli_vocabulary() == {*_GRAMMAR, "selftest", "--format"}.union(*_GRAMMAR.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(cli_argvs())
+def test_cli_contract(contract_inputs, drawn):
+    argv, fmt, usage_error = drawn
+    for placeholder, path in contract_inputs.items():
+        argv = [arg.replace(placeholder, path) for arg in argv]
+    code, out, err = run_cli(*argv)
+    event(f"exit {code}, {'usage' if err.startswith('usage: ') else 'run'}")
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code == 2:  # one error line: the command's own, or argparse's after its usage
+        *usage, line = err.splitlines()
+        assert out == "" and err == "\n".join([*usage, line]) + "\n"
+        assert re.match(r"latcert[\w -]*: error: " if usage else "error: ", line)
+        assert not usage or usage[0].startswith("usage: latcert") and "error:" not in str(usage)
+    elif fmt == "text":
+        valid = [line for line in out.splitlines() if line.startswith("valid: ")]
+        assert err == "" and valid == [f"valid: {code == 0}"]
+    else:
+        assert err == "" and json.loads(out)["valid"] is (code == 0)
+    assert not usage_error or (code == 2 and err.startswith("usage: latcert"))

@@ -1,8 +1,11 @@
 """Byte identity of the CLI's reports against the golden corpus (see
 golden_corpus.py): every file under golden/ is rerun and compared."""
 
+import shlex
+
 import pytest
 
+from conftest import cli_vocabulary
 from golden_corpus import GOLDEN, render, write_inputs
 
 FILES = sorted(GOLDEN.glob("*.txt"))
@@ -22,4 +25,11 @@ def test_cli_output_matches_the_golden_file(path, inputs):
 def test_golden_corpus_is_there():
     # the exact count, so that a lost file fails; a change that adds or
     # drops a case updates it
-    assert len(FILES) == 108
+    assert len(FILES) == 109
+
+
+def test_the_corpus_runs_every_subcommand_and_option():
+    # the corpus is the one oracle of the CLI's output: it must run them all
+    used = {token.split("=", 1)[0] for path in FILES
+            for token in shlex.split(path.read_text().split("\n", 1)[0])}
+    assert cli_vocabulary() - used == set()
