@@ -79,6 +79,11 @@ def test_lp_commands_reject_a_degree_above_the_cap_before_expanding(tmp_path, co
     assert proc.stderr == "error: degree 1000000 above the configured cap 64\n"
 
 
+def test_usage_errors_exit_two():
+    assert run_cli("no-such-command").returncode == 2
+    assert run_cli("--threads", "2", "selftest").returncode == 2  # flag removed
+
+
 def _unit_rows(k: int, n: int, support) -> list:
     """k rows of length n; row i has ones at support(i)."""
     return [[int(j in support(i)) for j in range(n)] for i in range(k)]
