@@ -136,15 +136,24 @@ def load_generator_matrix(path) -> BinaryCode:
     return _make_code(rows, str(path))
 
 
-def code_report(c: BinaryCode) -> CodeReport:
-    """Exact report from full codeword enumeration."""
-    enum: dict[int, int] = {}
+def _codewords_by_weight(c: BinaryCode) -> dict:
+    """All 2^k codewords as bitmask integers, in lists keyed by weight in
+    ascending order."""
+    by_weight: dict[int, list] = {}
     for w in c.codeword_masks():
-        wt = w.bit_count()
-        enum[wt] = enum.get(wt, 0) + 1
+        by_weight.setdefault(w.bit_count(), []).append(w)
+    return dict(sorted(by_weight.items()))
+
+
+def code_report(c: BinaryCode, by_weight=None) -> CodeReport:
+    """Exact report from full codeword enumeration; ``by_weight`` is
+    _codewords_by_weight(c), enumerated here when not given."""
+    if by_weight is None:
+        by_weight = _codewords_by_weight(c)
+    enum = {wt: len(words) for wt, words in by_weight.items()}
     nonzero = [wt for wt in enum if wt > 0]
     min_distance = min(nonzero) if nonzero else 0
     self_orthogonal = all((a & b).bit_count() % 2 == 0 for a in c.rows for b in c.rows)
     self_dual = self_orthogonal and 2 * c.dimension == c.length
     doubly_even = all(wt % 4 == 0 for wt in enum)
-    return CodeReport(self_dual, doubly_even, min_distance, dict(sorted(enum.items())))
+    return CodeReport(self_dual, doubly_even, min_distance, enum)

@@ -35,6 +35,11 @@ holds the mirror index of each of its indices.  The kernel keeps one uint16
 block of at most 32 pairs and about 2^21 keys (28 pairs on a folded
 146880-row shell) and fills it 8192 counted rows at a time, each converted
 from int8 (gathered, for an index set) to float32 just before its product.
+Every float32 product of the pair passes is made in chunks of at most 2^18
+multiply-adds (_products), which OpenBLAS runs on the calling thread: a
+32 x 32 x 8192 product woke its other threads, and they spun through the
+bincounts between products, using a core for no work or, at times, slowing
+the pass several-fold.
 """
 
 from __future__ import annotations
@@ -46,11 +51,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .gf2codes import BinaryCode, code_report
+from .gf2codes import BinaryCode, _codewords_by_weight, code_report
 
 SHELL_NORM = 32  # s.s for every shell vector (norm 4 at lattice scale)
 _BINS = 2 * SHELL_NORM + 1  # dot values -32..32, offset by 32
 _E22_BIN = SHELL_NORM + 16  # dot 16: lattice inner product 2
+_MACS = 2**18  # multiply-adds per float32 product (see _products)
 
 
 class Shell:
@@ -181,22 +187,24 @@ class CodeRejected(ValueError):
     """The code does not give the 146880-vector shell; the message says why."""
 
 
-def shell_failure(c: BinaryCode) -> str | None:
-    """Why c does not give the 146880-vector shell, or None when it is a
+def _screen(c: BinaryCode) -> tuple:
+    """(why c does not give the 146880-vector shell, its codewords by weight
+    from gf2codes._codewords_by_weight): the reason is None when c is a
     doubly-even self-dual [32,16] code with no weight-4 words and minimum
-    distance 8."""
+    distance 8, and the codewords are None when c is not [32,16]."""
     if c.length != 32 or c.dimension != 16:  # first: bounds the enumeration
-        return f"need a [32,16] code, got [{c.length},{c.dimension}]"
-    report = code_report(c)
+        return f"need a [32,16] code, got [{c.length},{c.dimension}]", None
+    by_weight = _codewords_by_weight(c)
+    report = code_report(c, by_weight)
     if not report.self_dual:
-        return "code is not self-dual"
+        return "code is not self-dual", by_weight
     if not report.doubly_even:
-        return "code is not doubly even"
+        return "code is not doubly even", by_weight
     if report.weight_enumerator.get(4, 0):
-        return _NOT_EXTREMAL
+        return _NOT_EXTREMAL, by_weight
     if report.min_distance != 8:
-        return f"need minimum distance 8, got {report.min_distance}"
-    return None
+        return f"need minimum distance 8, got {report.min_distance}", by_weight
+    return None, by_weight
 
 
 def check_extremal(c: BinaryCode) -> bool:
@@ -209,7 +217,7 @@ def check_extremal(c: BinaryCode) -> bool:
     Only the weight-4 case can occur, so extremality is exactly the absence
     of weight-4 words.
     """
-    failure = shell_failure(c)
+    failure, _ = _screen(c)
     if failure not in (None, _NOT_EXTREMAL):
         raise ValueError(failure)
     return failure is None
@@ -217,17 +225,16 @@ def check_extremal(c: BinaryCode) -> bool:
 
 def build_shell(c: BinaryCode) -> Shell:
     """Enumerate all 146880 norm-4 vectors of the lattice built from c;
-    CodeRejected with the shell_failure message for any other code."""
-    failure = shell_failure(c)
+    CodeRejected saying why for any other code.  The codewords are
+    enumerated and weighed once, for the check and the build."""
+    failure, by_weight = _screen(c)
     if failure:
         raise CodeRejected(failure)
 
-    words = c.codeword_masks()
     return make_shell(np.concatenate([
         _signed([(1 << i) | (1 << j) for i, j in combinations(range(32), 2)], range(4), 4),
-        _signed([w for w in words if w.bit_count() == 8],
-                [m for m in range(256) if m.bit_count() % 2 == 0], 2),
-        _signed([2**32 - 1], words, 1),
+        _signed(by_weight[8], [m for m in range(256) if m.bit_count() % 2 == 0], 2),
+        _signed([2**32 - 1], [w for words in by_weight.values() for w in words], 1),
     ]))
 
 
@@ -255,10 +262,9 @@ def venkov_e22(shell: Shell, x, z) -> int:
     i, j = shell.index_of(x), shell.index_of(z)
     if i < 0 or j < 0:
         raise ValueError("x and z must be shell vectors")
-    if int(x @ z) != 0:
-        raise ValueError(
-            f"invalid Venkov pair: lattice inner product is {int(x @ z) // 8}, not 0"
-        )
+    dot = int(np.matmul(x, z))
+    if dot != 0:
+        raise ValueError(f"invalid Venkov pair: lattice inner product is {dot // 8}, not 0")
     (table,) = _joint_tables(shell.vectors, [i], [j])
     return int(table[_E22_BIN, _E22_BIN])
 
@@ -288,13 +294,31 @@ def _joint_tables(V: np.ndarray, a, b, rows=None):
         for r0 in range(0, len(counted), 8192):  # float32 of 8192 rows at a time
             part = counted[r0 : r0 + 8192]
             part = part if rows is None else V[part]
-            dots = block @ part.T.astype(np.float32)
+            dots = _products(block, part.T.astype(np.float32))
             dots += SHELL_NORM * (_BINS + 1)
             keys[:, r0 : r0 + 8192] = dots
         for j in range(len(keys)):
             joint = np.bincount(keys[j], minlength=_BINS**2).reshape(_BINS, _BINS)
             yield joint + joint[::-1, ::-1] if fold else joint
         del keys  # one block alive at a time: none while the next is filled
+
+
+def _products(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The float32 product A @ B of 2-d float32 arrays, made by np.matmul
+    calls of at most 2^18 multiply-adds each (M N K <= 2^18, given K <=
+    2^18): row chunks of A of at most 2^18 // K rows, and column chunks of
+    B as wide as the row chunk allows.  OpenBLAS runs a product that small
+    on the calling thread.  K is never split, so every entry is one whole
+    dot, the same whatever the chunks."""
+    (m, k), n = A.shape, B.shape[1]
+    out = np.empty((m, n), dtype=np.float32)
+    rows = max(1, min(m, _MACS // k))
+    cols = max(1, _MACS // (rows * k))
+    for r0 in range(0, m, rows):
+        for c0 in range(0, n, cols):
+            np.matmul(A[r0 : r0 + rows], B[:, c0 : c0 + cols],
+                      out=out[r0 : r0 + rows, c0 : c0 + cols])
+    return out
 
 
 def witness_pair():
@@ -323,7 +347,7 @@ def venkov_sample(shell: Shell, count: int, seed: int) -> list:
         budget -= 1
         i = rng.randrange(n)
         j = rng.randrange(n)
-        if V[i].astype(np.int64) @ V[j] == 0:  # also skips i == j, where the dot is 32
+        if np.matmul(V[i].astype(np.int64), V[j]) == 0:  # also skips i == j, where the dot is 32
             pairs.append((i, j))  # rows of the shell: no lookup needed
     i, j = np.array(pairs).T
     return [int(table[_E22_BIN, _E22_BIN]) for table in _joint_tables(V, i, j)]
@@ -347,7 +371,7 @@ def save_shell(shell: Shell, path) -> None:
             text[..., 1] = ord("0") + np.abs(block)
             text[..., 2] = ord(" ")
             text[:, -1, 2] = ord("\n")
-            fh.write(text.tobytes().replace(b"\0", b""))
+            fh.write(text.tobytes().translate(None, b"\0"))
 
 
 def _parse_header(header: str, path) -> tuple:

@@ -49,7 +49,7 @@ import numpy as np
 from .exactmath import Polynomial
 from .gegenbauer import (DistanceDistribution, InnerProductHistogram,
                          gegenbauer_expand, gegenbauer_poly)
-from .lattice32 import _BINS, SHELL_NORM, Shell, _joint_tables, _row_keys
+from .lattice32 import _BINS, SHELL_NORM, Shell, _joint_tables, _products, _row_keys
 
 ALL = "all"
 
@@ -215,14 +215,16 @@ def _orbit_pair_counts(V: np.ndarray, reps, sizes, labels) -> np.ndarray:
 def _orbit_dot_counts(V: np.ndarray, cols, ranks, lo: int) -> np.ndarray:
     """(lo, 65) counts, over the columns c and the rows x whose rank is
     below lo, of the dot values s_x.s_c, by the row's rank.  The rows are
-    gathered in blocks of at most 8192 rows and 2^17 dots."""
+    gathered in blocks of at most 8192 rows and 2^17 dots, and each block's
+    product is made in chunks of at most 2^18 multiply-adds (_products), so
+    that OpenBLAS makes it on the calling thread."""
     rows = np.flatnonzero(ranks < lo).astype(np.int32)
     C = V[cols].T.astype(np.float32)
     out = np.zeros(lo * _BINS, dtype=np.int64)
     step = max(1, min(8192, 2**17 // len(cols)))
     for r0 in range(0, len(rows), step):
         part = rows[r0 : r0 + step]
-        keys = (V[part].astype(np.float32) @ C).astype(np.int32)  # exact dots
+        keys = _products(V[part].astype(np.float32), C).astype(np.int32)  # exact dots
         keys += (ranks[part] * _BINS + SHELL_NORM)[:, None]
         out += np.bincount(keys.ravel(), minlength=len(out))
     return out.reshape(lo, _BINS)
@@ -290,7 +292,7 @@ def _pair_histogram(table: np.ndarray, sizes: np.ndarray) -> InnerProductHistogr
     """The orbit-size-weighted sum of the representatives' columns, minus
     the diagonal."""
     n = int(sizes.sum())
-    hist = table @ sizes
+    hist = np.matmul(table, sizes)
     hist[2 * SHELL_NORM] -= n
     out = InnerProductHistogram(_dist_from_column(hist).a, n)
     if out.total() != n * (n - 1):

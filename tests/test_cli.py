@@ -116,21 +116,25 @@ def test_build_non_extremal_code_exits_one(tmp_path):
 
 @pytest.mark.parametrize("code, rc", [("rm2_5", 0), ("e8x4", 1)])
 def test_build_checks_the_code_once(tmp_path, monkeypatch, code, rc):
-    # enumerating and weighing the 2^16 codewords is most of a build's code check
-    calls = []
+    # enumerating and weighing the 2^16 codewords is most of a build's code
+    # check, and the build takes its words from that one enumeration
+    calls, enumerations = [], []
+    masks = gf2codes.BinaryCode.codeword_masks
 
-    def counted(c):
+    def counted(c, *by_weight):
         calls.append(c.name)
-        return code_report(c)
+        return code_report(c, *by_weight)
 
     monkeypatch.setattr(gf2codes, "code_report", counted)
     monkeypatch.setattr(lattice32, "code_report", counted)
+    monkeypatch.setattr(gf2codes.BinaryCode, "codeword_masks",
+                        lambda c: enumerations.append(1) or masks(c))
     if code == "e8x4":
         code = tmp_path / "e8x4.txt"
         save_generator_matrix(e8_power_code(), code)
     proc = run_cli("build", "--code", str(code), "--out", str(tmp_path / "s.txt"))
     assert proc.returncode == rc
-    assert len(calls) == 1
+    assert len(calls) == len(enumerations) == 1
     assert json.loads(proc.stdout)["valid"] is (rc == 0)
 
 

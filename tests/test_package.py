@@ -22,6 +22,19 @@ def test_no_assert_guards_in_package():
     assert not found, f"assert statements in the package: {found}"
 
 
+def test_no_matmul_operator_in_the_pair_modules():
+    # every product of lattice32 and sphercode is an np.matmul call, so a
+    # spy on np.matmul sees them all (test_float32_products_stay_under_the_cap)
+    found = []
+    for name in ("lattice32.py", "sphercode.py"):
+        path = Path(latcert.__file__).parent / name
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.BinOp, ast.AugAssign))
+                  and isinstance(node.op, ast.MatMult)]
+    assert not found, f"@ products the np.matmul spy cannot see: {found}"
+
+
 def _imports(path) -> list:
     """(top-level module name, line) of each import statement of a file."""
     found = []

@@ -21,7 +21,9 @@ from latcert.sphercode import (
     DistanceDistribution,
     _candidate_flips,
     _column_counts,
+    _orbit_dot_counts,
     _orbit_pass,
+    _orbits,
     _sign_words,
     check_distance_invariance,
     design_strength,
@@ -46,6 +48,22 @@ EXPECTED_DISTRIBUTION = {
     Fraction(1): 1,
 }
 SUPPORT = {Fraction(-1), -H, -Q, Fraction(0), Q, H}
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """(M, K, N) of every np.matmul call, a 1-d operand counting as one row
+    or one column."""
+    sizes = []
+    matmul = np.matmul
+
+    def spy(a, b, **kwargs):
+        sizes.append((a.shape[0] if a.ndim == 2 else 1, a.shape[-1],
+                      b.shape[1] if b.ndim == 2 else 1))
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    return sizes
 
 
 @pytest.fixture(scope="module")
@@ -558,11 +576,14 @@ def test_column_counts_of_paired_columns(case, cols):
     assert np.array_equal(table, _brute_force_columns(V, cols))
 
 
-@pytest.mark.parametrize("fold", [True, False], ids=["folded", "rolled"])
-def test_column_counts_match_brute_force_across_blocks(rm_shell, fold):
+@pytest.mark.parametrize("fold, chunk", [(True, (28, 32, 16)), (False, (14, 32, 2))],
+                         ids=["folded", "rolled"])
+def test_column_counts_match_brute_force_across_blocks(rm_shell, products, fold, chunk):
     # 121 columns: 61 pairs, more than two key blocks (28 pairs of the 73440
     # counted rows, 14 of all 146880), the last one partial, as is the last
-    # 8192-row block of either row count; rows 0 and N - 1 among the columns
+    # 8192-row block of either row count; rows 0 and N - 1 among the columns.
+    # A product takes 2^18 // (28 * 32) = 292 of a block's 8192 rows (585 of
+    # them at 14 pairs), so each 8192-row block ends with a partial chunk
     V = rm_shell.result.vectors
     V = V if fold else np.roll(V, 1, axis=0)
     assert _folds(V) == fold
@@ -570,6 +591,7 @@ def test_column_counts_match_brute_force_across_blocks(rm_shell, fold):
     cols = np.r_[0, N - 1, rng.choice(np.arange(1, N - 1), 119, replace=False)]
     table = _column_counts(V, cols)
     assert np.array_equal(table, _brute_force_columns(V, cols))
+    assert chunk in products
 
 
 @settings(max_examples=200, deadline=None)
@@ -635,6 +657,39 @@ def test_joint_tables_match_brute_force(shell, data):
         assert len(tables) == len(pairs)
         for (i, j), table in zip(pairs, tables):
             assert np.array_equal(table, _brute_force_joint(U, i, j))
+
+
+def test_orbit_dot_counts_match_brute_force_across_chunks(rm_shell, products):
+    # the 620 columns of the orbits of 128 against the 1984 rows of the
+    # orbits of 4, in blocks of 2^17 // 620 = 211 rows: a product takes
+    # 2^18 // (211 * 32) = 38 columns, so each block ends with a chunk of 12
+    V = rm_shell.result.vectors
+    reps, sizes, labels, _ = _orbits(V)
+    by_size = np.argsort(sizes, kind="stable")
+    assert sizes[by_size].tolist() == [4] * 496 + [128] * 620 + [65536]
+    rank = np.empty(len(reps), dtype=np.int64)
+    rank[by_size] = np.arange(len(reps))
+    ranks = rank[labels]
+    cols = reps[by_size[496:1116]]
+    counts = _orbit_dot_counts(V, cols, ranks, 496)
+    rows = np.flatnonzero(ranks < 496)
+    dots = V[rows].astype(np.int64) @ V[cols].astype(np.int64).T + 32
+    brute = np.zeros((496, 65), dtype=np.int64)
+    np.add.at(brute, (np.repeat(ranks[rows], len(cols)), dots.ravel()), 1)
+    assert np.array_equal(counts, brute)
+    assert (211, 32, 12) in products
+
+
+def test_float32_products_stay_under_the_cap(rm_shell, products):
+    # OpenBLAS runs a product of at most 2^18 multiply-adds on the calling
+    # thread, so no pass wakes its other threads
+    shell = rm_shell.result
+    for run in (lambda: check_distance_invariance(shell, ALL),
+                lambda: check_distance_invariance(shell, 1000),
+                lambda: venkov_sample(shell, 100, 1)):
+        products.clear()
+        run()
+        assert products and max(m * k * n for m, k, n in products) <= 2**18
 
 
 def test_orbit_pair_counts_match_the_one_sided_table(rm_shell):
