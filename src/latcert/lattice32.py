@@ -31,15 +31,21 @@ under negation do, only the first half is counted and each table gets its
 reverse added.  The counted rows are all rows, or the rows at given
 ascending indices (the orbit pass of ``sphercode`` counts each size class
 of orbits against the rows of orbits no larger); an index set folds when it
-holds the mirror index of each of its indices.  The kernel keeps one uint16
-block of at most 32 pairs and about 2^21 keys (28 pairs on a folded
-146880-row shell) and fills it 8192 counted rows at a time, each converted
-from int8 (gathered, for an index set) to float32 just before its product.
-Every float32 product of the pair passes is made in chunks of at most 2^18
-multiply-adds (_products), which OpenBLAS runs on the calling thread: a
-32 x 32 x 8192 product woke its other threads, and they spun through the
-bincounts between products, using a core for no work or, at times, slowing
-the pass several-fold.
+holds the mirror index of each of its indices.  The kernel takes 32 pairs
+at a time and counts their keys into int32 tables 2^14 counted rows at a
+time, so it keeps one uint16 block of at most 2^19 keys; it fills the
+block 2048 counted rows at a time, each converted from int8 (gathered, for
+an index set) to float32 just before its product.  Every float32 product
+of the pair passes is made of 2-d products of at most 2^18 multiply-adds
+(_products), which OpenBLAS runs on the calling thread: a 32 x 32 x 8192
+product woke its other threads, and they spun through the bincounts
+between products, using a core for no work or, at times, slowing the pass
+several-fold.
+
+A Shell's checks, and the parity check of load_shell, run on 8192 rows at a
+time and make no full-size temporary; only rows out of order need the
+full-size row keys of a sort.  load_shell and build_shell hand their fresh
+rows to the Shell, which keeps them without a copy.
 """
 
 from __future__ import annotations
@@ -57,6 +63,7 @@ SHELL_NORM = 32  # s.s for every shell vector (norm 4 at lattice scale)
 _BINS = 2 * SHELL_NORM + 1  # dot values -32..32, offset by 32
 _E22_BIN = SHELL_NORM + 16  # dot 16: lattice inner product 2
 _MACS = 2**18  # multiply-adds per float32 product (see _products)
+_BLOCK = 8192  # rows per block of the checks of a Shell's rows
 
 
 class Shell:
@@ -79,18 +86,24 @@ class Shell:
     __slots__ = ("vectors",)
 
     def __init__(self, vectors):
-        arr = np.asarray(vectors, dtype=np.int8)
+        # a copy: a Shell never shares its rows with the caller
+        self._keep(np.array(vectors, dtype=np.int8, order="C"))
+
+    def _keep(self, arr: np.ndarray) -> None:
+        """Check the C-contiguous int8 rows arr and keep them, sorted and
+        read-only: arr itself, without a copy, when it is already sorted."""
         if arr.ndim != 2:
             raise ValueError("shell vectors must form a 2-d array")
         if not len(arr):
             raise ValueError("need a nonempty shell")
         # first: s.s = 32 bounds |entry| <= 5, inside the row keys' range
         _check_norms(arr, "vector {i} has s.s = {norm}, expected 32")
-        srt, dups = _canonical_sort(arr)
-        if dups:
-            raise ValueError("duplicate shell vectors")
-        srt.setflags(write=False)
-        object.__setattr__(self, "vectors", srt)
+        if not _increasing(arr):  # a saved shell's rows are sorted and distinct
+            arr, dups = _canonical_sort(arr)
+            if dups:
+                raise ValueError("duplicate shell vectors")
+        arr.setflags(write=False)
+        object.__setattr__(self, "vectors", arr)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot assign to or delete field {name!r}")
@@ -133,19 +146,26 @@ def _row_keys(a: np.ndarray) -> np.ndarray:
     return keys.view(">u8")
 
 
+def _increasing(arr: np.ndarray) -> bool:
+    """Whether every row is lexicographically above the row before it,
+    compared by row keys _BLOCK rows at a time, each block with the row
+    before it."""
+    for r0 in range(0, len(arr), _BLOCK):
+        keys = _row_keys(arr[max(r0 - 1, 0) : r0 + _BLOCK])
+        less = np.zeros(len(keys) - 1, dtype=bool)  # row k < row k + 1 so far
+        tied = ~less  # row k == row k + 1 so far
+        for prev, cur in zip(keys[:-1].T, keys[1:].T):
+            less |= tied & (prev < cur)
+            tied &= prev == cur
+        if not less.all():
+            return False
+    return True
+
+
 def _canonical_sort(arr: np.ndarray):
     """Lexicographically sorted copy without duplicate rows, plus the number
     of duplicates dropped."""
     keys = _row_keys(arr)
-    # rows that already strictly increase (a saved shell's do) are sorted
-    # and distinct: a copy, so the result never aliases the caller's array
-    less = np.zeros(len(keys[1:]), dtype=bool)  # row k < row k + 1 so far
-    tied = ~less  # row k == row k + 1 so far
-    for prev, cur in zip(keys[:-1].T, keys[1:].T):
-        less |= tied & (prev < cur)
-        tied &= prev == cur
-    if less.all():
-        return arr.copy(), 0
     order = np.lexsort(keys.T[::-1])
     keys = keys[order]
     first = np.ones(len(arr), dtype=bool)
@@ -155,29 +175,46 @@ def _canonical_sort(arr: np.ndarray):
 
 def _check_norms(vectors: np.ndarray, message: str) -> None:
     """ValueError(message with {i} and {norm}) for the first int8 row with
-    s.s != 32, summed in int64 without a full-size temporary."""
-    norms = np.einsum("ij,ij->i", vectors, vectors, dtype=np.int64)
-    bad = np.flatnonzero(norms != SHELL_NORM)
-    if len(bad):
-        raise ValueError(message.format(i=int(bad[0]), norm=int(norms[bad[0]])))
+    s.s != 32, summed in int64 _BLOCK rows at a time."""
+    for r0 in range(0, len(vectors), _BLOCK):
+        block = vectors[r0 : r0 + _BLOCK]
+        norms = np.einsum("ij,ij->i", block, block, dtype=np.int64)
+        bad = np.flatnonzero(norms != SHELL_NORM)
+        if len(bad):
+            raise ValueError(message.format(i=r0 + int(bad[0]), norm=int(norms[bad[0]])))
 
 
 def _folds(V: np.ndarray) -> bool:
     """Whether the second half of the rows is the first half negated in
     reverse order; an odd count never folds.  On a Shell this is closure
     under negation, since its rows are sorted and distinct, none is zero,
-    and negation reverses the order of such rows."""
-    half = len(V) // 2  # int8 sums wrap as int8 negation does
-    return len(V) % 2 == 0 and not (V[:half] + V[half:][::-1]).any()
+    and negation reverses the order of such rows.  Row k and its mirror
+    len(V) - 1 - k are summed in int8, which wraps as int8 negation does,
+    _BLOCK rows at a time."""
+    n = len(V)
+    if n % 2:
+        return False
+    for r0 in range(0, n // 2, _BLOCK):
+        r1 = min(r0 + _BLOCK, n // 2)
+        if (V[r0:r1] + V[n - r1 : n - r0][::-1]).any():
+            return False
+    return True
+
+
+def _own_shell(arr: np.ndarray) -> Shell:
+    """make_shell of freshly made C-contiguous int8 rows that no caller
+    keeps: the Shell takes arr itself when it is sorted."""
+    shell = object.__new__(Shell)
+    shell._keep(arr)
+    if not _folds(shell.vectors):
+        raise ValueError("shell is not closed under negation")
+    return shell
 
 
 def make_shell(vectors) -> Shell:
     """The Shell of the rows; ValueError unless it is also closed under
     negation."""
-    shell = Shell(vectors)
-    if not _folds(shell.vectors):
-        raise ValueError("shell is not closed under negation")
-    return shell
+    return _own_shell(np.array(vectors, dtype=np.int8, order="C"))
 
 
 _NOT_EXTREMAL = "code has weight-4 words; lattice is not extremal"
@@ -231,7 +268,7 @@ def build_shell(c: BinaryCode) -> Shell:
     if failure:
         raise CodeRejected(failure)
 
-    return make_shell(np.concatenate([
+    return _own_shell(np.concatenate([
         _signed([(1 << i) | (1 << j) for i, j in combinations(range(32), 2)], range(4), 4),
         _signed(by_weight[8], [m for m in range(256) if m.bit_count() % 2 == 0], 2),
         _signed([2**32 - 1], [w for words in by_weight.values() for w in words], 1),
@@ -274,7 +311,7 @@ def _joint_tables(V: np.ndarray, a, b, rows=None):
     (65, 65) table whose entry [d_b + 32, d_a + 32] counts the counted rows
     x with s_x.s_a = d_a and s_x.s_b = d_b: the key is the exact float32
     dot (s_a + 65 s_b).x + 66 * 32, in [0, 4224].  The counted rows are all
-    of V, or the rows at the ascending indices ``rows``, gathered 8192 at a
+    of V, or the rows at the ascending indices ``rows``, gathered 2048 at a
     time.  Folded rows count the first half only, and -x has dots (-d_a,
     -d_b), so the table gets its reverse added; an index set folds when V
     does and it holds the mirror index len(V) - 1 - k of each k."""
@@ -285,39 +322,48 @@ def _joint_tables(V: np.ndarray, a, b, rows=None):
         fold = fold and np.array_equal(rows[::-1], len(V) - 1 - rows)
         counted = rows[: len(rows) // 2] if fold else rows
     P = V[a] + _BINS * V[b].astype(np.float32)
-    # pairs per block: at most 32, so a product is at most 32 x 8192 float32,
-    # and about 2^21 uint16 keys from 2^16 counted rows up
-    step = max(1, 2**21 // max(len(counted), 2**16))
-    for j0 in range(0, len(P), step):
-        block = P[j0 : j0 + step]
-        keys = np.empty((len(block), len(counted)), dtype=np.uint16)
-        for r0 in range(0, len(counted), 8192):  # float32 of 8192 rows at a time
-            part = counted[r0 : r0 + 8192]
-            part = part if rows is None else V[part]
-            dots = _products(block, part.T.astype(np.float32))
-            dots += SHELL_NORM * (_BINS + 1)
-            keys[:, r0 : r0 + 8192] = dots
-        for j in range(len(keys)):
-            joint = np.bincount(keys[j], minlength=_BINS**2).reshape(_BINS, _BINS)
-            yield joint + joint[::-1, ::-1] if fold else joint
-        del keys  # one block alive at a time: none while the next is filled
+    # 32 pairs per block, so a product is at most 32 x 2048 float32; their
+    # uint16 keys of 2^14 counted rows at a time, 2^19 keys, are counted into
+    # int32 tables (no count exceeds the number of counted rows)
+    keys = np.empty((min(32, len(P)), min(2**14, len(counted))), dtype=np.uint16)
+    for j0 in range(0, len(P), 32):
+        block = P[j0 : j0 + 32]
+        joint = np.zeros((len(block), _BINS**2), dtype=np.int32)
+        for s0 in range(0, len(counted), 2**14):
+            seg = counted[s0 : s0 + 2**14]
+            for r0 in range(0, len(seg), 2048):  # float32 of 2048 rows at a time
+                part = seg[r0 : r0 + 2048]
+                part = part if rows is None else V[part]
+                dots = _products(block, part.T.astype(np.float32))
+                dots += SHELL_NORM * (_BINS + 1)
+                keys[: len(block), r0 : r0 + len(part)] = dots
+            for j in range(len(block)):
+                joint[j] += np.bincount(keys[j, : len(seg)], minlength=_BINS**2)
+        for table in joint.reshape(-1, _BINS, _BINS):
+            yield table + table[::-1, ::-1] if fold else table
 
 
 def _products(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """The float32 product A @ B of 2-d float32 arrays, made by np.matmul
-    calls of at most 2^18 multiply-adds each (M N K <= 2^18, given K <=
-    2^18): row chunks of A of at most 2^18 // K rows, and column chunks of
-    B as wide as the row chunk allows.  OpenBLAS runs a product that small
-    on the calling thread.  K is never split, so every entry is one whole
-    dot, the same whatever the chunks."""
+    """The float32 product A @ B of 2-d float32 arrays, made of 2-d products
+    of at most 2^18 multiply-adds each (M N K <= 2^18, given K <= 2^18):
+    row chunks of A of at most 2^18 // K rows, and column chunks of B as
+    wide as the row chunk allows.  OpenBLAS runs a product that small on
+    the calling thread.  Per row chunk, one np.matmul makes the products
+    with all whole column chunks, as a stack of views of B and of the
+    output, and one more the last, narrower chunk.  K is never split, so
+    every entry is one whole dot, the same whatever the chunks."""
     (m, k), n = A.shape, B.shape[1]
     out = np.empty((m, n), dtype=np.float32)
     rows = max(1, min(m, _MACS // k))
     cols = max(1, _MACS // (rows * k))
+    whole = n - n % cols  # the columns of the whole chunks
+    stack = B[:, :whole].reshape(k, -1, cols).swapaxes(0, 1)  # (chunk, k, cols)
     for r0 in range(0, m, rows):
-        for c0 in range(0, n, cols):
-            np.matmul(A[r0 : r0 + rows], B[:, c0 : c0 + cols],
-                      out=out[r0 : r0 + rows, c0 : c0 + cols])
+        a, o = A[r0 : r0 + rows], out[r0 : r0 + rows]
+        if whole:  # splitting the column axis leaves a view of the output
+            np.matmul(a, stack, out=o[:, :whole].reshape(len(a), -1, cols).swapaxes(0, 1))
+        if whole < n:
+            np.matmul(a, B[:, whole:], out=o[:, whole:])
     return out
 
 
@@ -459,7 +505,8 @@ def load_shell(path) -> Shell:
     count, arr = _read_saved(path) or _read_text(path)
     if len(arr) != count:
         raise ValueError(f"{path}: header says {count} vectors, found {len(arr)}")
-    odd = (arr & 1).sum(axis=1)  # per row; two's complement keeps parity
-    if ((odd > 0) & (odd < arr.shape[1])).any():
-        raise ValueError(f"{path}: vector with mixed even/odd coordinates")
-    return make_shell(arr)
+    for r0 in range(0, len(arr), _BLOCK):
+        odd = (arr[r0 : r0 + _BLOCK] & 1).sum(axis=1)  # two's complement keeps parity
+        if ((odd > 0) & (odd < arr.shape[1])).any():
+            raise ValueError(f"{path}: vector with mixed even/odd coordinates")
+    return _own_shell(arr)

@@ -92,10 +92,11 @@ def _column_counts(V: np.ndarray, cols: np.ndarray, rows=None) -> np.ndarray:
     odd count padded with its last, and each pair's joint table gives column
     a as its sums over d_b and column b as its sums over d_a."""
     pairs = np.append(cols, cols[-1:]) if len(cols) % 2 else cols
-    table = []
-    for joint in _joint_tables(V, pairs[0::2], pairs[1::2], rows):
-        table += [joint.sum(axis=0), joint.sum(axis=1)]  # columns a, b
-    return np.array(table[: len(cols)]).T
+    table = np.empty((_BINS, len(pairs)), dtype=np.int64)
+    for k, joint in enumerate(_joint_tables(V, pairs[0::2], pairs[1::2], rows)):
+        joint.sum(axis=0, out=table[:, 2 * k])  # column a
+        joint.sum(axis=1, out=table[:, 2 * k + 1])  # column b
+    return table[:, : len(cols)]
 
 
 def _sign_words(rows: np.ndarray, bits: np.ndarray) -> np.ndarray:
@@ -160,13 +161,28 @@ def _cosets(words: np.ndarray, masks: list, class_sizes: np.ndarray):
             later ^= np.where(later & pivot, mask, 0)
     keys = np.repeat(np.arange(len(class_sizes), dtype=np.uint64) << 32, class_sizes)
     keys |= words
+    del words  # the reduced copy: freed before the sort
     perm = np.argsort(keys)
-    starts = np.flatnonzero(np.r_[True, np.diff(keys[perm]) != 0])
+    starts = _run_starts(perm, [keys])
     sizes = np.diff(np.append(starts, len(keys)))
     cls = keys[perm[starts]] >> 32
     whole = np.ones(len(class_sizes), dtype=bool)
     whole[cls[sizes != 1 << rank[cls]]] = False
     return perm, starts, sizes, whole
+
+
+def _run_starts(order: np.ndarray, keys) -> np.ndarray:
+    """The places in order where a run of equal keys starts, for keys given
+    as 1-d arrays (key words) read in the order order, compared 8192 rows
+    at a time."""
+    first = np.ones(len(order), dtype=bool)
+    for r0 in range(1, len(order), 8192):
+        at = order[r0 - 1 : r0 + 8192]  # each block with the row before it
+        first[r0 : r0 + 8192] = False
+        for key in keys:
+            word = key[at]
+            first[r0 : r0 + 8192] |= word[1:] != word[:-1]
+    return np.flatnonzero(first)
 
 
 def _orbit_pass(vectors: np.ndarray):
@@ -244,18 +260,15 @@ def _orbits(vectors: np.ndarray):
     is kept when each such class is a union of cosets of that flip's mask
     alone, and the words are reduced again by the kept masks."""
     n, dim = vectors.shape
-    mags = np.empty((n, -(-dim // 16)), dtype=">u8")
+    mags = np.empty((-(-dim // 16), n), dtype=np.uint64)  # one row per key word
     words = np.empty(n, dtype=np.uint32)
     for r0 in range(0, n, 8192):  # no full-size |vectors| or sign bits
         block = vectors[r0 : r0 + 8192]
-        mags[r0 : r0 + 8192] = _row_keys(np.abs(block))
+        mags[:, r0 : r0 + 8192] = _row_keys(np.abs(block)).T
         words[r0 : r0 + 8192] = _sign_words(block, block < 0)
-    order = np.lexsort(mags.T[::-1])
-    mags = mags[order]
-    first = np.ones(n, dtype=bool)
-    first[1:] = (mags[1:] != mags[:-1]).any(axis=1)
+    order = np.lexsort(mags[::-1]).astype(np.int32)
+    heads = _run_starts(order, mags)
     del mags
-    heads = np.flatnonzero(first)
     class_sizes = np.diff(np.append(heads, n))
     lead = vectors[order[heads]]  # one row per class
     full = np.zeros(n, dtype=bool)  # the rows with no zero entry

@@ -22,6 +22,7 @@ from latcert.lattice32 import (
     Shell,
     _canonical_sort,
     _check_norms,
+    _folds,
     build_shell,
     check_extremal,
     load_shell,
@@ -535,17 +536,107 @@ def test_load_shell_matches_the_loadtxt_reader_on_edited_files(case, edit, data)
     _matches_the_loadtxt_reader(edited)
 
 
-def test_load_shell_peak_memory(rm_shell, tmp_path):
-    # the body is parsed in blocks of about 2^19 bytes: the same reader
-    # holding the whole 10.8 MB body at once peaks at 11x the int8 rows
-    shell = rm_shell.result
+def _load_peak_and_live(shell, tmp_path):
+    """The loaded Shell of a saved copy of shell, with load_shell's
+    tracemalloc peak and the traced memory still live after it, as
+    multiples of the rows' int8 bytes."""
     path = tmp_path / "shell.txt"
     save_shell(shell, path)
     tracemalloc.start()
     try:
         back = load_shell(path)
-        peak = tracemalloc.get_traced_memory()[1]
+        live, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert np.array_equal(back.vectors, shell.vectors)
-    assert peak <= 4 * shell.vectors.nbytes
+    return back, peak / shell.vectors.nbytes, live / shell.vectors.nbytes
+
+
+def test_load_shell_peak_memory(rm_shell, tmp_path):
+    # the body is parsed in blocks of about 2^19 bytes into the rows the
+    # Shell keeps, and every check runs on 8192 rows at a time: the parse
+    # peaks at 1.74x the int8 rows on rm2_5, where a copy of the rows, or a
+    # full-size check temporary, would add another 1x or so
+    _, peak, _ = _load_peak_and_live(rm_shell.result, tmp_path)
+    assert peak <= 1.95
+
+
+def test_load_shell_keeps_one_copy_of_the_rows(rm_shell, tmp_path):
+    # the Shell takes the parsed rows as they are: nothing else stays alive
+    back, _, live = _load_peak_and_live(rm_shell.result, tmp_path)
+    assert not back.vectors.flags.writeable
+    assert 1 <= live <= 1.01
+
+
+N = 146880
+EDGES = [8191, 8192, N - 1]  # the last row of a check block, the first of the next, the last
+
+
+def _off_norm(V, i):
+    W = V.copy()
+    W[i] = 0
+    W[i, :2] = (4, 5)  # s.s = 41
+    return W
+
+
+@pytest.mark.parametrize("i", EDGES)
+def test_block_checks_at_block_edges(rm_shell, i):
+    V = rm_shell.result.vectors
+    # a bad norm: the first off-norm row of the whole array is named
+    W = _off_norm(V, i)
+    norms = (W.astype(np.int64) ** 2).sum(axis=1)
+    (bad,) = np.flatnonzero(norms != SHELL_NORM)
+    with pytest.raises(ValueError, match=f"^vector {bad} has s.s = {norms[bad]}, expected 32$"):
+        Shell(W)
+    # a duplicate of the row before it
+    W = V.copy()
+    W[i] = W[i - 1]
+    assert len(np.unique(W, axis=0)) < N
+    with pytest.raises(ValueError, match="^duplicate shell vectors$"):
+        Shell(W)
+    # rows i - 1 and i swapped: the sortedness check sees the pair, and the
+    # Shell keeps the sorted rows
+    W = V.copy()
+    W[[i - 1, i]] = W[[i, i - 1]]
+    assert np.array_equal(Shell(W).vectors, V)
+
+
+@pytest.mark.parametrize("i", EDGES)
+def test_load_shell_parity_check_at_block_edges(rm_shell, tmp_path, i):
+    path = tmp_path / "shell.txt"
+    save_shell(rm_shell.result, path)
+    lines = path.read_bytes().split(b"\n")
+    lines[1 + i] = b" ".join([b"5", b"2", b"1", b"1", b"1"] + [b"0"] * 27)  # s.s = 32
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ValueError, match="mixed even/odd coordinates"):
+        load_shell(path)
+
+
+def test_block_checks_report_faults_in_the_whole_array_order(rm_shell, tmp_path):
+    # each check runs over every block before the next check starts
+    V = rm_shell.result.vectors
+    W = _off_norm(V, N - 1)
+    W[1] = W[0]  # a duplicate in the first block
+    with pytest.raises(ValueError, match=f"^vector {N - 1} has s.s = 41"):
+        Shell(W)
+    path = tmp_path / "shell.txt"
+    save_shell(rm_shell.result, path)
+    lines = path.read_bytes().split(b"\n")
+    lines[1] = b" ".join([b"6"] + [b"0"] * 31)  # row 0 even but off norm
+    lines[N] = b" ".join([b"5", b"2", b"1", b"1", b"1"] + [b"0"] * 27)  # last row mixed
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ValueError, match="mixed even/odd coordinates"):
+        load_shell(path)
+
+
+@pytest.mark.parametrize("i", [8191, 8192, N // 2 - 1, N // 2, N - 8193, N - 1])
+def test_folds_finds_a_break_at_a_block_edge(rm_shell, i):
+    # the halves are compared 8192 mirrored rows at a time: a row off its
+    # mirror's negation at the edge of a block, or of the halves
+    V = rm_shell.result.vectors
+    assert _folds(V)
+    W = V.copy()
+    W[i] = -W[i]
+    assert not np.array_equal(-W[N // 2 :][::-1], W[: N // 2])
+    assert not _folds(W)
+    assert not _folds(V[:-1])  # an odd count

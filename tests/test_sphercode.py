@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import subprocess
 import sys
@@ -14,8 +15,8 @@ from conftest import norm32_magnitudes, random_polynomial, run_cli
 from latcert.exactmath import Polynomial
 from latcert.gegenbauer import distribution_from_design, gegenbauer_expand, gegenbauer_poly
 from latcert import sphercode
-from latcert.lattice32 import (Shell, _joint_tables, load_shell, make_shell, save_shell,
-                               venkov_sample)
+from latcert.lattice32 import (Shell, _joint_tables, _products, load_shell, make_shell,
+                               save_shell, venkov_sample)
 from latcert.sphercode import (
     ALL,
     DistanceDistribution,
@@ -52,14 +53,15 @@ SUPPORT = {Fraction(-1), -H, -Q, Fraction(0), Q, H}
 
 @pytest.fixture
 def products(monkeypatch):
-    """(M, K, N) of every np.matmul call, a 1-d operand counting as one row
-    or one column."""
+    """(M, K, N) of every 2-d product of every np.matmul call: one for each
+    matrix of a stack, a 1-d operand counting as one row or one column."""
     sizes = []
     matmul = np.matmul
 
     def spy(a, b, **kwargs):
-        sizes.append((a.shape[0] if a.ndim == 2 else 1, a.shape[-1],
-                      b.shape[1] if b.ndim == 2 else 1))
+        stack = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        sizes.extend([(a.shape[-2] if a.ndim >= 2 else 1, a.shape[-1],
+                       b.shape[-1] if b.ndim >= 2 else 1)] * math.prod(stack))
         return matmul(a, b, **kwargs)
 
     monkeypatch.setattr(np, "matmul", spy)
@@ -576,14 +578,16 @@ def test_column_counts_of_paired_columns(case, cols):
     assert np.array_equal(table, _brute_force_columns(V, cols))
 
 
-@pytest.mark.parametrize("fold, chunk", [(True, (28, 32, 16)), (False, (14, 32, 2))],
+@pytest.mark.parametrize("fold, chunk", [(True, (29, 32, 68)), (False, (29, 32, 62))],
                          ids=["folded", "rolled"])
 def test_column_counts_match_brute_force_across_blocks(rm_shell, products, fold, chunk):
-    # 121 columns: 61 pairs, more than two key blocks (28 pairs of the 73440
-    # counted rows, 14 of all 146880), the last one partial, as is the last
-    # 8192-row block of either row count; rows 0 and N - 1 among the columns.
-    # A product takes 2^18 // (28 * 32) = 292 of a block's 8192 rows (585 of
-    # them at 14 pairs), so each 8192-row block ends with a partial chunk
+    # 121 columns: 61 pairs, a block of 32 and a partial one of 29; the
+    # counted rows (73440 folded, all 146880 rolled) go in segments of 2^14
+    # rows, the last one partial, each filled 2048 rows at a time, and the
+    # last segment's last row block (1760 rows, 1472 rolled) is partial too;
+    # rows 0 and N - 1 among the columns.  A product at 29 pairs takes
+    # 2^18 // (29 * 32) = 282 of a row block's rows, so that partial row
+    # block ends with a chunk of 68 (62) rows
     V = rm_shell.result.vectors
     V = V if fold else np.roll(V, 1, axis=0)
     assert _folds(V) == fold
@@ -678,6 +682,22 @@ def test_orbit_dot_counts_match_brute_force_across_chunks(rm_shell, products):
     np.add.at(brute, (np.repeat(ranks[rows], len(cols)), dots.ravel()), 1)
     assert np.array_equal(counts, brute)
     assert (211, 32, 12) in products
+
+
+@pytest.mark.parametrize("m, n, chunks", [
+    (70, 1000, [(70, 32, 117)] * 8 + [(70, 32, 64)]),  # 2^18 // (70 * 32) = 117 columns
+    (9000, 3, [(8192, 32, 1)] * 3 + [(808, 32, 1)] * 3),  # 2^18 // 32 = 8192 rows
+    (32, 2048, [(32, 32, 256)] * 8),  # whole chunks only
+])
+def test_products_make_each_chunk_once(products, m, n, chunks):
+    # one stacked np.matmul per row chunk for its whole column chunks, one
+    # more for a narrower last chunk; the spy sees each 2-d product
+    rng = np.random.default_rng(m)
+    A = rng.integers(-300, 301, (m, 32)).astype(np.float32)
+    B = rng.integers(-5, 6, (n, 32)).T.astype(np.float32)  # as the kernels make it
+    out = _products(A, B)
+    assert np.array_equal(out, A.astype(np.int64) @ B.astype(np.int64))
+    assert sorted(products) == sorted(chunks)
 
 
 def test_float32_products_stay_under_the_cap(rm_shell, products):
@@ -803,17 +823,19 @@ def _peak_over_rows(shell, fn):
 
 
 def test_full_pass_peak_memory(rm_shell):
-    # the kernel makes float32 of 8192 counted rows at a time: a float32 copy
-    # of all of them is 2x the int8 rows on its own, of the whole shell 4x
+    # no full-size copy of the magnitude keys, the coset keys or their
+    # differences, and the kernel holds 2^19 uint16 keys (0.22x) and one
+    # 2048-row float32 product at a time: 1.29x the int8 rows on rm2_5,
+    # where a float32 copy of the whole shell alone would be 4x
     shell = rm_shell.result
-    assert _peak_over_rows(shell, lambda: check_distance_invariance(shell, ALL)) <= 3
+    assert _peak_over_rows(shell, lambda: check_distance_invariance(shell, ALL)) <= 1.5
 
 
 def test_pair_kernel_peak_memory(rm_shell):
-    # one uint16 key block of about 2^21 keys (0.9x) and one 8192-row
-    # float32 product at a time
+    # 32 pairs at a time: 2^19 uint16 keys (0.22x), their int32 tables and
+    # one 2048-row float32 product, 0.63x the int8 rows on rm2_5
     shell = rm_shell.result
-    assert _peak_over_rows(shell, lambda: venkov_sample(shell, 100, 1)) <= 2
+    assert _peak_over_rows(shell, lambda: venkov_sample(shell, 100, 1)) <= 0.85
 
 
 def test_full_pass_on_shell_missing_an_antipodal_pair(rm_shell, rm_hist):
