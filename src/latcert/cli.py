@@ -14,6 +14,7 @@ potential.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -68,6 +69,8 @@ def _emit_text(record: dict, indent: str = "") -> None:
 def cmd_build(args) -> int:
     from . import lattice32
     code = _load_code(args.code)
+    if not os.path.exists(os.path.dirname(args.out) or "."):  # open()'s error, before the build
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
     record = {"command": "build", "code": args.code}
     try:
         shell = lattice32.build_shell(code)  # checks the code once

@@ -25,13 +25,13 @@ in blocked float32 matrix products: the dots with s_a + 65 s_b are
 d_a + 65 d_b, and one bincount of them gives the pair's 65 x 65 joint
 table.  Every vector has s.s = 32 (a Shell invariant), so |entry| <= 5
 and, by Cauchy-Schwarz, every partial sum is an integer of absolute value
-at most 66 * 32 = 2112 < 2^24: the float path is exact.  When the rows end
-with the first half negated in reverse order, as the rows of a shell closed
-under negation do, only the first half is counted and each table gets its
-reverse added.  The counted rows are all rows, or the rows at given
-ascending indices (the orbit pass of ``sphercode`` counts each size class
-of orbits against the rows of orbits no larger); an index set folds when it
-holds the mirror index of each of its indices.  The kernel takes 32 pairs
+at most 66 * 32 = 2112 < 2^24: the float path is exact.  A Shell is closed
+under negation, so its sorted rows end with the first half negated in
+reverse order: the kernel counts the first half of the counted rows and
+adds each table's reverse.  The counted rows are all rows, or the rows at
+given ascending indices (the orbit pass of ``sphercode`` counts each size
+class of orbits against the rows of orbits no larger), which must hold the
+mirror index of each of their indices.  The kernel takes 32 pairs
 at a time and counts their keys into int32 tables 2^14 counted rows at a
 time, so it keeps one uint16 block of at most 2^19 keys; it fills the
 block 2048 counted rows at a time, each converted from int8 (gathered, for
@@ -75,8 +75,9 @@ class Shell:
 
     The constructor checks the invariants every kernel relies on, with
     ValueError, and stores a read-only, C-contiguous sorted copy of the
-    rows: there is a row, no row repeats and every row has s.s = 32.  That
-    bounds |entry| <= 5, so negation stays exact in int8, the row keys'
+    rows: there is a row, no row repeats, every row has s.s = 32 and the
+    rows are closed under negation, so row count - 1 - k is -(row k).  s.s =
+    32 bounds |entry| <= 5, so negation stays exact in int8, the row keys'
     nibbles hold every entry, and every partial sum of a dot is at most 32
     in absolute value, so float32 dots are exact integers.  ``vectors`` is
     set once; two shells are equal only when they are the same object.
@@ -102,6 +103,8 @@ class Shell:
             arr, dups = _canonical_sort(arr)
             if dups:
                 raise ValueError("duplicate shell vectors")
+        if not _folds(arr):
+            raise ValueError("shell is not closed under negation")
         arr.setflags(write=False)
         object.__setattr__(self, "vectors", arr)
 
@@ -186,11 +189,11 @@ def _check_norms(vectors: np.ndarray, message: str) -> None:
 
 def _folds(V: np.ndarray) -> bool:
     """Whether the second half of the rows is the first half negated in
-    reverse order; an odd count never folds.  On a Shell this is closure
-    under negation, since its rows are sorted and distinct, none is zero,
-    and negation reverses the order of such rows.  Row k and its mirror
-    len(V) - 1 - k are summed in int8, which wraps as int8 negation does,
-    _BLOCK rows at a time."""
+    reverse order; an odd count never folds.  On a Shell's rows this is
+    closure under negation, since they are sorted and distinct, none is
+    zero, and negation reverses the order of such rows.  Row k and its
+    mirror len(V) - 1 - k are summed in int8, which wraps as int8 negation
+    does, _BLOCK rows at a time."""
     n = len(V)
     if n % 2:
         return False
@@ -202,19 +205,10 @@ def _folds(V: np.ndarray) -> bool:
 
 
 def _own_shell(arr: np.ndarray) -> Shell:
-    """make_shell of freshly made C-contiguous int8 rows that no caller
-    keeps: the Shell takes arr itself when it is sorted."""
+    """The Shell of fresh C-contiguous int8 rows, kept without a copy if sorted."""
     shell = object.__new__(Shell)
     shell._keep(arr)
-    if not _folds(shell.vectors):
-        raise ValueError("shell is not closed under negation")
     return shell
-
-
-def make_shell(vectors) -> Shell:
-    """The Shell of the rows; ValueError unless it is also closed under
-    negation."""
-    return _own_shell(np.array(vectors, dtype=np.int8, order="C"))
 
 
 _NOT_EXTREMAL = "code has weight-4 words; lattice is not extremal"
@@ -302,25 +296,24 @@ def venkov_e22(shell: Shell, x, z) -> int:
     dot = int(np.matmul(x, z))
     if dot != 0:
         raise ValueError(f"invalid Venkov pair: lattice inner product is {dot // 8}, not 0")
-    (table,) = _joint_tables(shell.vectors, [i], [j])
+    (table,) = _joint_tables(shell, [i], [j])
     return int(table[_E22_BIN, _E22_BIN])
 
 
-def _joint_tables(V: np.ndarray, a, b, rows=None):
-    """Yield, for each pair (a[k], b[k]) of rows of V (a Shell's rows), the
-    (65, 65) table whose entry [d_b + 32, d_a + 32] counts the counted rows
-    x with s_x.s_a = d_a and s_x.s_b = d_b: the key is the exact float32
-    dot (s_a + 65 s_b).x + 66 * 32, in [0, 4224].  The counted rows are all
-    of V, or the rows at the ascending indices ``rows``, gathered 2048 at a
-    time.  Folded rows count the first half only, and -x has dots (-d_a,
-    -d_b), so the table gets its reverse added; an index set folds when V
-    does and it holds the mirror index len(V) - 1 - k of each k."""
-    fold = _folds(V)
-    if rows is None:  # contiguous: the counted rows are a view of V
-        counted = V[: len(V) // 2] if fold else V
-    else:
-        fold = fold and np.array_equal(rows[::-1], len(V) - 1 - rows)
-        counted = rows[: len(rows) // 2] if fold else rows
+def _joint_tables(shell: Shell, a, b, rows=None):
+    """Yield, for each pair (a[k], b[k]) of the shell's rows, the (65, 65)
+    table whose entry [d_b + 32, d_a + 32] counts the counted rows x with
+    s_x.s_a = d_a and s_x.s_b = d_b: the key is the exact float32 dot
+    (s_a + 65 s_b).x + 66 * 32, in [0, 4224].  The counted rows are all
+    rows, or the rows at the ascending indices ``rows``, gathered 2048 at a
+    time; RuntimeError unless those hold the mirror count - 1 - k of each k.
+    That row is -x, with dots (-d_a, -d_b), so the first half of the counted
+    rows is counted and each table gets its reverse added."""
+    V = shell.vectors
+    if rows is not None and not np.array_equal(rows[::-1], len(V) - 1 - rows):
+        raise RuntimeError("counted rows are not closed under negation")
+    # all rows: the counted half is a view of V
+    counted = V[: len(V) // 2] if rows is None else rows[: len(rows) // 2]
     P = V[a] + _BINS * V[b].astype(np.float32)
     # 32 pairs per block, so a product is at most 32 x 2048 float32; their
     # uint16 keys of 2^14 counted rows at a time, 2^19 keys, are counted into
@@ -340,7 +333,7 @@ def _joint_tables(V: np.ndarray, a, b, rows=None):
             for j in range(len(block)):
                 joint[j] += np.bincount(keys[j, : len(seg)], minlength=_BINS**2)
         for table in joint.reshape(-1, _BINS, _BINS):
-            yield table + table[::-1, ::-1] if fold else table
+            yield table + table[::-1, ::-1]
 
 
 def _products(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -379,24 +372,25 @@ def witness_pair():
 
 
 def venkov_sample(shell: Shell, count: int, seed: int) -> list:
-    """Seeded sample of e_{2,2} values over random orthogonal shell pairs."""
+    """Seeded sample of e_{2,2} values over random orthogonal shell pairs;
+    ValueError when 10000 draws in a row find no orthogonal pair."""
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = random.Random(seed)
     V = shell.vectors
     n = shell.count
     pairs = []
-    budget = 10000 * count
-    while len(pairs) < count:
-        if budget <= 0:
+    for _ in range(count):
+        for _ in range(10000):
+            i = rng.randrange(n)
+            j = rng.randrange(n)
+            if np.matmul(V[i].astype(np.int64), V[j]) == 0:  # also skips i == j (dot 32)
+                pairs.append((i, j))  # rows of the shell: no lookup needed
+                break
+        else:
             raise ValueError("no orthogonal pair found within budget; malformed shell")
-        budget -= 1
-        i = rng.randrange(n)
-        j = rng.randrange(n)
-        if np.matmul(V[i].astype(np.int64), V[j]) == 0:  # also skips i == j, where the dot is 32
-            pairs.append((i, j))  # rows of the shell: no lookup needed
     i, j = np.array(pairs).T
-    return [int(table[_E22_BIN, _E22_BIN]) for table in _joint_tables(V, i, j)]
+    return [int(table[_E22_BIN, _E22_BIN]) for table in _joint_tables(shell, i, j)]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ Unit-sphere inner products of shell vectors are s_x.s_y / 32, so every pair
 statistic is an exact integer count keyed by an exact rational.  The pair
 passes count dot values two columns at a time: each column pair's 65 x 65
 joint table from the ``lattice32`` kernel gives both columns as its
-marginals.
+marginals; it counts half of the rows, as a Shell is closed under negation.
 
 The exact passes (the histogram and the full invariance check) need only one
 column per orbit of a group of coordinate sign flips that maps the shell onto
@@ -85,15 +85,16 @@ QuadratureVerdict = namedtuple("QuadratureVerdict", "holds lhs rhs warning",
                                defaults=(None,))
 
 
-def _column_counts(V: np.ndarray, cols: np.ndarray, rows=None) -> np.ndarray:
+def _column_counts(shell: Shell, cols: np.ndarray, rows=None) -> np.ndarray:
     """(65, len(cols)) counts of each dot value s_x.s_c over the counted rows
-    x, all of V or those at the ascending indices rows, one column per index
-    c in cols; bin 64 holds the self pair.  Columns go in pairs (a, b), an
-    odd count padded with its last, and each pair's joint table gives column
-    a as its sums over d_b and column b as its sums over d_a."""
+    x, all of the shell's rows or those at the ascending indices rows, one
+    column per index c in cols; bin 64 holds the self pair.  Columns go in
+    pairs (a, b), an odd count padded with its last, and each pair's joint
+    table gives column a as its sums over d_b and column b as its sums over
+    d_a."""
     pairs = np.append(cols, cols[-1:]) if len(cols) % 2 else cols
     table = np.empty((_BINS, len(pairs)), dtype=np.int64)
-    for k, joint in enumerate(_joint_tables(V, pairs[0::2], pairs[1::2], rows)):
+    for k, joint in enumerate(_joint_tables(shell, pairs[0::2], pairs[1::2], rows)):
         joint.sum(axis=0, out=table[:, 2 * k])  # column a
         joint.sum(axis=1, out=table[:, 2 * k + 1])  # column b
     return table[:, : len(cols)]
@@ -185,18 +186,18 @@ def _run_starts(order: np.ndarray, keys) -> np.ndarray:
     return np.flatnonzero(first)
 
 
-def _orbit_pass(vectors: np.ndarray):
-    """The exact pair pass over a Shell's rows: (representatives, orbit
-    sizes, (65, reps) column table, group order).  Each orbit of the
-    verified flip group is represented by its smallest index, and every
-    point's distribution is its representative's column."""
-    reps, sizes, labels, group_order = _orbits(vectors)
-    return reps, sizes, _orbit_pair_counts(vectors, reps, sizes, labels), group_order
+def _orbit_pass(shell: Shell):
+    """The exact pair pass over a Shell: (representatives, orbit sizes,
+    (65, reps) column table, group order).  Each orbit of the verified flip
+    group is represented by its smallest index, and every point's
+    distribution is its representative's column."""
+    reps, sizes, labels, group_order = _orbits(shell.vectors)
+    return reps, sizes, _orbit_pair_counts(shell, reps, sizes, labels), group_order
 
 
-def _orbit_pair_counts(V: np.ndarray, reps, sizes, labels) -> np.ndarray:
-    """The (65, reps) table _column_counts(V, reps) gives, with each pair of
-    orbits counted once, from the smaller orbit's rows.
+def _orbit_pair_counts(shell: Shell, reps, sizes, labels) -> np.ndarray:
+    """The (65, reps) table _column_counts(shell, reps) gives, with each pair
+    of orbits counted once, from the smaller orbit's rows.
 
     For orbits O_i and O_j of sizes n_i and n_j, every point of O_i sees the
     same N(i->j, d) points of O_j at dot d, so counting the pairs of
@@ -205,7 +206,8 @@ def _orbit_pair_counts(V: np.ndarray, reps, sizes, labels) -> np.ndarray:
     count the rows of the orbits no larger than it directly; for each
     smaller orbit O_i, the class's dots with its rows, times the class size,
     add up to n_i N(i->j, d) over the class's orbits O_j, and are divided
-    by n_i at the end."""
+    by n_i at the end.  Flips commute with negation, so the kernel's index
+    sets, the rows of the orbits no larger than a size, hold their mirrors."""
     by_size = np.argsort(sizes, kind="stable")
     ordered = sizes[by_size]
     rank = np.empty(len(reps), dtype=np.int32)
@@ -218,9 +220,9 @@ def _orbit_pair_counts(V: np.ndarray, reps, sizes, labels) -> np.ndarray:
         cols = reps[by_size[lo:hi]]
         # the largest orbits count every row, through the contiguous path
         rows = None if hi == len(reps) else np.flatnonzero(ranks < hi).astype(np.int32)
-        table[:, by_size[lo:hi]] = _column_counts(V, cols, rows)
+        table[:, by_size[lo:hi]] = _column_counts(shell, cols, rows)
         if lo:
-            scaled[:lo] += ordered[lo] * _orbit_dot_counts(V, cols, ranks, lo)
+            scaled[:lo] += ordered[lo] * _orbit_dot_counts(shell.vectors, cols, ranks, lo)
     counts, remainder = np.divmod(scaled, ordered[: len(scaled), None])
     if remainder.any():
         raise RuntimeError("orbit pair counts are not multiples of the orbit sizes")
@@ -328,7 +330,7 @@ def distance_distribution_at(shell: Shell, x) -> DistanceDistribution:
     xi = shell.index_of(x)
     if xi < 0:
         raise ValueError("point is not in the shell")
-    return _dist_from_column(_column_counts(shell.vectors, [xi])[:, 0])
+    return _dist_from_column(_column_counts(shell, [xi])[:, 0])
 
 
 def check_distance_invariance(
@@ -341,10 +343,9 @@ def check_distance_invariance(
     counterexample is point 0 and the first point whose distribution differs.
     An integer sample checks that many seeded points, one column each.
     """
-    vectors = shell.vectors
-    n = len(vectors)
+    n = shell.count
     if sample == ALL:
-        cols, sizes, table, group_order = _orbit_pass(vectors)
+        cols, sizes, table, group_order = _orbit_pass(shell)
         mode, checked, hist = "full", n, _pair_histogram(table, sizes)
     elif int(sample) < 1:
         raise ValueError(f"sample must be at least 1 point, got {sample}")
@@ -352,7 +353,7 @@ def check_distance_invariance(
         k = min(int(sample), n)
         rng = np.random.default_rng(seed)
         cols = np.sort(rng.choice(n, size=k, replace=False))
-        table = _column_counts(vectors, cols)
+        table = _column_counts(shell, cols)
         mode, checked, group_order, hist = "sampled", k, 1, None
 
     ref = table[:, 0]

@@ -14,7 +14,7 @@ from latcert.cli import build_parser, main
 from latcert.energycert import Potential
 from latcert.exactmath import Polynomial, rat
 from latcert.gf2codes import BinaryCode, extended_quadratic_residue_32, reed_muller_2_5
-from latcert.lattice32 import _HEADER, build_shell, make_shell
+from latcert.lattice32 import _HEADER, Shell, build_shell
 from latcert.sphercode import ALL, check_distance_invariance, histogram
 
 
@@ -145,7 +145,7 @@ def load_shell_by_loadtxt(path):
     odd = (arr & 1).sum(axis=1)  # per row; two's complement keeps parity
     if ((odd > 0) & (odd < dim)).any():
         raise ValueError(f"{path}: vector with mixed even/odd coordinates")
-    return make_shell(arr)
+    return Shell(arr)
 
 
 def norm32_magnitudes(dim: int) -> list:

@@ -25,7 +25,7 @@ from pathlib import Path
 from conftest import PAIRS_4, run_cli
 from latcert.exactmath import poly_to_json
 from latcert.gf2codes import extended_quadratic_residue_32, reed_muller_2_5
-from latcert.lattice32 import build_shell, make_shell, save_shell
+from latcert.lattice32 import Shell, build_shell, save_shell
 from latcert.lpcert import MIN_DESIGN_POLY
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -50,8 +50,8 @@ def write_inputs(directory: Path, rm_shell=None, xqr_shell=None) -> dict:
     for name, shell in (("{rm2_5}", rm_shell), ("{xqr32}", xqr_shell)):
         if shell is not None:
             save_shell(shell, paths[name])
-    save_shell(make_shell(PAIRS_4), paths["{small}"])
-    save_shell(make_shell(BENT), paths["{bent}"])
+    save_shell(Shell(PAIRS_4), paths["{small}"])
+    save_shell(Shell(BENT), paths["{bent}"])
     Path(paths["{poly}"]).write_text(json.dumps(poly_to_json(MIN_DESIGN_POLY)))
     Path(paths["{ident}"]).write_text("".join("0" * j + "1" + "0" * (31 - j) + "\n"
                                               for j in range(16)))

@@ -26,7 +26,7 @@ def shell_file(tmp_path_factory):
 @pytest.fixture(scope="module")
 def small_shell_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("shells") / "small.shell"
-    save_shell(lattice32.make_shell(PAIRS_4), path)
+    save_shell(lattice32.Shell(PAIRS_4), path)
     return path
 
 
@@ -229,7 +229,7 @@ def test_energy_rejects_a_shell_the_bound_does_not_cover(request, tmp_path, case
     # in dimension 32 with no inner product in T: exit 1, and the energy
     # still comes from the shell's own histogram
     path = tmp_path / "outside.shell"
-    save_shell(lattice32.make_shell(_outside_the_bound(request, case)), path)
+    save_shell(lattice32.Shell(_outside_the_bound(request, case)), path)
     proc = run_cli("energy", "--shell", str(path), "--potential", "invlin")
     assert proc.returncode == 1
     record = json.loads(proc.stdout)
@@ -302,7 +302,7 @@ def test_verify_full_runs_one_orbit_pass(small_shell_file, monkeypatch):
     calls = []
     orbit_pass = sphercode._orbit_pass
     monkeypatch.setattr(
-        sphercode, "_orbit_pass", lambda v: calls.append(len(v)) or orbit_pass(v)
+        sphercode, "_orbit_pass", lambda shell: calls.append(shell.count) or orbit_pass(shell)
     )
     proc = run_cli("verify", "--shell", str(small_shell_file), "--full")
     assert proc.returncode == 0
@@ -318,6 +318,7 @@ def test_verify_full_runs_one_orbit_pass(small_shell_file, monkeypatch):
         ("n=4 count=2", "4 4 0 0\n-4 -4 0 200\n", "'200'"),
         ("n=4 count=2", "4 4 0 0\n-4 -4 0 1.5\n", "'1.5'"),
         ("n=4 count=2", "4 4 0 0 # antipode\n-4 -4 0 0\n", "'#'"),
+        ("n=4 count=2", "4 4 0 0\n0 4 4 0\n", "shell is not closed under negation"),
         ("n=4 count=0", "", "nonempty shell"),
         ("n=0 count=0", "", "bad shell header"),
         ("n=-2 count=2", "4 4\n-4 -4\n", "bad shell header"),
@@ -370,8 +371,8 @@ def test_shell_grammar_checks_hold_under_optimize(tmp_path, flags, body, message
 def test_internal_check_failure_exits_one(small_shell_file, monkeypatch):
     column_counts = sphercode._column_counts
 
-    def drop_one_count(F, cols, rows=None):
-        table = column_counts(F, cols, rows)
+    def drop_one_count(shell, cols, rows=None):
+        table = column_counts(shell, cols, rows)
         table[2 * 32, 0] -= 1  # lose the first column's self pair
         return table
 
@@ -383,11 +384,22 @@ def test_internal_check_failure_exits_one(small_shell_file, monkeypatch):
 
 
 def test_venkov_sample_gives_up_on_a_shell_with_no_orthogonal_pair(tmp_path):
-    # 10000 draws per requested value, so keep --sample small: about 40 ms each
+    # it gives up after 10000 draws with no pair, whatever the sample size
     path = tmp_path / "pair.shell"
-    save_shell(lattice32.make_shell([[4, 4, 0, 0], [-4, -4, 0, 0]]), path)
-    assert run_cli("venkov", "--shell", str(path), "--sample", "1") == (
-        2, "", "error: no orthogonal pair found within budget; malformed shell\n")
+    save_shell(lattice32.Shell([[4, 4, 0, 0], [-4, -4, 0, 0]]), path)
+    for sample in ("1", "20"):
+        assert run_cli("venkov", "--shell", str(path), "--sample", sample) == (
+            2, "", "error: no orthogonal pair found within budget; malformed shell\n")
+
+
+def test_build_into_a_missing_directory_exits_two_before_building(tmp_path, monkeypatch):
+    # the error line open() gives, without the build that it would follow
+    calls = []
+    monkeypatch.setattr(lattice32, "build_shell", calls.append)
+    out = tmp_path / "missing" / "rm.shell"
+    assert run_cli("build", "--code", "rm2_5", "--out", str(out)) == (
+        2, "", f"error: [Errno 2] No such file or directory: '{out}'\n")
+    assert calls == [] and not out.parent.exists()
 
 
 # The CLI contract's grammar: every subcommand but selftest (seconds; golden

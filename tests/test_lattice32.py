@@ -26,7 +26,6 @@ from latcert.lattice32 import (
     build_shell,
     check_extremal,
     load_shell,
-    make_shell,
     save_shell,
     venkov_e22,
     venkov_sample,
@@ -163,11 +162,27 @@ def test_venkov_invariant_under_coordinate_flip(rm_shell):
     x, z = witness_pair()
     flipped = sh.vectors.copy()
     flipped[:, 0] *= -1
-    fsh = make_shell(flipped)
+    fsh = Shell(flipped)
     fx, fz = x.copy(), z.copy()
     fx[0] *= -1
     fz[0] *= -1
     assert venkov_e22(fsh, fx, fz) == venkov_e22(sh, x, z) == 60
+
+
+def test_venkov_sample_gives_up_after_10000_draws_without_a_pair(monkeypatch):
+    # 10000 draws since the last orthogonal pair, whatever the count: on a
+    # shell with no pair, not 10000 per requested value
+    calls = []
+
+    class Counted(random.Random):
+        def randrange(self, *args):
+            calls.append(args)
+            return super().randrange(*args)
+
+    monkeypatch.setattr(lattice32.random, "Random", Counted)
+    with pytest.raises(ValueError, match="no orthogonal pair found within budget"):
+        venkov_sample(Shell([[4, 4, 0, 0], [-4, -4, 0, 0]]), 20, seed=0)
+    assert len(calls) == 2 * 10000  # i and j of each draw
 
 
 def test_lattice_ip():
@@ -235,27 +250,29 @@ def test_load_shell_rejects_mixed_parity(tmp_path):
         load_shell(p)
 
 
-def test_make_shell_rejects_duplicates_and_non_antipodal():
-    with pytest.raises(ValueError, match="duplicate"):
-        make_shell([[4, 4, 0, 0], [4, 4, 0, 0]])
-    with pytest.raises(ValueError, match="negation"):
-        make_shell([[4, 4, 0, 0], [0, 4, 4, 0]])
+def test_shell_checks_negation_last():
+    # after the norm, order and duplicate checks, each with its own message
+    for rows, message in [([[4, 4, 0, 0], [4, 4, 0, 1]], "vector 1 has s.s = 33"),
+                          ([[4, 4, 0, 0], [4, 4, 0, 0]], "duplicate shell vectors"),
+                          ([[0, 4, 4, 0], [4, 4, 0, 0]], "shell is not closed under negation")]:
+        with pytest.raises(ValueError, match=f"^{message}"):
+            Shell(rows)
 
 
-def test_make_shell_checks_norms_before_building_keys(monkeypatch):
+def test_shell_checks_norms_before_building_keys(monkeypatch):
     def no_keys(a):
         raise AssertionError("row keys built before the norm check")
 
     monkeypatch.setattr(lattice32, "_row_keys", no_keys)
     with pytest.raises(ValueError, match="s.s = 10000"):
-        make_shell([[100, 0, 0, 0], [-100, 0, 0, 0]])
+        Shell([[100, 0, 0, 0], [-100, 0, 0, 0]])
     # an off-norm vector is reported before a duplicate
     with pytest.raises(ValueError, match="s.s = 10000"):
-        make_shell([[100, 0, 0, 0], [100, 0, 0, 0]])
+        Shell([[100, 0, 0, 0], [100, 0, 0, 0]])
 
 
 def test_index_of_finds_every_row_and_rejects_non_members():
-    sh = make_shell([[4, 4, 0, 0], [0, 0, 4, 4], [-4, -4, 0, 0], [0, 0, -4, -4]])
+    sh = Shell([[4, 4, 0, 0], [0, 0, 4, 4], [-4, -4, 0, 0], [0, 0, -4, -4]])
     assert [sh.index_of(row) for row in sh.vectors] == list(range(sh.count))
     assert sh.index_of([4, -4, 0, 0]) == -1
     assert sh.index_of(np.array([260, 4, 0, 0])) == -1  # not wrapped to int8
@@ -270,7 +287,7 @@ def test_index_of_finds_every_row_and_rejects_non_members():
                                           ([4, 4, 0], "(3,)")])
 def test_index_of_rejects_probes_of_the_wrong_shape(probe, shape):
     # a short probe must not broadcast: [4] against rows (4, 4) would match
-    sh = make_shell([[4, 4], [-4, -4]])
+    sh = Shell([[4, 4], [-4, -4]])
     with pytest.raises(ValueError, match=rf"probe has shape {re.escape(shape)}, "
                        r"expected \(2,\)"):
         sh.index_of(probe)
@@ -305,19 +322,19 @@ def test_canonical_sort_matches_python_sort(data):
 def test_load_shell_does_not_sort_a_canonical_file(tmp_path, monkeypatch):
     rows = [[4, 4, 0, 0], [0, 0, 4, -4], [-4, -4, 0, 0], [0, 0, -4, 4]]
     path = tmp_path / "shell.txt"
-    save_shell(make_shell(rows), path)
+    save_shell(Shell(rows), path)
     calls, lexsort = [], np.lexsort
     monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
     assert load_shell(path).vectors.tolist() == sorted(rows)
     assert calls == []
-    make_shell(rows)  # drawn order: sorted once
+    Shell(rows)  # drawn order: sorted once
     assert calls == [1]
 
 
-def test_make_shell_of_sorted_rows_owns_them():
+def test_shell_of_sorted_rows_owns_them():
     rows = np.array(sorted([[4, 4, 0, 0], [0, 0, 4, -4], [-4, -4, 0, 0], [0, 0, -4, 4]]),
                     dtype=np.int8)
-    sh = make_shell(rows)
+    sh = Shell(rows)
     before = rows.copy()
     rows[0] = 0
     assert np.array_equal(sh.vectors, before)
@@ -382,8 +399,8 @@ def test_load_shell_parity_check_matches_the_min_max_rule(arr):
 
 
 def test_shell_equality_is_identity():
-    sh = make_shell([[4, 4, 0, 0], [-4, -4, 0, 0]])
-    assert sh == sh and sh != make_shell(sh.vectors)
+    sh = Shell([[4, 4, 0, 0], [-4, -4, 0, 0]])
+    assert sh == sh and sh != Shell(sh.vectors)
 
 
 def test_canonical_order_is_numeric_lexicographic(rm_shell):
@@ -434,7 +451,7 @@ def antipodal_shells(draw):
 @given(antipodal_shells(), st.data())
 def test_shell_file_round_trip_property(case, data):
     dim, rows = case
-    shell = make_shell(rows)
+    shell = Shell(rows)
     with tempfile.TemporaryDirectory() as tmp:
         path, ref = Path(tmp) / "shell.txt", Path(tmp) / "ref.txt"
         save_shell(shell, path)
@@ -446,7 +463,7 @@ def test_shell_file_round_trip_property(case, data):
     assert shell.vectors.tolist() == sorted(map(list, rows))
     x = data.draw(st.sampled_from(rows))
     with pytest.raises(ValueError, match="negation"):
-        make_shell([r for r in rows if r != tuple(-v for v in x)])
+        Shell([r for r in rows if r != tuple(-v for v in x)])
 
 
 @pytest.mark.parametrize(
@@ -527,7 +544,7 @@ def test_load_shell_matches_the_loadtxt_reader_on_edited_files(case, edit, data)
     dim, rows = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "shell.txt"
-        save_shell(make_shell(rows), path)
+        save_shell(Shell(rows), path)
         saved = path.read_bytes()
     pattern, replacement = FILE_EDITS[edit]
     matches = list(re.finditer(pattern, saved))

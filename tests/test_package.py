@@ -9,7 +9,7 @@ import pytest
 
 import latcert
 from latcert.cli import build_parser
-from latcert.lattice32 import make_shell, save_shell
+from latcert.lattice32 import Shell, save_shell
 
 
 def test_no_assert_guards_in_package():
@@ -33,6 +33,32 @@ def test_no_matmul_operator_in_the_pair_modules():
                   if isinstance(node, (ast.BinOp, ast.AugAssign))
                   and isinstance(node.op, ast.MatMult)]
     assert not found, f"@ products the np.matmul spy cannot see: {found}"
+
+
+def _callers(name: str) -> list:
+    """'module:scope' of each call of the function name in the package, the
+    scope being the enclosing class and function names joined by dots."""
+    found = []
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = f"{scope}.{child.name}".lstrip(".")
+            elif isinstance(child, ast.Call) and name in (getattr(child.func, "id", None),
+                                                          getattr(child.func, "attr", None)):
+                found.append(f"{path.name}:{scope}")
+            visit(child, path, inner)
+
+    for path in sorted(Path(latcert.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path, "")
+    return found
+
+
+def test_negation_closure_has_one_check():
+    # every Shell is closed under negation: the kernels take a Shell and
+    # rely on it, so no other code checks it again
+    assert _callers("_folds") == ["lattice32.py:Shell._keep"]
 
 
 def _imports(path) -> list:
@@ -151,7 +177,7 @@ def test_verify_loads_the_shell_layer(tmp_path):
     # the control: a command that reads a shell does load numpy, and no
     # verify or energy run loads lpcert
     path = tmp_path / "small.shell"
-    save_shell(make_shell([[4, 4, 0, 0], [-4, -4, 0, 0]]), path)
+    save_shell(Shell([[4, 4, 0, 0], [-4, -4, 0, 0]]), path)
     for argv in (["verify", "--shell", str(path), "--sample", "10"],
                  ["verify", "--shell", str(path), "--full"],
                  ["energy", "--shell", str(path), "--potential", "invlin"]):

@@ -14,7 +14,7 @@ from latcert.exactmath import (FactoredPolynomial, Interval, IntervalRegion, Pol
 from latcert.gegenbauer import (DistanceDistribution, GegExpansion, InnerProductHistogram,
                                 PDVerdict, gegenbauer_expand, is_positive_definite)
 from latcert.gf2codes import BinaryCode, CodeReport, code_report, reed_muller_2_5
-from latcert.lattice32 import Shell, make_shell
+from latcert.lattice32 import Shell
 from latcert.lpcert import BoundCertificate, MAX_CODE_POLY, MAX_CODE_T, certify_max_code
 from latcert.sphercode import (ALL, InvarianceReport, MomentVector, QuadratureVerdict,
                                StrengthReport, check_distance_invariance, quadrature_check)
@@ -48,7 +48,7 @@ FACTORIES = {
     PartialProduct: (lambda: partial_products(PAPER_NODES, 32)[2], True),
     EnergyCertificate: (lambda: energy_lower_bound(invlin()), True),
     MomentVector: (lambda: MomentVector((Fraction(0), Fraction(5, 2))), True),
-    InvarianceReport: (lambda: check_distance_invariance(make_shell(SMALL_ROWS), ALL),
+    InvarianceReport: (lambda: check_distance_invariance(Shell(SMALL_ROWS), ALL),
                        False),
     QuadratureVerdict: (lambda: quadrature_check(DistanceDistribution({Fraction(1): 1}),
                                                  Polynomial([1]), 32, 1, 7), True),

@@ -12,11 +12,12 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 from conftest import norm32_magnitudes, random_polynomial, run_cli
+from golden_corpus import BENT
 from latcert.exactmath import Polynomial
 from latcert.gegenbauer import distribution_from_design, gegenbauer_expand, gegenbauer_poly
 from latcert import sphercode
-from latcert.lattice32 import (Shell, _joint_tables, _products, load_shell, make_shell,
-                               save_shell, venkov_sample)
+from latcert.lattice32 import (Shell, _joint_tables, _products, load_shell, save_shell,
+                               venkov_sample)
 from latcert.sphercode import (
     ALL,
     DistanceDistribution,
@@ -70,7 +71,7 @@ def products(monkeypatch):
 
 @pytest.fixture(scope="module")
 def tiny_pair_shell():
-    return make_shell([[4, 4, 0, 0], [-4, -4, 0, 0]])
+    return Shell([[4, 4, 0, 0], [-4, -4, 0, 0]])
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +85,7 @@ def small_antipodal_shell():
                     row = [0, 0, 0, 0]
                     row[i], row[j] = si, sj
                     rows.append(row)
-    return make_shell(rows)
+    return Shell(rows)
 
 
 def test_histogram_support_and_scaling(rm_hist):
@@ -145,9 +146,8 @@ def test_sampled_invariance(rm_shell):
 
 
 def test_invariance_counterexample():
-    rows = [[-4, -4, 0, 0], [0, 0, 4, 4], [4, 4, 0, 0]]  # sorted, not antipodal
-    three = Shell(np.array(rows, dtype=np.int8))
-    inv = check_distance_invariance(three, sample=ALL)
+    # closed under negation, but +-(4,0,4,0) sees 1/2 twice and the others 0
+    inv = check_distance_invariance(Shell(BENT), sample=ALL)
     assert not inv.invariant
     (i, di), (j, dj) = inv.counterexample
     assert di.a != dj.a
@@ -292,13 +292,13 @@ FULL_MAGNITUDES = {dim: [m for m in MAGNITUDES[dim] if all(m)] for dim in range(
 
 @st.composite
 def flip_closed_shells(draw, dims=(4, 8), full_row=False, drop=False):
-    """A few random norm-32 rows in dim 4-8 (or in dims), closed under a
-    random set of sign flips; sometimes one point and its antipode are then
-    removed.  With full_row (dims within 5-8), the first row has no zero
-    entry and no minus sign, so the minus signs of its flips are the span of
-    the drawn flips: the orbit pass finds them, and the rows whose support
-    they act on in fewer ways get smaller orbits.  With drop, one point is
-    always removed, and its antipode too unless a drawn boolean keeps it."""
+    """A few random norm-32 rows in dim 4-8 (or in dims), closed under
+    negation and a random set of sign flips; sometimes (with drop, always)
+    one point and its antipode are then removed, unless they are all the
+    rows.  With full_row (dims within 5-8), the first row has no zero entry
+    and no minus sign, so the minus signs of its flips are the span of the
+    drawn flips and negation: the orbit pass finds them, and the rows whose
+    support they act on in fewer ways get smaller orbits."""
     dim = draw(st.integers(*dims))
     signs = st.lists(st.booleans(), min_size=dim, max_size=dim)
     rows = set()
@@ -314,35 +314,30 @@ def flip_closed_shells(draw, dims=(4, 8), full_row=False, drop=False):
         rows.add(tuple(-mags[p] if f else mags[p] for p, f in zip(perm, neg)))
     for flip in draw(st.lists(signs, min_size=3 if full_row else 0, max_size=4)):
         rows |= {tuple(-v if f else v for v, f in zip(r, flip)) for r in rows}
-    rows = sorted(rows)
+    rows = sorted(rows | {tuple(-v for v in r) for r in rows})
     if drop or draw(st.booleans()):
         x = draw(st.sampled_from(rows))
-        gone = {x} if drop and draw(st.booleans()) else {x, tuple(-v for v in x)}
-        rows = [r for r in rows if r not in gone] or rows
+        rows = [r for r in rows if r not in (x, tuple(-v for v in x))] or rows
     return Shell(np.array(rows, dtype=np.int8))
 
 
 @settings(max_examples=200, deadline=None)
 @given(flip_closed_shells(), st.booleans(), st.data())
-def test_shell_sorts_its_rows_and_make_shell_checks_negation(shell, antipodal, data):
+def test_shell_sorts_its_rows_and_checks_negation(shell, closed, data):
     rows = {tuple(r) for r in shell.vectors.tolist()}
-    if antipodal:
-        rows |= {tuple(-v for v in r) for r in rows}
+    if not closed:  # one row without its antipode
+        rows.remove(data.draw(st.sampled_from(sorted(rows))))
     drawn = np.array(data.draw(st.permutations(sorted(rows))), dtype=np.int8)
     layout = data.draw(st.sampled_from(["C", "reversed", "Fortran"]))
     arr = {"C": drawn, "reversed": drawn[::-1], "Fortran": np.asfortranarray(drawn)}[layout]
+    if not closed:
+        with pytest.raises(ValueError, match="^shell is not closed under negation$"):
+            Shell(arr)
+        return
     made = Shell(arr)
     assert made.vectors.tolist() == [list(r) for r in sorted(rows)]
     assert made.vectors.flags.c_contiguous and not made.vectors.flags.writeable
     assert not np.shares_memory(made.vectors, drawn)
-    closed = {tuple(-v for v in r) for r in rows} == rows
-    try:
-        make_shell(arr)
-        accepted = True
-    except ValueError as exc:
-        assert str(exc) == "shell is not closed under negation"
-        accepted = False
-    assert accepted == closed
 
 
 def _assert_matches_brute_force(shell):
@@ -385,7 +380,7 @@ def _hamming_shell(extra=()):
             row = [0] * 8
             row[i], row[j] = si, sj
             rows.append(row)
-    return make_shell(rows)
+    return Shell(rows)
 
 
 def test_full_pass_finds_flip_group_on_small_shell():
@@ -448,13 +443,20 @@ _WIDE_ROWS = [
     [0] * 8 + [1 - 2 * ((m >> k) & 1) for k in range(32)] for m in (0, 5, ~0, ~5)
 ] + [[0] * 38 + [4 * a, 4 * b] for a in (1, -1) for b in (1, -1)]
 
+# closed under negation, yet no candidate flip maps it onto itself: the
+# candidates are the minus sets of the two +-2 rows, whose product is
+# negation, and each moves (4,0,0,0,4,0,0,0): the group is trivial
+_NO_FLIP_ROWS = [[-2] * 4 + [2] * 4, [2] * 4 + [-2] * 4, [4, 0, 0, 0, 4, 0, 0, 0],
+                 [-4, 0, 0, 0, -4, 0, 0, 0]]
+
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(flip_closed_shells(), flip_closed_shells(dims=(33, 40))))
-@example(make_shell(_WIDE_ROWS))
+@example(Shell(_WIDE_ROWS))
 @example(_hamming_shell())
+@example(Shell(_NO_FLIP_ROWS))
 def test_orbits_match_brute_force_closure(shell):
-    reps, sizes, table, order = _orbit_pass(shell.vectors)
+    reps, sizes, table, order = _orbit_pass(shell)
     assert (reps.tolist(), sizes.tolist(), order) == _brute_force_orbits(shell)
     assert table.shape == (65, len(reps))
 
@@ -464,7 +466,6 @@ def test_orbits_match_brute_force_closure(shell):
                  flip_closed_shells(dims=(33, 40))))
 def test_distance_distribution_at_matches_integer_dots(shell):
     V = shell.vectors.astype(np.int64)
-    event("folded" if shell.count % 2 == 0 and (V == -V[::-1]).all() else "unfolded")
     for x in V:
         brute = Counter(Fraction(d, 32) for d in (V @ x).tolist())
         assert distance_distribution_at(shell, x).a == brute
@@ -475,7 +476,7 @@ def test_orbit_pass_rejects_flips_that_do_not_permute_the_shell():
     # all-ones word maps {0} into the row set, so only negation survives
     shell = _hamming_shell([[-2] + [2] * 7, [2] + [-2] * 7])
     assert len(_flips_of(shell.vectors)) == 5
-    reps, sizes, _, order = _orbit_pass(shell.vectors)
+    reps, sizes, _, order = _orbit_pass(shell)
     assert (order, len(reps)) == (2, 65)
     assert (reps.tolist(), sizes.tolist(), order) == _brute_force_orbits(shell)
     _assert_matches_brute_force(shell)
@@ -492,7 +493,7 @@ def test_candidate_flips_own_their_data():
 
 def test_candidate_flips_above_dim_32_are_negation_only():
     # s.s = 32 leaves every row of a shell past dim 32 a zero entry
-    shell = make_shell(_WIDE_ROWS)
+    shell = Shell(_WIDE_ROWS)
     assert _flips_of(shell.vectors) == [2**32 - 1]
     assert _brute_force_flips(shell.vectors.tolist(), shell.dim) == [2**40 - 1]
 
@@ -523,42 +524,44 @@ def test_orbits_on_rm_shell_missing_a_pair_of_a_128_orbit(rm_shell):
     V = rm_shell.result.vectors
     reps, sizes, _, _ = sphercode._orbits(V)
     x = V[reps[np.flatnonzero(sizes == 128)[0]]]
-    W = make_shell(V[~((V == x).all(axis=1) | (V == -x).all(axis=1))]).vectors
+    W = Shell(V[~((V == x).all(axis=1) | (V == -x).all(axis=1))])
     reps, sizes, table, order = _orbit_pass(W)
-    assert (len(W), len(reps), order) == (N - 2, 2411, 1024)
+    assert (W.count, len(reps), order) == (N - 2, 2411, 1024)
     assert np.array_equal(table, _column_counts(W, reps))
 
 
-def _brute_force_columns(vectors, cols):
+def _brute_force_columns(vectors, cols, rows=None):
+    """The dot counts of the columns cols over all rows, or those at rows."""
     V = vectors.astype(np.int64)
-    return np.array([np.bincount(V @ V[c] + 32, minlength=65) for c in cols]).T
+    X = V if rows is None else V[rows]
+    return np.array([np.bincount(X @ V[c] + 32, minlength=65) for c in cols]).T
 
 
-def _folds(V):
-    half = len(V) // 2
-    return np.array_equal(-V[half:][::-1], V[:half])
+def _mirrored(n, half):
+    """The int32 index set of the indices half (all below n // 2) and their
+    mirrors n - 1 - k, ascending."""
+    return np.union1d(half, n - 1 - np.asarray(half)).astype(np.int32)
 
 
 def _column_case(case):
-    V = _hamming_shell().vectors  # canonical and antipodal: the fold applies
-    rng = np.random.default_rng(7)
-    if case == "odd":
-        V = V[np.sort(rng.choice(len(V), size=len(V) - 1, replace=False))]
-    elif case == "shuffled":  # antipodal rows, but not in canonical order
-        V = V[rng.permutation(len(V))]
-    assert _folds(V) == (case == "canonical")
-    return V
+    """(shell, counted rows) of a case: the Hamming shell with all its rows
+    (canonical), or the rows at a mirrored index set, gathered."""
+    shell = _hamming_shell()
+    if case == "canonical":
+        return shell, None
+    half = np.random.default_rng(7).choice(shell.count // 2, size=20, replace=False)
+    return shell, _mirrored(shell.count, half)
 
 
-CASES = ["canonical", "odd", "shuffled"]
+CASES = ["canonical", "mirrored"]
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_column_counts_match_brute_force(case):
-    V = _column_case(case)
-    cols = np.array([0, 3, 17, len(V) - 1, 3])  # odd: pads with its last column
-    table = _column_counts(V, cols)
-    assert np.array_equal(table, _brute_force_columns(V, cols))
+    shell, rows = _column_case(case)
+    cols = np.array([0, 3, 17, shell.count - 1, 3])  # odd: pads with its last column
+    table = _column_counts(shell, cols, rows)
+    assert np.array_equal(table, _brute_force_columns(shell.vectors, cols, rows))
 
 
 # one column, an even count, a column paired with itself (keys 0 and 4224,
@@ -569,65 +572,56 @@ def test_column_counts_match_brute_force(case):
 )
 @pytest.mark.parametrize("case", CASES)
 def test_column_counts_of_paired_columns(case, cols):
-    V = _column_case(case)
+    shell, rows = _column_case(case)
+    V = shell.vectors
     if cols == "antipode":
         cols = [j for i in (0, 40) for j in (i, *np.flatnonzero((V == -V[i]).all(axis=1)))]
     cols = np.array(cols)
-    table = _column_counts(V, cols)
+    table = _column_counts(shell, cols, rows)
     assert table.shape == (65, len(cols))
-    assert np.array_equal(table, _brute_force_columns(V, cols))
+    assert np.array_equal(table, _brute_force_columns(V, cols, rows))
 
 
-@pytest.mark.parametrize("fold, chunk", [(True, (29, 32, 68)), (False, (29, 32, 62))],
-                         ids=["folded", "rolled"])
-def test_column_counts_match_brute_force_across_blocks(rm_shell, products, fold, chunk):
+@pytest.mark.parametrize("gathered, chunk", [(False, (29, 32, 68)), (True, (29, 32, 67))],
+                         ids=["folded", "gathered"])
+def test_column_counts_match_brute_force_across_blocks(rm_shell, products, gathered, chunk):
     # 121 columns: 61 pairs, a block of 32 and a partial one of 29; the
-    # counted rows (73440 folded, all 146880 rolled) go in segments of 2^14
-    # rows, the last one partial, each filled 2048 rows at a time, and the
-    # last segment's last row block (1760 rows, 1472 rolled) is partial too;
-    # rows 0 and N - 1 among the columns.  A product at 29 pairs takes
+    # counted rows (the first half, 73440 rows, or 73439 of an index set
+    # without rows 5000 and N - 5001) go in segments of 2^14 rows, the last
+    # one partial, each filled 2048 rows at a time, and the last segment's
+    # last row block (1760 rows, 1759 gathered) is partial too; rows 0 and
+    # N - 1 among the columns.  A product at 29 pairs takes
     # 2^18 // (29 * 32) = 282 of a row block's rows, so that partial row
-    # block ends with a chunk of 68 (62) rows
-    V = rm_shell.result.vectors
-    V = V if fold else np.roll(V, 1, axis=0)
-    assert _folds(V) == fold
+    # block ends with a chunk of 68 (67) rows
+    shell = rm_shell.result
+    rows = _mirrored(N, np.delete(np.arange(N // 2), 5000)) if gathered else None
     rng = np.random.default_rng(17)
     cols = np.r_[0, N - 1, rng.choice(np.arange(1, N - 1), 119, replace=False)]
-    table = _column_counts(V, cols)
-    assert np.array_equal(table, _brute_force_columns(V, cols))
+    table = _column_counts(shell, cols, rows)
+    assert np.array_equal(table, _brute_force_columns(shell.vectors, cols, rows))
     assert chunk in products
 
 
 @settings(max_examples=200, deadline=None)
-@given(flip_closed_shells(), st.booleans(), st.booleans(), st.data())
-def test_column_counts_match_brute_force_on_random_columns(shell, antipodal, shuffle, data):
-    rows = {tuple(r) for r in shell.vectors.tolist()}
-    if antipodal:
-        rows |= {tuple(-v for v in r) for r in rows}
-    V = np.array(sorted(rows), dtype=np.int8)
-    if shuffle:
-        V = V[data.draw(st.permutations(range(len(V))))]
-    assert _folds(V) or not (antipodal and not shuffle)
-    cols = np.array(data.draw(st.lists(st.integers(0, len(V) - 1), min_size=1, max_size=9)))
-    table = _column_counts(V, cols)
-    assert np.array_equal(table, _brute_force_columns(V, cols))
+@given(flip_closed_shells(), st.data())
+def test_column_counts_match_brute_force_on_random_columns(shell, data):
+    cols = np.array(data.draw(st.lists(st.integers(0, shell.count - 1), min_size=1, max_size=9)))
+    table = _column_counts(shell, cols)
+    assert np.array_equal(table, _brute_force_columns(shell.vectors, cols))
 
 
 @settings(max_examples=200, deadline=None)
-@given(flip_closed_shells(), st.booleans(), st.data())
-def test_column_counts_over_row_subsets_match_brute_force(shell, mirrored, data):
-    rows = {tuple(r) for r in shell.vectors.tolist()}
-    rows |= {tuple(-v for v in r) for r in rows}
-    V = np.array(sorted(rows), dtype=np.int8)  # canonical and antipodal
-    if mirrored:  # the subset folds with V: it holds len(V) - 1 - k for each k
-        half = np.array(sorted(data.draw(st.sets(st.integers(0, len(V) // 2 - 1), min_size=1))))
-        subset = np.union1d(half, len(V) - 1 - half)
-    else:
-        subset = np.array(sorted(data.draw(st.sets(st.integers(0, len(V) - 1), min_size=1))))
-    cols = np.array(data.draw(st.lists(st.integers(0, len(V) - 1), min_size=1, max_size=9)))
-    table = _column_counts(V, cols, subset.astype(np.int32))
-    dots = V[subset].astype(np.int64) @ V[cols].astype(np.int64).T + 32
-    assert np.array_equal(table, np.array([np.bincount(d, minlength=65) for d in dots.T]).T)
+@given(flip_closed_shells(), st.data())
+def test_column_counts_over_row_subsets_match_brute_force(shell, data):
+    n = shell.count
+    subset = _mirrored(n, sorted(data.draw(st.sets(st.integers(0, n // 2 - 1), min_size=1))))
+    cols = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=9)))
+    table = _column_counts(shell, cols, subset)
+    assert np.array_equal(table, _brute_force_columns(shell.vectors, cols, subset))
+    # one index short, the set lacks the mirror of another: never counted
+    short = np.delete(subset, data.draw(st.integers(0, len(subset) - 1)))
+    with pytest.raises(RuntimeError, match="^counted rows are not closed under negation$"):
+        _column_counts(shell, cols, short)
 
 
 def _brute_force_joint(V, a, b):
@@ -639,28 +633,26 @@ def _brute_force_joint(V, a, b):
 @settings(max_examples=200, deadline=None)
 @given(flip_closed_shells(), st.data())
 def test_joint_tables_match_brute_force(shell, data):
-    rows = {tuple(r) for r in shell.vectors.tolist()}
-    rows |= {tuple(-v for v in r) for r in rows}
-    V = np.array(sorted(rows), dtype=np.int8)  # canonical and antipodal
-    # shuffled, and one row short: an odd row count never folds
-    W = V[data.draw(st.permutations(range(len(V))))][1:]
-    # sorted, but holding no row's negation: an even count, so the fold
-    # test must compare the rows to say no
-    X = V[len(V) // 2 :][: len(V) // 4 * 2]
-    cases = (V, W, X) if len(X) else (V, W)
-    assert _folds(V) and not any(_folds(U) for U in cases[1:])
-    for U in cases:
-        index = st.integers(0, len(U) - 1)
-        pairs = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=9))
-        i = pairs[0][0]
-        # a row with itself, with its antipode (when present), and a repeated pair
-        antipodes = np.flatnonzero((U == -U[i]).all(axis=1)).tolist()
-        pairs += [(i, i), *((i, k) for k in antipodes), pairs[0]]
-        a, b = np.array(pairs).T
-        tables = list(_joint_tables(U, a, b))
-        assert len(tables) == len(pairs)
-        for (i, j), table in zip(pairs, tables):
-            assert np.array_equal(table, _brute_force_joint(U, i, j))
+    index = st.integers(0, shell.count - 1)
+    pairs = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=9))
+    i = pairs[0][0]
+    # a row with itself, with its antipode, and a repeated pair
+    pairs += [(i, i), (i, shell.count - 1 - i), pairs[0]]
+    a, b = np.array(pairs).T
+    tables = list(_joint_tables(shell, a, b))
+    assert len(tables) == len(pairs)
+    for (i, j), table in zip(pairs, tables):
+        assert np.array_equal(table, _brute_force_joint(shell.vectors, i, j))
+
+
+def test_pair_kernel_counts_half_the_counted_rows(rm_shell, products):
+    # every Shell is closed under negation, so the kernel always folds: the
+    # products see the first half of all rows, or of an index set
+    shell = rm_shell.result
+    for rows, counted in ((None, N // 2), (_mirrored(N, np.arange(0, N // 2, 3)), 24480)):
+        products.clear()
+        list(_joint_tables(shell, [0], [1], rows))
+        assert sum(n for _, _, n in products) == counted
 
 
 def test_orbit_dot_counts_match_brute_force_across_chunks(rm_shell, products):
@@ -714,41 +706,27 @@ def test_float32_products_stay_under_the_cap(rm_shell, products):
 
 def test_orbit_pair_counts_match_the_one_sided_table(rm_shell):
     # orbits of sizes 4, 128 and 65536: each pair of orbits counted once
-    V = rm_shell.result.vectors
-    reps, sizes, table, _ = _orbit_pass(V)
+    shell = rm_shell.result
+    reps, sizes, table, _ = _orbit_pass(shell)
     assert np.unique(sizes).tolist() == [4, 128, 65536]
-    assert np.array_equal(table, _column_counts(V, reps))
+    assert np.array_equal(table, _column_counts(shell, reps))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(flip_closed_shells(), flip_closed_shells(dims=(5, 8), full_row=True)))
 @example(_hamming_shell())
-@example(make_shell(_WIDE_ROWS))
+@example(Shell(_WIDE_ROWS))
 def test_orbit_pair_counts_match_brute_force(shell):
-    V = shell.vectors
-    reps, sizes, table, _ = _orbit_pass(V)
+    reps, sizes, table, _ = _orbit_pass(shell)
     event(f"{len(np.unique(sizes))} orbit sizes")
-    assert np.array_equal(table, _column_counts(V, reps))
-    assert np.array_equal(table, _brute_force_columns(V, reps))
-
-
-def test_orbit_pair_counts_without_negation():
-    # flipping coordinates 0 and 1 maps these rows onto themselves, and
-    # negation does not: orbits of sizes 1 and 2, and the rows do not fold
-    rows = [[2] * 8, [-2, -2] + [2] * 6, [4, 4] + [0] * 6, [-4, -4] + [0] * 6,
-            [4, 0, 4] + [0] * 5, [-4, 0, 4] + [0] * 5,
-            [0, 0, 4, 4] + [0] * 4, [0, 0, 4, -4] + [0] * 4]
-    shell = Shell(np.array(rows, dtype=np.int8))
-    assert not _folds(shell.vectors)
-    reps, sizes, table, order = _orbit_pass(shell.vectors)
-    assert (order, sorted(sizes.tolist())) == (2, [1, 1, 2, 2, 2])
+    assert np.array_equal(table, _column_counts(shell, reps))
     assert np.array_equal(table, _brute_force_columns(shell.vectors, reps))
-    _assert_matches_brute_force(shell)
 
 
 def test_orbit_pair_counts_reject_rows_outside_their_orbit(monkeypatch, tmp_path):
     # one row of an orbit of 4 labelled as a row of another: "orbits" of 3
-    # and 5, whose counts from the orbit of 16 are not multiples of 3 and 5
+    # and 5, and the rows of the orbit of 3 lack the antipode of one of
+    # them, so the pair kernel refuses to count them
     orbits = sphercode._orbits
 
     def moved(V):
@@ -760,13 +738,33 @@ def test_orbit_pair_counts_reject_rows_outside_their_orbit(monkeypatch, tmp_path
 
     monkeypatch.setattr(sphercode, "_orbits", moved)
     shell = _hamming_shell()
-    message = "orbit pair counts are not multiples of the orbit sizes"
+    message = "counted rows are not closed under negation"
     with pytest.raises(RuntimeError, match=message):
         check_distance_invariance(shell, ALL)
     path = tmp_path / "hamming.shell"
     save_shell(shell, path)
     assert run_cli("verify", "--shell", str(path), "--full") == (
         1, "", f"error: internal check failed: {message}\n")
+
+
+def test_orbit_pair_counts_reject_a_pair_outside_its_orbit(monkeypatch):
+    # a row of an orbit of 4 and its antipode labelled as rows of another:
+    # the index sets stay mirrored, and the counts of the "orbit" of 6 from
+    # the orbit of 16 are not multiples of 6
+    orbits = sphercode._orbits
+
+    def moved(V):
+        reps, sizes, labels, order = orbits(V)
+        i, j = np.flatnonzero(sizes == 4)[:2]
+        k = np.flatnonzero(labels == i)[1]  # neither i's representative nor its antipode
+        labels[[k, len(V) - 1 - k]] = j
+        sizes[[i, j]] += [-2, 2]
+        return reps, sizes, labels, order
+
+    monkeypatch.setattr(sphercode, "_orbits", moved)
+    message = "orbit pair counts are not multiples of the orbit sizes"
+    with pytest.raises(RuntimeError, match=message):
+        check_distance_invariance(_hamming_shell(), ALL)
 
 
 @pytest.mark.parametrize("sample", [0, -5])
@@ -844,7 +842,7 @@ def test_full_pass_on_shell_missing_an_antipodal_pair(rm_shell, rm_hist):
     x[:2] = 4
     keep = np.ones(sh.count, dtype=bool)
     keep[[sh.index_of(x), sh.index_of(-x)]] = False
-    broken = make_shell(sh.vectors[keep])
+    broken = Shell(sh.vectors[keep])
     inv = check_distance_invariance(broken, sample=ALL)
     assert inv.invariant is False
     (i, di), (j, dj) = inv.counterexample
@@ -865,7 +863,6 @@ def test_pair_passes_reject_an_empty_shell(tmp_path):
     p = tmp_path / "empty.txt"
     p.write_text("latcert-shell v1 n=4 count=0 scale=2sqrt2\n")
     empty = np.zeros((0, 4), dtype=np.int8)
-    for make in (lambda: load_shell(p), lambda: make_shell(empty),
-                 lambda: Shell(empty)):
+    for make in (lambda: load_shell(p), lambda: Shell(empty)):
         with pytest.raises(ValueError, match="nonempty shell"):
             make()
