@@ -22,25 +22,24 @@ For an extremal input these give 496 * 4 = 1984, 620 * 128 = 79360 and
 Pair statistics (the column counts of ``sphercode`` and Venkov's e_{2,2})
 come from one kernel that counts dot values for two columns a, b at a time
 in blocked float32 matrix products: the dots with s_a + 65 s_b are
-d_a + 65 d_b, and one bincount of them gives the pair's 65 x 65 joint
+v = d_a + 65 d_b, and one bincount of them gives the pair's 65 x 65 joint
 table.  Every vector has s.s = 32 (a Shell invariant), so |entry| <= 5
 and, by Cauchy-Schwarz, every partial sum is an integer of absolute value
 at most 66 * 32 = 2112 < 2^24: the float path is exact.  A Shell is closed
 under negation, so its sorted rows end with the first half negated in
-reverse order: the kernel counts the first half of the counted rows and
-adds each table's reverse.  The counted rows are all rows, or the rows at
-given ascending indices (the orbit pass of ``sphercode`` counts each size
-class of orbits against the rows of orbits no larger), which must hold the
-mirror index of each of their indices.  The kernel takes 32 pairs
-at a time and counts their keys into int32 tables 2^14 counted rows at a
-time, so it keeps one uint16 block of at most 2^19 keys; it fills the
-block 2048 counted rows at a time, each converted from int8 (gathered, for
-an index set) to float32 just before its product.  Every float32 product
-of the pair passes is made of 2-d products of at most 2^18 multiply-adds
-(_products), which OpenBLAS runs on the calling thread: a 32 x 32 x 8192
-product woke its other threads, and they spun through the bincounts
-between products, using a core for no work or, at times, slowing the pass
-several-fold.
+reverse order, with dots -v: the kernel counts |v|, in 2113 bins, over the
+first half of the counted rows.  Those are all rows, or the rows at given
+ascending indices (from the orbit pass of ``sphercode``), which must hold
+the mirror of each of their indices.  The kernel takes 32 pairs at a time
+and counts their keys 2^14 counted rows at a time (2^13 of an index set,
+beside the orbit pass's data), so it keeps one uint16 block of at most
+2^19 keys; it fills it 2048 counted rows at a time, each converted from
+int8 (gathered, for an index set) to float32 just before its product.
+Every float32 product of the pair passes is made of 2-d products of at
+most 2^18 multiply-adds (_products), which OpenBLAS runs on the calling
+thread: a 32 x 32 x 8192 product woke its other threads, and they spun
+through the bincounts between products, using a core for no work or, at
+times, slowing the pass several-fold.
 
 A Shell's checks, and the parity check of load_shell, run on 8192 rows at a
 time and make no full-size temporary; only rows out of order need the
@@ -100,9 +99,7 @@ class Shell:
         # first: s.s = 32 bounds |entry| <= 5, inside the row keys' range
         _check_norms(arr, "vector {i} has s.s = {norm}, expected 32")
         if not _increasing(arr):  # a saved shell's rows are sorted and distinct
-            arr, dups = _canonical_sort(arr)
-            if dups:
-                raise ValueError("duplicate shell vectors")
+            arr = _canonical_sort(arr)
         if not _folds(arr):
             raise ValueError("shell is not closed under negation")
         arr.setflags(write=False)
@@ -165,15 +162,13 @@ def _increasing(arr: np.ndarray) -> bool:
     return True
 
 
-def _canonical_sort(arr: np.ndarray):
-    """Lexicographically sorted copy without duplicate rows, plus the number
-    of duplicates dropped."""
-    keys = _row_keys(arr)
-    order = np.lexsort(keys.T[::-1])
-    keys = keys[order]
-    first = np.ones(len(arr), dtype=bool)
-    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-    return arr[order[first]], len(arr) - int(first.sum())
+def _canonical_sort(arr: np.ndarray) -> np.ndarray:
+    """Lexicographically sorted copy of the rows, gathered once their keys
+    are freed; ValueError if a row repeats (checked in _BLOCK rows)."""
+    arr = arr[np.lexsort(_row_keys(arr).T[::-1])]
+    if not _increasing(arr):
+        raise ValueError("duplicate shell vectors")
+    return arr
 
 
 def _check_norms(vectors: np.ndarray, message: str) -> None:
@@ -303,12 +298,12 @@ def venkov_e22(shell: Shell, x, z) -> int:
 def _joint_tables(shell: Shell, a, b, rows=None):
     """Yield, for each pair (a[k], b[k]) of the shell's rows, the (65, 65)
     table whose entry [d_b + 32, d_a + 32] counts the counted rows x with
-    s_x.s_a = d_a and s_x.s_b = d_b: the key is the exact float32 dot
-    (s_a + 65 s_b).x + 66 * 32, in [0, 4224].  The counted rows are all
-    rows, or the rows at the ascending indices ``rows``, gathered 2048 at a
-    time; RuntimeError unless those hold the mirror count - 1 - k of each k.
+    s_x.s_a = d_a and s_x.s_b = d_b.  The counted rows are all rows, or the
+    rows at the ascending indices ``rows``, gathered 2048 at a time;
+    RuntimeError unless those hold the mirror count - 1 - k of each k.
     That row is -x, with dots (-d_a, -d_b), so the first half of the counted
-    rows is counted and each table gets its reverse added."""
+    rows is counted by the key |v| of the exact float32 dot v = (s_a + 65
+    s_b).x = d_a + 65 d_b, and the count of |v| goes to v and -v."""
     V = shell.vectors
     if rows is not None and not np.array_equal(rows[::-1], len(V) - 1 - rows):
         raise RuntimeError("counted rows are not closed under negation")
@@ -316,37 +311,42 @@ def _joint_tables(shell: Shell, a, b, rows=None):
     counted = V[: len(V) // 2] if rows is None else rows[: len(rows) // 2]
     P = V[a] + _BINS * V[b].astype(np.float32)
     # 32 pairs per block, so a product is at most 32 x 2048 float32; their
-    # uint16 keys of 2^14 counted rows at a time, 2^19 keys, are counted into
-    # int32 tables (no count exceeds the number of counted rows)
-    keys = np.empty((min(32, len(P)), min(2**14, len(counted))), dtype=np.uint16)
+    # uint16 keys in [0, 2112] are counted into int32 tables, zeroed for each
+    # block (no count exceeds the number of counted rows)
+    step = 2**14 if rows is None else 2**13
+    keys = np.empty((min(32, len(P)), min(step, len(counted))), dtype=np.uint16)
+    joint = np.empty((len(keys), _BINS**2 // 2 + 1), dtype=np.int32)
+    # one float32 row block and its products, reused: fresh 256 KB arrays,
+    # freed at the top of the heap, were given back and faulted in each time
+    rows32 = np.empty((V.shape[1], min(2048, len(counted))), dtype=np.float32)
+    dots = np.empty((len(keys), rows32.shape[1]), dtype=np.float32)
     for j0 in range(0, len(P), 32):
         block = P[j0 : j0 + 32]
-        joint = np.zeros((len(block), _BINS**2), dtype=np.int32)
-        for s0 in range(0, len(counted), 2**14):
-            seg = counted[s0 : s0 + 2**14]
+        joint[...] = 0
+        for s0 in range(0, len(counted), step):
+            seg = counted[s0 : s0 + step]
             for r0 in range(0, len(seg), 2048):  # float32 of 2048 rows at a time
                 part = seg[r0 : r0 + 2048]
-                part = part if rows is None else V[part]
-                dots = _products(block, part.T.astype(np.float32))
-                dots += SHELL_NORM * (_BINS + 1)
-                keys[: len(block), r0 : r0 + len(part)] = dots
+                np.copyto(rows32[:, : len(part)], (part if rows is None else V[part]).T)
+                d = _products(block, rows32[:, : len(part)], dots[: len(block), : len(part)])
+                np.absolute(d, out=keys[: len(block), r0 : r0 + len(part)], casting="unsafe")
             for j in range(len(block)):
-                joint[j] += np.bincount(keys[j, : len(seg)], minlength=_BINS**2)
-        for table in joint.reshape(-1, _BINS, _BINS):
-            yield table + table[::-1, ::-1]
+                joint[j] += np.bincount(keys[j, : len(seg)], minlength=joint.shape[1])
+        for half in joint[: len(block)]:
+            yield np.concatenate((half[:0:-1], 2 * half[:1], half[1:])).reshape(_BINS, _BINS)
 
 
-def _products(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """The float32 product A @ B of 2-d float32 arrays, made of 2-d products
-    of at most 2^18 multiply-adds each (M N K <= 2^18, given K <= 2^18):
-    row chunks of A of at most 2^18 // K rows, and column chunks of B as
-    wide as the row chunk allows.  OpenBLAS runs a product that small on
-    the calling thread.  Per row chunk, one np.matmul makes the products
-    with all whole column chunks, as a stack of views of B and of the
-    output, and one more the last, narrower chunk.  K is never split, so
-    every entry is one whole dot, the same whatever the chunks."""
+def _products(A: np.ndarray, B: np.ndarray, out=None) -> np.ndarray:
+    """The float32 product A @ B of 2-d float32 arrays, into out if given
+    (rows of contiguous entries), made of 2-d products of at most 2^18
+    multiply-adds each (M N K <= 2^18, given K <= 2^18): row chunks of A of
+    at most 2^18 // K rows, and column chunks of B as wide as the row chunk
+    allows, which OpenBLAS runs on the calling thread.  Per row chunk, one
+    np.matmul makes the products with all whole column chunks, as a stack
+    of views of B and of out, and one more the last, narrower chunk.  K is
+    never split, so every entry is one whole dot, whatever the chunks."""
     (m, k), n = A.shape, B.shape[1]
-    out = np.empty((m, n), dtype=np.float32)
+    out = np.empty((m, n), dtype=np.float32) if out is None else out
     rows = max(1, min(m, _MACS // k))
     cols = max(1, _MACS // (rows * k))
     whole = n - n % cols  # the columns of the whole chunks
@@ -433,7 +433,7 @@ def _read_saved(path):
     then lines of dim tokens, each an optional '-' and one digit followed
     by a space, the last token of a line by a newline instead.
 
-    The body is read in blocks of about 2^19 bytes cut at newlines into one
+    The body is read in blocks of about 2^17 bytes cut at newlines into one
     int8 array of min(count, body bytes // (2 dim)) rows, since a row takes
     at least 2 dim bytes: a header count or dim that the body cannot hold
     allocates nothing for it."""
@@ -452,7 +452,7 @@ def _read_saved(path):
         seps = np.full(dim, ord(" "), dtype=np.uint8)
         seps[-1] = ord("\n")
         rows = 0
-        while block := fh.read(max(2**19, 3 * dim)):  # holds a whole line
+        while block := fh.read(max(2**17, 3 * dim)):  # holds a whole line
             cut = block.rfind(b"\n") + 1
             if not cut:  # no final newline, or a line longer than 3 dim bytes
                 return None

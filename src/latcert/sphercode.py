@@ -11,32 +11,34 @@ marginals; it counts half of the rows, as a Shell is closed under negation.
 The exact passes (the histogram and the full invariance check) need only one
 column per orbit of a group of coordinate sign flips that maps the shell onto
 itself: a flip is an isometry, so every point of an orbit sees the same
-distance distribution.  Candidate flips are read off the shell (the minus
-patterns of its rows with no zero entry, and negation).  Each row's minus
-signs are one uint32 word, and a flip XORs the words of a magnitude class
-(the rows with the same |x|) with one mask, its bits on the class's
-support.  So a flip maps the shell onto itself exactly when it maps every
-class onto itself, and the orbits of the kept flips are the cosets of their
-masks' span within each class.  The words are reduced once by an echelon
-basis of all the candidates' masks and counted: a class in which every
-coset is whole is mapped onto itself by every candidate, and only the rows
-of the other classes check each flip on its own.  On the lattice shells the
-rows with no zero entry are the all-+-1 vectors, whose minus sets are the
-codewords, so every class is whole and the group is the 2^16 codeword flips
-with 1117 orbits, one per magnitude class.  On any other shell the group is
-whatever verifies, down to {+-1} or the trivial group, and the passes stay
-exact.
+distance distribution.  Negation maps every Shell onto itself and is
+always kept, so the first half of the rows, with half of every orbit,
+suffices; the other candidates are the minus patterns of its rows with no
+zero entry.  Each row's minus signs are one uint32 word, and a flip XORs
+the words of a magnitude class (the rows with the same |x|) with one mask,
+its bits on the class's support.  So a flip maps the shell onto itself
+exactly when it maps every class onto itself, and the orbits of the kept
+flips are the cosets of their masks' span within each class.  The words
+are reduced once by an echelon basis of all the candidates' masks and
+counted: a class in which every coset is whole is mapped onto itself by
+every candidate, and only the rows of the other classes check each flip on
+its own.  On the lattice shells the rows with no zero entry are the
+all-+-1 vectors, whose minus sets are the codewords, so every class is
+whole and the group is the 2^16 codeword flips with 1117 orbits, one per
+magnitude class.  On any other shell the group is whatever verifies, down
+to {+-1}, and the passes stay exact.
 
 Each pair of orbits is counted once, from the smaller orbit's rows: for
 orbits O_i and O_j, n_i N(i->j, d) = n_j N(j->i, d), where N(i->j, d) counts
 the points of O_j at dot d from a point of O_i.  The lattice shells have
 496 orbits of 4 points, 620 of 128 and one of 65536, so the pass counts
-about 12.9M kernel keys and 1.3M dots of smaller orbits, against 41.1M keys
-for each column against every row.  The dots of smaller orbits keep their
-own loop, _orbit_dot_counts: the pair kernel's 65 x 65 key has no room for
-the row's orbit, and one kernel keyed by orbit offset for both passes
-measured slower on rm2_5 (2-core host: 0.096 -> 0.134 s on the orbit-class
-stage, 0.170 -> 0.375 s on a 1000-column sample).
+about 12.9M kernel keys and 0.66M dots of smaller orbits (of the first
+half of their rows), against 41.1M keys for each column against every row.
+The dots of smaller orbits keep their own loop, _orbit_dot_counts: the pair
+kernel's 65 x 65 key has no room for the row's orbit, and one kernel keyed
+by orbit offset for both passes measured slower on rm2_5 (2-core host:
+0.096 -> 0.134 s on the orbit-class stage, 0.170 -> 0.375 s on a
+1000-column sample).
 """
 
 from __future__ import annotations
@@ -86,14 +88,14 @@ QuadratureVerdict = namedtuple("QuadratureVerdict", "holds lhs rhs warning",
 
 
 def _column_counts(shell: Shell, cols: np.ndarray, rows=None) -> np.ndarray:
-    """(65, len(cols)) counts of each dot value s_x.s_c over the counted rows
-    x, all of the shell's rows or those at the ascending indices rows, one
-    column per index c in cols; bin 64 holds the self pair.  Columns go in
-    pairs (a, b), an odd count padded with its last, and each pair's joint
-    table gives column a as its sums over d_b and column b as its sums over
-    d_a."""
+    """(65, len(cols)) int32 counts of each dot value s_x.s_c over the
+    counted rows x, all of the shell's rows or those at the ascending
+    indices rows, one column per index c in cols; bin 64 holds the self
+    pair.  Columns go in pairs (a, b), an odd count padded with its last,
+    and each pair's joint table gives column a as its sums over d_b and
+    column b as its sums over d_a."""
     pairs = np.append(cols, cols[-1:]) if len(cols) % 2 else cols
-    table = np.empty((_BINS, len(pairs)), dtype=np.int64)
+    table = np.empty((_BINS, len(pairs)), dtype=np.int32)  # a count is at most N
     for k, joint in enumerate(_joint_tables(shell, pairs[0::2], pairs[1::2], rows)):
         joint.sum(axis=0, out=table[:, 2 * k])  # column a
         joint.sum(axis=1, out=table[:, 2 * k + 1])  # column b
@@ -140,16 +142,16 @@ def _candidate_flips(words: np.ndarray, dim: int) -> list:
     return basis + [ones] if neg else basis
 
 
-def _cosets(words: np.ndarray, masks: list, class_sizes: np.ndarray):
+def _cosets(words: np.ndarray, flips: list, support: np.ndarray, class_sizes: np.ndarray):
     """(argsort of the rows' keys, start of each coset in it, coset sizes,
-    whether each class is a union of whole cosets) for rows in class order
-    and per-class masks.  A row's key is its class above its word with the
-    pivot bits of a per-class echelon of the masks cleared, so the rows of
-    one coset of the masks' span, and only they, share a key.  A class is
-    whole when each of its keys occurs 2^rank times; the rows are distinct,
-    so no key occurs more often."""
+    whether each class is a union of whole cosets) for the first half's rows
+    in class order.  A row's key is its class above its word with the pivot
+    bits of a per-class echelon of the flips' masks and of negation's, the
+    support word, cleared: the rows of a coset of their span share a key.
+    Negation pairs each row of a class in the first half with one in the
+    second, so a class is whole when each key occurs 2^(rank - 1) times."""
     words = words.copy()
-    masks = [mask.copy() for mask in masks]
+    masks = [np.uint32(flip) & support for flip in flips] + [support.copy()]
     rank = np.zeros(len(class_sizes), dtype=np.int64)
     for i, mask in enumerate(masks):
         # the earlier pivots are already cleared from this mask, and this
@@ -168,7 +170,7 @@ def _cosets(words: np.ndarray, masks: list, class_sizes: np.ndarray):
     sizes = np.diff(np.append(starts, len(keys)))
     cls = keys[perm[starts]] >> 32
     whole = np.ones(len(class_sizes), dtype=bool)
-    whole[cls[sizes != 1 << rank[cls]]] = False
+    whole[cls[sizes != 1 << (rank[cls] - 1)]] = False
     return perm, starts, sizes, whole
 
 
@@ -189,63 +191,56 @@ def _run_starts(order: np.ndarray, keys) -> np.ndarray:
 def _orbit_pass(shell: Shell):
     """The exact pair pass over a Shell: (representatives, orbit sizes,
     (65, reps) column table, group order).  Each orbit of the verified flip
-    group is represented by its smallest index, and every point's
-    distribution is its representative's column."""
-    reps, sizes, labels, group_order = _orbits(shell.vectors)
-    return reps, sizes, _orbit_pair_counts(shell, reps, sizes, labels), group_order
-
-
-def _orbit_pair_counts(shell: Shell, reps, sizes, labels) -> np.ndarray:
-    """The (65, reps) table _column_counts(shell, reps) gives, with each pair
-    of orbits counted once, from the smaller orbit's rows.
-
-    For orbits O_i and O_j of sizes n_i and n_j, every point of O_i sees the
-    same N(i->j, d) points of O_j at dot d, so counting the pairs of
-    O_i x O_j at dot d both ways gives n_i N(i->j, d) = n_j N(j->i, d).  The
-    orbits are taken by size, smallest first.  Each size class's columns
-    count the rows of the orbits no larger than it directly; for each
-    smaller orbit O_i, the class's dots with its rows, times the class size,
-    add up to n_i N(i->j, d) over the class's orbits O_j, and are divided
-    by n_i at the end.  Flips commute with negation, so the kernel's index
-    sets, the rows of the orbits no larger than a size, hold their mirrors."""
+    group is represented by its smallest index, whose column is every
+    point's distribution.  For orbits O_i and O_j of sizes n_i and n_j,
+    every point of O_i sees the same N(i->j, d) points of O_j at dot d, so
+    n_i N(i->j, d) = n_j N(j->i, d).  Taken by size, smallest first, each
+    size class's columns count the rows of the orbits no larger directly;
+    for each smaller orbit O_i, the class's dots with its rows, times the
+    class size, add up to n_i N(i->j, d) over the class's orbits O_j, and
+    are divided by n_i.  Orbits hold their rows' mirrors, -x at N - 1 - k."""
+    reps, sizes, ranks, group_order = _orbits(shell.vectors)  # labels, for now
+    if not np.array_equal(ranks, ranks[::-1]):  # row N - 1 - k is -(row k)
+        raise RuntimeError("counted rows are not closed under negation")
     by_size = np.argsort(sizes, kind="stable")
     ordered = sizes[by_size]
-    rank = np.empty(len(reps), dtype=np.int32)
-    rank[by_size] = np.arange(len(reps), dtype=np.int32)
-    ranks = rank[labels]  # per row, its orbit's place by size
+    rank = np.argsort(by_size).astype(np.int32)  # each orbit's place by size
+    ranks = rank[ranks[: shell.count // 2]]  # of each row of the first half
     starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    table = np.empty((_BINS, len(reps)), dtype=np.int64)
-    scaled = np.zeros((starts[-1], _BINS), dtype=np.int64)  # n_i N(i->j, d), by rank
+    table = np.empty((_BINS, len(reps)), dtype=np.int32)  # columns by rank
     for lo, hi in zip(starts, [*starts[1:], len(reps)]):
         cols = reps[by_size[lo:hi]]
-        # the largest orbits count every row, through the contiguous path
-        rows = None if hi == len(reps) else np.flatnonzero(ranks < hi).astype(np.int32)
-        table[:, by_size[lo:hi]] = _column_counts(shell, cols, rows)
-        if lo:
-            scaled[:lo] += ordered[lo] * _orbit_dot_counts(shell.vectors, cols, ranks, lo)
-    counts, remainder = np.divmod(scaled, ordered[: len(scaled), None])
-    if remainder.any():
-        raise RuntimeError("orbit pair counts are not multiples of the orbit sizes")
-    table[:, by_size[: len(scaled)]] += counts.T
-    return table
+        rows = None  # the largest orbits count every row, through the contiguous path
+        if hi < len(reps):  # the rows of the orbits no larger, with their mirrors
+            rows = np.flatnonzero(ranks < hi).astype(np.int32)
+            rows = np.concatenate((rows, shell.count - 1 - rows[::-1]))
+        table[:, lo:hi] = _column_counts(shell, cols, rows)
+        if lo:  # n_i N(i->j, d) summed over the class, by rank i
+            scaled = ordered[lo] * _orbit_dot_counts(shell.vectors, cols, ranks, lo)
+            if (scaled % ordered[:lo, None]).any():
+                raise RuntimeError("orbit pair counts are not multiples of the orbit sizes")
+            scaled //= ordered[:lo, None]
+            table[:, :lo] += scaled.T
+    return reps, sizes, table[:, rank], group_order
 
 
 def _orbit_dot_counts(V: np.ndarray, cols, ranks, lo: int) -> np.ndarray:
     """(lo, 65) counts, over the columns c and the rows x whose rank is
-    below lo, of the dot values s_x.s_c, by the row's rank.  The rows are
-    gathered in blocks of at most 8192 rows and 2^17 dots, and each block's
-    product is made in chunks of at most 2^18 multiply-adds (_products), so
-    that OpenBLAS makes it on the calling thread."""
+    below lo, of the dot values s_x.s_c, by the row's rank, given the ranks
+    of the first half of the rows: row -x, at len(V) - 1 - k, shares the
+    rank of x at k.  The rows are gathered in blocks of at most 2048 rows
+    and 2^15 dots, and each block's product in chunks of at most 2^18
+    multiply-adds (_products), which OpenBLAS runs on the calling thread."""
     rows = np.flatnonzero(ranks < lo).astype(np.int32)
     C = V[cols].T.astype(np.float32)
-    out = np.zeros(lo * _BINS, dtype=np.int64)
-    step = max(1, min(8192, 2**17 // len(cols)))
+    out = np.zeros((lo, _BINS), dtype=np.int64)
+    step = max(1, min(2048, 2**15 // len(cols)))
     for r0 in range(0, len(rows), step):
         part = rows[r0 : r0 + step]
         keys = _products(V[part].astype(np.float32), C).astype(np.int32)  # exact dots
         keys += (ranks[part] * _BINS + SHELL_NORM)[:, None]
-        out += np.bincount(keys.ravel(), minlength=len(out))
-    return out.reshape(lo, _BINS)
+        out += np.bincount(keys.ravel(), minlength=out.size).reshape(out.shape)
+    return out + out[:, ::-1]  # row -x has the dots -d
 
 
 def _orbits(vectors: np.ndarray):
@@ -253,48 +248,53 @@ def _orbits(vectors: np.ndarray):
     order) of the verified flip group; label k is the orbit of the k-th
     representative, its smallest row index.
 
-    The rows are sorted by magnitude class, and each row's minus signs are
-    one uint32 word (_sign_words; only that packing depends on dim), so a
-    flip's mask on a class is flip & the class's support word.  Every row's
-    word is reduced by the per-class echelon of all candidate masks and the
-    keys are counted once (_cosets): a class that is a union of whole cosets
-    is mapped onto itself by every candidate.  If some class is not, a flip
-    is kept when each such class is a union of cosets of that flip's mask
-    alone, and the words are reduced again by the kept masks."""
+    Negation maps every Shell onto itself and is always kept, so row
+    n - 1 - k, -(row k), shares row k's orbit: only the first half of the
+    rows, with half of each orbit and its smallest index, is sorted by
+    magnitude class.  A row's minus signs are one uint32 word (_sign_words),
+    and a flip's mask on a class is flip & the class's support word.  The
+    words are reduced by the per-class echelon of all candidate masks and
+    negation and counted once (_cosets): a class made of whole cosets is
+    mapped onto itself by every candidate.  Else a flip is kept when each
+    other class is made of cosets of its mask and negation."""
     n, dim = vectors.shape
-    mags = np.empty((-(-dim // 16), n), dtype=np.uint64)  # one row per key word
-    words = np.empty(n, dtype=np.uint32)
-    for r0 in range(0, n, 8192):  # no full-size |vectors| or sign bits
-        block = vectors[r0 : r0 + 8192]
+    half = vectors[: n // 2]
+    mags = np.empty((-(-dim // 16), len(half)), dtype=np.uint64)  # one row per key word
+    words = np.empty(len(half), dtype=np.uint32)
+    for r0 in range(0, len(half), 8192):  # no full-size |vectors| or sign bits
+        block = half[r0 : r0 + 8192]
         mags[:, r0 : r0 + 8192] = _row_keys(np.abs(block)).T
         words[r0 : r0 + 8192] = _sign_words(block, block < 0)
     order = np.lexsort(mags[::-1]).astype(np.int32)
     heads = _run_starts(order, mags)
     del mags
-    class_sizes = np.diff(np.append(heads, n))
-    lead = vectors[order[heads]]  # one row per class
-    full = np.zeros(n, dtype=bool)  # the rows with no zero entry
+    class_sizes = np.diff(np.append(heads, len(half)))
+    lead = half[order[heads]]  # one row per class
+    full = np.zeros(len(half), dtype=bool)  # the rows with no zero entry
     full[order] = np.repeat(lead.all(axis=1), class_sizes)
     support = _sign_words(lead, lead != 0)
-    masks = [np.uint32(flip) & support for flip in _candidate_flips(words[full], dim)]
+    flips = _candidate_flips(words[full], dim)
     words = words[order]  # class order from here on
 
-    perm, starts, sizes, whole = _cosets(words, masks, class_sizes)
-    kept = masks
+    perm, starts, sizes, whole = _cosets(words, flips, support, class_sizes)
+    kept = flips
     if not whole.all():
         bad = ~whole
         own = words[np.repeat(bad, class_sizes)]
-        kept = [mask for mask in masks
-                if _cosets(own, [mask[bad]], class_sizes[bad])[3].all()]
-        perm, starts, sizes, _ = _cosets(words, kept, class_sizes)
+        kept = [flip for flip in flips
+                if _cosets(own, [flip], support[bad], class_sizes[bad])[3].all()]
+        perm, starts, sizes, _ = _cosets(words, kept, support, class_sizes)
     rows = order[perm]  # row index per key-sorted place
+    del order, perm, words  # freed before the full-size labels
     reps = np.minimum.reduceat(rows, starts)
     by_index = np.argsort(reps)
-    label = np.empty(len(reps), dtype=np.int32)
-    label[by_index] = np.arange(len(reps), dtype=np.int32)
+    label = np.argsort(by_index).astype(np.int32)  # each coset's place by index
     labels = np.empty(n, dtype=np.int32)
     labels[rows] = np.repeat(label, sizes)
-    return reps[by_index], sizes[by_index], labels, 2 ** len(kept)
+    labels[len(half) :] = labels[: len(half)][::-1]  # the mirrors
+    # the group's basis: the kept flips, and negation if outside their span
+    group = 2 ** len(_candidate_flips(np.array(kept, dtype=np.uint32), dim))
+    return reps[by_index], 2 * sizes[by_index], labels, group
 
 
 def histogram(shell: Shell) -> InnerProductHistogram:

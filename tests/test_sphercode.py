@@ -420,21 +420,24 @@ def _flips_of(V):
 
 
 def _brute_force_orbits(shell):
-    """(representatives, orbit sizes, group order) for the candidate flips
-    that map the row set onto itself, by closing Python row sets."""
+    """(representatives, orbit sizes, group order) for negation and the
+    candidate flips of the first half's rows that map the row set onto
+    itself, by closing Python row sets."""
     rows = [tuple(r) for r in shell.vectors.tolist()]
-    kept = [f for f in _brute_force_flips(rows, shell.dim)
-            if {_flip(r, f) for r in rows} == set(rows)]
+    ones = (1 << shell.dim) - 1
+    kept = [ones] + [f for f in _brute_force_flips(rows[: len(rows) // 2], shell.dim)
+                     if {_flip(r, f) for r in rows} == set(rows)]
+    span = {0}
+    for f in kept:
+        span |= {g ^ f for g in span}
     reps, sizes, seen = [], [], set()
     for i, row in enumerate(rows):
         if row not in seen:
-            orbit = {row}
-            for f in kept:  # the flips commute: one pass per generator
-                orbit |= {_flip(r, f) for r in orbit}
+            orbit = {_flip(row, g) for g in span}
             seen |= orbit
             reps.append(i)
             sizes.append(len(orbit))
-    return reps, sizes, 2 ** len(kept)
+    return reps, sizes, len(span)
 
 
 # 32 entries +-1 on coordinates 8..39 and two +-4 on 38, 39: minus signs
@@ -443,9 +446,10 @@ _WIDE_ROWS = [
     [0] * 8 + [1 - 2 * ((m >> k) & 1) for k in range(32)] for m in (0, 5, ~0, ~5)
 ] + [[0] * 38 + [4 * a, 4 * b] for a in (1, -1) for b in (1, -1)]
 
-# closed under negation, yet no candidate flip maps it onto itself: the
-# candidates are the minus sets of the two +-2 rows, whose product is
-# negation, and each moves (4,0,0,0,4,0,0,0): the group is trivial
+# no candidate flip maps it onto itself: the candidates are the minus sets
+# of the two +-2 rows, whose product is negation, and each moves
+# (4,0,0,0,4,0,0,0).  Negation alone is kept: group order 2 and the two
+# orbits {x, -x}
 _NO_FLIP_ROWS = [[-2] * 4 + [2] * 4, [2] * 4 + [-2] * 4, [4, 0, 0, 0, 4, 0, 0, 0],
                  [-4, 0, 0, 0, -4, 0, 0, 0]]
 
@@ -518,6 +522,18 @@ def test_orbits_match_brute_force_on_shells_missing_points(shell):
     assert np.array_equal(labels[reps], np.arange(len(reps)))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(flip_closed_shells(), flip_closed_shells(drop=True),
+                 flip_closed_shells(dims=(33, 40))))
+def test_orbits_pair_each_row_with_its_mirror(shell):
+    # negation is always kept: row N - 1 - k, -(row k), shares row k's orbit,
+    # and each orbit's smallest index lies in the first half
+    n = shell.count
+    reps, sizes, labels, order = sphercode._orbits(shell.vectors)
+    assert np.array_equal(labels, labels[::-1])
+    assert (reps < n // 2).all() and (sizes % 2 == 0).all() and order % 2 == 0
+
+
 def test_orbits_on_rm_shell_missing_a_pair_of_a_128_orbit(rm_shell):
     # x and -x leave the class of a 128-orbit, which is then no union of
     # cosets of the 2^16 code flips: only that class's rows check each flip
@@ -587,8 +603,9 @@ def test_column_counts_of_paired_columns(case, cols):
 def test_column_counts_match_brute_force_across_blocks(rm_shell, products, gathered, chunk):
     # 121 columns: 61 pairs, a block of 32 and a partial one of 29; the
     # counted rows (the first half, 73440 rows, or 73439 of an index set
-    # without rows 5000 and N - 5001) go in segments of 2^14 rows, the last
-    # one partial, each filled 2048 rows at a time, and the last segment's
+    # without rows 5000 and N - 5001) go in segments of 2^14 rows (2^13
+    # gathered), the last one partial, each filled 2048 rows at a time, and
+    # the last segment's
     # last row block (1760 rows, 1759 gathered) is partial too; rows 0 and
     # N - 1 among the columns.  A product at 29 pairs takes
     # 2^18 // (29 * 32) = 282 of a row block's rows, so that partial row
@@ -656,9 +673,11 @@ def test_pair_kernel_counts_half_the_counted_rows(rm_shell, products):
 
 
 def test_orbit_dot_counts_match_brute_force_across_chunks(rm_shell, products):
-    # the 620 columns of the orbits of 128 against the 1984 rows of the
-    # orbits of 4, in blocks of 2^17 // 620 = 211 rows: a product takes
-    # 2^18 // (211 * 32) = 38 columns, so each block ends with a chunk of 12
+    # the 620 columns of the orbits of 128 against the 992 rows of the
+    # orbits of 4 in the first half, in blocks of 2^15 // 620 = 52 rows: a
+    # product takes 2^18 // (52 * 32) = 157 columns, so each block ends with
+    # a chunk of 149, and the last block of 992 - 19 * 52 = 4 rows takes all
+    # 620
     V = rm_shell.result.vectors
     reps, sizes, labels, _ = _orbits(V)
     by_size = np.argsort(sizes, kind="stable")
@@ -667,13 +686,13 @@ def test_orbit_dot_counts_match_brute_force_across_chunks(rm_shell, products):
     rank[by_size] = np.arange(len(reps))
     ranks = rank[labels]
     cols = reps[by_size[496:1116]]
-    counts = _orbit_dot_counts(V, cols, ranks, 496)
+    counts = _orbit_dot_counts(V, cols, ranks[: N // 2], 496)
     rows = np.flatnonzero(ranks < 496)
     dots = V[rows].astype(np.int64) @ V[cols].astype(np.int64).T + 32
     brute = np.zeros((496, 65), dtype=np.int64)
     np.add.at(brute, (np.repeat(ranks[rows], len(cols)), dots.ravel()), 1)
     assert np.array_equal(counts, brute)
-    assert (211, 32, 12) in products
+    assert {(52, 32, 149), (4, 32, 620)} <= set(products)
 
 
 @pytest.mark.parametrize("m, n, chunks", [
@@ -820,20 +839,39 @@ def _peak_over_rows(shell, fn):
     return peak / shell.vectors.nbytes
 
 
+def test_orbits_peak_memory(rm_shell):
+    # only the first half of the rows is sorted and reduced: its magnitude
+    # keys and coset keys (0.25x each) and their sort, 0.50x the int8 rows
+    # on rm2_5, where the whole shell's took 1.00x
+    V = rm_shell.result.vectors
+    assert _peak_over_rows(rm_shell.result, lambda: _orbits(V)) <= 0.55
+
+
 def test_full_pass_peak_memory(rm_shell):
-    # no full-size copy of the magnitude keys, the coset keys or their
-    # differences, and the kernel holds 2^19 uint16 keys (0.22x) and one
-    # 2048-row float32 product at a time: 1.29x the int8 rows on rm2_5,
+    # the first half's orbit ranks, the int32 table, and an index set's
+    # kernel with 2^18 uint16 keys (0.11x), 2113 int32 bins a pair and one
+    # 2048-row float32 block and product: 0.55x the int8 rows on rm2_5,
     # where a float32 copy of the whole shell alone would be 4x
     shell = rm_shell.result
-    assert _peak_over_rows(shell, lambda: check_distance_invariance(shell, ALL)) <= 1.5
+    assert _peak_over_rows(shell, lambda: check_distance_invariance(shell, ALL)) <= 0.61
 
 
 def test_pair_kernel_peak_memory(rm_shell):
-    # 32 pairs at a time: 2^19 uint16 keys (0.22x), their int32 tables and
-    # one 2048-row float32 product, 0.63x the int8 rows on rm2_5
+    # 32 pairs at a time: 2^19 uint16 keys (0.22x), their 2113 int32 bins
+    # and one 2048-row float32 block and product, 0.43x the int8 rows on
+    # rm2_5
     shell = rm_shell.result
-    assert _peak_over_rows(shell, lambda: venkov_sample(shell, 100, 1)) <= 0.85
+    assert _peak_over_rows(shell, lambda: venkov_sample(shell, 100, 1)) <= 0.48
+
+
+def test_verify_full_peak_memory(rm_shell, tmp_path):
+    # the whole in-process verify --full: the load, then the full pass
+    # beside the loaded rows, 1.56x the int8 rows on rm2_5
+    shell = rm_shell.result
+    path = tmp_path / "rm.shell"
+    save_shell(shell, path)
+    assert _peak_over_rows(
+        shell, lambda: run_cli("verify", "--shell", str(path), "--full")) <= 1.72
 
 
 def test_full_pass_on_shell_missing_an_antipodal_pair(rm_shell, rm_hist):
