@@ -9,6 +9,13 @@ the shell modules (and numpy) load only in the commands that build or read
 a shell, ``lpcert`` only in ``certify-max``, ``certify-design`` and
 ``selftest``, and mpmath (through ``energycert``) only for a transcendental
 potential.
+
+The CLI runs OpenBLAS on one thread, whatever the environment says: more
+threads only spin, for about 0.1 s of CPU from numpy's import on and then
+through the bincounts between the pair passes' small products, and only a
+setting made before numpy loads stops them.  The products are exact on any
+number of threads; code that imports the library modules keeps its own
+BLAS settings.
 """
 
 from __future__ import annotations
@@ -18,6 +25,9 @@ import errno
 import json
 import os
 import sys
+
+# before any command loads numpy (see the module docstring)
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 
 def _load_code(source: str):

@@ -34,12 +34,9 @@ the mirror of each of their indices.  The kernel takes 32 pairs at a time
 and counts their keys 2^14 counted rows at a time (2^13 of an index set,
 beside the orbit pass's data), so it keeps one uint16 block of at most
 2^19 keys; it fills it 2048 counted rows at a time, each converted from
-int8 (gathered, for an index set) to float32 just before its product.
-Every float32 product of the pair passes is made of 2-d products of at
-most 2^18 multiply-adds (_products), which OpenBLAS runs on the calling
-thread: a 32 x 32 x 8192 product woke its other threads, and they spun
-through the bincounts between products, using a core for no work or, at
-times, slowing the pass several-fold.
+int8 (gathered, for an index set) to float32 just before its product, one
+np.matmul of 32 pairs by 2048 rows.  The blocks bound memory; the CLI runs
+OpenBLAS on one thread (see ``cli``).
 
 A Shell's checks, and the parity check of load_shell, run on 8192 rows at a
 time and make no full-size temporary; only rows out of order need the
@@ -61,7 +58,6 @@ from .gf2codes import BinaryCode, _codewords_by_weight, code_report
 SHELL_NORM = 32  # s.s for every shell vector (norm 4 at lattice scale)
 _BINS = 2 * SHELL_NORM + 1  # dot values -32..32, offset by 32
 _E22_BIN = SHELL_NORM + 16  # dot 16: lattice inner product 2
-_MACS = 2**18  # multiply-adds per float32 product (see _products)
 _BLOCK = 8192  # rows per block of the checks of a Shell's rows
 
 
@@ -310,9 +306,10 @@ def _joint_tables(shell: Shell, a, b, rows=None):
     # all rows: the counted half is a view of V
     counted = V[: len(V) // 2] if rows is None else rows[: len(rows) // 2]
     P = V[a] + _BINS * V[b].astype(np.float32)
-    # 32 pairs per block, so a product is at most 32 x 2048 float32; their
-    # uint16 keys in [0, 2112] are counted into int32 tables, zeroed for each
-    # block (no count exceeds the number of counted rows)
+    # 32 pairs per block, so a product, one np.matmul, is at most 32 x 2048
+    # float32: the blocks bound memory.  Their uint16 keys in [0, 2112] are
+    # counted into int32 tables, zeroed for each block (no count exceeds the
+    # number of counted rows)
     step = 2**14 if rows is None else 2**13
     keys = np.empty((min(32, len(P)), min(step, len(counted))), dtype=np.uint16)
     joint = np.empty((len(keys), _BINS**2 // 2 + 1), dtype=np.int32)
@@ -327,37 +324,14 @@ def _joint_tables(shell: Shell, a, b, rows=None):
             seg = counted[s0 : s0 + step]
             for r0 in range(0, len(seg), 2048):  # float32 of 2048 rows at a time
                 part = seg[r0 : r0 + 2048]
-                np.copyto(rows32[:, : len(part)], (part if rows is None else V[part]).T)
-                d = _products(block, rows32[:, : len(part)], dots[: len(block), : len(part)])
-                np.absolute(d, out=keys[: len(block), r0 : r0 + len(part)], casting="unsafe")
+                n = len(part)
+                np.copyto(rows32[:, :n], (part if rows is None else V[part]).T)
+                d = np.matmul(block, rows32[:, :n], out=dots[: len(block), :n])
+                np.absolute(d, out=keys[: len(block), r0 : r0 + n], casting="unsafe")
             for j in range(len(block)):
                 joint[j] += np.bincount(keys[j, : len(seg)], minlength=joint.shape[1])
         for half in joint[: len(block)]:
             yield np.concatenate((half[:0:-1], 2 * half[:1], half[1:])).reshape(_BINS, _BINS)
-
-
-def _products(A: np.ndarray, B: np.ndarray, out=None) -> np.ndarray:
-    """The float32 product A @ B of 2-d float32 arrays, into out if given
-    (rows of contiguous entries), made of 2-d products of at most 2^18
-    multiply-adds each (M N K <= 2^18, given K <= 2^18): row chunks of A of
-    at most 2^18 // K rows, and column chunks of B as wide as the row chunk
-    allows, which OpenBLAS runs on the calling thread.  Per row chunk, one
-    np.matmul makes the products with all whole column chunks, as a stack
-    of views of B and of out, and one more the last, narrower chunk.  K is
-    never split, so every entry is one whole dot, whatever the chunks."""
-    (m, k), n = A.shape, B.shape[1]
-    out = np.empty((m, n), dtype=np.float32) if out is None else out
-    rows = max(1, min(m, _MACS // k))
-    cols = max(1, _MACS // (rows * k))
-    whole = n - n % cols  # the columns of the whole chunks
-    stack = B[:, :whole].reshape(k, -1, cols).swapaxes(0, 1)  # (chunk, k, cols)
-    for r0 in range(0, m, rows):
-        a, o = A[r0 : r0 + rows], out[r0 : r0 + rows]
-        if whole:  # splitting the column axis leaves a view of the output
-            np.matmul(a, stack, out=o[:, :whole].reshape(len(a), -1, cols).swapaxes(0, 1))
-        if whole < n:
-            np.matmul(a, B[:, whole:], out=o[:, whole:])
-    return out
 
 
 def witness_pair():

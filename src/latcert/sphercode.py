@@ -51,7 +51,7 @@ import numpy as np
 from .exactmath import Polynomial
 from .gegenbauer import (DistanceDistribution, InnerProductHistogram,
                          gegenbauer_expand, gegenbauer_poly)
-from .lattice32 import _BINS, SHELL_NORM, Shell, _joint_tables, _products, _row_keys
+from .lattice32 import _BINS, SHELL_NORM, Shell, _joint_tables, _row_keys
 
 ALL = "all"
 
@@ -229,15 +229,15 @@ def _orbit_dot_counts(V: np.ndarray, cols, ranks, lo: int) -> np.ndarray:
     below lo, of the dot values s_x.s_c, by the row's rank, given the ranks
     of the first half of the rows: row -x, at len(V) - 1 - k, shares the
     rank of x at k.  The rows are gathered in blocks of at most 2048 rows
-    and 2^15 dots, and each block's product in chunks of at most 2^18
-    multiply-adds (_products), which OpenBLAS runs on the calling thread."""
+    and 2^15 dots, each block's dots one float32 np.matmul, exact since
+    every partial sum is an integer of absolute value at most 32."""
     rows = np.flatnonzero(ranks < lo).astype(np.int32)
     C = V[cols].T.astype(np.float32)
     out = np.zeros((lo, _BINS), dtype=np.int64)
     step = max(1, min(2048, 2**15 // len(cols)))
     for r0 in range(0, len(rows), step):
         part = rows[r0 : r0 + step]
-        keys = _products(V[part].astype(np.float32), C).astype(np.int32)  # exact dots
+        keys = np.matmul(V[part].astype(np.float32), C).astype(np.int32)  # exact dots
         keys += (ranks[part] * _BINS + SHELL_NORM)[:, None]
         out += np.bincount(keys.ravel(), minlength=out.size).reshape(out.shape)
     return out + out[:, ::-1]  # row -x has the dots -d

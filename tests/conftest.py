@@ -7,10 +7,12 @@ from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from fractions import Fraction
 
+# first: importing the CLI sets OpenBLAS to one thread, which holds only if
+# numpy has not loaded yet, so the in-process tests run as the CLI does
+from latcert.cli import build_parser, main  # isort: skip
 import numpy as np
 import pytest
 
-from latcert.cli import build_parser, main
 from latcert.energycert import Potential
 from latcert.exactmath import Polynomial, rat
 from latcert.gf2codes import BinaryCode, extended_quadratic_residue_32, reed_muller_2_5

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from conftest import (PAIRS_4, bit_rows, cli_vocabulary, e8_power_code, e8_root_rows,
                       run_cli, save_generator_matrix)
@@ -77,11 +77,6 @@ def test_lp_commands_reject_a_degree_above_the_cap_before_expanding(tmp_path, co
     proc = run_process(command, "--poly", str(path), *extra, timeout=30)
     assert proc.returncode == 2
     assert proc.stderr == "error: degree 1000000 above the configured cap 64\n"
-
-
-def test_usage_errors_exit_two():
-    assert run_cli("no-such-command").returncode == 2
-    assert run_cli("--threads", "2", "selftest").returncode == 2  # flag removed
 
 
 def _unit_rows(k: int, n: int, support) -> list:
@@ -468,6 +463,8 @@ def test_the_contract_grammar_draws_every_subcommand_and_option():
 
 @settings(max_examples=200, deadline=None)
 @given(cli_argvs())
+@example(drawn=(["no-such-command"], None, True))
+@example(drawn=(["--threads", "2", "selftest"], None, True))  # the removed flag
 def test_cli_contract(contract_inputs, drawn):
     argv, fmt, usage_error = drawn
     for placeholder, path in contract_inputs.items():

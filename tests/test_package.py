@@ -1,6 +1,7 @@
 import argparse
 import ast
 import inspect
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -20,19 +21,6 @@ def test_no_assert_guards_in_package():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the package: {found}"
-
-
-def test_no_matmul_operator_in_the_pair_modules():
-    # every product of lattice32 and sphercode is an np.matmul call, so a
-    # spy on np.matmul sees them all (test_float32_products_stay_under_the_cap)
-    found = []
-    for name in ("lattice32.py", "sphercode.py"):
-        path = Path(latcert.__file__).parent / name
-        tree = ast.parse(path.read_text(), filename=str(path))
-        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, (ast.BinOp, ast.AugAssign))
-                  and isinstance(node.op, ast.MatMult)]
-    assert not found, f"@ products the np.matmul spy cannot see: {found}"
 
 
 def _callers(name: str) -> list:
@@ -125,24 +113,29 @@ def test_every_subcommand_flag_is_read_by_its_command():
     assert not unread, f"flags no command reads: {unread}"
 
 
-# runs one command through cli.main in a fresh interpreter, then names the
-# heavy modules it loaded on the last stderr line
+# runs one command through cli.main in a fresh interpreter, then gives on
+# the last stderr line its threads (0 without /proc/self/task) and the heavy
+# modules it loaded
 _WATCHED = {"numpy", "mpmath", "dataclasses", "inspect", "latcert.lpcert"}
 _LOADED = (
-    "import sys\n"
+    "import os, sys\n"
     "from latcert.cli import main\n"
     "try:\n"
     "    main(sys.argv[1:])\n"
     "finally:\n"
-    f"    print(*sorted({sorted(_WATCHED)} & sys.modules.keys()), file=sys.stderr)\n"
+    "    tasks = os.listdir('/proc/self/task') if os.path.isdir('/proc/self/task') else []\n"
+    f"    print(len(tasks), *sorted({sorted(_WATCHED)} & sys.modules.keys()), file=sys.stderr)\n"
 )
 
 
-def _loaded(*argv) -> set:
-    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv],
-                          capture_output=True, text=True)
+def _loaded(*argv) -> tuple:
+    """(threads, loaded modules) of the command, run with two OpenBLAS
+    threads asked for in its environment."""
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv], capture_output=True,
+                          text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": "2"})
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stderr.splitlines()[-1].split())
+    tasks, *loaded = proc.stderr.splitlines()[-1].split()
+    return int(tasks), set(loaded)
 
 
 @pytest.mark.parametrize("argv, absent", [
@@ -163,14 +156,14 @@ def test_certificate_commands_do_not_load_the_shell_layer(argv, absent):
     # nor mpmath for an exact potential, nor lpcert outside the LP commands,
     # nor dataclasses and inspect, which generated code for the records
     absent = absent | {"dataclasses", "inspect"}
-    loaded = _loaded(*argv)
+    _, loaded = _loaded(*argv)
     assert not loaded & absent, f"{argv[0]} loaded {sorted(loaded & absent)}"
 
 
 @pytest.mark.parametrize("spec", ["expt", "gauss:7/4", "riesz:3"])
 def test_transcendental_potentials_load_mpmath(spec):
     # the control: the exact potentials above run without it
-    assert "mpmath" in _loaded("energy", "--potential", spec)
+    assert "mpmath" in _loaded("energy", "--potential", spec)[1]
 
 
 def test_verify_loads_the_shell_layer(tmp_path):
@@ -181,5 +174,15 @@ def test_verify_loads_the_shell_layer(tmp_path):
     for argv in (["verify", "--shell", str(path), "--sample", "10"],
                  ["verify", "--shell", str(path), "--full"],
                  ["energy", "--shell", str(path), "--potential", "invlin"]):
-        loaded = _loaded(*argv)
+        _, loaded = _loaded(*argv)
         assert "numpy" in loaded and "latcert.lpcert" not in loaded, (argv, loaded)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+def test_the_cli_runs_openblas_on_one_thread(tmp_path):
+    # the environment asks for two threads, but the CLI sets one before numpy
+    # loads, so OpenBLAS starts no thread of its own
+    path = tmp_path / "small.shell"
+    save_shell(Shell([[4, 4, 0, 0], [-4, -4, 0, 0]]), path)
+    tasks, loaded = _loaded("verify", "--shell", str(path), "--full")
+    assert "numpy" in loaded and tasks == 1

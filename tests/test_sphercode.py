@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 import subprocess
 import sys
@@ -16,8 +15,7 @@ from golden_corpus import BENT
 from latcert.exactmath import Polynomial
 from latcert.gegenbauer import distribution_from_design, gegenbauer_expand, gegenbauer_poly
 from latcert import sphercode
-from latcert.lattice32 import (Shell, _joint_tables, _products, load_shell, save_shell,
-                               venkov_sample)
+from latcert.lattice32 import Shell, _joint_tables, load_shell, save_shell, venkov_sample
 from latcert.sphercode import (
     ALL,
     DistanceDistribution,
@@ -54,15 +52,13 @@ SUPPORT = {Fraction(-1), -H, -Q, Fraction(0), Q, H}
 
 @pytest.fixture
 def products(monkeypatch):
-    """(M, K, N) of every 2-d product of every np.matmul call: one for each
-    matrix of a stack, a 1-d operand counting as one row or one column."""
+    """(M, K, N) of every np.matmul call of 2-d operands (M, K) and (K, N)."""
     sizes = []
     matmul = np.matmul
 
     def spy(a, b, **kwargs):
-        stack = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-        sizes.extend([(a.shape[-2] if a.ndim >= 2 else 1, a.shape[-1],
-                       b.shape[-1] if b.ndim >= 2 else 1)] * math.prod(stack))
+        (m, k), n = a.shape, b.shape[1]
+        sizes.append((m, k, n))
         return matmul(a, b, **kwargs)
 
     monkeypatch.setattr(np, "matmul", spy)
@@ -598,25 +594,22 @@ def test_column_counts_of_paired_columns(case, cols):
     assert np.array_equal(table, _brute_force_columns(V, cols, rows))
 
 
-@pytest.mark.parametrize("gathered, chunk", [(False, (29, 32, 68)), (True, (29, 32, 67))],
+@pytest.mark.parametrize("gathered, block", [(False, (29, 32, 1760)), (True, (29, 32, 1759))],
                          ids=["folded", "gathered"])
-def test_column_counts_match_brute_force_across_blocks(rm_shell, products, gathered, chunk):
+def test_column_counts_match_brute_force_across_blocks(rm_shell, products, gathered, block):
     # 121 columns: 61 pairs, a block of 32 and a partial one of 29; the
     # counted rows (the first half, 73440 rows, or 73439 of an index set
     # without rows 5000 and N - 5001) go in segments of 2^14 rows (2^13
     # gathered), the last one partial, each filled 2048 rows at a time, and
-    # the last segment's
-    # last row block (1760 rows, 1759 gathered) is partial too; rows 0 and
-    # N - 1 among the columns.  A product at 29 pairs takes
-    # 2^18 // (29 * 32) = 282 of a row block's rows, so that partial row
-    # block ends with a chunk of 68 (67) rows
+    # the last segment's last row block (1760 rows, 1759 gathered) is
+    # partial too; rows 0 and N - 1 among the columns
     shell = rm_shell.result
     rows = _mirrored(N, np.delete(np.arange(N // 2), 5000)) if gathered else None
     rng = np.random.default_rng(17)
     cols = np.r_[0, N - 1, rng.choice(np.arange(1, N - 1), 119, replace=False)]
     table = _column_counts(shell, cols, rows)
     assert np.array_equal(table, _brute_force_columns(shell.vectors, cols, rows))
-    assert chunk in products
+    assert block in products
 
 
 @settings(max_examples=200, deadline=None)
@@ -674,10 +667,8 @@ def test_pair_kernel_counts_half_the_counted_rows(rm_shell, products):
 
 def test_orbit_dot_counts_match_brute_force_across_chunks(rm_shell, products):
     # the 620 columns of the orbits of 128 against the 992 rows of the
-    # orbits of 4 in the first half, in blocks of 2^15 // 620 = 52 rows: a
-    # product takes 2^18 // (52 * 32) = 157 columns, so each block ends with
-    # a chunk of 149, and the last block of 992 - 19 * 52 = 4 rows takes all
-    # 620
+    # orbits of 4 in the first half, in blocks of 2^15 // 620 = 52 rows, the
+    # last one of 992 - 19 * 52 = 4 rows
     V = rm_shell.result.vectors
     reps, sizes, labels, _ = _orbits(V)
     by_size = np.argsort(sizes, kind="stable")
@@ -692,35 +683,7 @@ def test_orbit_dot_counts_match_brute_force_across_chunks(rm_shell, products):
     brute = np.zeros((496, 65), dtype=np.int64)
     np.add.at(brute, (np.repeat(ranks[rows], len(cols)), dots.ravel()), 1)
     assert np.array_equal(counts, brute)
-    assert {(52, 32, 149), (4, 32, 620)} <= set(products)
-
-
-@pytest.mark.parametrize("m, n, chunks", [
-    (70, 1000, [(70, 32, 117)] * 8 + [(70, 32, 64)]),  # 2^18 // (70 * 32) = 117 columns
-    (9000, 3, [(8192, 32, 1)] * 3 + [(808, 32, 1)] * 3),  # 2^18 // 32 = 8192 rows
-    (32, 2048, [(32, 32, 256)] * 8),  # whole chunks only
-])
-def test_products_make_each_chunk_once(products, m, n, chunks):
-    # one stacked np.matmul per row chunk for its whole column chunks, one
-    # more for a narrower last chunk; the spy sees each 2-d product
-    rng = np.random.default_rng(m)
-    A = rng.integers(-300, 301, (m, 32)).astype(np.float32)
-    B = rng.integers(-5, 6, (n, 32)).T.astype(np.float32)  # as the kernels make it
-    out = _products(A, B)
-    assert np.array_equal(out, A.astype(np.int64) @ B.astype(np.int64))
-    assert sorted(products) == sorted(chunks)
-
-
-def test_float32_products_stay_under_the_cap(rm_shell, products):
-    # OpenBLAS runs a product of at most 2^18 multiply-adds on the calling
-    # thread, so no pass wakes its other threads
-    shell = rm_shell.result
-    for run in (lambda: check_distance_invariance(shell, ALL),
-                lambda: check_distance_invariance(shell, 1000),
-                lambda: venkov_sample(shell, 100, 1)):
-        products.clear()
-        run()
-        assert products and max(m * k * n for m, k, n in products) <= 2**18
+    assert set(products) == {(52, 32, 620), (4, 32, 620)}
 
 
 def test_orbit_pair_counts_match_the_one_sided_table(rm_shell):
