@@ -46,8 +46,9 @@ def _mask_of_row(row) -> int:
 
 
 def gf2_rank(masks: list) -> tuple:
-    """Row rank over GF(2), plus (for each dependent row) the set of earlier
-    row indices whose XOR reproduces it."""
+    """Row rank over GF(2), plus, for each dependent row, the sorted indices
+    of it and the earlier rows whose XOR is zero: together a basis of the
+    row combinations that vanish."""
     pivots = {}  # pivot bit -> (reduced mask, combo bitmask over original rows)
     dependencies = []
     for idx, mask in enumerate(masks):

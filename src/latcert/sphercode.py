@@ -11,22 +11,21 @@ marginals; it counts half of the rows, as a Shell is closed under negation.
 The exact passes (the histogram and the full invariance check) need only one
 column per orbit of a group of coordinate sign flips that maps the shell onto
 itself: a flip is an isometry, so every point of an orbit sees the same
-distance distribution.  Negation maps every Shell onto itself and is
-always kept, so the first half of the rows, with half of every orbit,
-suffices; the other candidates are the minus patterns of its rows with no
-zero entry.  Each row's minus signs are one uint32 word, and a flip XORs
-the words of a magnitude class (the rows with the same |x|) with one mask,
-its bits on the class's support.  So a flip maps the shell onto itself
-exactly when it maps every class onto itself, and the orbits of the kept
-flips are the cosets of their masks' span within each class.  The words
-are reduced once by an echelon basis of all the candidates' masks and
-counted: a class in which every coset is whole is mapped onto itself by
-every candidate, and only the rows of the other classes check each flip on
-its own.  On the lattice shells the rows with no zero entry are the
-all-+-1 vectors, whose minus sets are the codewords, so every class is
-whole and the group is the 2^16 codeword flips with 1117 orbits, one per
-magnitude class.  On any other shell the group is whatever verifies, down
-to {+-1}, and the passes stay exact.
+distance distribution.  Each row's minus signs are one word, bit k for
+coordinate k, and a flip f XORs the words of a magnitude class c (the rows
+with the same |x|, support word S_c) with f & S_c.  So f maps the shell onto
+itself exactly when it maps every class onto itself.  One rule gives the
+group: a class whose words X_c form a whole coset of D_c, the span of their
+differences and S_c, allows f & S_c in D_c, and any other class allows only
+{0, S_c}, that is identity or negation on it.  The group is the flips that
+every class allows, one GF(2) kernel.  It always holds negation, and it is
+the whole stabilizer whenever every class is such a coset, as on the
+lattice shells: there the group is the 2^16 codeword flips with 1117
+orbits, one per class.  Its two limits: a class that is no coset loses the
+flips that permute it within D_c, and above dim 64, where a word would
+need more than 64 bits, the group is negation alone.  The orbits are the
+cosets of the group's masks within each class, and the passes stay exact
+on every shell.
 
 Each pair of orbits is counted once, from the smaller orbit's rows: for
 orbits O_i and O_j, n_i N(i->j, d) = n_j N(j->i, d), where N(i->j, d) counts
@@ -49,11 +48,13 @@ from fractions import Fraction
 import numpy as np
 
 from .exactmath import Polynomial
+from .gf2codes import gf2_rank
 from .gegenbauer import (DistanceDistribution, InnerProductHistogram,
                          gegenbauer_expand, gegenbauer_poly)
 from .lattice32 import _BINS, SHELL_NORM, Shell, _joint_tables, _row_keys
 
 ALL = "all"
+_CLASS_BLOCK = 4096  # magnitude classes per step of the flip group's solve: bounds its memory
 
 
 class MomentVector(namedtuple("MomentVector", "values")):
@@ -102,76 +103,91 @@ def _column_counts(shell: Shell, cols: np.ndarray, rows=None) -> np.ndarray:
     return table[:, : len(cols)]
 
 
-def _sign_words(rows: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """Per row, the set entries of the bool array bits (of rows' shape) as
-    one uint32.  At dim <= 32 bit k is coordinate k; above it, bit k is the
-    row's k-th nonzero coordinate, which fits as s.s = 32 allows at most 32
-    of them.  The rows of a magnitude class share their support, so within
-    a class either packing is one-to-one."""
-    if rows.shape[1] <= 32:
-        packed = np.zeros((len(rows), 4), dtype=np.uint8)
-        packed[:, : -(-rows.shape[1] // 8)] = np.packbits(bits, axis=1, bitorder="little")
-        return packed.view("<u4")[:, 0]
-    words = np.zeros(len(rows), dtype=np.uint32)
-    rank = np.zeros(len(rows), dtype=np.uint8)
-    for col, bit in zip(rows.T, bits.T):
-        words |= np.left_shift(bit, rank, dtype=np.uint32)
-        rank += col != 0
-    return words
+def _sign_words(bits: np.ndarray) -> np.ndarray:
+    """Per row of the bool array bits, its set entries as one word, bit k
+    for coordinate k: uint32 at dim <= 32, uint64 at dim <= 64."""
+    size = 4 if bits.shape[1] <= 32 else 8
+    packed = np.zeros((len(bits), size), dtype=np.uint8)
+    packed[:, : -(-bits.shape[1] // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    return packed.view(f"<u{size}")[:, 0]
 
 
-def _candidate_flips(words: np.ndarray, dim: int) -> list:
-    """Sign-flip words to try, as Python ints: a GF(2) basis of the minus
-    words of the rows with no zero entry, in row order, then negation if it
-    lies outside their span.  The pivots go from the lowest coordinate up;
-    each is the first row that has its coordinate once the earlier pivots
-    are cleared.  Above dim 32 no row lacks a zero, so negation is the only
-    candidate."""
-    ones = (1 << min(dim, 32)) - 1  # negation
-    basis = []
-    for c in range(min(dim, 32)):
-        hit = words & np.uint32(1 << c)
-        if hit.any():
-            pivot = words[np.argmax(hit)]
-            basis.append(int(pivot))
-            words = words ^ np.where(hit, pivot, 0)
-    neg = ones
-    for pivot in basis:
-        if neg & pivot & -pivot:
-            neg ^= pivot
-    return basis + [ones] if neg else basis
+def _eliminate(words: np.ndarray, pivot: np.ndarray, class_sizes=None) -> None:
+    """Clear the pivot bit, the lowest set bit of pivot (none for 0), from
+    words by XOR with pivot; with class_sizes, pivot holds one word per
+    class and words are the rows in class order."""
+    bit = pivot & (~pivot + 1)
+    if class_sizes is not None:
+        bit, pivot = np.repeat(bit, class_sizes), np.repeat(pivot, class_sizes)
+    words ^= pivot * ((words & bit) != 0)  # faster than np.where
+
+
+def _flip_group(words: np.ndarray, support: np.ndarray, class_sizes, heads) -> list:
+    """A basis, as Python ints, of the flips on the coordinates of the
+    classes' supports that every magnitude class allows.  The rows are the
+    first half's, in class order; each class also holds their words XOR its
+    support word S_c.  A class whose words X_c form a whole coset of D_c,
+    the span of their differences and S_c, allows the flips f with f & S_c
+    in D_c; any other class allows f & S_c in {0, S_c}.  Each D_c comes
+    from a per-class echelon of the differences, whose next pivot is the
+    class's largest reduced difference.  The group is the kernel of every
+    class's reduction modulo its allowed span, found _CLASS_BLOCK classes
+    at a time, from the unit flips: gf2_rank's dependencies among the block's
+    reduced masks of the kernel's flips, one column per flip, give the
+    next kernel's basis."""
+    diffs = words ^ np.repeat(words[heads], class_sizes)
+    pivots, pivot = [], support
+    while pivot.any():
+        pivots.append(pivot)
+        _eliminate(diffs, pivot, class_sizes)
+        pivot = np.maximum.reduceat(diffs, heads)
+    rank = np.count_nonzero(pivots, axis=0)  # of D_c, at most |S_c| <= 32
+    for pivot in pivots[1:]:  # a class that is no whole coset allows {0, S_c}
+        pivot[class_sizes != 1 << (rank - 1)] = 0
+    union = int(np.bitwise_or.reduce(support))
+    kernel = np.array([1 << k for k in range(64) if union >> k & 1], dtype=support.dtype)
+    for c0 in range(0, len(support), _CLASS_BLOCK):  # classes a block at a time
+        columns = support[c0 : c0 + _CLASS_BLOCK, None] & kernel  # each kernel flip's masks
+        for pivot in pivots:
+            _eliminate(columns, pivot[c0 : c0 + _CLASS_BLOCK, None])  # modulo allowed spans
+        _, deps = gf2_rank([int.from_bytes(col.tobytes(), "little") for col in columns.T])
+        kernel = np.array([np.bitwise_xor.reduce(kernel[d]) for d in deps], dtype=kernel.dtype)
+    return kernel.tolist()
 
 
 def _cosets(words: np.ndarray, flips: list, support: np.ndarray, class_sizes: np.ndarray):
-    """(argsort of the rows' keys, start of each coset in it, coset sizes,
-    whether each class is a union of whole cosets) for the first half's rows
-    in class order.  A row's key is its class above its word with the pivot
-    bits of a per-class echelon of the flips' masks and of negation's, the
-    support word, cleared: the rows of a coset of their span share a key.
+    """(argsort of the rows' keys, start of each coset in it, coset sizes)
+    for the first half's rows in class order.  A row's key is its class and
+    its word with the pivot bits of a per-class echelon of the flips' masks
+    and of negation's, the support word, cleared: the rows of a coset of
+    their span share a key.  At dim <= 32 the class goes above the uint32
+    word in one uint64 key; above, the two are sorted by np.lexsort.
     Negation pairs each row of a class in the first half with one in the
-    second, so a class is whole when each key occurs 2^(rank - 1) times."""
+    second, so a class is mapped onto itself when each key occurs
+    2^(rank - 1) times; a RuntimeError if not."""
     words = words.copy()
-    masks = [np.uint32(flip) & support for flip in flips] + [support.copy()]
-    rank = np.zeros(len(class_sizes), dtype=np.int64)
+    masks = [support.dtype.type(flip) & support for flip in flips] + [support.copy()]
     for i, mask in enumerate(masks):
         # the earlier pivots are already cleared from this mask, and this
         # pivot is cleared from the later ones, so no step undoes another
-        pivot = mask & (~mask + 1)  # lowest set bit per class, 0 for none
-        rank += pivot != 0
-        words ^= np.where(words & np.repeat(pivot, class_sizes),
-                          np.repeat(mask, class_sizes), 0)
+        _eliminate(words, mask, class_sizes)
         for later in masks[i + 1 :]:
-            later ^= np.where(later & pivot, mask, 0)
-    keys = np.repeat(np.arange(len(class_sizes), dtype=np.uint64) << 32, class_sizes)
-    keys |= words
-    del words  # the reduced copy: freed before the sort
-    perm = np.argsort(keys)
-    starts = _run_starts(perm, [keys])
-    sizes = np.diff(np.append(starts, len(keys)))
-    cls = keys[perm[starts]] >> 32
-    whole = np.ones(len(class_sizes), dtype=bool)
-    whole[cls[sizes != 1 << (rank[cls] - 1)]] = False
-    return perm, starts, sizes, whole
+            _eliminate(later, mask)
+    rank = np.count_nonzero(masks, axis=0)  # the masks left nonzero: a basis
+    shift = 32 if words.dtype == np.uint32 else 0
+    keys = [np.repeat(np.arange(len(class_sizes), dtype=np.uint64) << shift, class_sizes)]
+    if shift:  # the class above the uint32 word: one sort key
+        keys[0] |= words
+    else:
+        keys.append(words)
+    del words  # at dim <= 32, the reduced copy: freed before the sort
+    perm = np.argsort(keys[0]) if shift else np.lexsort(keys[::-1])
+    starts = _run_starts(perm, keys)
+    sizes = np.diff(np.append(starts, len(perm)))
+    cls = keys[0][perm[starts]] >> shift
+    if (sizes != 1 << (rank[cls] - 1)).any():
+        raise RuntimeError("sign-flip group does not map the shell onto itself")
+    return perm, starts, sizes
 
 
 def _run_starts(order: np.ndarray, keys) -> np.ndarray:
@@ -245,45 +261,38 @@ def _orbit_dot_counts(V: np.ndarray, cols, ranks, lo: int) -> np.ndarray:
 
 def _orbits(vectors: np.ndarray):
     """(representatives, orbit sizes, int32 orbit label per row, group
-    order) of the verified flip group; label k is the orbit of the k-th
-    representative, its smallest row index.
+    order) of the sign-flip group of _flip_group; label k is the orbit of
+    the k-th representative, its smallest row index.
 
-    Negation maps every Shell onto itself and is always kept, so row
+    Negation maps every Shell onto itself and lies in the group, so row
     n - 1 - k, -(row k), shares row k's orbit: only the first half of the
     rows, with half of each orbit and its smallest index, is sorted by
-    magnitude class.  A row's minus signs are one uint32 word (_sign_words),
-    and a flip's mask on a class is flip & the class's support word.  The
-    words are reduced by the per-class echelon of all candidate masks and
-    negation and counted once (_cosets): a class made of whole cosets is
-    mapped onto itself by every candidate.  Else a flip is kept when each
-    other class is made of cosets of its mask and negation."""
+    magnitude class.  A row's minus signs are one word (_sign_words), and a
+    flip's mask on a class is flip & the class's support word.  The orbits
+    are the cosets of the group's masks within each class (_cosets), and
+    the group order is 2^(basis length).  Above dim 64 the group is
+    negation alone, and the orbits are the pairs {x, -x}."""
     n, dim = vectors.shape
     half = vectors[: n // 2]
+    if dim > 64:
+        reps = np.arange(len(half), dtype=np.int32)
+        return reps, np.full(len(half), 2), np.concatenate((reps, reps[::-1])), 2
     mags = np.empty((-(-dim // 16), len(half)), dtype=np.uint64)  # one row per key word
-    words = np.empty(len(half), dtype=np.uint32)
+    words = np.empty(len(half), dtype=np.uint32 if dim <= 32 else np.uint64)
     for r0 in range(0, len(half), 8192):  # no full-size |vectors| or sign bits
         block = half[r0 : r0 + 8192]
         mags[:, r0 : r0 + 8192] = _row_keys(np.abs(block)).T
-        words[r0 : r0 + 8192] = _sign_words(block, block < 0)
+        words[r0 : r0 + 8192] = _sign_words(block < 0)
     order = np.lexsort(mags[::-1]).astype(np.int32)
     heads = _run_starts(order, mags)
     del mags
     class_sizes = np.diff(np.append(heads, len(half)))
     lead = half[order[heads]]  # one row per class
-    full = np.zeros(len(half), dtype=bool)  # the rows with no zero entry
-    full[order] = np.repeat(lead.all(axis=1), class_sizes)
-    support = _sign_words(lead, lead != 0)
-    flips = _candidate_flips(words[full], dim)
+    support = _sign_words(lead != 0)
     words = words[order]  # class order from here on
 
-    perm, starts, sizes, whole = _cosets(words, flips, support, class_sizes)
-    kept = flips
-    if not whole.all():
-        bad = ~whole
-        own = words[np.repeat(bad, class_sizes)]
-        kept = [flip for flip in flips
-                if _cosets(own, [flip], support[bad], class_sizes[bad])[3].all()]
-        perm, starts, sizes, _ = _cosets(words, kept, support, class_sizes)
+    flips = _flip_group(words, support, class_sizes, heads)
+    perm, starts, sizes = _cosets(words, flips, support, class_sizes)
     rows = order[perm]  # row index per key-sorted place
     del order, perm, words  # freed before the full-size labels
     reps = np.minimum.reduceat(rows, starts)
@@ -292,9 +301,7 @@ def _orbits(vectors: np.ndarray):
     labels = np.empty(n, dtype=np.int32)
     labels[rows] = np.repeat(label, sizes)
     labels[len(half) :] = labels[: len(half)][::-1]  # the mirrors
-    # the group's basis: the kept flips, and negation if outside their span
-    group = 2 ** len(_candidate_flips(np.array(kept, dtype=np.uint32), dim))
-    return reps[by_index], 2 * sizes[by_index], labels, group
+    return reps[by_index], 2 * sizes[by_index], labels, 2 ** len(flips)
 
 
 def histogram(shell: Shell) -> InnerProductHistogram:

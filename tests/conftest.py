@@ -195,6 +195,38 @@ def e8_root_rows() -> np.ndarray:
     return np.concatenate([pairs.reshape(-1, 8), halves]).astype(np.int8)
 
 
+CodeShell = namedtuple("CodeShell", "weights shell")
+
+
+@pytest.fixture(scope="session")
+def d40_shell() -> CodeShell:
+    """The [40, 20, 8] double-circulant code [I_20 | A] and its shell.  A is
+    circulant: its first row has ones at 9, 10, 12, 13, 17, 18 and 19, and
+    each row is the one above rolled right by one.  ``weights`` is the
+    weight enumerator of the 2^20 codewords; ``shell`` holds the 3120 rows
+    with two entries +-4 and the +-2 rows on the 285 words of weight 8 with
+    an even number of minus signs, 39600 rows in all."""
+    first = np.isin(np.arange(20), (9, 10, 12, 13, 17, 18, 19))
+    generator = np.hstack([np.eye(20, dtype=bool), [np.roll(first, k) for k in range(20)]])
+    words = np.zeros(1, dtype=np.uint64)
+    for row in np.packbits(generator, axis=1, bitorder="little"):
+        mask = np.frombuffer(row.tobytes() + bytes(3), dtype="<u8")  # bit j: coordinate j
+        words = np.concatenate((words, words ^ mask))
+    weight, count = np.unique(np.bitwise_count(words), return_counts=True)
+    octads = (words[np.bitwise_count(words) == 8, None] >> np.arange(40, dtype=np.uint64)) & 1
+    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    halves = 2 - 4 * bits[bits.sum(axis=1) % 2 == 0]  # the 128 even sign patterns
+    rows = np.zeros((len(octads), 128, 40), dtype=np.int8)
+    for block, octad in zip(rows, octads.astype(bool)):
+        block[:, octad] = halves
+    i, j = np.triu_indices(40, 1)
+    pairs = np.zeros((len(i), 4, 40), dtype=np.int8)
+    pairs[np.arange(len(i)), :, i] = [4, 4, -4, -4]
+    pairs[np.arange(len(i)), :, j] = [4, -4, 4, -4]
+    shell = Shell(np.concatenate([pairs.reshape(-1, 40), rows.reshape(-1, 40)]))
+    return CodeShell(dict(zip(weight.tolist(), count.tolist())), shell)
+
+
 @dataclass(frozen=True)
 class TimedPass:
     """A heavy pair-pass result together with the wall time it took, so the

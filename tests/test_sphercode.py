@@ -8,9 +8,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given, settings, strategies as st
+from hypothesis import (currently_in_test_context, event, example, given, settings,
+                        strategies as st)
 
-from conftest import norm32_magnitudes, random_polynomial, run_cli
+from conftest import e8_root_rows, norm32_magnitudes, random_polynomial, run_cli
 from golden_corpus import BENT
 from latcert.exactmath import Polynomial
 from latcert.gegenbauer import distribution_from_design, gegenbauer_expand, gegenbauer_poly
@@ -19,12 +20,10 @@ from latcert.lattice32 import Shell, _joint_tables, load_shell, save_shell, venk
 from latcert.sphercode import (
     ALL,
     DistanceDistribution,
-    _candidate_flips,
     _column_counts,
     _orbit_dot_counts,
     _orbit_pass,
     _orbits,
-    _sign_words,
     check_distance_invariance,
     design_strength,
     distance_distribution_at,
@@ -385,67 +384,153 @@ def test_full_pass_finds_flip_group_on_small_shell():
     assert (inv.group_order, inv.representatives) == (16, 29)
 
 
+def test_full_pass_finds_flip_group_on_e8_roots():
+    # the 2^7 flips of even weight act on the E8 roots: the 128 half-integer
+    # roots form one orbit and each pair of coordinates' 4 roots another
+    inv = _assert_matches_brute_force(Shell(e8_root_rows()))
+    assert (inv.group_order, inv.representatives) == (2**7, 29)
+
+
+def test_full_pass_on_the_dimension_40_shell(d40_shell):
+    # the weight-8 words span the self-dual code, so the group is its 2^20
+    # flips: 780 orbits of 4, one per pair of coordinates, and 285 of 128
+    assert d40_shell.weights == {0: 1, 8: 285, 12: 21280, 16: 239970, 20: 525504,
+                                 24: 239970, 28: 21280, 32: 285, 40: 1}
+    shell = d40_shell.shell
+    reps, sizes, _, order = _orbits(shell.vectors)
+    assert (shell.count, order, len(reps)) == (39600, 2**20, 1065)
+    assert Counter(sizes.tolist()) == {4: 780, 128: 285}
+    inv = check_distance_invariance(shell, ALL)
+    assert (inv.invariant, inv.group_order, inv.representatives) == (False, 2**20, 1065)
+    (i, di), (j, dj) = inv.counterexample
+    assert (i, j) == (0, 1)
+    assert di.a == distance_distribution_at(shell, shell.vectors[0]).a
+    assert dj.a == distance_distribution_at(shell, shell.vectors[1]).a
+    assert inv.histogram.total() == shell.count * (shell.count - 1)
+
+
 def _flip(row, flip):
     """row with the coordinates in the bit set flip negated."""
     return tuple(-v if flip >> k & 1 else v for k, v in enumerate(row))
 
 
-def _brute_force_flips(rows, dim):
-    """The candidate flips as coordinate bit sets, by Python-int elimination
-    of the minus sets of the rows with no zero entry: pivots from the lowest
-    coordinate up, each the first row with its coordinate once the earlier
-    pivots are cleared; then negation if it lies outside their span."""
-    sets = [sum(1 << k for k, v in enumerate(r) if v < 0) for r in rows if all(r)]
-    basis = []
-    for c in range(dim):
-        hit = [m for m in sets if m >> c & 1]
-        if hit:
-            basis.append(hit[0])
-            sets = [m ^ hit[0] if m >> c & 1 else m for m in sets]
-    neg = (1 << dim) - 1
-    for pivot in basis:
-        if neg & pivot & -pivot:
-            neg ^= pivot
-    return basis + [(1 << dim) - 1] if neg else basis
+def _bit_set(row, keep):
+    """The bit set of the coordinates k with keep(row[k])."""
+    return sum(1 << k for k, v in enumerate(row) if keep(v))
 
 
-def _flips_of(V):
-    """_candidate_flips on the minus words of V's rows with no zero entry."""
-    full = V[V.all(axis=1)]
-    return _candidate_flips(_sign_words(full, full < 0), V.shape[1])
-
-
-def _brute_force_orbits(shell):
-    """(representatives, orbit sizes, group order) for negation and the
-    candidate flips of the first half's rows that map the row set onto
-    itself, by closing Python row sets."""
-    rows = [tuple(r) for r in shell.vectors.tolist()]
-    ones = (1 << shell.dim) - 1
-    kept = [ones] + [f for f in _brute_force_flips(rows[: len(rows) // 2], shell.dim)
-                     if {_flip(r, f) for r in rows} == set(rows)]
+def _span(words) -> set:
+    """The GF(2) span of the bit sets words."""
     span = {0}
-    for f in kept:
-        span |= {g ^ f for g in span}
+    for w in words:
+        if w not in span:
+            span |= {s ^ w for s in span}
+    return span
+
+
+def _rank(words) -> int:
+    """The GF(2) rank of the bit sets words, by elimination on the top bit."""
+    pivots = {}
+    for w in words:
+        while w and w.bit_length() in pivots:
+            w ^= pivots[w.bit_length()]
+        if w:
+            pivots[w.bit_length()] = w
+    return len(pivots)
+
+
+def _union(rows) -> int:
+    """The bit set of the coordinates some row meets."""
+    return _bit_set(np.any(rows, axis=0), bool)
+
+
+def _stabilizer(rows, dim):
+    """The flips of _union(rows) that map the row set onto itself, by trying
+    all 2^dim."""
+    row_set = set(rows)
+    return [f for f in range(1 << dim)
+            if not f & ~_union(rows) and all(_flip(r, f) in row_set for r in rows)]
+
+
+def _rule_group(rows, dim):
+    """(the flips of _union(rows) that every magnitude class allows, by
+    trying all 2^dim, and whether every class is a coset of its
+    differences).  A class with support S and minus sets X allows the flips
+    f with f & S in the span D of X's differences when |X| = |D|, and in
+    {0, S} when not."""
+    classes = {}
+    for row in rows:
+        classes.setdefault(tuple(map(abs, row)), []).append(_bit_set(row, lambda v: v < 0))
+    allowed, cosets = [], True
+    for mags, minus in classes.items():
+        support, span = _bit_set(mags, bool), _span(x ^ minus[0] for x in minus)
+        cosets &= len(span) == len(minus)
+        allowed.append((support, span if len(span) == len(minus) else {0, support}))
+    group = [f for f in range(1 << dim) if not f & ~_union(rows)
+             and all(f & support in span for support, span in allowed)]
+    return group, cosets
+
+
+def _closure_orbits(rows, flips):
+    """(representatives, orbit sizes) of the group the flips generate, each
+    orbit closed from its smallest index."""
     reps, sizes, seen = [], [], set()
     for i, row in enumerate(rows):
         if row not in seen:
-            orbit = {_flip(row, g) for g in span}
+            orbit, todo = {row}, [row]
+            while todo:
+                image = todo.pop()
+                images = {_flip(image, f) for f in flips} - orbit
+                orbit |= images
+                todo += images
             seen |= orbit
             reps.append(i)
             sizes.append(len(orbit))
-    return reps, sizes, len(span)
+    return reps, sizes
 
 
-# 32 entries +-1 on coordinates 8..39 and two +-4 on 38, 39: minus signs
-# packed from coordinates past 32, where negation is the only candidate flip
+def _assert_orbits_match_oracle(shell):
+    """_orbits against brute force: every basis flip of _flip_group maps
+    the row set onto itself, and the orbits are the closures of the rows
+    under the basis.  At dim <= 8 the basis spans the group of the rule,
+    found by trying all 2^dim flips, which is the brute-force stabilizer
+    when every class is a coset of its differences."""
+    basis, flip_group = [], sphercode._flip_group
+
+    def spy(*args):
+        basis.extend(flip_group(*args))
+        return basis
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sphercode, "_flip_group", spy)
+        reps, sizes, labels, order = _orbits(shell.vectors)
+    rows = [tuple(r) for r in shell.vectors.tolist()]
+    row_set = set(rows)
+    assert all({_flip(r, f) for r in rows} == row_set for f in basis)
+    assert order == 2 ** len(basis) == 2 ** _rank(basis)
+    if shell.dim <= 8:
+        group, cosets = _rule_group(rows, shell.dim)
+        if currently_in_test_context():
+            event("every class is a coset" if cosets else "a class is no coset")
+        if cosets:  # the rule gives the whole stabilizer
+            assert group == _stabilizer(rows, shell.dim)
+        assert _span(basis) == set(group)
+    assert (reps.tolist(), sizes.tolist()) == _closure_orbits(rows, basis)
+    assert np.array_equal(np.bincount(labels, minlength=len(reps)), sizes)
+    assert np.array_equal(labels[reps], np.arange(len(reps)))
+    return reps.tolist(), sizes.tolist(), order
+
+
+# 32 entries +-1 on coordinates 8..39 and two +-4 on 38, 39: uint64 words,
+# a group of 4, span{0b101 << 8, negation}, and 3 orbits
 _WIDE_ROWS = [
     [0] * 8 + [1 - 2 * ((m >> k) & 1) for k in range(32)] for m in (0, 5, ~0, ~5)
 ] + [[0] * 38 + [4 * a, 4 * b] for a in (1, -1) for b in (1, -1)]
 
-# no candidate flip maps it onto itself: the candidates are the minus sets
-# of the two +-2 rows, whose product is negation, and each moves
-# (4,0,0,0,4,0,0,0).  Negation alone is kept: group order 2 and the two
-# orbits {x, -x}
+# each class allows only identity and negation: the two +-2 rows' minus
+# sets {0x0F, 0xF0} are a coset of {0, 0xFF}, and the two +-4 rows' minus
+# sets are {0, 0x11}, the span of their support 0x11.  Group order 2 and
+# the two orbits {x, -x}
 _NO_FLIP_ROWS = [[-2] * 4 + [2] * 4, [2] * 4 + [-2] * 4, [4, 0, 0, 0, 4, 0, 0, 0],
                  [-4, 0, 0, 0, -4, 0, 0, 0]]
 
@@ -457,7 +542,7 @@ _NO_FLIP_ROWS = [[-2] * 4 + [2] * 4, [2] * 4 + [-2] * 4, [4, 0, 0, 0, 4, 0, 0, 0
 @example(Shell(_NO_FLIP_ROWS))
 def test_orbits_match_brute_force_closure(shell):
     reps, sizes, table, order = _orbit_pass(shell)
-    assert (reps.tolist(), sizes.tolist(), order) == _brute_force_orbits(shell)
+    assert (reps.tolist(), sizes.tolist(), order) == _assert_orbits_match_oracle(shell)
     assert table.shape == (65, len(reps))
 
 
@@ -472,30 +557,80 @@ def test_distance_distribution_at_matches_integer_dots(shell):
 
 
 def test_orbit_pass_rejects_flips_that_do_not_permute_the_shell():
-    # a +-2 row with minus set {0}, and its negation: no code flip but the
-    # all-ones word maps {0} into the row set, so only negation survives
+    # a +-2 row with minus set {0}, and its negation: the +-2 class is no
+    # longer a coset, so it allows only identity and negation
     shell = _hamming_shell([[-2] + [2] * 7, [2] + [-2] * 7])
-    assert len(_flips_of(shell.vectors)) == 5
     reps, sizes, _, order = _orbit_pass(shell)
     assert (order, len(reps)) == (2, 65)
-    assert (reps.tolist(), sizes.tolist(), order) == _brute_force_orbits(shell)
+    assert (reps.tolist(), sizes.tolist(), order) == _assert_orbits_match_oracle(shell)
     _assert_matches_brute_force(shell)
 
 
-def test_candidate_flips_own_their_data():
-    # a basis flip that is a view of a row of an elimination step keeps that
-    # whole array alive: 16 such arrays on a lattice shell.  Python ints
-    # hold no array.
-    flips = _flips_of(_hamming_shell().vectors)
-    assert len(flips) == 4
-    assert all(type(flip) is int for flip in flips)
+def test_orbits_of_a_class_that_is_no_coset_keep_negation_alone():
+    # minus sets x ^ w, x in {0, 0b11, 0b101} and w in span{0xFF, 0x0F}: 12
+    # words whose differences span 16, so the class allows only {0, 0xFF},
+    # where the stabilizer is span{0xFF, 0x0F}, of order 4
+    rows = [tuple(-2 if (x ^ w) >> k & 1 else 2 for k in range(8))
+            for x in (0, 0b11, 0b101) for w in (0, 0xFF, 0x0F, 0xF0)]
+    shell = Shell(rows)
+    assert _stabilizer(rows, 8) == [0, 0x0F, 0xF0, 0xFF]
+    assert _assert_orbits_match_oracle(shell) == ([0, 1, 2, 3, 4, 5], [2] * 6, 2)
+    inv = _assert_matches_brute_force(shell)
+    assert (inv.group_order, inv.representatives) == (2, 6)
 
 
-def test_candidate_flips_above_dim_32_are_negation_only():
-    # s.s = 32 leaves every row of a shell past dim 32 a zero entry
-    shell = Shell(_WIDE_ROWS)
-    assert _flips_of(shell.vectors) == [2**32 - 1]
-    assert _brute_force_flips(shell.vectors.tolist(), shell.dim) == [2**40 - 1]
+def test_orbits_above_dim_64_are_the_antipodal_pairs():
+    # no sign word has room for 72 coordinates: the group is negation alone
+    shell = Shell([row + [0] * 32 for row in _WIDE_ROWS])
+    reps, sizes, labels, order = _orbits(shell.vectors)
+    assert (reps.tolist(), sizes.tolist(), order) == ([0, 1, 2, 3], [2] * 4, 2)
+    assert labels.tolist() == [0, 1, 2, 3, 3, 2, 1, 0]
+    inv = _assert_matches_brute_force(shell)
+    assert (inv.group_order, inv.representatives) == (2, 4)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_flip_group_is_solved_a_block_of_classes_at_a_time(monkeypatch, d40_shell, block):
+    # smaller blocks of classes narrow the same kernel in more steps: the
+    # dimension-40 shell's 1065 classes and a shell with a class that is
+    # no coset give the groups and orbits of one block
+    shells = [d40_shell.shell, _hamming_shell([[-2] + [2] * 7, [2] + [-2] * 7])]
+    whole = [_orbits(shell.vectors) for shell in shells]
+    monkeypatch.setattr(sphercode, "_CLASS_BLOCK", block)
+    for shell, (reps, sizes, labels, order) in zip(shells, whole):
+        blocked = _orbits(shell.vectors)
+        assert blocked[3] == order and order in (2**20, 2)
+        for got, want in zip(blocked[:3], (reps, sizes, labels)):
+            assert np.array_equal(got, want)
+    assert _assert_orbits_match_oracle(shells[1])[2] == 2
+
+
+def test_orbits_reject_a_flip_that_moves_a_row(monkeypatch):
+    # one flip more than _flip_group finds, coordinate 0 alone, moves the
+    # +-2 rows of the Hamming shell off the code: no orbit is taken from it
+    flip_group = sphercode._flip_group
+    monkeypatch.setattr(sphercode, "_flip_group", lambda *args: flip_group(*args) + [1])
+    with pytest.raises(RuntimeError, match="^sign-flip group does not map the shell onto itself$"):
+        _orbits(_hamming_shell().vectors)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_verify_full_rejects_a_flip_that_moves_a_row(flags, tmp_path):
+    # the same guard in a fresh process, also under -O, which drops asserts
+    path = tmp_path / "hamming.shell"
+    save_shell(_hamming_shell(), path)
+    script = (
+        "import sys\n"
+        "from latcert import cli, sphercode\n"
+        "flip_group = sphercode._flip_group\n"
+        "sphercode._flip_group = lambda *args: flip_group(*args) + [1]\n"
+        f"sys.exit(cli.main(['verify', '--shell', {str(path)!r}, '--full']))\n"
+    )
+    proc = subprocess.run([sys.executable, *flags, "-c", script],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "error: internal check failed: sign-flip group does not map the shell"
+        " onto itself\n")
 
 
 @settings(max_examples=300, deadline=None)
@@ -503,19 +638,9 @@ def test_candidate_flips_above_dim_32_are_negation_only():
                  flip_closed_shells(dims=(5, 8), full_row=True, drop=True),
                  flip_closed_shells(dims=(33, 40), drop=True)))
 def test_orbits_match_brute_force_on_shells_missing_points(shell):
-    # a class that lost points is not a union of cosets of every candidate:
-    # its rows check each flip, and the kept flips give the orbits
-    rows = shell.vectors.tolist()
-    flips = _flips_of(shell.vectors)
-    if shell.dim <= 32:  # the same coordinate bit sets
-        assert flips == _brute_force_flips(rows, shell.dim)
-    else:
-        assert flips == [2**32 - 1]
-    reps, sizes, labels, order = sphercode._orbits(shell.vectors)
-    event("a candidate flip fails" if order < 2 ** len(flips) else "every candidate holds")
-    assert (reps.tolist(), sizes.tolist(), order) == _brute_force_orbits(shell)
-    assert np.array_equal(np.bincount(labels, minlength=len(reps)), sizes)
-    assert np.array_equal(labels[reps], np.arange(len(reps)))
+    # a class that lost points may be no coset of its differences: it then
+    # allows only identity and negation, and the oracle checks the rule
+    _assert_orbits_match_oracle(shell)
 
 
 @settings(max_examples=200, deadline=None)
@@ -531,8 +656,8 @@ def test_orbits_pair_each_row_with_its_mirror(shell):
 
 
 def test_orbits_on_rm_shell_missing_a_pair_of_a_128_orbit(rm_shell):
-    # x and -x leave the class of a 128-orbit, which is then no union of
-    # cosets of the 2^16 code flips: only that class's rows check each flip
+    # x and -x leave the class of a 128-orbit, which is then no coset of its
+    # differences and allows only identity and negation: 2^16 -> 2^10 flips
     V = rm_shell.result.vectors
     reps, sizes, _, _ = sphercode._orbits(V)
     x = V[reps[np.flatnonzero(sizes == 128)[0]]]
