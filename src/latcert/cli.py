@@ -180,13 +180,17 @@ def cmd_energy(args) -> int:
         from . import lattice32, sphercode
         shell = lattice32.load_shell(args.shell)
         hist = sphercode.histogram(shell)
-        attained = hist == sphercode.histogram_from_distribution(
+        # the design's own histogram: its energy is the bound's sum, exactly;
+        # an exact potential's own sum is taken, and checked below
+        attained = not h.exact_on_rationals and hist == sphercode.histogram_from_distribution(
             energycert.design_distribution(), energycert.DESIGN_SIZE)
-        # the design's own histogram: its energy is the bound's sum, exactly
         energy = cert.lower_bound if attained else energycert.code_energy(hist, h, **precision)
         cert = cert.with_energy(energy)
-        failure = cert.valid and cert.hypothesis_failure(shell.dim, hist)
-        if failure:  # a valid bound that does not cover this shell
+        # the bound's hypotheses, then its conclusion (a rounded sum is not checked)
+        failure = cert.valid and (cert.hypothesis_failure(shell.dim, hist) or (
+            h.exact_on_rationals and energy < cert.lower_bound
+            and f"code energy {energy} is below the lower bound {cert.lower_bound}"))
+        if failure:  # a valid bound that does not cover this shell or fails on it
             cert = cert._replace(valid=False, failure=failure)
     return _emit({"command": "energy", **cert.to_json_dict()}, args.format)
 

@@ -29,14 +29,14 @@ at most 66 * 32 = 2112 < 2^24: the float path is exact.  A Shell is closed
 under negation, so its sorted rows end with the first half negated in
 reverse order, with dots -v: the kernel counts |v|, in 2113 bins, over the
 first half of the counted rows.  Those are all rows, or the rows at given
-ascending indices (from the orbit pass of ``sphercode``), which must hold
-the mirror of each of their indices.  The kernel takes 32 pairs at a time
-and counts their keys 2^14 counted rows at a time (2^13 of an index set,
-beside the orbit pass's data), so it keeps one uint16 block of at most
-2^19 keys; it fills it 2048 counted rows at a time, each converted from
-int8 (gathered, for an index set) to float32 just before its product, one
-np.matmul of 32 pairs by 2048 rows.  The blocks bound memory; the CLI runs
-OpenBLAS on one thread (see ``cli``).
+ascending first-half indices (from the orbit pass of ``sphercode``) and
+their mirrors, which the kernel never gathers.  The kernel takes 32 pairs
+at a time and counts their keys 2^14 counted rows at a time (2^13 of an
+index set, beside the orbit pass's data), so it keeps one uint16 block of
+at most 2^19 keys; it fills it 2048 counted rows at a time, each converted
+from int8 (gathered, for an index set) to float32 just before its
+product, one np.matmul of 32 pairs by 2048 rows.  The blocks bound
+memory; the CLI runs OpenBLAS on one thread (see ``cli``).
 
 A Shell's checks, and the parity check of load_shell, run on 8192 rows at a
 time and make no full-size temporary; only rows out of order need the
@@ -295,16 +295,18 @@ def _joint_tables(shell: Shell, a, b, rows=None):
     """Yield, for each pair (a[k], b[k]) of the shell's rows, the (65, 65)
     table whose entry [d_b + 32, d_a + 32] counts the counted rows x with
     s_x.s_a = d_a and s_x.s_b = d_b.  The counted rows are all rows, or the
-    rows at the ascending indices ``rows``, gathered 2048 at a time;
-    RuntimeError unless those hold the mirror count - 1 - k of each k.
-    That row is -x, with dots (-d_a, -d_b), so the first half of the counted
-    rows is counted by the key |v| of the exact float32 dot v = (s_a + 65
-    s_b).x = d_a + 65 d_b, and the count of |v| goes to v and -v."""
+    rows at the ascending first-half indices ``rows``, gathered 2048 at a
+    time, and their mirrors; RuntimeError unless every index k is in [0,
+    count // 2) and the indices ascend.  The mirror count - 1 - k is -x,
+    with dots (-d_a, -d_b), so only the first half is counted, by the key
+    |v| of the exact float32 dot v = (s_a + 65 s_b).x = d_a + 65 d_b, and
+    the count of |v| goes to v and -v."""
     V = shell.vectors
-    if rows is not None and not np.array_equal(rows[::-1], len(V) - 1 - rows):
-        raise RuntimeError("counted rows are not closed under negation")
+    # -1 and count // 2 bracket the indices: each step between them is positive
+    if rows is not None and (np.diff(rows, prepend=-1, append=len(V) // 2) <= 0).any():
+        raise RuntimeError("counted rows are not ascending first-half indices")
     # all rows: the counted half is a view of V
-    counted = V[: len(V) // 2] if rows is None else rows[: len(rows) // 2]
+    counted = V[: len(V) // 2] if rows is None else rows
     P = V[a] + _BINS * V[b].astype(np.float32)
     # 32 pairs per block, so a product, one np.matmul, is at most 32 x 2048
     # float32: the blocks bound memory.  Their uint16 keys in [0, 2112] are

@@ -55,6 +55,7 @@ from .lattice32 import _BINS, SHELL_NORM, Shell, _joint_tables, _row_keys
 
 ALL = "all"
 _CLASS_BLOCK = 4096  # magnitude classes per step of the flip group's solve: bounds its memory
+_RANK_BLOCK = 256  # orbit ranks per table of _orbit_dot_counts: bounds its memory
 
 
 class MomentVector(namedtuple("MomentVector", "values")):
@@ -88,19 +89,24 @@ QuadratureVerdict = namedtuple("QuadratureVerdict", "holds lhs rhs warning",
                                defaults=(None,))
 
 
-def _column_counts(shell: Shell, cols: np.ndarray, rows=None) -> np.ndarray:
+def _column_counts(shell: Shell, cols: np.ndarray, rows=None, out=None) -> np.ndarray:
     """(65, len(cols)) int32 counts of each dot value s_x.s_c over the
-    counted rows x, all of the shell's rows or those at the ascending
-    indices rows, one column per index c in cols; bin 64 holds the self
-    pair.  Columns go in pairs (a, b), an odd count padded with its last,
-    and each pair's joint table gives column a as its sums over d_b and
-    column b as its sums over d_a."""
+    counted rows x, one column per index c in cols; bin 64 holds the self
+    pair.  The counted rows are all of the shell's rows, or those at the
+    ascending first-half indices rows and their mirrors (see
+    _joint_tables).  The counts go into out, a (65, len(cols)) int32 array
+    such as a slice of the caller's table, or a new one.  Columns go in
+    pairs (a, b), an odd count padded with its last, and each pair's joint
+    table gives column a as its sums over d_b and column b as its sums over
+    d_a."""
     pairs = np.append(cols, cols[-1:]) if len(cols) % 2 else cols
-    table = np.empty((_BINS, len(pairs)), dtype=np.int32)  # a count is at most N
+    if out is None:
+        out = np.empty((_BINS, len(cols)), dtype=np.int32)  # a count is at most N
     for k, joint in enumerate(_joint_tables(shell, pairs[0::2], pairs[1::2], rows)):
-        joint.sum(axis=0, out=table[:, 2 * k])  # column a
-        joint.sum(axis=1, out=table[:, 2 * k + 1])  # column b
-    return table[:, : len(cols)]
+        joint.sum(axis=0, out=out[:, 2 * k])  # column a
+        if 2 * k + 1 < len(cols):  # not the padding
+            joint.sum(axis=1, out=out[:, 2 * k + 1])  # column b
+    return out
 
 
 def _sign_words(bits: np.ndarray) -> np.ndarray:
@@ -157,15 +163,15 @@ def _flip_group(words: np.ndarray, support: np.ndarray, class_sizes, heads) -> l
 
 def _cosets(words: np.ndarray, flips: list, support: np.ndarray, class_sizes: np.ndarray):
     """(argsort of the rows' keys, start of each coset in it, coset sizes)
-    for the first half's rows in class order.  A row's key is its class and
-    its word with the pivot bits of a per-class echelon of the flips' masks
-    and of negation's, the support word, cleared: the rows of a coset of
-    their span share a key.  At dim <= 32 the class goes above the uint32
-    word in one uint64 key; above, the two are sorted by np.lexsort.
-    Negation pairs each row of a class in the first half with one in the
-    second, so a class is mapped onto itself when each key occurs
-    2^(rank - 1) times; a RuntimeError if not."""
-    words = words.copy()
+    for the first half's rows in class order, whose sign words, words, are
+    reduced in place.  A row's key is its class and its word with the pivot
+    bits of a per-class echelon of the flips' masks and of negation's, the
+    support word, cleared: the rows of a coset of their span share a key.
+    At dim <= 32 the class goes above the uint32 word in one uint64 key;
+    above, the two are sorted by np.lexsort.  Negation pairs each row of a
+    class in the first half with one in the second, so a class is mapped
+    onto itself when each key occurs 2^(rank - 1) times; a RuntimeError if
+    not."""
     masks = [support.dtype.type(flip) & support for flip in flips] + [support.copy()]
     for i, mask in enumerate(masks):
         # the earlier pivots are already cleared from this mask, and this
@@ -180,7 +186,6 @@ def _cosets(words: np.ndarray, flips: list, support: np.ndarray, class_sizes: np
         keys[0] |= words
     else:
         keys.append(words)
-    del words  # at dim <= 32, the reduced copy: freed before the sort
     perm = np.argsort(keys[0]) if shift else np.lexsort(keys[::-1])
     starts = _run_starts(perm, keys)
     sizes = np.diff(np.append(starts, len(perm)))
@@ -211,64 +216,70 @@ def _orbit_pass(shell: Shell):
     point's distribution.  For orbits O_i and O_j of sizes n_i and n_j,
     every point of O_i sees the same N(i->j, d) points of O_j at dot d, so
     n_i N(i->j, d) = n_j N(j->i, d).  Taken by size, smallest first, each
-    size class's columns count the rows of the orbits no larger directly;
-    for each smaller orbit O_i, the class's dots with its rows, times the
-    class size, add up to n_i N(i->j, d) over the class's orbits O_j, and
-    are divided by n_i.  Orbits hold their rows' mirrors, -x at N - 1 - k."""
+    size class's columns count the rows of the orbits no larger directly,
+    given to the kernel as the ascending first-half indices of those rows:
+    orbits hold their rows' mirrors, -x at N - 1 - k.  For each smaller
+    orbit O_i, the class's dots with its rows, times the class size, add up
+    to n_i N(i->j, d) over the class's orbits O_j, and are divided by n_i
+    in place, a bounded range of ranks at a time."""
     reps, sizes, ranks, group_order = _orbits(shell.vectors)  # labels, for now
-    if not np.array_equal(ranks, ranks[::-1]):  # row N - 1 - k is -(row k)
-        raise RuntimeError("counted rows are not closed under negation")
     by_size = np.argsort(sizes, kind="stable")
     ordered = sizes[by_size]
     rank = np.argsort(by_size).astype(np.int32)  # each orbit's place by size
-    ranks = rank[ranks[: shell.count // 2]]  # of each row of the first half
+    ranks = rank[ranks]  # of each row of the first half
     starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
     table = np.empty((_BINS, len(reps)), dtype=np.int32)  # columns by rank
     for lo, hi in zip(starts, [*starts[1:], len(reps)]):
         cols = reps[by_size[lo:hi]]
-        rows = None  # the largest orbits count every row, through the contiguous path
-        if hi < len(reps):  # the rows of the orbits no larger, with their mirrors
-            rows = np.flatnonzero(ranks < hi).astype(np.int32)
-            rows = np.concatenate((rows, shell.count - 1 - rows[::-1]))
-        table[:, lo:hi] = _column_counts(shell, cols, rows)
-        if lo:  # n_i N(i->j, d) summed over the class, by rank i
-            scaled = ordered[lo] * _orbit_dot_counts(shell.vectors, cols, ranks, lo)
-            if (scaled % ordered[:lo, None]).any():
-                raise RuntimeError("orbit pair counts are not multiples of the orbit sizes")
-            scaled //= ordered[:lo, None]
-            table[:, :lo] += scaled.T
+        # the largest orbits count every row, through the contiguous path
+        rows = None if hi == len(reps) else np.flatnonzero(ranks < hi).astype(np.int32)
+        _column_counts(shell, cols, rows, out=table[:, lo:hi])
+        _orbit_dot_counts(table, shell.vectors, cols, ranks, ordered, lo)
     return reps, sizes, table[:, rank], group_order
 
 
-def _orbit_dot_counts(V: np.ndarray, cols, ranks, lo: int) -> np.ndarray:
-    """(lo, 65) counts, over the columns c and the rows x whose rank is
-    below lo, of the dot values s_x.s_c, by the row's rank, given the ranks
-    of the first half of the rows: row -x, at len(V) - 1 - k, shares the
-    rank of x at k.  The rows are gathered in blocks of at most 2048 rows
-    and 2^15 dots, each block's dots one float32 np.matmul, exact since
-    every partial sum is an integer of absolute value at most 32."""
-    rows = np.flatnonzero(ranks < lo).astype(np.int32)
+def _orbit_dot_counts(table, V: np.ndarray, cols, ranks, ordered, lo: int) -> None:
+    """Add to table[:, i], for each rank i below lo, N(i->j, d) summed over
+    the orbits O_j of the columns cols, all of size n = ordered[lo]: n / n_i
+    times the number of pairs of a column c and a row x of rank i with
+    s_x.s_c = d, where n_i = ordered[i]; RuntimeError unless n_i divides
+    it.  The ranks are those of the first half of the rows: row -x, at
+    len(V) - 1 - k, shares the rank of x at k and has the dots -d.  The
+    pairs are counted _RANK_BLOCK ranks at a time into one int64 table,
+    then folded and scaled in place.  A range's rows are gathered in blocks
+    of at most 2048 rows and 2^15 dots, each block's dots one float32
+    np.matmul, exact since every partial sum is an integer of absolute
+    value at most 32, and one bincount."""
     C = V[cols].T.astype(np.float32)
-    out = np.zeros((lo, _BINS), dtype=np.int64)
     step = max(1, min(2048, 2**15 // len(cols)))
-    for r0 in range(0, len(rows), step):
-        part = rows[r0 : r0 + step]
-        keys = np.matmul(V[part].astype(np.float32), C).astype(np.int32)  # exact dots
-        keys += (ranks[part] * _BINS + SHELL_NORM)[:, None]
-        out += np.bincount(keys.ravel(), minlength=out.size).reshape(out.shape)
-    return out + out[:, ::-1]  # row -x has the dots -d
+    for r0 in range(0, lo, _RANK_BLOCK):
+        counts = np.zeros((min(_RANK_BLOCK, lo - r0), _BINS), dtype=np.int64)
+        rows = np.flatnonzero((ranks >= r0) & (ranks < r0 + len(counts)))
+        for s0 in range(0, len(rows), step):
+            part = rows[s0 : s0 + step]
+            keys = np.matmul(V[part].astype(np.float32), C).astype(np.int32)  # exact dots
+            keys += ((ranks[part] - r0) * _BINS + SHELL_NORM)[:, None]
+            counts += np.bincount(keys.ravel(), minlength=counts.size).reshape(counts.shape)
+        counts += counts[:, ::-1]  # row -x has the dots -d
+        n_i = ordered[r0 : r0 + len(counts), None]
+        counts *= ordered[lo]
+        if (counts % n_i).any():
+            raise RuntimeError("orbit pair counts are not multiples of the orbit sizes")
+        counts //= n_i
+        table[:, r0 : r0 + len(counts)] += counts.T
 
 
 def _orbits(vectors: np.ndarray):
-    """(representatives, orbit sizes, int32 orbit label per row, group
-    order) of the sign-flip group of _flip_group; label k is the orbit of
-    the k-th representative, its smallest row index.
+    """(representatives, orbit sizes, int32 orbit label per row of the
+    first half, group order) of the sign-flip group of _flip_group; label k
+    is the orbit of the k-th representative, its smallest row index.
 
     Negation maps every Shell onto itself and lies in the group, so row
     n - 1 - k, -(row k), shares row k's orbit: only the first half of the
     rows, with half of each orbit and its smallest index, is sorted by
-    magnitude class.  A row's minus signs are one word (_sign_words), and a
-    flip's mask on a class is flip & the class's support word.  The orbits
+    magnitude class and labelled.  A row's minus signs are one word
+    (_sign_words), read once the rows are sorted by class, and a flip's
+    mask on a class is flip & the class's support word.  The orbits
     are the cosets of the group's masks within each class (_cosets), and
     the group order is 2^(basis length).  Above dim 64 the group is
     negation alone, and the orbits are the pairs {x, -x}."""
@@ -276,31 +287,34 @@ def _orbits(vectors: np.ndarray):
     half = vectors[: n // 2]
     if dim > 64:
         reps = np.arange(len(half), dtype=np.int32)
-        return reps, np.full(len(half), 2), np.concatenate((reps, reps[::-1])), 2
-    mags = np.empty((-(-dim // 16), len(half)), dtype=np.uint64)  # one row per key word
-    words = np.empty(len(half), dtype=np.uint32 if dim <= 32 else np.uint64)
-    for r0 in range(0, len(half), 8192):  # no full-size |vectors| or sign bits
-        block = half[r0 : r0 + 8192]
-        mags[:, r0 : r0 + 8192] = _row_keys(np.abs(block)).T
-        words[r0 : r0 + 8192] = _sign_words(block < 0)
+        return reps, np.full(len(half), 2), reps.copy(), 2
+    # one array per key word: with one 2-d block of them, freed at once,
+    # verify --full peaked about 0.2 MB higher in RSS on rm2_5 (glibc's
+    # malloc thresholds follow the largest block freed)
+    mags = [np.empty(len(half), dtype=np.uint64) for _ in range(-(-dim // 16))]
+    for r0 in range(0, len(half), 8192):  # no full-size |vectors|
+        block = _row_keys(np.abs(half[r0 : r0 + 8192]))
+        for k in range(len(mags)):
+            mags[k][r0 : r0 + 8192] = block[:, k]
+    del block
     order = np.lexsort(mags[::-1]).astype(np.int32)
     heads = _run_starts(order, mags)
     del mags
     class_sizes = np.diff(np.append(heads, len(half)))
-    lead = half[order[heads]]  # one row per class
-    support = _sign_words(lead != 0)
-    words = words[order]  # class order from here on
+    support = _sign_words(half[order[heads]] != 0)  # one row per class
+    words = np.empty(len(half), dtype=support.dtype)  # class order from here on
+    for r0 in range(0, len(half), 8192):  # no full-size sign bits, none beside the sort
+        words[r0 : r0 + 8192] = _sign_words(half[order[r0 : r0 + 8192]] < 0)
 
     flips = _flip_group(words, support, class_sizes, heads)
     perm, starts, sizes = _cosets(words, flips, support, class_sizes)
     rows = order[perm]  # row index per key-sorted place
-    del order, perm, words  # freed before the full-size labels
+    del order, perm, words  # freed before the labels
     reps = np.minimum.reduceat(rows, starts)
     by_index = np.argsort(reps)
     label = np.argsort(by_index).astype(np.int32)  # each coset's place by index
-    labels = np.empty(n, dtype=np.int32)
+    labels = np.empty(len(half), dtype=np.int32)
     labels[rows] = np.repeat(label, sizes)
-    labels[len(half) :] = labels[: len(half)][::-1]  # the mirrors
     return reps[by_index], 2 * sizes[by_index], labels, 2 ** len(flips)
 
 

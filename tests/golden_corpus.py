@@ -35,16 +35,22 @@ GOLDEN = Path(__file__).parent / "golden"
 # as the last pair sees 1/2 twice and the others see 0 twice
 BENT = [[v * sign for v in row] for row in ([4, 4, 0, 0], [0, 0, 4, 4], [4, 0, 4, 0])
         for sign in (1, -1)]
+# the same rows spelled by hand, with tabs and CRLF line ends: no file of
+# save_shell's grammar, so only the np.loadtxt reader (lattice32._read_text)
+# takes it
+BENT_TEXT = (b"latcert-shell v1 n=4 count=6 scale=2sqrt2\r\n"
+             b"4\t4\t0\t0\r\n-4\t-4\t0\t0\r\n0\t0\t4\t4\r\n"
+             b"0\t0\t-4\t-4\r\n4\t0\t4\t0\r\n-4\t0\t-4\t0\r\n")
 
 
 def write_inputs(directory: Path, rm_shell=None, xqr_shell=None) -> dict:
     """Placeholder -> path of each input in directory: the rm2_5 and xqr32
     shell files when their shells are given, the 24-point and 6-point bent
-    shell files, the min-design polynomial as JSON and the 16 x 32 identity
-    generator matrix (not self-dual), written there, and two paths with no
-    file yet."""
+    shell files, the bent rows spelled by hand, the min-design polynomial as
+    JSON and the 16 x 32 identity generator matrix (not self-dual), written
+    there, and two paths with no file yet."""
     paths = {f"{{{name}}}": str(directory / f"{name}.shell")
-             for name in ("rm2_5", "xqr32", "small", "bent", "missing", "out")}
+             for name in ("rm2_5", "xqr32", "small", "bent", "bent_text", "missing", "out")}
     paths["{poly}"] = str(directory / "poly.json")
     paths["{ident}"] = str(directory / "ident.txt")
     for name, shell in (("{rm2_5}", rm_shell), ("{xqr32}", xqr_shell)):
@@ -52,6 +58,7 @@ def write_inputs(directory: Path, rm_shell=None, xqr_shell=None) -> dict:
             save_shell(shell, paths[name])
     save_shell(Shell(PAIRS_4), paths["{small}"])
     save_shell(Shell(BENT), paths["{bent}"])
+    Path(paths["{bent_text}"]).write_bytes(BENT_TEXT)
     Path(paths["{poly}"]).write_text(json.dumps(poly_to_json(MIN_DESIGN_POLY)))
     Path(paths["{ident}"]).write_text("".join("0" * j + "1" + "0" * (31 - j) + "\n"
                                               for j in range(16)))

@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import event, example, given, settings, strategies as st
 from conftest import (PAIRS_4, bit_rows, cli_vocabulary, e8_power_code, e8_root_rows,
                       run_cli, save_generator_matrix)
 from golden_corpus import write_inputs
-from latcert import gf2codes, lattice32, sphercode
+from latcert import energycert, gf2codes, lattice32, sphercode
 from latcert.gf2codes import code_report
 from latcert.lattice32 import save_shell
 
@@ -243,6 +244,21 @@ def test_energy_of_the_design_is_the_bound_exactly(shell_file, spec, gap):
     assert (record["valid"], record["gap"]) == (True, gap)
 
 
+@pytest.mark.parametrize("spec", ["invlin", "riesz:2"])
+def test_energy_fails_when_an_exact_code_energy_is_below_the_bound(shell_file, monkeypatch,
+                                                                   spec):
+    # once the bound's hypotheses hold, its conclusion is checked exactly:
+    # an exact potential's code energy one below the bound fails the record
+    code_energy = energycert.code_energy
+    monkeypatch.setattr(energycert, "code_energy", lambda *a, **k: code_energy(*a, **k) - 1)
+    proc = run_cli("energy", "--shell", str(shell_file), "--potential", spec)
+    assert proc.returncode == 1
+    record = json.loads(proc.stdout)
+    bound = record["lower_bound"]
+    failure = f"code energy {Fraction(bound) - 1} is below the lower bound {bound}"
+    assert (record["valid"], record["failure"], record["gap"]) == (False, failure, "-1")
+
+
 @pytest.mark.parametrize("precision", ["10001", "1000000"])
 @pytest.mark.parametrize("shell", [False, True])
 def test_energy_rejects_precision_above_the_cap(small_shell_file, precision, shell):
@@ -366,8 +382,8 @@ def test_shell_grammar_checks_hold_under_optimize(tmp_path, flags, body, message
 def test_internal_check_failure_exits_one(small_shell_file, monkeypatch):
     column_counts = sphercode._column_counts
 
-    def drop_one_count(shell, cols, rows=None):
-        table = column_counts(shell, cols, rows)
+    def drop_one_count(shell, cols, rows=None, out=None):
+        table = column_counts(shell, cols, rows, out)
         table[2 * 32, 0] -= 1  # lose the first column's self pair
         return table
 

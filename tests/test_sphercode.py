@@ -36,6 +36,7 @@ from latcert.sphercode import (
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
 N = 146880
+_NOT_FIRST_HALF = "counted rows are not ascending first-half indices"
 
 EXPECTED_DISTRIBUTION = {
     Fraction(-1): 1,
@@ -516,7 +517,9 @@ def _assert_orbits_match_oracle(shell):
             assert group == _stabilizer(rows, shell.dim)
         assert _span(basis) == set(group)
     assert (reps.tolist(), sizes.tolist()) == _closure_orbits(rows, basis)
-    assert np.array_equal(np.bincount(labels, minlength=len(reps)), sizes)
+    # the first half is labelled: row N - 1 - k shares row k's orbit
+    assert len(labels) == shell.count // 2
+    assert np.array_equal(2 * np.bincount(labels, minlength=len(reps)), sizes)
     assert np.array_equal(labels[reps], np.arange(len(reps)))
     return reps.tolist(), sizes.tolist(), order
 
@@ -584,7 +587,7 @@ def test_orbits_above_dim_64_are_the_antipodal_pairs():
     shell = Shell([row + [0] * 32 for row in _WIDE_ROWS])
     reps, sizes, labels, order = _orbits(shell.vectors)
     assert (reps.tolist(), sizes.tolist(), order) == ([0, 1, 2, 3], [2] * 4, 2)
-    assert labels.tolist() == [0, 1, 2, 3, 3, 2, 1, 0]
+    assert labels.tolist() == [0, 1, 2, 3]
     inv = _assert_matches_brute_force(shell)
     assert (inv.group_order, inv.representatives) == (2, 4)
 
@@ -648,11 +651,13 @@ def test_orbits_match_brute_force_on_shells_missing_points(shell):
                  flip_closed_shells(dims=(33, 40))))
 def test_orbits_pair_each_row_with_its_mirror(shell):
     # negation is always kept: row N - 1 - k, -(row k), shares row k's orbit,
+    # so only the first half is labelled, each of its labels counts twice,
     # and each orbit's smallest index lies in the first half
     n = shell.count
     reps, sizes, labels, order = sphercode._orbits(shell.vectors)
-    assert np.array_equal(labels, labels[::-1])
-    assert (reps < n // 2).all() and (sizes % 2 == 0).all() and order % 2 == 0
+    assert len(labels) == n // 2
+    assert np.array_equal(2 * np.bincount(labels, minlength=len(reps)), sizes)
+    assert (reps < n // 2).all() and order % 2 == 0
 
 
 def test_orbits_on_rm_shell_missing_a_pair_of_a_128_orbit(rm_shell):
@@ -668,26 +673,27 @@ def test_orbits_on_rm_shell_missing_a_pair_of_a_128_orbit(rm_shell):
 
 
 def _brute_force_columns(vectors, cols, rows=None):
-    """The dot counts of the columns cols over all rows, or those at rows."""
+    """The dot counts of the columns cols over all rows, or over the rows
+    at the first-half indices rows and their mirrors."""
     V = vectors.astype(np.int64)
-    X = V if rows is None else V[rows]
+    X = V if rows is None else V[_mirrored(len(V), rows)]
     return np.array([np.bincount(X @ V[c] + 32, minlength=65) for c in cols]).T
 
 
 def _mirrored(n, half):
-    """The int32 index set of the indices half (all below n // 2) and their
-    mirrors n - 1 - k, ascending."""
-    return np.union1d(half, n - 1 - np.asarray(half)).astype(np.int32)
+    """The indices half (all below n // 2) and their mirrors n - 1 - k."""
+    return np.union1d(half, n - 1 - np.asarray(half))
 
 
 def _column_case(case):
-    """(shell, counted rows) of a case: the Hamming shell with all its rows
-    (canonical), or the rows at a mirrored index set, gathered."""
+    """(shell, index set) of a case: the Hamming shell with all its rows
+    (canonical), or the rows at 20 first-half indices and their mirrors,
+    gathered."""
     shell = _hamming_shell()
     if case == "canonical":
         return shell, None
     half = np.random.default_rng(7).choice(shell.count // 2, size=20, replace=False)
-    return shell, _mirrored(shell.count, half)
+    return shell, np.sort(half).astype(np.int32)
 
 
 CASES = ["canonical", "mirrored"]
@@ -723,13 +729,13 @@ def test_column_counts_of_paired_columns(case, cols):
                          ids=["folded", "gathered"])
 def test_column_counts_match_brute_force_across_blocks(rm_shell, products, gathered, block):
     # 121 columns: 61 pairs, a block of 32 and a partial one of 29; the
-    # counted rows (the first half, 73440 rows, or 73439 of an index set
-    # without rows 5000 and N - 5001) go in segments of 2^14 rows (2^13
+    # counted rows (the first half, 73440 rows, or the 73439 first-half
+    # indices without row 5000) go in segments of 2^14 rows (2^13
     # gathered), the last one partial, each filled 2048 rows at a time, and
     # the last segment's last row block (1760 rows, 1759 gathered) is
     # partial too; rows 0 and N - 1 among the columns
     shell = rm_shell.result
-    rows = _mirrored(N, np.delete(np.arange(N // 2), 5000)) if gathered else None
+    rows = np.delete(np.arange(N // 2, dtype=np.int32), 5000) if gathered else None
     rng = np.random.default_rng(17)
     cols = np.r_[0, N - 1, rng.choice(np.arange(1, N - 1), 119, replace=False)]
     table = _column_counts(shell, cols, rows)
@@ -749,14 +755,43 @@ def test_column_counts_match_brute_force_on_random_columns(shell, data):
 @given(flip_closed_shells(), st.data())
 def test_column_counts_over_row_subsets_match_brute_force(shell, data):
     n = shell.count
-    subset = _mirrored(n, sorted(data.draw(st.sets(st.integers(0, n // 2 - 1), min_size=1))))
+    half = sorted(data.draw(st.sets(st.integers(0, n // 2 - 1), min_size=1)))
+    subset = np.array(half, dtype=np.int32)
     cols = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=9)))
     table = _column_counts(shell, cols, subset)
     assert np.array_equal(table, _brute_force_columns(shell.vectors, cols, subset))
-    # one index short, the set lacks the mirror of another: never counted
-    short = np.delete(subset, data.draw(st.integers(0, len(subset) - 1)))
-    with pytest.raises(RuntimeError, match="^counted rows are not closed under negation$"):
-        _column_counts(shell, cols, short)
+    # the set with its mirrors, with one index repeated, below 0 or at
+    # count // 2, or descending: never counted
+    k = data.draw(st.integers(0, len(half) - 1))
+    bad = [_mirrored(n, half), half[: k + 1] + half[k:], [-1] + half, half + [n // 2]]
+    if len(half) > 1:
+        bad.append(half[::-1])
+    for rows in bad:
+        with pytest.raises(RuntimeError, match=f"^{_NOT_FIRST_HALF}$"):
+            _column_counts(shell, cols, np.array(rows, dtype=np.int32))
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_pair_kernel_rejects_index_sets_off_the_first_half(flags):
+    # the kernel counts an index set's mirrors itself: a set holding a
+    # mirror, out of order, repeated or outside [0, N / 2) is refused, also
+    # under -O, which drops asserts
+    script = (
+        "import numpy as np\n"
+        "from latcert.lattice32 import Shell, _joint_tables\n"
+        "shell = Shell([[4, 4, 0, 0], [4, -4, 0, 0], [-4, 4, 0, 0], [-4, -4, 0, 0]])\n"
+        "for rows in ([0, 3], [1, 0], [0, 0], [2], [-1]):\n"
+        "    try:\n"
+        "        list(_joint_tables(shell, [0], [1], np.array(rows, dtype=np.int32)))\n"
+        "    except RuntimeError as exc:\n"
+        f"        if str(exc) != {_NOT_FIRST_HALF!r}:\n"
+        "            raise\n"
+        "    else:\n"
+        "        raise SystemExit(f'counted {rows}')\n"
+    )
+    proc = subprocess.run([sys.executable, *flags, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def _brute_force_joint(V, a, b):
@@ -784,7 +819,7 @@ def test_pair_kernel_counts_half_the_counted_rows(rm_shell, products):
     # every Shell is closed under negation, so the kernel always folds: the
     # products see the first half of all rows, or of an index set
     shell = rm_shell.result
-    for rows, counted in ((None, N // 2), (_mirrored(N, np.arange(0, N // 2, 3)), 24480)):
+    for rows, counted in ((None, N // 2), (np.arange(0, N // 2, 3, dtype=np.int32), 24480)):
         products.clear()
         list(_joint_tables(shell, [0], [1], rows))
         assert sum(n for _, _, n in products) == counted
@@ -792,23 +827,28 @@ def test_pair_kernel_counts_half_the_counted_rows(rm_shell, products):
 
 def test_orbit_dot_counts_match_brute_force_across_chunks(rm_shell, products):
     # the 620 columns of the orbits of 128 against the 992 rows of the
-    # orbits of 4 in the first half, in blocks of 2^15 // 620 = 52 rows, the
-    # last one of 992 - 19 * 52 = 4 rows
+    # orbits of 4 in the first half, 256 ranks (512 rows) at a time, each
+    # in blocks of 2^15 // 620 = 52 rows: 9 of 52 and one of 44, then for
+    # the last 240 ranks 9 of 52 and one of 12; each count times 128 / 4
+    # goes to its rank
     V = rm_shell.result.vectors
     reps, sizes, labels, _ = _orbits(V)
     by_size = np.argsort(sizes, kind="stable")
-    assert sizes[by_size].tolist() == [4] * 496 + [128] * 620 + [65536]
+    ordered = sizes[by_size]
+    assert ordered.tolist() == [4] * 496 + [128] * 620 + [65536]
     rank = np.empty(len(reps), dtype=np.int64)
     rank[by_size] = np.arange(len(reps))
     ranks = rank[labels]
     cols = reps[by_size[496:1116]]
-    counts = _orbit_dot_counts(V, cols, ranks[: N // 2], 496)
-    rows = np.flatnonzero(ranks < 496)
+    table = np.zeros((65, 496), dtype=np.int32)
+    _orbit_dot_counts(table, V, cols, ranks, ordered, 496)
+    every = np.concatenate((ranks, ranks[::-1]))  # row N - 1 - k has row k's rank
+    rows = np.flatnonzero(every < 496)
     dots = V[rows].astype(np.int64) @ V[cols].astype(np.int64).T + 32
     brute = np.zeros((496, 65), dtype=np.int64)
-    np.add.at(brute, (np.repeat(ranks[rows], len(cols)), dots.ravel()), 1)
-    assert np.array_equal(counts, brute)
-    assert set(products) == {(52, 32, 620), (4, 32, 620)}
+    np.add.at(brute, (np.repeat(every[rows], len(cols)), dots.ravel()), 1)
+    assert np.array_equal(table, (brute * 128 // 4).T)
+    assert sorted(products) == [(12, 32, 620)] + [(44, 32, 620)] + [(52, 32, 620)] * 18
 
 
 def test_orbit_pair_counts_match_the_one_sided_table(rm_shell):
@@ -830,48 +870,28 @@ def test_orbit_pair_counts_match_brute_force(shell):
     assert np.array_equal(table, _brute_force_columns(shell.vectors, reps))
 
 
-def test_orbit_pair_counts_reject_rows_outside_their_orbit(monkeypatch, tmp_path):
-    # one row of an orbit of 4 labelled as a row of another: "orbits" of 3
-    # and 5, and the rows of the orbit of 3 lack the antipode of one of
-    # them, so the pair kernel refuses to count them
+def test_orbit_pair_counts_reject_a_pair_outside_its_orbit(monkeypatch, tmp_path):
+    # a row of an orbit of 4, with its antipode, labelled as rows of
+    # another: the counts of the "orbit" of 6 from the orbit of 16 are not
+    # multiples of 6, in-process and through the CLI
     orbits = sphercode._orbits
 
     def moved(V):
         reps, sizes, labels, order = orbits(V)
         i, j = np.flatnonzero(sizes == 4)[:2]
-        labels[np.flatnonzero(labels == i)[-1]] = j  # not i's representative
-        sizes[[i, j]] += [-1, 1]
+        labels[np.flatnonzero(labels == i)[1]] = j  # not i's representative
+        sizes[[i, j]] += [-2, 2]
         return reps, sizes, labels, order
 
     monkeypatch.setattr(sphercode, "_orbits", moved)
     shell = _hamming_shell()
-    message = "counted rows are not closed under negation"
+    message = "orbit pair counts are not multiples of the orbit sizes"
     with pytest.raises(RuntimeError, match=message):
         check_distance_invariance(shell, ALL)
     path = tmp_path / "hamming.shell"
     save_shell(shell, path)
     assert run_cli("verify", "--shell", str(path), "--full") == (
         1, "", f"error: internal check failed: {message}\n")
-
-
-def test_orbit_pair_counts_reject_a_pair_outside_its_orbit(monkeypatch):
-    # a row of an orbit of 4 and its antipode labelled as rows of another:
-    # the index sets stay mirrored, and the counts of the "orbit" of 6 from
-    # the orbit of 16 are not multiples of 6
-    orbits = sphercode._orbits
-
-    def moved(V):
-        reps, sizes, labels, order = orbits(V)
-        i, j = np.flatnonzero(sizes == 4)[:2]
-        k = np.flatnonzero(labels == i)[1]  # neither i's representative nor its antipode
-        labels[[k, len(V) - 1 - k]] = j
-        sizes[[i, j]] += [-2, 2]
-        return reps, sizes, labels, order
-
-    monkeypatch.setattr(sphercode, "_orbits", moved)
-    message = "orbit pair counts are not multiples of the orbit sizes"
-    with pytest.raises(RuntimeError, match=message):
-        check_distance_invariance(_hamming_shell(), ALL)
 
 
 @pytest.mark.parametrize("sample", [0, -5])
@@ -928,20 +948,44 @@ def _peak_over_rows(shell, fn):
 
 
 def test_orbits_peak_memory(rm_shell):
-    # only the first half of the rows is sorted and reduced: its magnitude
-    # keys and coset keys (0.25x each) and their sort, 0.50x the int8 rows
-    # on rm2_5, where the whole shell's took 1.00x
+    # only the first half of the rows is sorted and reduced, and its sign
+    # words are read once the magnitude keys are sorted: the coset keys and
+    # their int64 sort (0.125x each) beside the class order and the words,
+    # 0.44x the int8 rows on rm2_5, where the whole shell's took 1.00x
     V = rm_shell.result.vectors
-    assert _peak_over_rows(rm_shell.result, lambda: _orbits(V)) <= 0.55
+    assert _peak_over_rows(rm_shell.result, lambda: _orbits(V)) <= 0.49
+
+
+def _dim64_rows(classes=30000, seed=64):
+    """2 * classes int8 rows of dim 64: +-2 on a random weight-8 support
+    per class, random signs, and their negations."""
+    rng = np.random.default_rng(seed)
+    support = np.argsort(rng.random((classes, 64)), axis=1)[:, :8]
+    rows = np.zeros((classes, 64), dtype=np.int8)
+    signs = rng.choice(np.array([-2, 2], dtype=np.int8), size=(classes, 8))
+    np.put_along_axis(rows, support, signs, axis=1)
+    return np.concatenate((rows, -rows))
+
+
+def test_orbits_peak_memory_at_dim_64():
+    # uint64 sign words and coset keys at dims 33-64: 60000 rows in 30000
+    # magnitude classes (each {x, -x}, so the group is negation alone),
+    # 1.61x the int8 rows, where the flip group's solve without blocks of
+    # classes took 9.6x
+    shell = Shell(_dim64_rows())
+    reps, _, _, order = _orbits(shell.vectors)
+    assert (len(reps), order) == (30000, 2)
+    assert _peak_over_rows(shell, lambda: _orbits(shell.vectors)) <= 1.75
 
 
 def test_full_pass_peak_memory(rm_shell):
     # the first half's orbit ranks, the int32 table, and an index set's
     # kernel with 2^18 uint16 keys (0.11x), 2113 int32 bins a pair and one
-    # 2048-row float32 block and product: 0.55x the int8 rows on rm2_5,
-    # where a float32 copy of the whole shell alone would be 4x
+    # 2048-row float32 block and product: 0.48x the int8 rows on rm2_5,
+    # where a float32 copy of the whole shell alone would be 4x; _orbits
+    # peaks below it
     shell = rm_shell.result
-    assert _peak_over_rows(shell, lambda: check_distance_invariance(shell, ALL)) <= 0.61
+    assert _peak_over_rows(shell, lambda: check_distance_invariance(shell, ALL)) <= 0.53
 
 
 def test_pair_kernel_peak_memory(rm_shell):
@@ -954,12 +998,12 @@ def test_pair_kernel_peak_memory(rm_shell):
 
 def test_verify_full_peak_memory(rm_shell, tmp_path):
     # the whole in-process verify --full: the load, then the full pass
-    # beside the loaded rows, 1.56x the int8 rows on rm2_5
+    # beside the loaded rows, 1.49x the int8 rows on rm2_5
     shell = rm_shell.result
     path = tmp_path / "rm.shell"
     save_shell(shell, path)
     assert _peak_over_rows(
-        shell, lambda: run_cli("verify", "--shell", str(path), "--full")) <= 1.72
+        shell, lambda: run_cli("verify", "--shell", str(path), "--full")) <= 1.60
 
 
 def test_full_pass_on_shell_missing_an_antipodal_pair(rm_shell, rm_hist):
