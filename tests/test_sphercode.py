@@ -870,17 +870,18 @@ def test_orbit_pair_counts_match_brute_force(shell):
     assert np.array_equal(table, _brute_force_columns(shell.vectors, reps))
 
 
-def test_orbit_pair_counts_reject_a_pair_outside_its_orbit(monkeypatch, tmp_path):
-    # a row of an orbit of 4, with its antipode, labelled as rows of
-    # another: the counts of the "orbit" of 6 from the orbit of 16 are not
-    # multiples of 6, in-process and through the CLI
+def test_orbit_pair_counts_reject_rows_outside_their_orbit(monkeypatch, tmp_path):
+    # one row of an orbit of 4 labelled as a row of another, with sizes of
+    # 3 and 5: the labels take the row's antipode along, so the sizes do not
+    # match the rows counted, and the counts of the "orbit" of 3 are not
+    # multiples of 3, in-process and through the CLI
     orbits = sphercode._orbits
 
     def moved(V):
         reps, sizes, labels, order = orbits(V)
         i, j = np.flatnonzero(sizes == 4)[:2]
-        labels[np.flatnonzero(labels == i)[1]] = j  # not i's representative
-        sizes[[i, j]] += [-2, 2]
+        labels[np.flatnonzero(labels == i)[-1]] = j  # not i's representative
+        sizes[[i, j]] += [-1, 1]
         return reps, sizes, labels, order
 
     monkeypatch.setattr(sphercode, "_orbits", moved)
@@ -892,6 +893,25 @@ def test_orbit_pair_counts_reject_a_pair_outside_its_orbit(monkeypatch, tmp_path
     save_shell(shell, path)
     assert run_cli("verify", "--shell", str(path), "--full") == (
         1, "", f"error: internal check failed: {message}\n")
+
+
+def test_orbit_pair_counts_reject_a_pair_outside_its_orbit(monkeypatch):
+    # a row of an orbit of 4, with its antipode, labelled as rows of
+    # another: the counts of the "orbit" of 6 from the orbit of 16 are not
+    # multiples of 6
+    orbits = sphercode._orbits
+
+    def moved(V):
+        reps, sizes, labels, order = orbits(V)
+        i, j = np.flatnonzero(sizes == 4)[:2]
+        labels[np.flatnonzero(labels == i)[1]] = j  # not i's representative
+        sizes[[i, j]] += [-2, 2]
+        return reps, sizes, labels, order
+
+    monkeypatch.setattr(sphercode, "_orbits", moved)
+    message = "orbit pair counts are not multiples of the orbit sizes"
+    with pytest.raises(RuntimeError, match=message):
+        check_distance_invariance(_hamming_shell(), ALL)
 
 
 @pytest.mark.parametrize("sample", [0, -5])
