@@ -90,9 +90,14 @@ def cmd_build(args) -> int:
     return _emit({**record, "count": shell.count, "out": args.out, "valid": True}, args.format)
 
 
+def _by_t(counts: dict) -> dict:
+    """A count per inner product t as JSON: keyed by str(t), in order of t."""
+    return {str(t): c for t, c in sorted(counts.items())}
+
+
 def cmd_verify(args) -> int:
     from . import lattice32, sphercode
-    from .gegenbauer import MAX_DEGREE
+    from .gegenbauer import MAX_DEGREE, histogram_from_distribution
     if args.full and (args.sample, args.seed) != (None, None):
         raise ValueError("--full checks every point: --sample and --seed do not apply")
     sample = 1000 if args.sample is None else args.sample
@@ -112,7 +117,7 @@ def cmd_verify(args) -> int:
         hist_mode = "full"
     elif inv.invariant:
         # exact under the (sampled) distance-invariance evidence
-        hist = sphercode.histogram_from_distribution(inv.distribution, shell.count)
+        hist = histogram_from_distribution(inv.distribution, shell.count)
         hist_mode = "extrapolated-from-sample"
     else:
         hist = None
@@ -125,12 +130,8 @@ def cmd_verify(args) -> int:
         "count": shell.count,
         "histogram_mode": hist_mode,
         "inner_products": [str(t) for t in sorted(hist.counts)] if hist else None,
-        "histogram": {str(t): c for t, c in sorted(hist.counts.items())} if hist else None,
-        "distance_distribution": (
-            {str(t): c for t, c in sorted(inv.distribution.a.items())}
-            if inv.distribution
-            else None
-        ),
+        "histogram": _by_t(hist.counts) if hist else None,
+        "distance_distribution": _by_t(inv.distribution.a) if inv.distribution else None,
         "invariant": inv.invariant,
         "invariance_mode": inv.mode,
         "points_checked": inv.checked,
@@ -143,10 +144,7 @@ def cmd_verify(args) -> int:
         (i, di), (j, dj) = inv.counterexample
         record["counterexample"] = {
             "points": [i, j],
-            "distributions": [
-                {str(t): c for t, c in sorted(di.a.items())},
-                {str(t): c for t, c in sorted(dj.a.items())},
-            ],
+            "distributions": [_by_t(di.a), _by_t(dj.a)],
         }
     return _emit(record, args.format)
 
@@ -179,19 +177,7 @@ def cmd_energy(args) -> int:
     if args.shell:
         from . import lattice32, sphercode
         shell = lattice32.load_shell(args.shell)
-        hist = sphercode.histogram(shell)
-        # the design's own histogram: its energy is the bound's sum, exactly;
-        # an exact potential's own sum is taken, and checked below
-        attained = not h.exact_on_rationals and hist == sphercode.histogram_from_distribution(
-            energycert.design_distribution(), energycert.DESIGN_SIZE)
-        energy = cert.lower_bound if attained else energycert.code_energy(hist, h, **precision)
-        cert = cert.with_energy(energy)
-        # the bound's hypotheses, then its conclusion (a rounded sum is not checked)
-        failure = cert.valid and (cert.hypothesis_failure(shell.dim, hist) or (
-            h.exact_on_rationals and energy < cert.lower_bound
-            and f"code energy {energy} is below the lower bound {cert.lower_bound}"))
-        if failure:  # a valid bound that does not cover this shell or fails on it
-            cert = cert._replace(valid=False, failure=failure)
+        cert = cert.on_shell(h, shell.dim, sphercode.histogram(shell), **precision)
     return _emit({"command": "energy", **cert.to_json_dict()}, args.format)
 
 
@@ -210,12 +196,12 @@ def cmd_venkov(args) -> int:
         x, z = lattice32.witness_pair()
         e22 = lattice32.venkov_e22(shell, x, z)
         record["witness_e22"] = e22
-        ok = ok and e22 == 60
+        ok = ok and e22 == lattice32.WITNESS_E22
     if args.sample:
         values = lattice32.venkov_sample(shell, args.sample, args.seed)
         record["sampled_e22"] = values
         record["seed"] = args.seed
-        ok = ok and all(v % 2 == 0 and 0 <= v <= 60 for v in values)
+        ok = ok and lattice32.sampled_e22_ok(values)
     record["valid"] = ok
     return _emit(record, args.format)
 
@@ -281,10 +267,11 @@ def cmd_selftest(args) -> int:
               lambda code=code: lattice32.check_extremal(code))
         x, z = lattice32.witness_pair()
         check(f"{code.name}: witness Venkov pair e_2,2 = 60",
-              lambda shell=shell, x=x, z=z: lattice32.venkov_e22(shell, x, z) == 60)
+              lambda shell=shell, x=x, z=z:
+              lattice32.venkov_e22(shell, x, z) == lattice32.WITNESS_E22)
         vals = lattice32.venkov_sample(shell, 100, 1)
         check(f"{code.name}: 100 sampled e_2,2 values even in [0,60]",
-              lambda vals=vals: all(v % 2 == 0 and 0 <= v <= 60 for v in vals))
+              lambda vals=vals: lattice32.sampled_e22_ok(vals))
 
     shell = shells["rm2_5"]
     hist = sphercode.histogram(shell)

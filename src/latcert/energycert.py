@@ -17,7 +17,12 @@ conditions the argument needs:
 
 and checks the design identity sum_t A_t P_i(t) = N (P_i)_0 once, exactly, for
 the Newton basis P_0 = 1, P_1..P_7, so the bound's quadrature form equals
-N^2 ((H_7)_0 - H_7(1)/N) for every potential.  Rational potentials run exactly,
+N^2 ((H_7)_0 - H_7(1)/N) for every potential.  The certificate fails at the
+first of these checks that fails, in this order, and then at an exact
+quadrature form that differs from the dual form.  Its verdict on a code is one
+method, ``EnergyCertificate.on_shell``: the code's energy and gap, the bound's
+hypotheses (dimension 32, 146880 points, no inner product in T) and, for an
+exact potential, its conclusion.  Rational potentials run exactly,
 without mpmath; the others (``expt``, ``gauss``, odd ``riesz``) run in mpmath,
 and have their divided-difference signs read, at a configurable precision
 (default 60 digits, at most MAX_PRECISION).  mpmath is imported only when such
@@ -44,7 +49,8 @@ from .exactmath import (
     sign_on_region,
 )
 from .gegenbauer import (MAX_PRECISION, MAX_RIESZ_EXPONENT, InnerProductHistogram,
-                         distribution_from_design, gegenbauer_expand, is_positive_definite)
+                         distribution_from_design, gegenbauer_expand,
+                         histogram_from_distribution, is_positive_definite)
 
 DESIGN_SIZE = 146880
 DESIGN_TAU = 7
@@ -298,22 +304,33 @@ class EnergyCertificate(namedtuple(
 
     __slots__ = ()
 
-    def with_energy(self, energy) -> "EnergyCertificate":
-        return self._replace(code_energy=energy, gap=energy - self.lower_bound)
-
-    def hypothesis_failure(self, dim: int, hist: InnerProductHistogram) -> str | None:
-        """The first hypothesis of the bound that a code in dimension dim
-        with this ordered-pair histogram fails, with the code's value, or
-        None when the bound covers the code: DESIGN_SIZE points in the
-        certificate's dimension and no inner product in its avoided set."""
-        if dim != self.dimension:
-            return f"shell dimension is {dim}; the bound needs {self.dimension}"
-        if hist.n_points != DESIGN_SIZE:
-            return f"shell has {hist.n_points} points; the bound needs {DESIGN_SIZE}"
-        inside = [t for t in sorted(hist.counts) if self.avoided.contains(t)]
-        if inside:
-            return f"shell has inner product {inside[0]} in T = {self.avoided}"
-        return None
+    def on_shell(self, h: Potential, dim: int, hist: InnerProductHistogram,
+                 precision: int = 60) -> "EnergyCertificate":
+        """This certificate of the potential h, with the energy and gap of a
+        code in dimension dim with the ordered-pair histogram hist.  An
+        invalid certificate keeps its failure; a valid one fails at the
+        first hypothesis of the bound the code fails, with the code's value
+        (the certificate's dimension, DESIGN_SIZE points, no inner product
+        in the avoided set), then, for an exact potential, at its conclusion:
+        an energy below the bound (a rounded sum is not checked).  Under a
+        rounded potential the design's own histogram takes the bound's sum
+        as its energy, which it is, with no rounding residue."""
+        attained = not h.exact_on_rationals and hist == histogram_from_distribution(
+            design_distribution(), DESIGN_SIZE)
+        energy = self.lower_bound if attained else code_energy(hist, h, precision)
+        failure = self.failure or (
+            (dim != self.dimension
+             and f"shell dimension is {dim}; the bound needs {self.dimension}")
+            or (hist.n_points != DESIGN_SIZE
+                and f"shell has {hist.n_points} points; the bound needs {DESIGN_SIZE}")
+            or next((f"shell has inner product {t} in T = {self.avoided}"
+                     for t in sorted(hist.counts) if self.avoided.contains(t)), None)
+            or (h.exact_on_rationals and energy < self.lower_bound
+                and f"code energy {energy} is below the lower bound {self.lower_bound}")
+            or None
+        )
+        return self._replace(code_energy=energy, gap=energy - self.lower_bound,
+                             valid=failure is None, failure=failure)
 
     def to_json_dict(self) -> dict:
         num = _fmt_value
@@ -392,44 +409,28 @@ def energy_lower_bound(h: Potential, precision: int = 60) -> EnergyCertificate:
         )
         dual = N * N * expansion.coeffs[0] - N * h7(Fraction(1))
 
-        failure = None
-        for i, d in enumerate(dd):
-            if d < 0:
-                label = "h[t_1]" if i == 0 else f"h[t_1..t_{i + 1}]"
-                failure = (
-                    f"divided difference {label} = {_fmt_value(d)} is negative; "
-                    "potential is not absolutely monotone on these nodes"
-                )
-                break
-        if failure is None:
-            for pp in pps:
-                if not pp.pd.positive_definite:
-                    failure = (
-                        f"partial product P_{pp.index} has negative Gegenbauer "
-                        f"coefficients at indices {list(pp.pd.negative_indices)}"
-                    )
-                    break
-        if failure is None and err.negative_witness is not None:
-            failure = (
-                f"node polynomial is negative at t = {err.negative_witness} "
-                "inside [-1,1] minus T"
-            )
-        if failure is None:
-            sums = [0] * len(nodes.nodes)
-            for t, term in dist.a.items():
-                for i, node in enumerate(nodes.nodes):
-                    sums[i] += term  # A_t P_i(t)
-                    term *= t - node
-            for i, c in enumerate([1] + [pp.expansion.coeffs[0] for pp in pps]):
-                if sums[i] != N * c:
-                    failure = (f"design identity fails for P_{i}: sum of A_t P_{i}(t) "
-                               f"= {sums[i]}, N (P_{i})_0 = {N * c}")
-                    break
-        if failure is None and h.exact_on_rationals and bound != dual:
-            failure = (
-                f"quadrature form {_fmt_value(bound)} and dual form "
-                f"{_fmt_value(dual)} disagree"
-            )
+        sums = [0] * len(nodes.nodes)
+        for t, term in dist.a.items():
+            for i, node in enumerate(nodes.nodes):
+                sums[i] += term  # A_t P_i(t)
+                term *= t - node
+        heads = [N] + [N * pp.expansion.coeffs[0] for pp in pps]  # N (P_i)_0
+        failure = (
+            next((f"divided difference h[t_1{f'..t_{i + 1}' if i else ''}] = "
+                  f"{_fmt_value(d)} is negative; potential is not absolutely monotone "
+                  "on these nodes" for i, d in enumerate(dd) if d < 0), None)
+            or next((f"partial product P_{pp.index} has negative Gegenbauer coefficients "
+                     f"at indices {list(pp.pd.negative_indices)}"
+                     for pp in pps if not pp.pd.positive_definite), None)
+            or (err.negative_witness is not None and f"node polynomial is negative at "
+                f"t = {err.negative_witness} inside [-1,1] minus T")
+            or next((f"design identity fails for P_{i}: sum of A_t P_{i}(t) = {s}, "
+                     f"N (P_{i})_0 = {c}" for i, (s, c) in enumerate(zip(sums, heads))
+                     if s != c), None)
+            or (h.exact_on_rationals and bound != dual and f"quadrature form "
+                f"{_fmt_value(bound)} and dual form {_fmt_value(dual)} disagree")
+            or None
+        )
     return EnergyCertificate(
         potential=h.name,
         absolutely_monotone=h.absolutely_monotone,

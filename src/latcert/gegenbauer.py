@@ -9,8 +9,9 @@ three-term recurrence
 with P_0 = 1 and P_1 = t.  All coefficients are exact rationals, which is
 what makes the expansion tables in the bound certificates reproducible
 bit for bit.  The pair-statistic records (``InnerProductHistogram``,
-``DistanceDistribution``) and ``distribution_from_design``, a quadrature
-identity in this basis, live here too, so the energy certificates need no numpy.
+``DistanceDistribution``), the histogram of a distance-invariant code from
+its distribution, and ``distribution_from_design``, a quadrature identity in
+this basis, live here too, so the energy certificates need no numpy.
 """
 
 from __future__ import annotations
@@ -156,6 +157,14 @@ class DistanceDistribution(namedtuple("DistanceDistribution", "a")):
 
     def __getitem__(self, t):
         return self.a.get(Fraction(t), 0)
+
+
+def histogram_from_distribution(dist: DistanceDistribution,
+                                n_points: int) -> InnerProductHistogram:
+    """The ordered-pair histogram a distance-invariant code with this
+    per-point distribution would have (counts[t] = N * A_t for t != 1)."""
+    counts = {t: n_points * c for t, c in dist.a.items() if t != 1}
+    return InnerProductHistogram(counts, n_points)
 
 
 def distribution_from_design(I, N: int, n: int, tau: int) -> DistanceDistribution:

@@ -347,6 +347,17 @@ def witness_pair():
     return x, z
 
 
+# e_{2,2} of the witness pair on an extremal shell
+WITNESS_E22 = 60
+
+
+def sampled_e22_ok(values) -> bool:
+    """True when every sampled e_{2,2} value is even and in [0, WITNESS_E22].
+    It is even on an extremal shell: y -> x + z - y pairs the counted y, and
+    its one fixed point (x + z) / 2 has norm 2, below the minimal norm 4."""
+    return all(v % 2 == 0 and 0 <= v <= WITNESS_E22 for v in values)
+
+
 def venkov_sample(shell: Shell, count: int, seed: int) -> list:
     """Seeded sample of e_{2,2} values over random orthogonal shell pairs;
     ValueError when 10000 draws in a row find no orthogonal pair."""

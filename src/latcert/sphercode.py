@@ -336,15 +336,6 @@ def _pair_histogram(table: np.ndarray, sizes: np.ndarray) -> InnerProductHistogr
     return out
 
 
-def histogram_from_distribution(
-    dist: DistanceDistribution, n_points: int
-) -> InnerProductHistogram:
-    """The ordered-pair histogram a distance-invariant code with this
-    per-point distribution would have (counts[t] = N * A_t for t != 1)."""
-    counts = {t: n_points * c for t, c in dist.a.items() if t != 1}
-    return InnerProductHistogram(counts, n_points)
-
-
 def distance_distribution_at(shell: Shell, x) -> DistanceDistribution:
     """Exact counts of shell points at each inner product from x (x itself
     contributes A_1 = 1)."""

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 from conftest import (PAIRS_4, bit_rows, cli_vocabulary, e8_power_code, e8_root_rows,
-                      run_cli, save_generator_matrix)
+                      poly_potential, run_cli, save_generator_matrix)
 from golden_corpus import write_inputs
 from latcert import energycert, gf2codes, lattice32, sphercode
+from latcert.exactmath import Polynomial
 from latcert.gf2codes import code_report
 from latcert.lattice32 import save_shell
 
@@ -257,6 +258,28 @@ def test_energy_fails_when_an_exact_code_energy_is_below_the_bound(shell_file, m
     bound = record["lower_bound"]
     failure = f"code energy {Fraction(bound) - 1} is below the lower bound {bound}"
     assert (record["valid"], record["failure"], record["gap"]) == (False, failure, "-1")
+
+
+@pytest.mark.parametrize("shell, energy, gap", [
+    ("shell_file", "-674032320", "0"),
+    ("small_shell_file", "-120", "674032200"),
+], ids=["rm2_5", "outside-the-bound"])
+def test_energy_of_an_invalid_certificate_keeps_its_failure(request, monkeypatch, shell,
+                                                            energy, gap):
+    # a bound that fails its own checks reports that failure, not the shell's
+    # hypotheses (the small shell is 4-dimensional), with the shell's energy
+    # and gap all the same: -N (4590 - 1) on rm2_5, the bound's own sum, and
+    # -24 (1 + 16/4) on the 24 points, each with one antipode and 16 at +-1/2
+    h = poly_potential(Polynomial([0, 0, -1]))  # -t^2, not absolutely monotone
+    monkeypatch.setattr(energycert, "potential_by_spec", lambda spec: h)
+    proc = run_cli("energy", "--shell", str(request.getfixturevalue(shell)),
+                   "--potential", "invlin")
+    assert proc.returncode == 1
+    record = json.loads(proc.stdout)
+    failure = ("divided difference h[t_1] = -1 is negative; potential is not absolutely "
+               "monotone on these nodes")
+    assert (record["valid"], record["failure"]) == (False, failure)
+    assert (record["code_energy"], record["gap"]) == (energy, gap)
 
 
 @pytest.mark.parametrize("precision", ["10001", "1000000"])

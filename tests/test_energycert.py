@@ -173,9 +173,10 @@ def test_energy_attained_on_shell(rm_hist):
     cert = energy_lower_bound(h)
     energy = code_energy(rm_hist.result, h)
     assert energy == cert.lower_bound
-    done = cert.with_energy(energy)
+    done = cert.on_shell(h, 32, rm_hist.result)
     assert done.gap == 0
     assert done.code_energy == energy
+    assert done.valid
 
 
 def test_code_energy_small_cases(rm_hist):
@@ -241,6 +242,63 @@ def test_design_identity_failure_is_caught(monkeypatch, spec, precision):
     cert = energy_lower_bound(potential_by_spec(spec), precision=precision)
     assert not cert.valid
     assert cert.failure.startswith("design identity fails for P_1:"), cert.failure
+
+
+def _moved_point(monkeypatch, h):
+    # as above: the design identity fails for P_1
+    a = dict(design_distribution().a)
+    a[Fraction(0)] -= 1
+    a[Q] += 1
+    monkeypatch.setattr("latcert.energycert.design_distribution",
+                        lambda: DistanceDistribution(a))
+    return h
+
+
+def _value_off_from_the_ninth_call(monkeypatch, h):
+    # the 8 node values of the divided differences are right, the 6 values
+    # of the bound's sum 1 too high: the quadrature form leaves the dual form
+    calls = []
+
+    def value(t):
+        calls.append(t)
+        return h.value(t) + (1 if len(calls) > 8 else 0)
+    return h._replace(value=value)
+
+
+# each fault breaks one condition of the bound, in the order the failure is
+# decided; the message the fault gives when it is the first
+_FAULTS = {
+    "negative-dd": (lambda monkeypatch, h: poly_potential(Polynomial([0, 0, -1])),
+                    "divided difference h[t_1] = -1 is negative; potential is not "
+                    "absolutely monotone on these nodes"),
+    "non-pd": (lambda monkeypatch, h: monkeypatch.setattr(
+        "latcert.energycert.PAPER_NODES",
+        NodeMultiset((-1, -H, -Q, 0, 0, Q, H, H))) or h,
+        "partial product P_7 has negative Gegenbauer coefficients at indices [1, 2]"),
+    "node-poly": (lambda monkeypatch, h: monkeypatch.setattr(
+        "latcert.energycert.T_SYMMETRIC", EMPTY_REGION) or h,
+        "node polynomial is negative at t = -3/8 inside [-1,1] minus T"),
+    "identity": (_moved_point, "design identity fails for P_1: sum of A_t P_1(t) = "
+                 "587521/4, N (P_1)_0 = 146880"),
+    "quadrature": (_value_off_from_the_ninth_call,
+                   "quadrature form 32731892208 and dual form 11158304688 disagree"),
+}
+
+
+@pytest.mark.parametrize("faults", [
+    ("non-pd",), ("node-poly",), ("quadrature",),
+    ("negative-dd", "non-pd"), ("non-pd", "node-poly"), ("node-poly", "identity"),
+], ids="+".join)
+def test_energy_bound_reports_its_first_failure(monkeypatch, faults):
+    # the failure is the first in order: a negative divided difference, a
+    # partial product that is not positive definite, a negative node
+    # polynomial, the design identity, then quadrature form != dual form (the
+    # moved point above puts both forms apart as well: the identity is first)
+    h = invlin()
+    for fault in faults:
+        h = _FAULTS[fault][0](monkeypatch, h)
+    cert = energy_lower_bound(h)
+    assert (cert.valid, cert.failure) == (False, _FAULTS[faults[0]][1])
 
 
 def test_wrong_derivative_is_caught():

@@ -49,6 +49,13 @@ def test_negation_closure_has_one_check():
     assert _callers("_folds") == ["lattice32.py:Shell._keep"]
 
 
+def test_the_energy_verdict_is_decided_in_energycert():
+    # EnergyCertificate.on_shell sums a shell's energy and decides its
+    # verdict; cmd_energy calls it, and the selftest sums one fixture
+    assert _callers("code_energy") == ["cli.py:cmd_selftest",
+                                       "energycert.py:EnergyCertificate.on_shell"]
+
+
 def _imports(path) -> list:
     """(top-level module name, line) of each import statement of a file."""
     found = []

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from latcert import energycert, exactmath, gegenbauer, gf2codes, lattice32, lpcert, sphercode
-from latcert.energycert import (PAPER_NODES, EnergyCertificate, NodeMultiset, PartialProduct,
-                                Potential, energy_lower_bound, invlin, partial_products)
+from latcert.energycert import (DESIGN_SIZE, PAPER_NODES, EnergyCertificate, NodeMultiset,
+                                PartialProduct, Potential, design_distribution,
+                                energy_lower_bound, invlin, partial_products)
 from latcert.exactmath import (FactoredPolynomial, Interval, IntervalRegion, Polynomial,
                                SignReport, parse_region)
 from latcert.gegenbauer import (DistanceDistribution, GegExpansion, InnerProductHistogram,
-                                PDVerdict, gegenbauer_expand, is_positive_definite)
+                                PDVerdict, gegenbauer_expand, histogram_from_distribution,
+                                is_positive_definite)
 from latcert.gf2codes import BinaryCode, CodeReport, code_report, reed_muller_2_5
 from latcert.lattice32 import Shell
 from latcert.lpcert import BoundCertificate, MAX_CODE_POLY, MAX_CODE_T, certify_max_code
@@ -115,12 +117,15 @@ def test_shells_are_equal_only_to_themselves():
     assert a.vectors.shape == (4, 4)
 
 
-def test_with_energy_changes_only_energy_and_gap():
-    cert = energy_lower_bound(invlin())
-    done = cert.with_energy(cert.lower_bound + 1)
+def test_on_shell_changes_only_energy_and_gap():
+    # the design's own histogram: the bound covers it and its energy is the bound
+    h = invlin()
+    cert = energy_lower_bound(h)
+    hist = histogram_from_distribution(design_distribution(), DESIGN_SIZE)
+    done = cert.on_shell(h, 32, hist)
     changed = [f for f in cert._fields if getattr(done, f) != getattr(cert, f)]
     assert changed == ["code_energy", "gap"]
-    assert (done.code_energy, done.gap) == (cert.lower_bound + 1, 1)
+    assert (done.code_energy, done.gap) == (cert.lower_bound, 0)
 
 
 @pytest.mark.parametrize("build, message", [

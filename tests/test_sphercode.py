@@ -14,7 +14,8 @@ from hypothesis import (currently_in_test_context, event, example, given, settin
 from conftest import e8_root_rows, norm32_magnitudes, random_polynomial, run_cli
 from golden_corpus import BENT
 from latcert.exactmath import Polynomial
-from latcert.gegenbauer import distribution_from_design, gegenbauer_expand, gegenbauer_poly
+from latcert.gegenbauer import (distribution_from_design, gegenbauer_expand, gegenbauer_poly,
+                                histogram_from_distribution)
 from latcert import sphercode
 from latcert.lattice32 import Shell, _joint_tables, load_shell, save_shell, venkov_sample
 from latcert.sphercode import (
@@ -28,7 +29,6 @@ from latcert.sphercode import (
     design_strength,
     distance_distribution_at,
     histogram,
-    histogram_from_distribution,
     moments,
     quadrature_check,
 )
