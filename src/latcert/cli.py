@@ -177,7 +177,7 @@ def cmd_energy(args) -> int:
     if args.shell:
         from . import lattice32, sphercode
         shell = lattice32.load_shell(args.shell)
-        cert = cert.on_shell(h, shell.dim, sphercode.histogram(shell), **precision)
+        cert = cert.on_shell(h, shell.dim, sphercode.histogram(shell))
     return _emit({"command": "energy", **cert.to_json_dict()}, args.format)
 
 

@@ -222,19 +222,14 @@ def divided_differences(h: Potential, m: NodeMultiset) -> list:
     """Top diagonal h[t_1], h[t_1,t_2], ..., h[t_1..t_k] of the Hermite
     divided-difference table; entries at repeated nodes are seeded by h'."""
     z = m.nodes
-    k = len(z)
-    table = [[None] * k for _ in range(k)]
-    for i in range(k):
-        table[i][0] = h.value(z[i])
-    for j in range(1, k):
-        for i in range(k - j):
-            if z[i + j] == z[i]:
-                table[i][j] = h.derivative(z[i])
-            else:
-                table[i][j] = (table[i + 1][j - 1] - table[i][j - 1]) / (
-                    z[i + j] - z[i]
-                )
-    return [table[0][j] for j in range(k)]
+    column = [h.value(t) for t in z]  # h[t_i..t_i+j] at step j, for each i
+    top = column[:1]
+    for j in range(1, len(z)):
+        column = [h.derivative(z[i]) if z[i + j] == z[i]
+                  else (column[i + 1] - column[i]) / (z[i + j] - z[i])
+                  for i in range(len(z) - j)]
+        top.append(column[0])
+    return top
 
 
 def _newton_basis(m: NodeMultiset) -> list:
@@ -304,10 +299,10 @@ class EnergyCertificate(namedtuple(
 
     __slots__ = ()
 
-    def on_shell(self, h: Potential, dim: int, hist: InnerProductHistogram,
-                 precision: int = 60) -> "EnergyCertificate":
+    def on_shell(self, h: Potential, dim: int, hist: InnerProductHistogram) -> "EnergyCertificate":
         """This certificate of the potential h, with the energy and gap of a
-        code in dimension dim with the ordered-pair histogram hist.  An
+        code in dimension dim with the ordered-pair histogram hist, the
+        energy summed at the certificate's precision_digits.  An
         invalid certificate keeps its failure; a valid one fails at the
         first hypothesis of the bound the code fails, with the code's value
         (the certificate's dimension, DESIGN_SIZE points, no inner product
@@ -317,7 +312,8 @@ class EnergyCertificate(namedtuple(
         as its energy, which it is, with no rounding residue."""
         attained = not h.exact_on_rationals and hist == histogram_from_distribution(
             design_distribution(), DESIGN_SIZE)
-        energy = self.lower_bound if attained else code_energy(hist, h, precision)
+        digits = {} if self.precision_digits is None else {"precision": self.precision_digits}
+        energy = self.lower_bound if attained else code_energy(hist, h, **digits)
         failure = self.failure or (
             (dim != self.dimension
              and f"shell dimension is {dim}; the bound needs {self.dimension}")

@@ -4,6 +4,12 @@ Everything in this module runs on ``fractions.Fraction``; there is no floating
 point anywhere.  Polynomials come in two representations: dense monomial
 coefficients (``Polynomial``) and a leading-coefficient-times-linear-factors
 form (``FactoredPolynomial``) whose rational roots make sign analysis exact.
+
+An interval end is one ordered key on a line where each rational t has two
+places, (t, 0) at t and (t, 1) just above it: an interval runs from its
+``start``, (lo, 0) when lo is in it and (lo, 1) when not, up to its ``end``,
+(hi, 1) when hi is in it and (hi, 0) when not.  Membership, disjointness,
+union and difference of regions are then each one comparison of keys.
 """
 
 from __future__ import annotations
@@ -151,6 +157,9 @@ class FactoredPolynomial(namedtuple("FactoredPolynomial", "leading factors")):
 
 
 class Interval(namedtuple("Interval", "lo hi lo_closed hi_closed")):
+    """The rationals from lo to hi, each end in it when its flag is set;
+    ``start`` and ``end`` are its ends as ordered keys."""
+
     __slots__ = ()
 
     def __new__(cls, lo, hi, lo_closed=True, hi_closed=True):
@@ -161,15 +170,21 @@ class Interval(namedtuple("Interval", "lo hi lo_closed hi_closed")):
             raise ValueError(f"degenerate interval must be closed: {self}")
         return self
 
+    @classmethod
+    def between(cls, start, end) -> "Interval":
+        """The interval from the key start up to the key end."""
+        return cls(start[0], end[0], not start[1], bool(end[1]))
+
+    @property
+    def start(self) -> tuple:
+        return self.lo, int(not self.lo_closed)
+
+    @property
+    def end(self) -> tuple:
+        return self.hi, int(self.hi_closed)
+
     def contains(self, t) -> bool:
-        t = rat(t)
-        if t < self.lo or t > self.hi:
-            return False
-        if t == self.lo and not self.lo_closed:
-            return False
-        if t == self.hi and not self.hi_closed:
-            return False
-        return True
+        return self.start <= (rat(t), 0) < self.end
 
     def __str__(self):
         lb = "[" if self.lo_closed else "("
@@ -185,7 +200,7 @@ class IntervalRegion(namedtuple("IntervalRegion", "intervals")):
     def __new__(cls, intervals=()):
         ivs = tuple(intervals)
         for a, b in zip(ivs, ivs[1:]):
-            if b.lo < a.hi or (b.lo == a.hi and (a.hi_closed and b.lo_closed)):
+            if b.start < a.end:
                 raise ValueError(f"intervals not disjoint/sorted: {a}, {b}")
         return super().__new__(cls, ivs)
 
@@ -205,49 +220,32 @@ EMPTY_REGION = IntervalRegion()
 
 
 def closed_interval(lo, hi) -> IntervalRegion:
-    return IntervalRegion((Interval(rat(lo), rat(hi), True, True),))
+    return IntervalRegion((Interval(lo, hi),))
 
 
 def open_interval(lo, hi) -> IntervalRegion:
-    return IntervalRegion((Interval(rat(lo), rat(hi), False, False),))
+    return IntervalRegion((Interval(lo, hi, False, False),))
 
 
 def region_union(*regions: IntervalRegion) -> IntervalRegion:
     """Normalized union: sort, then merge overlapping or touching intervals."""
-    ivs = sorted(
-        (iv for r in regions for iv in r.intervals),
-        key=lambda iv: (iv.lo, not iv.lo_closed),
-    )
     out: list[Interval] = []
-    for iv in ivs:
-        if out:
-            prev = out[-1]
-            touches = iv.lo < prev.hi or (
-                iv.lo == prev.hi and (iv.lo_closed or prev.hi_closed)
-            )
-            if touches:
-                if (iv.hi, iv.hi_closed) > (prev.hi, prev.hi_closed):
-                    out[-1] = Interval(prev.lo, iv.hi, prev.lo_closed, iv.hi_closed)
-                continue
-        out.append(iv)
+    for iv in sorted((iv for r in regions for iv in r.intervals), key=lambda iv: iv.start):
+        if out and iv.start <= out[-1].end:
+            if iv.end > out[-1].end:
+                out[-1] = Interval.between(out[-1].start, iv.end)
+        else:
+            out.append(iv)
     return IntervalRegion(tuple(out))
 
 
 def _interval_minus(a: Interval, b: Interval) -> list:
-    if b.hi < a.lo or b.lo > a.hi:
+    """a \\ b: a itself when they are disjoint, else the nonempty parts of a
+    below b and above it."""
+    if b.end <= a.start or a.end <= b.start:
         return [a]
-    if b.hi == a.lo and not (b.hi_closed and a.lo_closed):
-        return [a]
-    if b.lo == a.hi and not (b.lo_closed and a.hi_closed):
-        return [a]
-    out = []
-    # part of a to the left of b
-    if a.lo < b.lo or (a.lo == b.lo and a.lo_closed and not b.lo_closed):
-        out.append(Interval(a.lo, b.lo, a.lo_closed, not b.lo_closed))
-    # part of a to the right of b
-    if b.hi < a.hi or (b.hi == a.hi and a.hi_closed and not b.hi_closed):
-        out.append(Interval(b.hi, a.hi, not b.hi_closed, a.hi_closed))
-    return out
+    return [Interval.between(lo, hi) for lo, hi in ((a.start, b.start), (b.end, a.end))
+            if lo < hi]
 
 
 def region_difference(base: IntervalRegion, minus: IntervalRegion) -> IntervalRegion:

@@ -66,7 +66,7 @@ class Shell:
 
     ``dim``, the length of the rows, is also the sphere dimension used for
     Gegenbauer analysis; the lattice construction always produces dim = 32,
-    smaller synthetic shells are used in tests.
+    and the tests also build synthetic shells of dims 4 to 64.
 
     The constructor checks the invariants every kernel relies on, with
     ValueError, and stores a read-only, C-contiguous sorted copy of the

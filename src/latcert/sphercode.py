@@ -162,16 +162,14 @@ def _flip_group(words: np.ndarray, support: np.ndarray, class_sizes, heads) -> l
 
 
 def _cosets(words: np.ndarray, flips: list, support: np.ndarray, class_sizes: np.ndarray):
-    """(argsort of the rows' keys, start of each coset in it, coset sizes)
-    for the first half's rows in class order, whose sign words, words, are
-    reduced in place.  A row's key is its class and its word with the pivot
-    bits of a per-class echelon of the flips' masks and of negation's, the
-    support word, cleared: the rows of a coset of their span share a key.
-    At dim <= 32 the class goes above the uint32 word in one uint64 key;
-    above, the two are sorted by np.lexsort.  Negation pairs each row of a
-    class in the first half with one in the second, so a class is mapped
-    onto itself when each key occurs 2^(rank - 1) times; a RuntimeError if
-    not."""
+    """(int32 order of the rows by key, start of each coset in it, coset
+    sizes) for the first half's rows in class order, whose sign words,
+    words, are reduced in place.  A row's key is its int32 class and its
+    word with the pivot bits of a per-class echelon of the flips' masks and
+    of negation's, the support word, cleared: the rows of a coset of their
+    span share a key.  Negation pairs each row of a class in the first half
+    with one in the second, so a class is mapped onto itself when each key
+    occurs 2^(rank - 1) times; a RuntimeError if not."""
     masks = [support.dtype.type(flip) & support for flip in flips] + [support.copy()]
     for i, mask in enumerate(masks):
         # the earlier pivots are already cleared from this mask, and this
@@ -180,25 +178,19 @@ def _cosets(words: np.ndarray, flips: list, support: np.ndarray, class_sizes: np
         for later in masks[i + 1 :]:
             _eliminate(later, mask)
     rank = np.count_nonzero(masks, axis=0)  # the masks left nonzero: a basis
-    shift = 32 if words.dtype == np.uint32 else 0
-    keys = [np.repeat(np.arange(len(class_sizes), dtype=np.uint64) << shift, class_sizes)]
-    if shift:  # the class above the uint32 word: one sort key
-        keys[0] |= words
-    else:
-        keys.append(words)
-    perm = np.argsort(keys[0]) if shift else np.lexsort(keys[::-1])
-    starts = _run_starts(perm, keys)
-    sizes = np.diff(np.append(starts, len(perm)))
-    cls = keys[0][perm[starts]] >> shift
-    if (sizes != 1 << (rank[cls] - 1)).any():
+    cls = np.repeat(np.arange(len(class_sizes), dtype=np.int32), class_sizes)
+    order, starts = _sorted_runs([cls, words])
+    sizes = np.diff(np.append(starts, len(order)))
+    if (sizes != 1 << (rank[cls[order[starts]]] - 1)).any():
         raise RuntimeError("sign-flip group does not map the shell onto itself")
-    return perm, starts, sizes
+    return order, starts, sizes
 
 
-def _run_starts(order: np.ndarray, keys) -> np.ndarray:
-    """The places in order where a run of equal keys starts, for keys given
-    as 1-d arrays (key words) read in the order order, compared 8192 rows
-    at a time."""
+def _sorted_runs(keys: list):
+    """(int32 order of the rows by the 1-d key arrays keys, the first the
+    most significant, places in it where a run of equal keys starts); the
+    runs are found 8192 rows at a time."""
+    order = np.lexsort(keys[::-1]).astype(np.int32)
     first = np.ones(len(order), dtype=bool)
     for r0 in range(1, len(order), 8192):
         at = order[r0 - 1 : r0 + 8192]  # each block with the row before it
@@ -206,7 +198,7 @@ def _run_starts(order: np.ndarray, keys) -> np.ndarray:
         for key in keys:
             word = key[at]
             first[r0 : r0 + 8192] |= word[1:] != word[:-1]
-    return np.flatnonzero(first)
+    return order, np.flatnonzero(first)
 
 
 def _orbit_pass(shell: Shell):
@@ -297,8 +289,7 @@ def _orbits(vectors: np.ndarray):
         for k in range(len(mags)):
             mags[k][r0 : r0 + 8192] = block[:, k]
     del block
-    order = np.lexsort(mags[::-1]).astype(np.int32)
-    heads = _run_starts(order, mags)
+    order, heads = _sorted_runs(mags)
     del mags
     class_sizes = np.diff(np.append(heads, len(half)))
     support = _sign_words(half[order[heads]] != 0)  # one row per class

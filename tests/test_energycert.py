@@ -179,6 +179,14 @@ def test_energy_attained_on_shell(rm_hist):
     assert done.valid
 
 
+def test_on_shell_sums_at_the_certificates_precision():
+    # the code's energy is summed at the digits its record states
+    h, two = expt(), InnerProductHistogram({Fraction(-1): 2}, 2)
+    done = energy_lower_bound(h, 30).on_shell(h, 32, two)
+    assert done.precision_digits == 30
+    assert done.code_energy == code_energy(two, h, 30) != code_energy(two, h, 60)
+
+
 def test_code_energy_small_cases(rm_hist):
     two = InnerProductHistogram({Fraction(-1): 2}, 2)
     assert code_energy(two, poly_potential(Polynomial([0, 1]))) == -2

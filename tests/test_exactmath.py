@@ -20,6 +20,7 @@ from latcert.exactmath import (
     region_union,
     sign_on_region,
 )
+from latcert.energycert import T_SYMMETRIC
 from latcert.lpcert import MAX_CODE_POLY, MAX_CODE_T, MIN_DESIGN_POLY, MIN_DESIGN_T
 
 H = Fraction(1, 2)
@@ -144,6 +145,14 @@ def test_region_difference_endpoint_flags():
     assert str(out) == "[-1,0]U[1/4,1/2]"
     out2 = region_difference(base, closed_interval(0, Q))
     assert str(out2) == "[-1,0)U(1/4,1/2]"
+    # the sign regions of the built-in certificates, with the types of their fields
+    for whole, T, ends in [(base, MAX_CODE_T, [(-1, 0), (Q, H)]),
+                           (closed_interval(-1, 1), MIN_DESIGN_T, [(-1, -Q), (0, Q), (H, 1)]),
+                           (closed_interval(-1, 1), T_SYMMETRIC, [(-1, -H), (-Q, Q), (H, 1)])]:
+        out = region_difference(whole, T)
+        assert out == IntervalRegion(Interval(lo, hi, True, True) for lo, hi in ends), str(T)
+        assert [tuple(map(type, iv)) for iv in out.intervals] == [
+            (Fraction, Fraction, bool, bool)] * len(ends)
 
 
 def test_region_union_merges_touching_intervals():
@@ -151,6 +160,8 @@ def test_region_union_merges_touching_intervals():
     assert str(r) == "[0,1/2]"
     r2 = region_union(open_interval(-Q, 0), open_interval(Q, H))
     assert str(r2) == "(-1/4,0)U(1/4,1/2)"
+    r3 = region_union(IntervalRegion((Interval(0, Q, True, False),)), closed_interval(Q, H))
+    assert str(r3) == "[0,1/2]"  # a half-open end touching a closed one
 
 
 def test_region_contains_respects_openness():
@@ -213,14 +224,23 @@ def _probes(*regions):
     return ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])]
 
 
+def _member(region, t) -> bool:
+    """t in region, from each interval's ends and flags case by case, not
+    through contains."""
+    return any(iv.lo < t < iv.hi or (t == iv.lo and iv.lo_closed) or (t == iv.hi and iv.hi_closed)
+               for iv in region.intervals)
+
+
 @settings(max_examples=300, deadline=None)
 @given(regions(), regions())
 def test_region_algebra_matches_pointwise_membership(a, b):
     union, difference = region_union(a, b), region_difference(a, b)
     for t in _probes(a, b):
-        assert union.contains(t) == (a.contains(t) or b.contains(t)), (str(union), t)
-        assert difference.contains(t) == (a.contains(t) and not b.contains(t)), (
+        assert _member(union, t) == (_member(a, t) or _member(b, t)), (str(union), t)
+        assert _member(difference, t) == (_member(a, t) and not _member(b, t)), (
             str(difference), t)
+        for r in (a, b, union, difference):
+            assert r.contains(t) == _member(r, t), (str(r), t)
 
 
 @settings(max_examples=300, deadline=None)

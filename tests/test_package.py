@@ -23,9 +23,10 @@ def test_no_assert_guards_in_package():
     assert not found, f"assert statements in the package: {found}"
 
 
-def _callers(name: str) -> list:
-    """'module:scope' of each call of the function name in the package, the
-    scope being the enclosing class and function names joined by dots."""
+def _scopes(match) -> list:
+    """'module:scope' of each AST node of the package that match(node) is
+    true of, the scope being the enclosing class and function names joined
+    by dots."""
     found = []
 
     def visit(node, path, scope):
@@ -33,14 +34,19 @@ def _callers(name: str) -> list:
             inner = scope
             if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
                 inner = f"{scope}.{child.name}".lstrip(".")
-            elif isinstance(child, ast.Call) and name in (getattr(child.func, "id", None),
-                                                          getattr(child.func, "attr", None)):
+            elif match(child):
                 found.append(f"{path.name}:{scope}")
             visit(child, path, inner)
 
     for path in sorted(Path(latcert.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text(), filename=str(path)), path, "")
     return found
+
+
+def _callers(name: str) -> list:
+    """_scopes of each call of the function name in the package."""
+    return _scopes(lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)))
 
 
 def test_negation_closure_has_one_check():
@@ -54,6 +60,17 @@ def test_the_energy_verdict_is_decided_in_energycert():
     # verdict; cmd_energy calls it, and the selftest sums one fixture
     assert _callers("code_energy") == ["cli.py:cmd_selftest",
                                        "energycert.py:EnergyCertificate.on_shell"]
+
+
+def test_endpoint_flags_are_read_only_by_interval():
+    # the region algebra compares Interval.start and Interval.end keys; the
+    # open/closed flags are read by Interval itself and by the sign sampler,
+    # which evaluates at the ends the interval holds
+    readers = _scopes(lambda node: isinstance(node, ast.Attribute)
+                      and node.attr in ("lo_closed", "hi_closed"))
+    outside = [scope for scope in readers if not scope.startswith("exactmath.py:Interval.")
+               and scope != "exactmath.py:_sample_points"]
+    assert readers and not outside, f"endpoint flags read outside Interval: {outside}"
 
 
 def _imports(path) -> list:
