@@ -278,7 +278,7 @@ def cmd_selftest(args) -> int:
     support = {Fraction(v, 4) for v in (-4, -2, -1, 0, 1, 2)}
     check("rm2_5: inner products exactly {-1,-1/2,-1/4,0,1/4,1/2}",
           lambda: set(hist.counts) == support)
-    dist = sphercode.distance_distribution_at(shell, shell.vectors[0])
+    dist = sphercode.distance_distribution_at(shell, shell.half[0])
     expected = {Fraction(-1): 1, Fraction(-1, 2): 1240, Fraction(-1, 4): 31744,
                 Fraction(0): 80910, Fraction(1, 4): 31744, Fraction(1, 2): 1240,
                 Fraction(1): 1}

@@ -27,8 +27,10 @@ table.  Every vector has s.s = 32 (a Shell invariant), so |entry| <= 5
 and, by Cauchy-Schwarz, every partial sum is an integer of absolute value
 at most 66 * 32 = 2112 < 2^24: the float path is exact.  A Shell is closed
 under negation, so its sorted rows end with the first half negated in
-reverse order, with dots -v: the kernel counts |v|, in 2113 bins, over the
-first half of the counted rows.  Those are all rows, or the rows at given
+reverse order: it stores only the first half, and computes a mirror row
+count - 1 - k as -(row k) wherever one is read.  The mirror has the dots
+-v, so the kernel counts |v|, in 2113 bins, over the first half of the
+counted rows.  Those are all rows, or the rows at given
 ascending first-half indices (from the orbit pass of ``sphercode``) and
 their mirrors, which the kernel never gathers.  The kernel takes 32 pairs
 at a time and counts their keys 2^14 counted rows at a time (2^13 of an
@@ -40,8 +42,12 @@ memory; the CLI runs OpenBLAS on one thread (see ``cli``).
 
 A Shell's checks, and the parity check of load_shell, run on 8192 rows at a
 time and make no full-size temporary; only rows out of order need the
-full-size row keys of a sort.  load_shell and build_shell hand their fresh
-rows to the Shell, which keeps them without a copy.
+full-size row keys of a sort.  build_shell enumerates only the first half,
+and load_shell streams a canonical file, keeping its first half and
+comparing each later row with its mirror, so neither makes the second
+half; both hand their fresh rows to the Shell, which keeps them without a
+copy.  A Shell made from all of its rows, by the constructor or from a file
+that is not canonical, keeps a view of the first half of the sorted rows.
 """
 
 from __future__ import annotations
@@ -59,47 +65,55 @@ SHELL_NORM = 32  # s.s for every shell vector (norm 4 at lattice scale)
 _BINS = 2 * SHELL_NORM + 1  # dot values -32..32, offset by 32
 _E22_BIN = SHELL_NORM + 16  # dot 16: lattice inner product 2
 _BLOCK = 8192  # rows per block of the checks of a Shell's rows
+_OFF_NORM = "vector {i} has s.s = {norm}, expected 32"
 
 
 class Shell:
-    """Canonically sorted integer vectors with s.s = 32.
+    """Canonically sorted integer vectors with s.s = 32, closed under
+    negation.
 
     ``dim``, the length of the rows, is also the sphere dimension used for
     Gegenbauer analysis; the lattice construction always produces dim = 32,
     and the tests also build synthetic shells of dims 4 to 64.
 
     The constructor checks the invariants every kernel relies on, with
-    ValueError, and stores a read-only, C-contiguous sorted copy of the
-    rows: there is a row, no row repeats, every row has s.s = 32 and the
-    rows are closed under negation, so row count - 1 - k is -(row k).  s.s =
-    32 bounds |entry| <= 5, so negation stays exact in int8, the row keys'
-    nibbles hold every entry, and every partial sum of a dot is at most 32
-    in absolute value, so float32 dots are exact integers.  ``vectors`` is
-    set once; two shells are equal only when they are the same object.
+    ValueError: there is a row, no row repeats, every row has s.s = 32 and
+    the rows are closed under negation.  Negation reverses the sorted order
+    of such rows, and the rows whose first nonzero entry is negative sort
+    before all others, so row count - 1 - k is -(row k): a Shell stores only
+    ``half``, the read-only, C-contiguous first count // 2 rows, whose
+    first nonzero entries are all negative, and computes every mirror row
+    from it.  s.s = 32 bounds |entry| <= 5, so negation stays exact in
+    int8, the row keys' nibbles hold every entry, and every partial sum of
+    a dot is at most 32 in absolute value, so float32 dots are exact
+    integers.  ``vectors``, all count rows, is a new array on each read,
+    for the tests.  ``half`` is set once; two shells are equal only when
+    they are the same object.
     """
 
-    # vectors: (N, dim) int8, lexicographically sorted, no duplicates
-    __slots__ = ("vectors",)
+    # half: (N // 2, dim) int8, lexicographically sorted, no duplicates
+    __slots__ = ("half",)
 
     def __init__(self, vectors):
         # a copy: a Shell never shares its rows with the caller
         self._keep(np.array(vectors, dtype=np.int8, order="C"))
 
     def _keep(self, arr: np.ndarray) -> None:
-        """Check the C-contiguous int8 rows arr and keep them, sorted and
-        read-only: arr itself, without a copy, when it is already sorted."""
+        """Check the C-contiguous int8 rows arr, all of a shell, and keep a
+        read-only view of the first half of them sorted: of arr itself,
+        without a copy, when it is already sorted."""
         if arr.ndim != 2:
             raise ValueError("shell vectors must form a 2-d array")
         if not len(arr):
             raise ValueError("need a nonempty shell")
         # first: s.s = 32 bounds |entry| <= 5, inside the row keys' range
-        _check_norms(arr, "vector {i} has s.s = {norm}, expected 32")
+        _check_norms(arr, _OFF_NORM)
         if not _increasing(arr):  # a saved shell's rows are sorted and distinct
             arr = _canonical_sort(arr)
         if not _folds(arr):
             raise ValueError("shell is not closed under negation")
         arr.setflags(write=False)
-        object.__setattr__(self, "vectors", arr)
+        object.__setattr__(self, "half", arr[: len(arr) // 2])
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot assign to or delete field {name!r}")
@@ -108,11 +122,27 @@ class Shell:
 
     @property
     def dim(self) -> int:
-        return self.vectors.shape[1]
+        return self.half.shape[1]
 
     @property
     def count(self) -> int:
-        return len(self.vectors)
+        return 2 * len(self.half)
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """All rows in the canonical order, as a new read-only array."""
+        out = np.concatenate((self.half, -self.half[::-1]))
+        out.setflags(write=False)
+        return out
+
+    def _rows(self, index) -> np.ndarray:
+        """The rows at index, an int or an array of ints in [0, count),
+        gathered from ``half``: row count - 1 - k is -(row k)."""
+        index = np.asarray(index)
+        mirror = index >= len(self.half)
+        out = self.half.take(np.where(mirror, self.count - 1 - index, index), axis=0)
+        np.negative(out, out=out, where=mirror[..., None])
+        return out
 
     def index_of(self, s) -> int:
         """Index of a vector in the canonical order; -1 if absent.  ValueError
@@ -121,12 +151,18 @@ class Shell:
         if s.shape != (self.dim,):
             raise ValueError(f"probe has shape {s.shape}, expected ({self.dim},)")
         row = s.astype(np.int8)
-        if not np.array_equal(row, s):  # not wrapped into int8
+        lead = np.flatnonzero(row)
+        if not np.array_equal(row, s) or not len(lead):  # wrapped into int8, or 0
             return -1
+        mirror = row[lead[0]] > 0  # -row leads with a minus, so it is in the half
+        if mirror:
+            row = -row
         # each row compared as one dim-byte record
         record = np.dtype((np.void, self.dim))
-        hits = np.flatnonzero(self.vectors.view(record)[:, 0] == row.view(record)[0])
-        return int(hits[0]) if len(hits) else -1
+        hits = np.flatnonzero(self.half.view(record)[:, 0] == row.view(record)[0])
+        if not len(hits):
+            return -1
+        return self.count - 1 - int(hits[0]) if mirror else int(hits[0])
 
 
 def _row_keys(a: np.ndarray) -> np.ndarray:
@@ -195,10 +231,28 @@ def _folds(V: np.ndarray) -> bool:
     return True
 
 
-def _own_shell(arr: np.ndarray) -> Shell:
-    """The Shell of fresh C-contiguous int8 rows, kept without a copy if sorted."""
+def _mixed_parity(arr: np.ndarray) -> bool:
+    """Whether an int8 row mixes even and odd entries, checked _BLOCK rows
+    at a time (two's complement keeps parity)."""
+    for r0 in range(0, len(arr), _BLOCK):
+        odd = (arr[r0 : r0 + _BLOCK] & 1).sum(axis=1)
+        if ((odd > 0) & (odd < arr.shape[1])).any():
+            return True
+    return False
+
+
+def _own_half(half: np.ndarray) -> Shell:
+    """The Shell whose first half is half, fresh, C-contiguous, sorted and
+    distinct int8 rows, kept without a copy; ValueError unless every row
+    has s.s = 32 and leads with a minus sign.  In sorted order the rows that
+    lead with a minus come first, so the last row shows the sign of all."""
+    _check_norms(half, _OFF_NORM)
+    last = half[-1]
+    if last[np.flatnonzero(last)[0]] > 0:
+        raise ValueError("a first-half row leads with a plus sign")
+    half.setflags(write=False)
     shell = object.__new__(Shell)
-    shell._keep(arr)
+    object.__setattr__(shell, "half", half)
     return shell
 
 
@@ -246,18 +300,22 @@ def check_extremal(c: BinaryCode) -> bool:
 
 
 def build_shell(c: BinaryCode) -> Shell:
-    """Enumerate all 146880 norm-4 vectors of the lattice built from c;
+    """Enumerate the 146880 norm-4 vectors of the lattice built from c;
     CodeRejected saying why for any other code.  The codewords are
-    enumerated and weighed once, for the check and the build."""
+    enumerated and weighed once, for the check and the build.  Only the
+    first half, the vectors whose first nonzero entry is negative, is
+    enumerated: the sign masks with a minus on the support's first
+    coordinate, and the codewords that hold coordinate 0 as the minus sets
+    of the half-vector coset."""
     failure, by_weight = _screen(c)
     if failure:
         raise CodeRejected(failure)
 
-    return _own_shell(np.concatenate([
-        _signed([(1 << i) | (1 << j) for i, j in combinations(range(32), 2)], range(4), 4),
-        _signed(by_weight[8], [m for m in range(256) if m.bit_count() % 2 == 0], 2),
-        _signed([2**32 - 1], [w for words in by_weight.values() for w in words], 1),
-    ]))
+    return _own_half(_canonical_sort(np.concatenate([
+        _signed([(1 << i) | (1 << j) for i, j in combinations(range(32), 2)], [1, 3], 4),
+        _signed(by_weight[8], [m for m in range(1, 256, 2) if m.bit_count() % 2 == 0], 2),
+        _signed([2**32 - 1], [w for words in by_weight.values() for w in words if w & 1], 1),
+    ])))
 
 
 def _signed(supports, signs, magnitude: int) -> np.ndarray:
@@ -301,13 +359,12 @@ def _joint_tables(shell: Shell, a, b, rows=None):
     with dots (-d_a, -d_b), so only the first half is counted, by the key
     |v| of the exact float32 dot v = (s_a + 65 s_b).x = d_a + 65 d_b, and
     the count of |v| goes to v and -v."""
-    V = shell.vectors
+    V = shell.half
     # -1 and count // 2 bracket the indices: each step between them is positive
-    if rows is not None and (np.diff(rows, prepend=-1, append=len(V) // 2) <= 0).any():
+    if rows is not None and (np.diff(rows, prepend=-1, append=len(V)) <= 0).any():
         raise RuntimeError("counted rows are not ascending first-half indices")
-    # all rows: the counted half is a view of V
-    counted = V[: len(V) // 2] if rows is None else rows
-    P = V[a] + _BINS * V[b].astype(np.float32)
+    counted = V if rows is None else rows
+    P = shell._rows(a) + _BINS * shell._rows(b).astype(np.float32)
     # 32 pairs per block, so a product, one np.matmul, is at most 32 x 2048
     # float32: the blocks bound memory.  Their uint16 keys in [0, 2112] are
     # counted into int32 tables, zeroed for each block (no count exceeds the
@@ -317,8 +374,8 @@ def _joint_tables(shell: Shell, a, b, rows=None):
     joint = np.empty((len(keys), _BINS**2 // 2 + 1), dtype=np.int32)
     # one float32 row block and its products, reused: fresh 256 KB arrays,
     # freed at the top of the heap, were given back and faulted in each time
-    rows32 = np.empty((V.shape[1], min(2048, len(counted))), dtype=np.float32)
-    dots = np.empty((len(keys), rows32.shape[1]), dtype=np.float32)
+    rows32 = np.empty((min(2048, len(counted)), V.shape[1]), dtype=np.float32)
+    dots = np.empty((len(keys), len(rows32)), dtype=np.float32)
     for j0 in range(0, len(P), 32):
         block = P[j0 : j0 + 32]
         joint[...] = 0
@@ -327,8 +384,8 @@ def _joint_tables(shell: Shell, a, b, rows=None):
             for r0 in range(0, len(seg), 2048):  # float32 of 2048 rows at a time
                 part = seg[r0 : r0 + 2048]
                 n = len(part)
-                np.copyto(rows32[:, :n], (part if rows is None else V[part]).T)
-                d = np.matmul(block, rows32[:, :n], out=dots[: len(block), :n])
+                np.copyto(rows32[:n], part if rows is None else V[part])
+                d = np.matmul(block, rows32[:n].T, out=dots[: len(block), :n])
                 np.absolute(d, out=keys[: len(block), r0 : r0 + n], casting="unsafe")
             for j in range(len(block)):
                 joint[j] += np.bincount(keys[j, : len(seg)], minlength=joint.shape[1])
@@ -364,14 +421,14 @@ def venkov_sample(shell: Shell, count: int, seed: int) -> list:
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = random.Random(seed)
-    V = shell.vectors
     n = shell.count
     pairs = []
     for _ in range(count):
         for _ in range(10000):
             i = rng.randrange(n)
             j = rng.randrange(n)
-            if np.matmul(V[i].astype(np.int64), V[j]) == 0:  # also skips i == j (dot 32)
+            # also skips i == j (dot 32)
+            if np.matmul(shell._rows(i).astype(np.int64), shell._rows(j)) == 0:
                 pairs.append((i, j))  # rows of the shell: no lookup needed
                 break
         else:
@@ -392,7 +449,7 @@ def save_shell(shell: Shell, path) -> None:
     with open(path, "wb") as fh:
         fh.write(f"{_HEADER} n={shell.dim} count={shell.count} scale=2sqrt2\n".encode())
         for start in range(0, shell.count, 8192):
-            block = shell.vectors[start : start + 8192]
+            block = shell._rows(np.arange(start, min(start + 8192, shell.count)))
             text = np.zeros((*block.shape, 3), dtype=np.uint8)  # sign, digit, separator
             text[..., 0] = np.where(block < 0, ord("-"), 0)
             text[..., 1] = ord("0") + np.abs(block)
@@ -415,15 +472,19 @@ def _parse_header(header: str, path) -> tuple:
 
 
 def _read_saved(path):
-    """(count, rows) of a file in the grammar save_shell writes, or None
-    for any other file.  That grammar is an ASCII header line without '\r',
-    then lines of dim tokens, each an optional '-' and one digit followed
-    by a space, the last token of a line by a newline instead.
+    """The Shell of a canonical file in the grammar save_shell writes, or
+    None for any other file and for one that fails a check.  That grammar
+    is an ASCII header line without '\r', then lines of dim tokens, each an
+    optional '-' and one digit followed by a space, the last token of a
+    line by a newline instead.
 
-    The body is read in blocks of about 2^17 bytes cut at newlines into one
-    int8 array of min(count, body bytes // (2 dim)) rows, since a row takes
-    at least 2 dim bytes: a header count or dim that the body cannot hold
-    allocates nothing for it."""
+    A canonical file holds count = 2h sorted rows, each with s.s = 32 and
+    one parity, the last h the first h negated in reverse order.  The body
+    is read in blocks of about 2^17 bytes cut at newlines; the first h rows
+    go into one int8 array, which the Shell keeps as its half, and each
+    later row is compared with the negation of its mirror, already kept,
+    and freed with its block.  A row takes at least 2 dim bytes, so a header
+    count or dim that the body cannot hold allocates nothing for it."""
     with open(path, "rb") as fh:
         line = fh.readline()
         if b"\r" in line:  # text mode would end the header line there
@@ -432,10 +493,11 @@ def _read_saved(path):
             dim, count = _parse_header(line.decode("ascii").strip(), path)
         except ValueError:  # also non-ASCII: the text reader gives the message
             return None
-        room = min(count, (os.fstat(fh.fileno()).st_size - fh.tell()) // (2 * dim))
-        if not room:  # an empty body, or no row fits: the text reader
+        h = count // 2
+        body = os.fstat(fh.fileno()).st_size - fh.tell()
+        if count % 2 or not h or count > body // (2 * dim):
             return None
-        out = np.empty((room, dim), dtype=np.int8)
+        half = np.empty((h, dim), dtype=np.int8)
         seps = np.full(dim, ord(" "), dtype=np.uint8)
         seps[-1] = ord("\n")
         rows = 0
@@ -456,13 +518,23 @@ def _read_saved(path):
             digits = grid[..., 0] - np.uint8(ord("0"))  # wraps above 9 if not a digit
             if (digits > 9).any() or (grid[..., 1] != seps).any():
                 return None
-            if rows + len(grid) > len(out):  # more rows than the header count
+            if rows + len(grid) > count:  # more rows than the header count
                 return None
-            new = out[rows : rows + len(grid)]
-            new[...] = digits
+            new = digits.view(np.int8)
             new.reshape(-1)[at >> 1] *= -1
-            rows += len(grid)
-    return count, out[:rows]
+            kept = max(0, min(len(new), h - rows))
+            half[rows : rows + kept] = new[:kept]
+            # rows lo..hi - 1 of the second half mirror rows count - hi..count - 1 - lo
+            lo, hi = rows + kept, rows + len(new)
+            if (new[kept:] + half[count - hi : count - lo][::-1]).any():
+                return None
+            rows = hi
+    if rows != count or not _increasing(half) or _mixed_parity(half):
+        return None
+    try:
+        return _own_half(half)
+    except ValueError:  # off norm, or not a first half
+        return None
 
 
 def _read_text(path):
@@ -480,14 +552,18 @@ def _read_text(path):
 
 
 def load_shell(path) -> Shell:
-    """The Shell of a shell file.  A file in the grammar save_shell writes
-    is parsed directly; any other file goes through np.loadtxt, which gives
+    """The Shell of a shell file.  A canonical file in the grammar
+    save_shell writes is streamed, and only its first half kept; any other
+    file, and one that fails a check, goes through np.loadtxt, which gives
     every other accepted spelling and every error message."""
-    count, arr = _read_saved(path) or _read_text(path)
+    shell = _read_saved(path)
+    if shell is not None:
+        return shell
+    count, arr = _read_text(path)
     if len(arr) != count:
         raise ValueError(f"{path}: header says {count} vectors, found {len(arr)}")
-    for r0 in range(0, len(arr), _BLOCK):
-        odd = (arr[r0 : r0 + _BLOCK] & 1).sum(axis=1)  # two's complement keeps parity
-        if ((odd > 0) & (odd < arr.shape[1])).any():
-            raise ValueError(f"{path}: vector with mixed even/odd coordinates")
-    return _own_shell(arr)
+    if _mixed_parity(arr):
+        raise ValueError(f"{path}: vector with mixed even/odd coordinates")
+    shell = object.__new__(Shell)
+    shell._keep(arr)  # the fresh rows, kept without a copy if sorted
+    return shell

@@ -214,7 +214,7 @@ def _orbit_pass(shell: Shell):
     orbit O_i, the class's dots with its rows, times the class size, add up
     to n_i N(i->j, d) over the class's orbits O_j, and are divided by n_i
     in place, a bounded range of ranks at a time."""
-    reps, sizes, ranks, group_order = _orbits(shell.vectors)  # labels, for now
+    reps, sizes, ranks, group_order = _orbits(shell.half)  # labels, for now
     by_size = np.argsort(sizes, kind="stable")
     ordered = sizes[by_size]
     rank = np.argsort(by_size).astype(np.int32)  # each orbit's place by size
@@ -226,30 +226,30 @@ def _orbit_pass(shell: Shell):
         # the largest orbits count every row, through the contiguous path
         rows = None if hi == len(reps) else np.flatnonzero(ranks < hi).astype(np.int32)
         _column_counts(shell, cols, rows, out=table[:, lo:hi])
-        _orbit_dot_counts(table, shell.vectors, cols, ranks, ordered, lo)
+        _orbit_dot_counts(table, shell.half, cols, ranks, ordered, lo)
     return reps, sizes, table[:, rank], group_order
 
 
-def _orbit_dot_counts(table, V: np.ndarray, cols, ranks, ordered, lo: int) -> None:
+def _orbit_dot_counts(table, half: np.ndarray, cols, ranks, ordered, lo: int) -> None:
     """Add to table[:, i], for each rank i below lo, N(i->j, d) summed over
     the orbits O_j of the columns cols, all of size n = ordered[lo]: n / n_i
     times the number of pairs of a column c and a row x of rank i with
     s_x.s_c = d, where n_i = ordered[i]; RuntimeError unless n_i divides
-    it.  The ranks are those of the first half of the rows: row -x, at
-    len(V) - 1 - k, shares the rank of x at k and has the dots -d.  The
+    it.  The ranks are those of the rows of half, a Shell's first half: the
+    mirror -x of row x shares its rank and has the dots -d.  The
     pairs are counted _RANK_BLOCK ranks at a time into one int64 table,
     then folded and scaled in place.  A range's rows are gathered in blocks
     of at most 2048 rows and 2^15 dots, each block's dots one float32
     np.matmul, exact since every partial sum is an integer of absolute
     value at most 32, and one bincount."""
-    C = V[cols].T.astype(np.float32)
+    C = half[cols].T.astype(np.float32)
     step = max(1, min(2048, 2**15 // len(cols)))
     for r0 in range(0, lo, _RANK_BLOCK):
         counts = np.zeros((min(_RANK_BLOCK, lo - r0), _BINS), dtype=np.int64)
         rows = np.flatnonzero((ranks >= r0) & (ranks < r0 + len(counts)))
         for s0 in range(0, len(rows), step):
             part = rows[s0 : s0 + step]
-            keys = np.matmul(V[part].astype(np.float32), C).astype(np.int32)  # exact dots
+            keys = np.matmul(half[part].astype(np.float32), C).astype(np.int32)  # exact dots
             keys += ((ranks[part] - r0) * _BINS + SHELL_NORM)[:, None]
             counts += np.bincount(keys.ravel(), minlength=counts.size).reshape(counts.shape)
         counts += counts[:, ::-1]  # row -x has the dots -d
@@ -261,22 +261,22 @@ def _orbit_dot_counts(table, V: np.ndarray, cols, ranks, ordered, lo: int) -> No
         table[:, r0 : r0 + len(counts)] += counts.T
 
 
-def _orbits(vectors: np.ndarray):
-    """(representatives, orbit sizes, int32 orbit label per row of the
-    first half, group order) of the sign-flip group of _flip_group; label k
-    is the orbit of the k-th representative, its smallest row index.
+def _orbits(half: np.ndarray):
+    """(representatives, orbit sizes, int32 orbit label per row of half,
+    group order) of the sign-flip group of _flip_group on the Shell whose
+    first half is half; label k is the orbit of the k-th representative,
+    its smallest row index.
 
-    Negation maps every Shell onto itself and lies in the group, so row
-    n - 1 - k, -(row k), shares row k's orbit: only the first half of the
-    rows, with half of each orbit and its smallest index, is sorted by
-    magnitude class and labelled.  A row's minus signs are one word
+    Negation maps every Shell onto itself and lies in the group, so the
+    mirror -(row k) shares row k's orbit: only the first half of the rows,
+    with half of each orbit and its smallest index, is sorted by magnitude
+    class and labelled.  A row's minus signs are one word
     (_sign_words), read once the rows are sorted by class, and a flip's
     mask on a class is flip & the class's support word.  The orbits
     are the cosets of the group's masks within each class (_cosets), and
     the group order is 2^(basis length).  Above dim 64 the group is
     negation alone, and the orbits are the pairs {x, -x}."""
-    n, dim = vectors.shape
-    half = vectors[: n // 2]
+    dim = half.shape[1]
     if dim > 64:
         reps = np.arange(len(half), dtype=np.int32)
         return reps, np.full(len(half), 2), reps.copy(), 2
@@ -284,7 +284,7 @@ def _orbits(vectors: np.ndarray):
     # verify --full peaked about 0.2 MB higher in RSS on rm2_5 (glibc's
     # malloc thresholds follow the largest block freed)
     mags = [np.empty(len(half), dtype=np.uint64) for _ in range(-(-dim // 16))]
-    for r0 in range(0, len(half), 8192):  # no full-size |vectors|
+    for r0 in range(0, len(half), 8192):  # no full-size |half|
         block = _row_keys(np.abs(half[r0 : r0 + 8192]))
         for k in range(len(mags)):
             mags[k][r0 : r0 + 8192] = block[:, k]

@@ -153,6 +153,24 @@ def test_shell_commands_check_the_norms_once(shell_file, tmp_path, monkeypatch, 
     assert json.loads(proc.stdout)["valid"] is True
 
 
+def test_shell_commands_never_make_the_full_rows(shell_file, tmp_path, monkeypatch):
+    # a Shell stores its first half and reads every mirror row through its
+    # row accessor: no command builds the full array, not even to look up
+    # the Venkov witness pair
+    def refuse(self):
+        raise RuntimeError("Shell.vectors read")
+
+    monkeypatch.setattr(lattice32.Shell, "vectors", property(refuse))
+    for argv in (["build", "--code", "rm2_5", "--out", str(tmp_path / "s.shell")],
+                 ["verify", "--shell", str(shell_file), "--full"],
+                 ["verify", "--shell", str(shell_file), "--sample", "100"],
+                 ["venkov", "--shell", str(shell_file), "--witness"],
+                 ["energy", "--shell", str(shell_file), "--potential", "invlin"],
+                 ["selftest"]):
+        proc = run_cli(*argv)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+
+
 def test_venkov_witness_and_sample(shell_file):
     proc = run_cli(
         "venkov", "--shell", str(shell_file), "--witness", "--sample", "5",

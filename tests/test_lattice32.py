@@ -1,5 +1,7 @@
 import random
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -242,12 +244,14 @@ def test_load_shell_rejects_bad_norm(tmp_path):
 
 
 def test_load_shell_rejects_mixed_parity(tmp_path):
+    # in either order; the second, neg first, is canonical
     p = tmp_path / "parity.txt"
     row = "5 2 1 1 1" + " 0" * 27
     neg = "-5 -2 -1 -1 -1" + " 0" * 27
-    p.write_text(f"latcert-shell v1 n=32 count=2 scale=2sqrt2\n{row}\n{neg}\n")
-    with pytest.raises(ValueError, match="mixed"):
-        load_shell(p)
+    for first, second in [(row, neg), (neg, row)]:
+        p.write_text(f"latcert-shell v1 n=32 count=2 scale=2sqrt2\n{first}\n{second}\n")
+        with pytest.raises(ValueError, match="mixed"):
+            load_shell(p)
 
 
 def test_shell_checks_negation_last():
@@ -469,6 +473,41 @@ def test_shell_file_round_trip_property(case, data):
         Shell([r for r in rows if r != tuple(-v for v in x)])
 
 
+@settings(max_examples=100, deadline=None)
+@given(antipodal_shells(), st.data())
+def test_rows_match_the_full_rows_at_any_index(case, data):
+    # the row accessor reads an index k >= count // 2 as -(row count - 1 - k)
+    # of the stored half: the rows of the sorted full array, in either half
+    _, rows = case
+    shell = Shell(rows)
+    full = np.array(sorted(rows), dtype=np.int8)
+    index = np.array(data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=20)),
+                     dtype=np.intp)
+    assert np.array_equal(shell._rows(index), full[index])
+    k = data.draw(st.integers(0, len(rows) - 1))
+    assert np.array_equal(shell._rows(k), full[k])
+    assert np.array_equal(shell.vectors, full)
+    assert np.array_equal(shell.half, full[: len(rows) // 2])
+
+
+@settings(max_examples=100, deadline=None)
+@given(antipodal_shells(), st.data())
+def test_index_of_matches_a_linear_search(case, data):
+    # members of either half, their negations, norm-32 rows that are mostly
+    # absent, and the zero row, against the index in the sorted rows
+    dim, rows = case
+    shell = Shell(rows)
+    full = sorted(rows)
+    member = data.draw(st.sampled_from(full))
+    mags = data.draw(st.sampled_from(NORM32[dim]))
+    perm = data.draw(st.permutations(range(dim)))
+    signs = data.draw(st.lists(st.booleans(), min_size=dim, max_size=dim))
+    other = tuple(-mags[p] if f else mags[p] for p, f in zip(perm, signs))
+    for probe in (member, tuple(-v for v in member), other, (0,) * dim):
+        expected = full.index(probe) if probe in full else -1
+        assert shell.index_of(np.array(probe, dtype=np.int64)) == expected
+
+
 @pytest.mark.parametrize(
     "header, body, message",
     [
@@ -556,6 +595,77 @@ def test_load_shell_matches_the_loadtxt_reader_on_edited_files(case, edit, data)
     _matches_the_loadtxt_reader(edited)
 
 
+def _with_row(saved: bytes, i: int, row) -> bytes:
+    """A saved shell file with its row i (from 0) replaced by row."""
+    lines = saved.split(b"\n")
+    lines[1 + i] = " ".join(map(str, row)).encode()
+    return b"\n".join(lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(antipodal_shells(), st.data())
+def test_load_shell_matches_the_loadtxt_reader_on_a_changed_second_half_row(case, data):
+    # a canonical file streams its first half and checks the second against
+    # it: a second-half row that is another row, its mirror (a duplicate),
+    # any digits, or a norm-32 row must give the loadtxt reader's rows, or
+    # its exception and message
+    dim, rows = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "shell.txt"
+        save_shell(Shell(rows), path)
+        saved = path.read_bytes()
+    i = data.draw(st.integers(len(rows) // 2, len(rows) - 1))
+    mirror = sorted(rows)[len(rows) - 1 - i]
+    mags = data.draw(st.sampled_from(NORM32[dim]))
+    row = data.draw(st.one_of(
+        st.sampled_from(rows), st.just(mirror),
+        st.lists(st.integers(-9, 9), min_size=dim, max_size=dim),
+        st.permutations([-m for m in mags[: dim // 2]] + list(mags[dim // 2 :]))))
+    _matches_the_loadtxt_reader(_with_row(saved, i, row))
+
+
+@pytest.mark.parametrize("body", [
+    "-4 -4 0 0\n4 4 0 0\n-4 -4 0 0\n4 4 0 0\n",
+    "0 0 4 4\n4 4 0 0\n-4 -4 0 0\n0 0 -4 -4\n",
+    "0 0 -4 -4\n-4 -4 0 0\n4 4 0 0\n0 0 4 4\n",
+], ids=["a-plus-row-and-its-negation", "plus-rows-first", "first-half-unsorted"])
+def test_load_shell_matches_the_loadtxt_reader_on_mirrored_halves(body):
+    # halves that mirror each other, in a file that is not canonical: the
+    # stream keeps only a first half whose rows increase and lead with a
+    # minus, so these give the loadtxt reader's duplicate error or sorted rows
+    _matches_the_loadtxt_reader(f"latcert-shell v1 n=4 count=4 scale=2sqrt2\n{body}".encode())
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_changed_second_half_rows_exit_with_the_loadtxt_message_under_optimize(
+        tmp_path, flags):
+    # -O drops asserts: each file still exits 2 with the loadtxt reader's
+    # message (a duplicate, a norm-32 row outside the shell, off norm, mixed
+    # parity)
+    rows = [[4, 4, 0, 0], [0, 0, 4, 4], [-4, -4, 0, 0], [0, 0, -4, -4]]
+    save_shell(Shell(rows), tmp_path / "shell.txt")
+    saved = (tmp_path / "shell.txt").read_bytes()
+    paths, messages = [], []
+    for k, row in enumerate([[-4, -4, 0, 0], [4, -4, 0, 0], [4, 4, 4, 0], [4, 1, 0, 0]]):
+        path = tmp_path / f"edited{k}.txt"
+        path.write_bytes(_with_row(saved, 3, row))
+        kind, message = _outcome(load_shell_by_loadtxt, path)
+        assert kind is ValueError
+        paths.append(str(path))
+        messages.append(message)
+    assert [m.split(": ")[-1] for m in messages] == [
+        "duplicate shell vectors", "shell is not closed under negation",
+        "vector 3 has s.s = 48, expected 32", "vector with mixed even/odd coordinates"]
+    script = ("import sys\n"
+              "from latcert import cli\n"
+              "print([cli.main(['verify', '--shell', p, '--sample', '1'])"
+              " for p in sys.argv[1:]])\n")
+    proc = subprocess.run([sys.executable, *flags, "-c", script, *paths],
+                          capture_output=True, text=True)
+    assert proc.stdout == f"{[2] * len(paths)}\n"
+    assert proc.stderr.splitlines() == [f"error: {m}" for m in messages]
+
+
 def _load_peak_and_live(shell, tmp_path):
     """The loaded Shell of a saved copy of shell, with load_shell's
     tracemalloc peak and the traced memory still live after it, as
@@ -573,32 +683,33 @@ def _load_peak_and_live(shell, tmp_path):
 
 
 def test_load_shell_peak_memory(rm_shell, tmp_path):
-    # the body is parsed in blocks of about 2^17 bytes into the rows the
-    # Shell keeps, and every check runs on 8192 rows at a time: the parse
-    # peaks at 1.19x the int8 rows on rm2_5, where a copy of the rows, or a
-    # full-size check temporary, would add another 1x or so
+    # the body is parsed in blocks of about 2^17 bytes, the first half into
+    # the rows the Shell keeps and the second compared with their mirrors,
+    # and every check runs on 8192 rows at a time: the parse peaks at 0.69x
+    # the int8 rows on rm2_5, where parsing every row took 1.19x
     _, peak, _ = _load_peak_and_live(rm_shell.result, tmp_path)
-    assert peak <= 1.3
+    assert peak <= 0.75
 
 
 def test_build_shell_peak_memory(rm_code, rm_shell):
-    # the rows are sorted by their keys, which are freed before the sorted
-    # rows are gathered and checked 8192 at a time: 3.07x the int8 rows on
-    # rm2_5, where gathering beside a sorted copy of the keys took 3.60x
+    # only the first half of the rows is enumerated, and it is sorted by
+    # its keys, which are freed before the sorted rows are gathered and
+    # checked 8192 at a time: 1.82x the int8 rows on rm2_5, where
+    # enumerating every row took 3.07x
     tracemalloc.start()
     try:
         build_shell(rm_code)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / rm_shell.result.vectors.nbytes <= 3.35
+    assert peak / rm_shell.result.vectors.nbytes <= 1.95
 
 
 def test_load_shell_keeps_one_copy_of_the_rows(rm_shell, tmp_path):
-    # the Shell takes the parsed rows as they are: nothing else stays alive
+    # the Shell takes the parsed first half as it is: nothing else stays alive
     back, _, live = _load_peak_and_live(rm_shell.result, tmp_path)
-    assert not back.vectors.flags.writeable
-    assert 1 <= live <= 1.01
+    assert not back.half.flags.writeable and back.half.base is None
+    assert 0.5 <= live <= 0.51
 
 
 N = 146880

@@ -398,7 +398,7 @@ def test_full_pass_on_the_dimension_40_shell(d40_shell):
     assert d40_shell.weights == {0: 1, 8: 285, 12: 21280, 16: 239970, 20: 525504,
                                  24: 239970, 28: 21280, 32: 285, 40: 1}
     shell = d40_shell.shell
-    reps, sizes, _, order = _orbits(shell.vectors)
+    reps, sizes, _, order = _orbits(shell.half)
     assert (shell.count, order, len(reps)) == (39600, 2**20, 1065)
     assert Counter(sizes.tolist()) == {4: 780, 128: 285}
     inv = check_distance_invariance(shell, ALL)
@@ -504,7 +504,7 @@ def _assert_orbits_match_oracle(shell):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sphercode, "_flip_group", spy)
-        reps, sizes, labels, order = _orbits(shell.vectors)
+        reps, sizes, labels, order = _orbits(shell.half)
     rows = [tuple(r) for r in shell.vectors.tolist()]
     row_set = set(rows)
     assert all({_flip(r, f) for r in rows} == row_set for f in basis)
@@ -585,7 +585,7 @@ def test_orbits_of_a_class_that_is_no_coset_keep_negation_alone():
 def test_orbits_above_dim_64_are_the_antipodal_pairs():
     # no sign word has room for 72 coordinates: the group is negation alone
     shell = Shell([row + [0] * 32 for row in _WIDE_ROWS])
-    reps, sizes, labels, order = _orbits(shell.vectors)
+    reps, sizes, labels, order = _orbits(shell.half)
     assert (reps.tolist(), sizes.tolist(), order) == ([0, 1, 2, 3], [2] * 4, 2)
     assert labels.tolist() == [0, 1, 2, 3]
     inv = _assert_matches_brute_force(shell)
@@ -598,10 +598,10 @@ def test_flip_group_is_solved_a_block_of_classes_at_a_time(monkeypatch, d40_shel
     # dimension-40 shell's 1065 classes and a shell with a class that is
     # no coset give the groups and orbits of one block
     shells = [d40_shell.shell, _hamming_shell([[-2] + [2] * 7, [2] + [-2] * 7])]
-    whole = [_orbits(shell.vectors) for shell in shells]
+    whole = [_orbits(shell.half) for shell in shells]
     monkeypatch.setattr(sphercode, "_CLASS_BLOCK", block)
     for shell, (reps, sizes, labels, order) in zip(shells, whole):
-        blocked = _orbits(shell.vectors)
+        blocked = _orbits(shell.half)
         assert blocked[3] == order and order in (2**20, 2)
         for got, want in zip(blocked[:3], (reps, sizes, labels)):
             assert np.array_equal(got, want)
@@ -614,7 +614,7 @@ def test_orbits_reject_a_flip_that_moves_a_row(monkeypatch):
     flip_group = sphercode._flip_group
     monkeypatch.setattr(sphercode, "_flip_group", lambda *args: flip_group(*args) + [1])
     with pytest.raises(RuntimeError, match="^sign-flip group does not map the shell onto itself$"):
-        _orbits(_hamming_shell().vectors)
+        _orbits(_hamming_shell().half)
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
@@ -654,7 +654,7 @@ def test_orbits_pair_each_row_with_its_mirror(shell):
     # so only the first half is labelled, each of its labels counts twice,
     # and each orbit's smallest index lies in the first half
     n = shell.count
-    reps, sizes, labels, order = sphercode._orbits(shell.vectors)
+    reps, sizes, labels, order = sphercode._orbits(shell.half)
     assert len(labels) == n // 2
     assert np.array_equal(2 * np.bincount(labels, minlength=len(reps)), sizes)
     assert (reps < n // 2).all() and order % 2 == 0
@@ -664,7 +664,7 @@ def test_orbits_on_rm_shell_missing_a_pair_of_a_128_orbit(rm_shell):
     # x and -x leave the class of a 128-orbit, which is then no coset of its
     # differences and allows only identity and negation: 2^16 -> 2^10 flips
     V = rm_shell.result.vectors
-    reps, sizes, _, _ = sphercode._orbits(V)
+    reps, sizes, _, _ = sphercode._orbits(rm_shell.result.half)
     x = V[reps[np.flatnonzero(sizes == 128)[0]]]
     W = Shell(V[~((V == x).all(axis=1) | (V == -x).all(axis=1))])
     reps, sizes, table, order = _orbit_pass(W)
@@ -832,7 +832,7 @@ def test_orbit_dot_counts_match_brute_force_across_chunks(rm_shell, products):
     # the last 240 ranks 9 of 52 and one of 12; each count times 128 / 4
     # goes to its rank
     V = rm_shell.result.vectors
-    reps, sizes, labels, _ = _orbits(V)
+    reps, sizes, labels, _ = _orbits(rm_shell.result.half)
     by_size = np.argsort(sizes, kind="stable")
     ordered = sizes[by_size]
     assert ordered.tolist() == [4] * 496 + [128] * 620 + [65536]
@@ -841,7 +841,7 @@ def test_orbit_dot_counts_match_brute_force_across_chunks(rm_shell, products):
     ranks = rank[labels]
     cols = reps[by_size[496:1116]]
     table = np.zeros((65, 496), dtype=np.int32)
-    _orbit_dot_counts(table, V, cols, ranks, ordered, 496)
+    _orbit_dot_counts(table, rm_shell.result.half, cols, ranks, ordered, 496)
     every = np.concatenate((ranks, ranks[::-1]))  # row N - 1 - k has row k's rank
     rows = np.flatnonzero(every < 496)
     dots = V[rows].astype(np.int64) @ V[cols].astype(np.int64).T + 32
@@ -972,8 +972,8 @@ def test_orbits_peak_memory(rm_shell):
     # words are read once the magnitude keys are sorted: the coset keys and
     # their int64 sort (0.125x each) beside the class order and the words,
     # 0.44x the int8 rows on rm2_5, where the whole shell's took 1.00x
-    V = rm_shell.result.vectors
-    assert _peak_over_rows(rm_shell.result, lambda: _orbits(V)) <= 0.49
+    half = rm_shell.result.half
+    assert _peak_over_rows(rm_shell.result, lambda: _orbits(half)) <= 0.49
 
 
 def _dim64_rows(classes=30000, seed=64):
@@ -993,9 +993,9 @@ def test_orbits_peak_memory_at_dim_64():
     # 1.61x the int8 rows, where the flip group's solve without blocks of
     # classes took 9.6x
     shell = Shell(_dim64_rows())
-    reps, _, _, order = _orbits(shell.vectors)
+    reps, _, _, order = _orbits(shell.half)
     assert (len(reps), order) == (30000, 2)
-    assert _peak_over_rows(shell, lambda: _orbits(shell.vectors)) <= 1.75
+    assert _peak_over_rows(shell, lambda: _orbits(shell.half)) <= 1.75
 
 
 def test_full_pass_peak_memory(rm_shell):
