@@ -45,9 +45,11 @@ time and make no full-size temporary; only rows out of order need the
 full-size row keys of a sort.  build_shell enumerates only the first half,
 and load_shell streams a canonical file, keeping its first half and
 comparing each later row with its mirror, so neither makes the second
-half; both hand their fresh rows to the Shell, which keeps them without a
-copy.  A Shell made from all of its rows, by the constructor or from a file
-that is not canonical, keeps a view of the first half of the sorted rows.
+half.  Every Shell is made in one place, from its own first half: build_shell
+and load_shell hand over fresh rows, kept without a copy once sorted, and a
+Shell made from all of its rows, by the constructor or from a file that is
+not canonical, hands over a copy of the first half of the sorted rows, so
+no Shell keeps any other rows alive.
 """
 
 from __future__ import annotations
@@ -87,21 +89,16 @@ class Shell:
     int8, the row keys' nibbles hold every entry, and every partial sum of
     a dot is at most 32 in absolute value, so float32 dots are exact
     integers.  ``vectors``, all count rows, is a new array on each read,
-    for the tests.  ``half`` is set once; two shells are equal only when
-    they are the same object.
+    for the tests.  ``half`` is set once, by _own_half, which makes every
+    Shell from rows it owns (half.base is None); two shells are equal only
+    when they are the same object.
     """
 
     # half: (N // 2, dim) int8, lexicographically sorted, no duplicates
     __slots__ = ("half",)
 
-    def __init__(self, vectors):
-        # a copy: a Shell never shares its rows with the caller
-        self._keep(np.array(vectors, dtype=np.int8, order="C"))
-
-    def _keep(self, arr: np.ndarray) -> None:
-        """Check the C-contiguous int8 rows arr, all of a shell, and keep a
-        read-only view of the first half of them sorted: of arr itself,
-        without a copy, when it is already sorted."""
+    def __new__(cls, vectors):
+        arr = np.asarray(vectors, dtype=np.int8)
         if arr.ndim != 2:
             raise ValueError("shell vectors must form a 2-d array")
         if not len(arr):
@@ -112,8 +109,8 @@ class Shell:
             arr = _canonical_sort(arr)
         if not _folds(arr):
             raise ValueError("shell is not closed under negation")
-        arr.setflags(write=False)
-        object.__setattr__(self, "half", arr[: len(arr) // 2])
+        # a copy: a Shell never shares its rows with the caller
+        return _own_half(arr[: len(arr) // 2].copy())
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot assign to or delete field {name!r}")
@@ -242,11 +239,15 @@ def _mixed_parity(arr: np.ndarray) -> bool:
 
 
 def _own_half(half: np.ndarray) -> Shell:
-    """The Shell whose first half is half, fresh, C-contiguous, sorted and
-    distinct int8 rows, kept without a copy; ValueError unless every row
-    has s.s = 32 and leads with a minus sign.  In sorted order the rows that
-    lead with a minus come first, so the last row shows the sign of all."""
+    """The Shell whose first half is half, fresh C-contiguous int8 rows, kept
+    without a copy when sorted and sorted into a new array otherwise; the one
+    place a Shell's ``half`` is set.  ValueError unless every row has s.s =
+    32, no row repeats and every row leads with a minus sign.  In sorted
+    order the rows that lead with a minus come first, so the last row shows
+    the sign of all."""
     _check_norms(half, _OFF_NORM)
+    if not _increasing(half):
+        half = _canonical_sort(half)
     last = half[-1]
     if last[np.flatnonzero(last)[0]] > 0:
         raise ValueError("a first-half row leads with a plus sign")
@@ -311,11 +312,11 @@ def build_shell(c: BinaryCode) -> Shell:
     if failure:
         raise CodeRejected(failure)
 
-    return _own_half(_canonical_sort(np.concatenate([
+    return _own_half(np.concatenate([
         _signed([(1 << i) | (1 << j) for i, j in combinations(range(32), 2)], [1, 3], 4),
         _signed(by_weight[8], [m for m in range(1, 256, 2) if m.bit_count() % 2 == 0], 2),
         _signed([2**32 - 1], [w for words in by_weight.values() for w in words if w & 1], 1),
-    ])))
+    ]))
 
 
 def _signed(supports, signs, magnitude: int) -> np.ndarray:
@@ -344,7 +345,9 @@ def venkov_e22(shell: Shell, x, z) -> int:
         raise ValueError("x and z must be shell vectors")
     dot = int(np.matmul(x, z))
     if dot != 0:
-        raise ValueError(f"invalid Venkov pair: lattice inner product is {dot // 8}, not 0")
+        from fractions import Fraction  # only for the message: s_x.s_z / 8 is exact
+        raise ValueError(f"invalid Venkov pair: lattice inner product is {Fraction(dot, 8)}, "
+                         "not 0")
     (table,) = _joint_tables(shell, [i], [j])
     return int(table[_E22_BIN, _E22_BIN])
 
@@ -464,7 +467,8 @@ def _parse_header(header: str, path) -> tuple:
     fields = dict(p.split("=", 1) for p in parts[2:] if "=" in p)
     dim, count = fields.get("n", ""), fields.get("count", "")
     if (parts[:2] != _HEADER.split() or len(parts) != 5 or len(fields) != 3
-            or not (dim.isdecimal() and count.isdecimal()) or int(dim) < 1):
+            or not (dim + count).isascii() or not (dim.isdecimal() and count.isdecimal())
+            or int(dim) < 1):
         raise ValueError(f"{path}: bad shell header {header!r}")
     if fields.get("scale") != "2sqrt2":
         raise ValueError(f"{path}: unsupported scale {fields.get('scale')!r}")
@@ -481,10 +485,11 @@ def _read_saved(path):
     A canonical file holds count = 2h sorted rows, each with s.s = 32 and
     one parity, the last h the first h negated in reverse order.  The body
     is read in blocks of about 2^17 bytes cut at newlines; the first h rows
-    go into one int8 array, which the Shell keeps as its half, and each
-    later row is compared with the negation of its mirror, already kept,
-    and freed with its block.  A row takes at least 2 dim bytes, so a header
-    count or dim that the body cannot hold allocates nothing for it."""
+    go into one int8 array, which _own_half checks and keeps as the Shell's
+    half, and each later row is compared with the negation of its mirror,
+    already kept, and freed with its block.  A row takes at least 2 dim
+    bytes, so a header count or dim that the body cannot hold allocates
+    nothing for it."""
     with open(path, "rb") as fh:
         line = fh.readline()
         if b"\r" in line:  # text mode would end the header line there
@@ -529,17 +534,17 @@ def _read_saved(path):
             if (new[kept:] + half[count - hi : count - lo][::-1]).any():
                 return None
             rows = hi
-    if rows != count or not _increasing(half) or _mixed_parity(half):
+    if rows != count or _mixed_parity(half):
         return None
     try:
         return _own_half(half)
-    except ValueError:  # off norm, or not a first half
+    except ValueError:  # off norm, a repeat, or not a first half
         return None
 
 
-def _read_text(path):
-    """(count, rows) of any file np.loadtxt reads as a shell file;
-    ValueError (UnicodeDecodeError for a byte that is not UTF-8) otherwise."""
+def _read_text(path) -> Shell:
+    """The Shell of any file np.loadtxt reads as a shell file; ValueError
+    (UnicodeDecodeError for a byte that is not UTF-8) otherwise."""
     with open(path) as fh:
         dim, count = _parse_header(fh.readline().strip(), path)
         # ValueError on ragged rows and on tokens that are not int8 integers
@@ -548,7 +553,12 @@ def _read_text(path):
             arr = np.loadtxt(fh, dtype=np.int8, ndmin=2, comments=None)
     if arr.size and arr.shape[1] != dim:
         raise ValueError(f"{path}: expected {dim} coordinates, got {arr.shape[1]}")
-    return count, arr.reshape(-1, dim)
+    arr = arr.reshape(-1, dim)
+    if len(arr) != count:
+        raise ValueError(f"{path}: header says {count} vectors, found {len(arr)}")
+    if _mixed_parity(arr):
+        raise ValueError(f"{path}: vector with mixed even/odd coordinates")
+    return Shell(arr)
 
 
 def load_shell(path) -> Shell:
@@ -556,14 +566,4 @@ def load_shell(path) -> Shell:
     save_shell writes is streamed, and only its first half kept; any other
     file, and one that fails a check, goes through np.loadtxt, which gives
     every other accepted spelling and every error message."""
-    shell = _read_saved(path)
-    if shell is not None:
-        return shell
-    count, arr = _read_text(path)
-    if len(arr) != count:
-        raise ValueError(f"{path}: header says {count} vectors, found {len(arr)}")
-    if _mixed_parity(arr):
-        raise ValueError(f"{path}: vector with mixed even/odd coordinates")
-    shell = object.__new__(Shell)
-    shell._keep(arr)  # the fresh rows, kept without a copy if sorted
-    return shell
+    return _read_saved(path) or _read_text(path)

@@ -130,7 +130,8 @@ def load_shell_by_loadtxt(path):
         fields = dict(p.split("=", 1) for p in parts[2:] if "=" in p)
         dim, count = fields.get("n", ""), fields.get("count", "")
         if (parts[:2] != _HEADER.split() or len(parts) != 5 or len(fields) != 3
-                or not (dim.isdecimal() and count.isdecimal()) or int(dim) < 1):
+                or not (dim + count).isascii() or not (dim.isdecimal() and count.isdecimal())
+                or int(dim) < 1):
             raise ValueError(f"{path}: bad shell header {header!r}")
         if fields.get("scale") != "2sqrt2":
             raise ValueError(f"{path}: unsupported scale {fields.get('scale')!r}")

@@ -229,7 +229,7 @@ def test_expt_certificate_at_precision():
     "expt", "gauss:8", "riesz:7", "riesz:1", "riesz:3", "gauss:1/4",
     pytest.param("gauss:1/2", marks=pytest.mark.xfail(strict=True, reason=(
         "valid at 3 digits and invalid at 4: a divided-difference sign is read "
-        "in rounded arithmetic; interval enclosures are ROADMAP item 1"))),
+        "in rounded arithmetic; interval enclosures are ROADMAP item 2"))),
 ])
 def test_valid_verdict_stays_valid_at_higher_precision(spec):
     h = potential_by_spec(spec)

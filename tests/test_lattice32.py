@@ -11,12 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    PAIRS_4,
     e8_power_code,
     lattice_ip,
     load_shell_by_loadtxt,
     norm32_magnitudes,
     save_shell_by_tokens,
 )
+from golden_corpus import BENT_TEXT
 from latcert import lattice32
 from latcert.gf2codes import BinaryCode, code_report
 from latcert.lattice32 import (
@@ -136,6 +138,17 @@ def test_venkov_rejects_non_orthogonal_pair(rm_shell):
     x = sh.vectors[0]
     with pytest.raises(ValueError, match="Venkov pair"):
         venkov_e22(sh, x, -x)
+
+
+def test_venkov_names_the_exact_inner_product_of_a_non_orthogonal_pair():
+    # s_x.s_z = 20: lattice inner products 20 / 8 = 5/2 and -5/2, which a
+    # floor division would give as 2 and -3
+    x, z = [4, 2, 2, 2, 2, 0, 0, 0], [2, 4, 2, 0, 0, 2, 2, 0]
+    sh = Shell([x, z, [-v for v in x], [-v for v in z]])
+    for probe, value in [(z, "5/2"), ([-v for v in z], "-5/2")]:
+        with pytest.raises(ValueError, match=f"^invalid Venkov pair: lattice inner product "
+                           f"is {value}, not 0$"):
+            venkov_e22(sh, x, probe)
 
 
 def test_venkov_rejects_points_outside_shell(rm_shell):
@@ -348,6 +361,30 @@ def test_shell_of_sorted_rows_owns_them():
     assert not sh.vectors.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         sh.vectors[0, 0] = 1
+
+
+def _saved_and_loaded(shell, path):
+    save_shell(shell, path)
+    return load_shell(path)
+
+
+def _written_and_loaded(text: bytes, path):
+    path.write_bytes(text)
+    return load_shell(path)
+
+
+@pytest.mark.parametrize("make", [
+    lambda rm_shell, path: Shell(np.array(sorted(PAIRS_4), dtype=np.int8)),
+    lambda rm_shell, path: Shell(random.Random(0).sample(PAIRS_4, len(PAIRS_4))),
+    lambda rm_shell, path: rm_shell.result,
+    lambda rm_shell, path: _saved_and_loaded(Shell(PAIRS_4), path),
+    lambda rm_shell, path: _written_and_loaded(BENT_TEXT, path),
+], ids=["sorted-rows", "shuffled-rows", "build", "canonical-file", "hand-spelled-file"])
+def test_every_shell_owns_read_only_rows(make, rm_shell, tmp_path):
+    # every Shell is made from its own first half: none keeps a view of
+    # other rows, which would keep them alive
+    half = make(rm_shell, tmp_path / "shell.txt").half
+    assert half.base is None and not half.flags.writeable
 
 
 NORM32 = {dim: norm32_magnitudes(dim) for dim in range(1, 41)}
@@ -631,8 +668,9 @@ def test_load_shell_matches_the_loadtxt_reader_on_a_changed_second_half_row(case
 ], ids=["a-plus-row-and-its-negation", "plus-rows-first", "first-half-unsorted"])
 def test_load_shell_matches_the_loadtxt_reader_on_mirrored_halves(body):
     # halves that mirror each other, in a file that is not canonical: the
-    # stream keeps only a first half whose rows increase and lead with a
-    # minus, so these give the loadtxt reader's duplicate error or sorted rows
+    # stream keeps only a first half whose rows are distinct and lead with a
+    # minus, sorted if they are not, so these give the loadtxt reader's
+    # duplicate error or sorted rows
     _matches_the_loadtxt_reader(f"latcert-shell v1 n=4 count=4 scale=2sqrt2\n{body}".encode())
 
 

@@ -52,7 +52,24 @@ def _callers(name: str) -> list:
 def test_negation_closure_has_one_check():
     # every Shell is closed under negation: the kernels take a Shell and
     # rely on it, so no other code checks it again
-    assert _callers("_folds") == ["lattice32.py:Shell._keep"]
+    assert _callers("_folds") == ["lattice32.py:Shell.__new__"]
+
+
+def test_a_shell_is_made_in_one_place():
+    # every Shell is built from its own first half by _own_half, which alone
+    # sets half: by object.__setattr__, as Shell refuses assignment
+    def sets_half(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "half"
+                and isinstance(node.ctx, ast.Store)
+                or isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "__setattr__"
+                and any(isinstance(arg, ast.Constant) and arg.value == "half"
+                        for arg in node.args))
+
+    assert _scopes(sets_half) == ["lattice32.py:_own_half"]
+    assert _scopes(lambda node: isinstance(node, ast.Call)
+                   and getattr(node.func, "attr", None) == "__new__"
+                   and any(getattr(arg, "id", None) == "Shell" for arg in node.args)
+                   ) == ["lattice32.py:_own_half"]
 
 
 def test_the_energy_verdict_is_decided_in_energycert():
