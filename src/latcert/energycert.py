@@ -32,7 +32,7 @@ a potential is built, or a value that is not a Fraction is formatted.
 from __future__ import annotations
 
 import re
-from collections import namedtuple
+from collections import Counter, namedtuple
 from contextlib import nullcontext
 from fractions import Fraction
 
@@ -244,23 +244,20 @@ def _newton_basis(m: NodeMultiset) -> list:
 def hermite_interpolant(h: Potential, m: NodeMultiset) -> Polynomial:
     """Newton-form interpolant matching h at simple nodes and h, h' at
     doubled nodes; degree at most len(m.nodes) - 1."""
-    return _newton_form(divided_differences(h, m), m)
+    return _newton_form(divided_differences(h, m), _newton_basis(m))
 
 
-def _newton_form(dd: list, m: NodeMultiset) -> Polynomial:
-    """The sum of the divided differences dd times the Newton basis of m."""
+def _newton_form(dd: list, basis: list) -> Polynomial:
+    """The sum of the divided differences dd times the Newton basis."""
     poly = Polynomial()
-    for d, p in zip(dd, _newton_basis(m)):
+    for d, p in zip(dd, basis):
         poly = poly + p.scale(d)
     return poly
 
 
 def node_polynomial(m: NodeMultiset) -> FactoredPolynomial:
     """The monic product of (t - t_i) over the whole multiset."""
-    pairs = []
-    for t in sorted(set(m.nodes)):
-        pairs.append((t, m.nodes.count(t)))
-    return FactoredPolynomial(1, pairs)
+    return FactoredPolynomial(1, sorted(Counter(m.nodes).items()))
 
 
 PartialProduct = namedtuple("PartialProduct", "index expansion pd")
@@ -395,7 +392,8 @@ def energy_lower_bound(h: Potential, precision: int = 60) -> EnergyCertificate:
     N = DESIGN_SIZE
     with _working_precision(precision, h):
         dd = divided_differences(h, nodes)
-        h7 = _newton_form(dd, nodes)  # h and h' evaluated once per node
+        basis = _newton_basis(nodes)
+        h7 = _newton_form(dd, basis)  # h and h' evaluated once per node
         expansion = gegenbauer_expand(n, h7)
         pps = tuple(partial_products(nodes, n))
         err = error_sign_check(nodes, T)
@@ -404,12 +402,7 @@ def energy_lower_bound(h: Potential, precision: int = 60) -> EnergyCertificate:
             c * h.value(t) for t, c in dist.a.items() if t != 1
         )
         dual = N * N * expansion.coeffs[0] - N * h7(Fraction(1))
-
-        sums = [0] * len(nodes.nodes)
-        for t, term in dist.a.items():
-            for i, node in enumerate(nodes.nodes):
-                sums[i] += term  # A_t P_i(t)
-                term *= t - node
+        sums = [sum(c * p(t) for t, c in dist.a.items()) for p in basis]  # sum of A_t P_i(t)
         heads = [N] + [N * pp.expansion.coeffs[0] for pp in pps]  # N (P_i)_0
         failure = (
             next((f"divided difference h[t_1{f'..t_{i + 1}' if i else ''}] = "

@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import os
 import random
+import sys
 import warnings
 from itertools import combinations
 
@@ -67,7 +68,6 @@ SHELL_NORM = 32  # s.s for every shell vector (norm 4 at lattice scale)
 _BINS = 2 * SHELL_NORM + 1  # dot values -32..32, offset by 32
 _E22_BIN = SHELL_NORM + 16  # dot 16: lattice inner product 2
 _BLOCK = 8192  # rows per block of the checks of a Shell's rows
-_OFF_NORM = "vector {i} has s.s = {norm}, expected 32"
 
 
 class Shell:
@@ -104,7 +104,7 @@ class Shell:
         if not len(arr):
             raise ValueError("need a nonempty shell")
         # first: s.s = 32 bounds |entry| <= 5, inside the row keys' range
-        _check_norms(arr, _OFF_NORM)
+        _check_norms(arr)
         if not _increasing(arr):  # a saved shell's rows are sorted and distinct
             arr = _canonical_sort(arr)
         if not _folds(arr):
@@ -200,15 +200,15 @@ def _canonical_sort(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _check_norms(vectors: np.ndarray, message: str) -> None:
-    """ValueError(message with {i} and {norm}) for the first int8 row with
-    s.s != 32, summed in int64 _BLOCK rows at a time."""
+def _check_norms(vectors: np.ndarray) -> None:
+    """ValueError naming the first int8 row with s.s != 32 and its s.s,
+    summed in int64 _BLOCK rows at a time."""
     for r0 in range(0, len(vectors), _BLOCK):
         block = vectors[r0 : r0 + _BLOCK]
         norms = np.einsum("ij,ij->i", block, block, dtype=np.int64)
         bad = np.flatnonzero(norms != SHELL_NORM)
         if len(bad):
-            raise ValueError(message.format(i=r0 + int(bad[0]), norm=int(norms[bad[0]])))
+            raise ValueError(f"vector {r0 + bad[0]} has s.s = {norms[bad[0]]}, expected 32")
 
 
 def _folds(V: np.ndarray) -> bool:
@@ -245,7 +245,7 @@ def _own_half(half: np.ndarray) -> Shell:
     32, no row repeats and every row leads with a minus sign.  In sorted
     order the rows that lead with a minus come first, so the last row shows
     the sign of all."""
-    _check_norms(half, _OFF_NORM)
+    _check_norms(half)
     if not _increasing(half):
         half = _canonical_sort(half)
     last = half[-1]
@@ -451,24 +451,27 @@ def save_shell(shell: Shell, path) -> None:
     # s.s = 32 bounds |entry| <= 5, so each entry is an optional '-' and one digit
     with open(path, "wb") as fh:
         fh.write(f"{_HEADER} n={shell.dim} count={shell.count} scale=2sqrt2\n".encode())
-        for start in range(0, shell.count, 8192):
-            block = shell._rows(np.arange(start, min(start + 8192, shell.count)))
-            text = np.zeros((*block.shape, 3), dtype=np.uint8)  # sign, digit, separator
-            text[..., 0] = np.where(block < 0, ord("-"), 0)
-            text[..., 1] = ord("0") + np.abs(block)
-            text[..., 2] = ord(" ")
-            text[:, -1, 2] = ord("\n")
-            fh.write(text.tobytes().translate(None, b"\0"))
+        # the first half, then its rows negated in reverse order
+        for sign, rows in ((1, shell.half), (-1, shell.half[::-1])):
+            for r0 in range(0, len(rows), 8192):
+                block = sign * rows[r0 : r0 + 8192]
+                text = np.full((*block.shape, 3), ord(" "), dtype=np.uint8)  # sign, digit, space
+                text[..., 0] = np.where(block < 0, ord("-"), 0)
+                text[..., 1] = ord("0") + np.abs(block)
+                text[:, -1, 2] = ord("\n")
+                fh.write(text.tobytes().translate(None, b"\0"))
 
 
 def _parse_header(header: str, path) -> tuple:
-    """(dim, count) of a stripped header line; ValueError naming the path."""
+    """(dim, count) of a stripped header line; ValueError naming the path,
+    also for a number of more digits than int() reads (a limit of 0 reads
+    any number)."""
     parts = header.split()
     fields = dict(p.split("=", 1) for p in parts[2:] if "=" in p)
     dim, count = fields.get("n", ""), fields.get("count", "")
     if (parts[:2] != _HEADER.split() or len(parts) != 5 or len(fields) != 3
             or not (dim + count).isascii() or not (dim.isdecimal() and count.isdecimal())
-            or int(dim) < 1):
+            or max(len(dim), len(count)) > sys.get_int_max_str_digits() > 0 or int(dim) < 1):
         raise ValueError(f"{path}: bad shell header {header!r}")
     if fields.get("scale") != "2sqrt2":
         raise ValueError(f"{path}: unsupported scale {fields.get('scale')!r}")

@@ -1,5 +1,6 @@
 import io
 import random
+import sys
 import time
 import warnings
 from collections import namedtuple
@@ -129,8 +130,10 @@ def load_shell_by_loadtxt(path):
         parts = header.split()
         fields = dict(p.split("=", 1) for p in parts[2:] if "=" in p)
         dim, count = fields.get("n", ""), fields.get("count", "")
+        # a number of more digits than int() reads makes a bad header too
         if (parts[:2] != _HEADER.split() or len(parts) != 5 or len(fields) != 3
                 or not (dim + count).isascii() or not (dim.isdecimal() and count.isdecimal())
+                or max(len(dim), len(count)) > sys.get_int_max_str_digits() > 0
                 or int(dim) < 1):
             raise ValueError(f"{path}: bad shell header {header!r}")
         if fields.get("scale") != "2sqrt2":

@@ -44,18 +44,21 @@ BENT_TEXT = (b"latcert-shell v1 n=4 count=6 scale=2sqrt2\r\n"
 # a header whose n and count are Arabic-Indic digits, which str.isdecimal
 # takes but the header grammar does not
 ARABIC_HEADER = "latcert-shell v1 n=\u0664 count=\u0662 scale=2sqrt2\n4 4 0 0\n-4 -4 0 0\n"
+# a header whose count has more digits than int() reads (4300 by default)
+LONG_HEADER = f"latcert-shell v1 n=4 count={'9' * 5000} scale=2sqrt2\n4 4 0 0\n-4 -4 0 0\n"
 
 
 def write_inputs(directory: Path, rm_shell=None, xqr_shell=None) -> dict:
     """Placeholder -> path of each input in directory: the rm2_5 and xqr32
     shell files when their shells are given, the 24-point and 6-point bent
-    shell files, the bent rows spelled by hand, a shell file with an
-    Arabic-Indic header, the min-design polynomial as JSON and the 16 x 32
+    shell files, the bent rows spelled by hand, shell files with an
+    Arabic-Indic header and with a 5000-digit header count, the min-design
+    polynomial as JSON and the 16 x 32
     identity generator matrix (not self-dual), written there, and two paths
     with no file yet."""
     paths = {f"{{{name}}}": str(directory / f"{name}.shell")
              for name in ("rm2_5", "xqr32", "small", "bent", "bent_text", "arabic_header",
-                          "missing", "out")}
+                          "long_header", "missing", "out")}
     paths["{poly}"] = str(directory / "poly.json")
     paths["{ident}"] = str(directory / "ident.txt")
     for name, shell in (("{rm2_5}", rm_shell), ("{xqr32}", xqr_shell)):
@@ -65,6 +68,7 @@ def write_inputs(directory: Path, rm_shell=None, xqr_shell=None) -> dict:
     save_shell(Shell(BENT), paths["{bent}"])
     Path(paths["{bent_text}"]).write_bytes(BENT_TEXT)
     Path(paths["{arabic_header}"]).write_text(ARABIC_HEADER, encoding="utf-8")
+    Path(paths["{long_header}"]).write_text(LONG_HEADER)
     Path(paths["{poly}"]).write_text(json.dumps(poly_to_json(MIN_DESIGN_POLY)))
     Path(paths["{ident}"]).write_text("".join("0" * j + "1" + "0" * (31 - j) + "\n"
                                               for j in range(16)))

@@ -375,6 +375,13 @@ def test_verify_full_runs_one_orbit_pass(small_shell_file, monkeypatch):
         ("n=0 count=0", "", "bad shell header"),
         ("n=-2 count=2", "4 4\n-4 -4\n", "bad shell header"),
         ("n=4 count", "4 4 0 0\n-4 -4 0 0\n", "bad shell header"),
+        # int() reads at most sys.get_int_max_str_digits() digits, 4300 by default
+        pytest.param(f"n=4 count={'9' * 4000}", "4 4 0 0\n-4 -4 0 0\n",
+                     f"header says {'9' * 4000} vectors, found 2", id="count-4000-digits"),
+        pytest.param(f"n=4 count={'9' * 5000}", "4 4 0 0\n-4 -4 0 0\n",
+                     "bad shell header", id="count-5000-digits"),
+        pytest.param(f"n={'0' * 4999}4 count=2", "4 4 0 0\n-4 -4 0 0\n",
+                     "bad shell header", id="n-5000-digits"),
     ],
 )
 def test_malformed_shell_file_exits_two(tmp_path, header, body, message):

@@ -26,7 +26,7 @@ def test_cli_output_matches_the_golden_file(path, inputs):
 def test_golden_corpus_is_there():
     # the exact count, so that a lost file fails; a change that adds or
     # drops a case updates it
-    assert len(FILES) == 111
+    assert len(FILES) == 112
 
 
 def test_the_corpus_runs_every_subcommand_and_option():

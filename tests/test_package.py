@@ -74,9 +74,8 @@ def test_a_shell_is_made_in_one_place():
 
 def test_the_energy_verdict_is_decided_in_energycert():
     # EnergyCertificate.on_shell sums a shell's energy and decides its
-    # verdict; cmd_energy calls it, and the selftest sums one fixture
-    assert _callers("code_energy") == ["cli.py:cmd_selftest",
-                                       "energycert.py:EnergyCertificate.on_shell"]
+    # verdict; cmd_energy and the selftest call it
+    assert _callers("code_energy") == ["energycert.py:EnergyCertificate.on_shell"]
 
 
 def test_endpoint_flags_are_read_only_by_interval():
@@ -157,7 +156,7 @@ def test_every_subcommand_flag_is_read_by_its_command():
 # runs one command through cli.main in a fresh interpreter, then gives on
 # the last stderr line its threads (0 without /proc/self/task) and the heavy
 # modules it loaded
-_WATCHED = {"numpy", "mpmath", "dataclasses", "inspect", "latcert.lpcert"}
+_WATCHED = {"numpy", "numpy.random", "mpmath", "dataclasses", "inspect", "latcert.lpcert"}
 _LOADED = (
     "import os, sys\n"
     "from latcert.cli import main\n"
@@ -209,14 +208,16 @@ def test_transcendental_potentials_load_mpmath(spec):
 
 def test_verify_loads_the_shell_layer(tmp_path):
     # the control: a command that reads a shell does load numpy, and no
-    # verify or energy run loads lpcert
+    # verify or energy run loads lpcert.  Only the sampled pass draws its
+    # points with numpy.random, whose import costs about 5 MB of peak RSS
     path = tmp_path / "small.shell"
     save_shell(Shell([[4, 4, 0, 0], [-4, -4, 0, 0]]), path)
-    for argv in (["verify", "--shell", str(path), "--sample", "10"],
-                 ["verify", "--shell", str(path), "--full"],
-                 ["energy", "--shell", str(path), "--potential", "invlin"]):
+    for argv, sampled in ((["verify", "--shell", str(path), "--sample", "10"], True),
+                          (["verify", "--shell", str(path), "--full"], False),
+                          (["energy", "--shell", str(path), "--potential", "invlin"], False)):
         _, loaded = _loaded(*argv)
         assert "numpy" in loaded and "latcert.lpcert" not in loaded, (argv, loaded)
+        assert ("numpy.random" in loaded) is sampled, (argv, loaded)
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
