@@ -9,30 +9,43 @@ joint table from the ``lattice32`` kernel gives both columns as its
 marginals; it counts half of the rows, as a Shell is closed under negation.
 
 The exact passes (the histogram and the full invariance check) need only one
-column per orbit of a group of coordinate sign flips that maps the shell onto
-itself: a flip is an isometry, so every point of an orbit sees the same
-distance distribution.  Each row's minus signs are one word, bit k for
+column per orbit of a group of isometries that maps the shell onto itself,
+as every point of an orbit sees the same distance distribution.  The group
+is generated by coordinate sign flips and, where the shell yields them,
+coordinate permutations.  Each row's minus signs are one word, bit k for
 coordinate k, and a flip f XORs the words of a magnitude class c (the rows
 with the same |x|, support word S_c) with f & S_c.  So f maps the shell onto
 itself exactly when it maps every class onto itself.  One rule gives the
-group: a class whose words X_c form a whole coset of D_c, the span of their
-differences and S_c, allows f & S_c in D_c, and any other class allows only
-{0, S_c}, that is identity or negation on it.  The group is the flips that
-every class allows, one GF(2) kernel.  It always holds negation, and it is
-the whole stabilizer whenever every class is such a coset, as on the
-lattice shells: there the group is the 2^16 codeword flips with 1117
-orbits, one per class.  Its two limits: a class that is no coset loses the
-flips that permute it within D_c, and above dim 64, where a word would
-need more than 64 bits, the group is negation alone.  The orbits are the
-cosets of the group's masks within each class, and the passes stay exact
-on every shell.
+flip group: a class whose words X_c form a whole coset of D_c, the span of
+their differences and S_c, allows f & S_c in D_c, and any other class allows
+only {0, S_c}, that is identity or negation on it.  The flip group is the
+flips that every class allows, one GF(2) kernel.  It always holds negation,
+and it is the whole stabilizer whenever every class is such a coset, as on
+the lattice shells: there it is the 2^16 codeword flips, with 1117 orbits,
+one per class.  Its two limits: a class that is no coset loses the flips
+that permute it within D_c, and above dim 64, where a word would need more
+than 64 bits, the group is negation alone.  The flip orbits are the cosets
+of the group's masks within each class.
+
+The permutations are read off the weight-8 class supports.  On a shell
+built from RM(2,5), in any coordinate order, those are the 620 3-flats of
+AG(5,2), and three maps read off them generate AGL(5,2), the code's
+automorphism group (MacWilliams and Sloane, ch. 13).  A map is used only
+when it normalises the flip group and maps every flip orbit's
+representative to a row: it then maps the whole shell onto itself, and the
+flip orbits it joins are merged.  A refused map costs only columns, so the
+passes stay exact on every shell.  On the rm2_5 shells the 1117 flip orbits
+join into 3, one per type of vector (+-4, +-2, +-1); on xqr32, the E8 roots
+and the dimension-40 shell no map is proposed.
 
 Each pair of orbits is counted once, from the smaller orbit's rows: for
 orbits O_i and O_j, n_i N(i->j, d) = n_j N(j->i, d), where N(i->j, d) counts
-the points of O_j at dot d from a point of O_i.  The lattice shells have
-496 orbits of 4 points, 620 of 128 and one of 65536, so the pass counts
-about 12.9M kernel keys and 0.66M dots of smaller orbits (of the first
-half of their rows), against 41.1M keys for each column against every row.
+the points of O_j at dot d from a point of O_i.  Under the flips alone the
+lattice shells have 496 orbits of 4 points, 620 of 128 and one of 65536,
+so the pass counts about 12.9M kernel keys and 0.66M dots of smaller
+orbits (of the first half of their rows), against 41.1M keys for each
+column against every row; the 3 orbits of rm2_5, of 1984, 65536 and 79360
+points, take about 0.11M keys and 35K dots.
 The dots of smaller orbits keep their own loop, _orbit_dot_counts: the pair
 kernel's 65 x 65 key has no room for the row's orbit, and one kernel keyed
 by orbit offset for both passes measured slower on rm2_5 (2-core host:
@@ -79,8 +92,9 @@ class InvarianceReport(namedtuple(
     common DistanceDistribution (None without one); ``counterexample`` is
     None or ((index, distribution), (index, distribution)); ``group_order``
     is the order of the sign-flip group used, 1 when sampled;
-    ``representatives`` counts the columns, one per orbit or per sampled
-    point; ``histogram`` holds the exact pair counts, None when sampled."""
+    ``representatives`` counts the columns, one per orbit of the flips and
+    the accepted coordinate maps, or per sampled point; ``histogram`` holds
+    the exact pair counts, None when sampled."""
 
     __slots__ = ()
 
@@ -203,17 +217,18 @@ def _sorted_runs(keys: list):
 
 def _orbit_pass(shell: Shell):
     """The exact pair pass over a Shell: (representatives, orbit sizes,
-    (65, reps) column table, group order).  Each orbit of the verified flip
-    group is represented by its smallest index, whose column is every
-    point's distribution.  For orbits O_i and O_j of sizes n_i and n_j,
-    every point of O_i sees the same N(i->j, d) points of O_j at dot d, so
-    n_i N(i->j, d) = n_j N(j->i, d).  Taken by size, smallest first, each
-    size class's columns count the rows of the orbits no larger directly,
-    given to the kernel as the ascending first-half indices of those rows:
-    orbits hold their rows' mirrors, -x at N - 1 - k.  For each smaller
-    orbit O_i, the class's dots with its rows, times the class size, add up
-    to n_i N(i->j, d) over the class's orbits O_j, and are divided by n_i
-    in place, a bounded range of ranks at a time."""
+    (65, reps) column table, flip group order).  Each orbit of _orbits, of
+    the verified flips and coordinate maps, is represented by its smallest
+    index, whose column is every point's distribution.  For orbits O_i and
+    O_j of sizes n_i and n_j, every point of O_i sees the same N(i->j, d)
+    points of O_j at dot d, so n_i N(i->j, d) = n_j N(j->i, d).  Taken by
+    size, smallest first, each size class's columns count the rows of the
+    orbits no larger directly, given to the kernel as the ascending
+    first-half indices of those rows: orbits hold their rows' mirrors, -x
+    at N - 1 - k.  For each smaller orbit O_i, the class's dots with its
+    rows, times the class size, add up to n_i N(i->j, d) over the class's
+    orbits O_j, and are divided by n_i in place, a bounded range of ranks
+    at a time."""
     reps, sizes, ranks, group_order = _orbits(shell.half)  # labels, for now
     by_size = np.argsort(sizes, kind="stable")
     ordered = sizes[by_size]
@@ -263,9 +278,10 @@ def _orbit_dot_counts(table, half: np.ndarray, cols, ranks, ordered, lo: int) ->
 
 def _orbits(half: np.ndarray):
     """(representatives, orbit sizes, int32 orbit label per row of half,
-    group order) of the sign-flip group of _flip_group on the Shell whose
-    first half is half; label k is the orbit of the k-th representative,
-    its smallest row index.
+    flip group order) of the group generated by the sign flips of
+    _flip_group and the coordinate maps of _affine_maps that _image_labels
+    accepts, on the Shell whose first half is half; label k is the orbit of
+    the k-th representative, its smallest row index.
 
     Negation maps every Shell onto itself and lies in the group, so the
     mirror -(row k) shares row k's orbit: only the first half of the rows,
@@ -273,9 +289,14 @@ def _orbits(half: np.ndarray):
     class and labelled.  A row's minus signs are one word
     (_sign_words), read once the rows are sorted by class, and a flip's
     mask on a class is flip & the class's support word.  The orbits
-    are the cosets of the group's masks within each class (_cosets), and
-    the group order is 2^(basis length).  Above dim 64 the group is
-    negation alone, and the orbits are the pairs {x, -x}."""
+    of the flips are the cosets of the group's masks within each class
+    (_cosets), and the flip group order is 2^(basis length).  Each accepted
+    map takes each flip orbit's representative into one flip orbit, and
+    the orbits it joins (_components) merge: their representative is the
+    smallest of theirs, and their size the sum.  The maps are read off the
+    classes' support words and checked on the representatives only.  Above
+    dim 64 the group is negation alone, and the orbits are the pairs {x,
+    -x}."""
     dim = half.shape[1]
     if dim > 64:
         reps = np.arange(len(half), dtype=np.int32)
@@ -306,7 +327,113 @@ def _orbits(half: np.ndarray):
     label = np.argsort(by_index).astype(np.int32)  # each coset's place by index
     labels = np.empty(len(half), dtype=np.int32)
     labels[rows] = np.repeat(label, sizes)
-    return reps[by_index], 2 * sizes[by_index], labels, 2 ** len(flips)
+    del rows
+    reps, sizes = reps[by_index], 2 * sizes[by_index]
+    images = [image for sigma in _affine_maps(support, dim)
+              if (image := _image_labels(half, reps, labels, flips, sigma)) is not None]
+    if images:  # one orbit per component of the flip orbits the maps join
+        keep, joined = np.unique(_components(images), return_inverse=True)
+        reps, sizes = reps[keep], np.bincount(joined, sizes).astype(sizes.dtype)
+        labels = joined.astype(np.int32)[labels]
+    return reps, sizes, labels, 2 ** len(flips)
+
+
+def _affine_maps(support: np.ndarray, dim: int) -> list:
+    """Coordinate maps, each an int array sigma taking coordinate k to
+    sigma[k], read off the weight-8 words among the class support words
+    support; none when the rule below fails.  Where the weight-8 supports
+    through coordinates 0, b and x always share exactly one more
+    coordinate t_b(x), as the 3-flats of AG(m, 2) do (the weight-8 words
+    of RM(2, 5) at m = 5), t_b is the translation by b, with t_b(0) = b.
+    Translations by the first coordinates not yet labelled label the
+    coordinates by GF(2)^m, coordinate 0 the origin.  The maps are then the
+    translation p -> p ^ 1, the cyclic shift of the m label bits and the
+    transvection b_0 += b_1 on the labels p, which generate AGL(m, 2).
+    The rule only proposes maps: _image_labels accepts or refuses each."""
+    octads = support[np.bitwise_count(support) == 8]
+    if not len(octads):
+        return []
+    ones = ~support.dtype.type(0)
+    bit = support.dtype.type(1) << np.arange(dim, dtype=support.dtype)
+    label = np.full(dim, -1)
+    label[0] = 0
+    for m in range(dim.bit_length()):
+        if (label >= 0).all():
+            break
+        b = np.argmax(label < 0)
+        pair = bit[0] | bit[b]
+        through = octads[octads & pair == pair, None]
+        # per x, the meet of the supports through 0, b and x; all ones if none
+        meet = np.bitwise_and.reduce(np.where(through & bit, through, ones), axis=0)
+        have = np.flatnonzero(label >= 0)  # from coordinate 0
+        rest = meet[have[1:]] & ~(bit[0] | bit[b] | bit[have[1:]])
+        if (np.bitwise_count(rest) != 1).any():
+            return []
+        image = np.r_[b, np.bitwise_count(rest - 1)]  # the one coordinate left
+        if (label[image] >= 0).any():
+            return []
+        label[image] = label[have] | 1 << m
+    if not np.array_equal(np.sort(label), np.arange(dim)):  # no labelling
+        return []
+    coord, p = np.argsort(label), label  # the coordinate of each label p
+    return [coord[g] for g in (p ^ 1, (p << 1 | p >> m - 1) & dim - 1, p ^ (p >> 1 & 1))]
+
+
+def _image_labels(half: np.ndarray, reps, labels, flips: list, sigma):
+    """The orbit label of each representative's image under the coordinate
+    map sigma, or None when sigma is refused.  sigma is accepted when it is
+    a permutation that maps every basis flip of the group into the group's
+    span (gf2_rank) and every representative to a row of the Shell whose
+    first half is half.  Such a sigma maps the Shell onto itself: the
+    flips map it onto itself, and a row g.r of the orbit of r goes to
+    (sigma g sigma^-1).sigma(r), a flip of a row.  Each image y is looked
+    up in half by _find_rows as the one of y and -y that leads with a
+    minus, which shares y's orbit."""
+    dim = half.shape[1]
+    if not np.array_equal(np.sort(sigma), np.arange(dim)):
+        return None
+    moved = [sum(1 << int(sigma[k]) for k in range(dim) if f >> k & 1) for f in flips]
+    if gf2_rank(flips + moved)[0] != len(flips):
+        return None
+    rows = np.empty((len(reps), dim), dtype=half.dtype)
+    rows[:, sigma] = half[reps]
+    lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+    np.negative(rows, out=rows, where=(lead > 0)[:, None])
+    at = _find_rows(half, rows)
+    return None if (at < 0).any() else labels[at]
+
+
+def _find_rows(half: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The index of each row of rows in half, lexicographically sorted and
+    distinct, or -1 where it is absent: one bisection of all rows at once,
+    each step comparing each row with its middle row at their first
+    differing entry."""
+    lo, hi = np.zeros(len(rows), dtype=np.intp), np.full(len(rows), len(half))
+    every = np.arange(len(rows))
+    while (open_ := lo < hi).any():
+        mid = (lo + hi) // 2
+        at = half[np.minimum(mid, len(half) - 1)]
+        k = (at != rows).argmax(axis=1)  # 0 where the rows are equal
+        below = open_ & (at[every, k] < rows[every, k])
+        lo, hi = np.where(below, mid + 1, lo), np.where(open_ & ~below, mid, hi)
+    at = np.minimum(lo, len(half) - 1)
+    return np.where((half[at] == rows).all(axis=1), at, -1)
+
+
+def _components(images: list) -> np.ndarray:
+    """The smallest label of each label's component in the graph joining
+    each label k to image[k], for every image in images: the labels are
+    lowered along the edges and through each other until none moves."""
+    comp = np.arange(len(images[0]))
+    while True:
+        low = comp.copy()
+        for image in images:
+            np.minimum.at(low, image, comp)
+            np.minimum(low, comp[image], out=low)
+        low = low[low]
+        if np.array_equal(low, comp):
+            return comp
+        comp = low
 
 
 def histogram(shell: Shell) -> InnerProductHistogram:

@@ -12,12 +12,14 @@ from hypothesis import (currently_in_test_context, event, example, given, settin
                         strategies as st)
 
 from conftest import e8_root_rows, norm32_magnitudes, random_polynomial, run_cli
-from golden_corpus import BENT
+from golden_corpus import BENT, GOLDEN, render
 from latcert.exactmath import Polynomial
 from latcert.gegenbauer import (distribution_from_design, gegenbauer_expand, gegenbauer_poly,
                                 histogram_from_distribution)
 from latcert import sphercode
-from latcert.lattice32 import Shell, _joint_tables, load_shell, save_shell, venkov_sample
+from latcert.gf2codes import BinaryCode, reed_muller_2_5
+from latcert.lattice32 import (Shell, _joint_tables, build_shell, load_shell, save_shell,
+                               venkov_sample)
 from latcert.sphercode import (
     ALL,
     DistanceDistribution,
@@ -660,16 +662,115 @@ def test_orbits_pair_each_row_with_its_mirror(shell):
     assert (reps < n // 2).all() and order % 2 == 0
 
 
+def _permuted_rm_shell(seed):
+    """The shell of RM(2,5) with its coordinates permuted by a seeded
+    random permutation."""
+    perm = np.random.default_rng(seed).permutation(32)
+    code = reed_muller_2_5()
+    rows = tuple(sum(1 << int(perm[k]) for k in range(32) if mask >> k & 1) for mask in code.rows)
+    return build_shell(BinaryCode(32, rows, "rm2_5 permuted"))
+
+
+@pytest.mark.parametrize("seed", [None, 1])
+def test_affine_maps_join_the_rm_shell_into_three_orbits(rm_shell, tmp_path, seed):
+    # in any coordinate order the weight-8 supports are the 3-flats of
+    # AG(5,2), and AGL(5,2) with the codeword flips has the three types of
+    # vector as its orbits: +-4 (1984), +-1 (65536) and +-2 (79360)
+    shell = rm_shell.result if seed is None else _permuted_rm_shell(seed)
+    reps, sizes, labels, order = _orbits(shell.half)
+    assert (sorted(sizes.tolist()), order) == ([1984, 65536, 79360], 2**16)
+    assert np.array_equal(2 * np.bincount(labels), sizes)
+    assert sorted(np.count_nonzero(shell.half[reps], axis=1).tolist()) == [2, 8, 32]
+    path = tmp_path / "rm2_5.shell"
+    save_shell(shell, path)
+    golden = GOLDEN / "verify-full-rm2_5.txt"
+    assert render("latcert verify --shell '{rm2_5}' --full", {"{rm2_5}": str(path)}) == (
+        golden.read_text())
+
+
+@pytest.mark.parametrize("case, count", [("xqr", 1117), ("e8", 29), ("d40", 1065)])
+def test_affine_maps_are_proposed_only_where_the_octads_are_flats(
+        request, monkeypatch, case, count):
+    # the weight-8 supports of xqr32, of the E8 roots (the one support of
+    # all 8 coordinates) and of the dimension-40 shell are no 3-flats, so
+    # no map is proposed and the flip orbits stay
+    shell = {"xqr": lambda: request.getfixturevalue("xqr_shell").result,
+             "e8": lambda: Shell(e8_root_rows()),
+             "d40": lambda: request.getfixturevalue("d40_shell").shell}[case]()
+    proposed, affine_maps = [], sphercode._affine_maps
+    monkeypatch.setattr(sphercode, "_affine_maps",
+                        lambda *args: proposed.append(affine_maps(*args)) or proposed[-1])
+    reps, _, _, _ = _orbit_pass(shell)
+    assert (proposed, len(reps)) == ([[]], count)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_orbits_refuse_a_coordinate_map_that_moves_a_row(flags):
+    # a transposition of two coordinates is no automorphism of RM(2,5): it
+    # is refused, and the pass gives the orbits and the table of the flips
+    # alone, also under -O, which drops asserts
+    script = (
+        "import numpy as np\n"
+        "from latcert import sphercode\n"
+        "from latcert.gf2codes import reed_muller_2_5\n"
+        "from latcert.lattice32 import build_shell\n"
+        "shell = build_shell(reed_muller_2_5())\n"
+        "image_labels, verdicts, passes = sphercode._image_labels, [], []\n"
+        "def spy(*args):\n"
+        "    verdicts.append(image_labels(*args))\n"
+        "    return verdicts[-1]\n"
+        "sphercode._image_labels = spy\n"
+        "for maps in ([np.r_[1, 0, 2:32]], []):\n"
+        "    sphercode._affine_maps = lambda *args: maps\n"
+        "    passes.append(sphercode._orbit_pass(shell))\n"
+        "if [v is None for v in verdicts] != [True] or len(passes[0][0]) != 1117:\n"
+        "    raise SystemExit('the transposition was not refused')\n"
+        "if not all(np.array_equal(a, b) for a, b in zip(*passes)):\n"
+        "    raise SystemExit('the pass differs from the flips alone')\n"
+    )
+    proc = subprocess.run([sys.executable, *flags, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def _rm_shell_missing_a_pair(rm_shell):
+    """rm2_5 without its first +-2 row x and -x, the smallest index of a
+    flip orbit of 128 points."""
+    V = rm_shell.result.vectors
+    x = V[np.flatnonzero(np.count_nonzero(V, axis=1) == 8)[0]]
+    return Shell(V[~((V == x).all(axis=1) | (V == -x).all(axis=1))])
+
+
 def test_orbits_on_rm_shell_missing_a_pair_of_a_128_orbit(rm_shell):
     # x and -x leave the class of a 128-orbit, which is then no coset of its
-    # differences and allows only identity and negation: 2^16 -> 2^10 flips
-    V = rm_shell.result.vectors
-    reps, sizes, _, _ = sphercode._orbits(rm_shell.result.half)
-    x = V[reps[np.flatnonzero(sizes == 128)[0]]]
-    W = Shell(V[~((V == x).all(axis=1) | (V == -x).all(axis=1))])
+    # differences and allows only identity and negation: 2^16 -> 2^10 flips,
+    # whose 2411 orbits two of the three affine maps join into 997
+    W = _rm_shell_missing_a_pair(rm_shell)
     reps, sizes, table, order = _orbit_pass(W)
-    assert (W.count, len(reps), order) == (N - 2, 2411, 1024)
+    assert (W.count, len(reps), order) == (N - 2, 997, 1024)
     assert np.array_equal(table, _column_counts(W, reps))
+
+
+def test_affine_maps_are_accepted_only_where_they_map_the_shell_onto_itself(
+        rm_shell, monkeypatch):
+    # on rm2_5 less one pair the translation and the transvection still map
+    # every row to a row, and the cyclic shift of the label bits does not
+    W = _rm_shell_missing_a_pair(rm_shell)
+    verdicts, image_labels = [], sphercode._image_labels
+
+    def spy(half, reps, labels, flips, sigma):
+        image = image_labels(half, reps, labels, flips, sigma)
+        verdicts.append((sigma, image is not None))
+        return image
+
+    monkeypatch.setattr(sphercode, "_image_labels", spy)
+    _orbits(W.half)
+    rows = {tuple(r) for r in W.vectors.tolist()}
+    for sigma, accepted in verdicts:
+        moved = np.empty_like(W.vectors)
+        moved[:, sigma] = W.vectors
+        assert ({tuple(r) for r in moved.tolist()} == rows) == accepted
+    assert [accepted for _, accepted in verdicts] == [True, False, True]
 
 
 def _brute_force_columns(vectors, cols, rows=None):
@@ -825,14 +926,14 @@ def test_pair_kernel_counts_half_the_counted_rows(rm_shell, products):
         assert sum(n for _, _, n in products) == counted
 
 
-def test_orbit_dot_counts_match_brute_force_across_chunks(rm_shell, products):
+def test_orbit_dot_counts_match_brute_force_across_chunks(xqr_shell, products):
     # the 620 columns of the orbits of 128 against the 992 rows of the
     # orbits of 4 in the first half, 256 ranks (512 rows) at a time, each
     # in blocks of 2^15 // 620 = 52 rows: 9 of 52 and one of 44, then for
     # the last 240 ranks 9 of 52 and one of 12; each count times 128 / 4
-    # goes to its rank
-    V = rm_shell.result.vectors
-    reps, sizes, labels, _ = _orbits(rm_shell.result.half)
+    # goes to its rank.  On xqr32 no coordinate map joins the flip orbits
+    V = xqr_shell.result.vectors
+    reps, sizes, labels, _ = _orbits(xqr_shell.result.half)
     by_size = np.argsort(sizes, kind="stable")
     ordered = sizes[by_size]
     assert ordered.tolist() == [4] * 496 + [128] * 620 + [65536]
@@ -841,7 +942,7 @@ def test_orbit_dot_counts_match_brute_force_across_chunks(rm_shell, products):
     ranks = rank[labels]
     cols = reps[by_size[496:1116]]
     table = np.zeros((65, 496), dtype=np.int32)
-    _orbit_dot_counts(table, rm_shell.result.half, cols, ranks, ordered, 496)
+    _orbit_dot_counts(table, xqr_shell.result.half, cols, ranks, ordered, 496)
     every = np.concatenate((ranks, ranks[::-1]))  # row N - 1 - k has row k's rank
     rows = np.flatnonzero(every < 496)
     dots = V[rows].astype(np.int64) @ V[cols].astype(np.int64).T + 32
@@ -851,9 +952,10 @@ def test_orbit_dot_counts_match_brute_force_across_chunks(rm_shell, products):
     assert sorted(products) == [(12, 32, 620)] + [(44, 32, 620)] + [(52, 32, 620)] * 18
 
 
-def test_orbit_pair_counts_match_the_one_sided_table(rm_shell):
-    # orbits of sizes 4, 128 and 65536: each pair of orbits counted once
-    shell = rm_shell.result
+def test_orbit_pair_counts_match_the_one_sided_table(xqr_shell):
+    # 496 orbits of 4, 620 of 128 and one of 65536: each pair of orbits
+    # counted once, the smaller orbits' dots _RANK_BLOCK ranks at a time
+    shell = xqr_shell.result
     reps, sizes, table, _ = _orbit_pass(shell)
     assert np.unique(sizes).tolist() == [4, 128, 65536]
     assert np.array_equal(table, _column_counts(shell, reps))
@@ -946,7 +1048,8 @@ def test_pair_passes_reject_vectors_off_norm(flags):
 def test_full_pass_uses_the_codeword_flip_group(request, code):
     shell = request.getfixturevalue(f"{code}_shell").result
     full = request.getfixturevalue(f"{code}_full_invariance").result
-    assert (full.group_order, full.representatives) == (2**16, 1117)
+    # on rm2_5 the affine maps join the 1117 flip orbits into 3
+    assert (full.group_order, full.representatives) == (2**16, {"rm": 3, "xqr": 1117}[code])
     sampled = check_distance_invariance(shell, sample=1000, seed=5)
     assert sampled.invariant
     assert (sampled.group_order, sampled.representatives) == (1, 1000)
