@@ -266,8 +266,15 @@ PartialProduct = namedtuple("PartialProduct", "index expansion pd")
 def partial_products(m: NodeMultiset, n: int) -> list:
     """P_i(t) = (t - t_1)...(t - t_i) for i = 1..len(m.nodes)-1, with their exact
     Gegenbauer expansions and positive-definiteness verdicts."""
+    return _expanded_products(_newton_basis(m), n)
+
+
+def _expanded_products(basis: list, n: int) -> list:
+    """The PartialProduct of each polynomial after the first of a Newton
+    basis: its exact Gegenbauer expansion in dimension n and its
+    positive-definiteness verdict."""
     out = []
-    for i, p in enumerate(_newton_basis(m)[1:], 1):
+    for i, p in enumerate(basis[1:], 1):
         e = gegenbauer_expand(n, p)
         out.append(PartialProduct(i, e, is_positive_definite(e)))
     return out
@@ -395,7 +402,7 @@ def energy_lower_bound(h: Potential, precision: int = 60) -> EnergyCertificate:
         basis = _newton_basis(nodes)
         h7 = _newton_form(dd, basis)  # h and h' evaluated once per node
         expansion = gegenbauer_expand(n, h7)
-        pps = tuple(partial_products(nodes, n))
+        pps = tuple(_expanded_products(basis, n))
         err = error_sign_check(nodes, T)
         dist = design_distribution()
         bound = N * sum(

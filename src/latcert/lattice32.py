@@ -40,16 +40,20 @@ from int8 (gathered, for an index set) to float32 just before its
 product, one np.matmul of 32 pairs by 2048 rows.  The blocks bound
 memory; the CLI runs OpenBLAS on one thread (see ``cli``).
 
-A Shell's checks, and the parity check of load_shell, run on 8192 rows at a
-time and make no full-size temporary; only rows out of order need the
-full-size row keys of a sort.  build_shell enumerates only the first half,
-and load_shell streams a canonical file, keeping its first half and
-comparing each later row with its mirror, so neither makes the second
-half.  Every Shell is made in one place, from its own first half: build_shell
-and load_shell hand over fresh rows, kept without a copy once sorted, and a
-Shell made from all of its rows, by the constructor or from a file that is
-not canonical, hands over a copy of the first half of the sorted rows, so
-no Shell keeps any other rows alive.
+The checks of a Shell's first half, and the parity check of load_shell,
+run on 8192 rows at a time and make no full-size temporary; only rows out
+of order need the full-size row keys of a sort.  build_shell enumerates
+only the first half, and load_shell streams a canonical file, keeping its
+first half and comparing each later row with its mirror, so neither makes
+the second half.  Every Shell is made in one place, from its own first
+half: build_shell and load_shell hand over fresh rows, kept without a copy
+once sorted, and a Shell made from all of its rows, by the constructor or
+from a file that is not canonical, splits them by leading sign, sorts each
+part into a copy, requires the plus part negated in reverse order to be
+the minus part, and hands over the minus part, so no Shell keeps any other
+rows alive.  Rows are compared, in the check of order and in a lookup, by
+one comparison, _less, and looked up by one bisection of the first half,
+_half_index.
 """
 
 from __future__ import annotations
@@ -79,12 +83,14 @@ class Shell:
     and the tests also build synthetic shells of dims 4 to 64.
 
     The constructor checks the invariants every kernel relies on, with
-    ValueError: there is a row, no row repeats, every row has s.s = 32 and
-    the rows are closed under negation.  Negation reverses the sorted order
-    of such rows, and the rows whose first nonzero entry is negative sort
-    before all others, so row count - 1 - k is -(row k): a Shell stores only
-    ``half``, the read-only, C-contiguous first count // 2 rows, whose
-    first nonzero entries are all negative, and computes every mirror row
+    ValueError: there is a row, every row has s.s = 32, no row repeats and
+    the rows are closed under negation.  It splits the rows by the sign of
+    their first nonzero entry and sorts each part; the rows are closed
+    under negation exactly when the plus part, negated in reverse order, is
+    the minus part.  Negation reverses the sorted order of such rows, and
+    the minus part sorts before the plus part, so row count - 1 - k is
+    -(row k): a Shell stores only ``half``, the read-only, C-contiguous
+    first count // 2 rows, the minus part, and computes every mirror row
     from it.  s.s = 32 bounds |entry| <= 5, so negation stays exact in
     int8, the row keys' nibbles hold every entry, and every partial sum of
     a dot is at most 32 in absolute value, so float32 dots are exact
@@ -105,12 +111,12 @@ class Shell:
             raise ValueError("need a nonempty shell")
         # first: s.s = 32 bounds |entry| <= 5, inside the row keys' range
         _check_norms(arr)
-        if not _increasing(arr):  # a saved shell's rows are sorted and distinct
-            arr = _canonical_sort(arr)
-        if not _folds(arr):
+        minus = _lead(arr) < 0
+        # sorted copies: a Shell never shares its rows with the caller
+        half, plus = (_canonical_sort(arr[m]) for m in (minus, ~minus))
+        if not np.array_equal(half, -plus[::-1]):
             raise ValueError("shell is not closed under negation")
-        # a copy: a Shell never shares its rows with the caller
-        return _own_half(arr[: len(arr) // 2].copy())
+        return _own_half(half)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot assign to or delete field {name!r}")
@@ -143,23 +149,16 @@ class Shell:
 
     def index_of(self, s) -> int:
         """Index of a vector in the canonical order; -1 if absent.  ValueError
-        unless the probe has shape (dim,)."""
+        unless the probe has shape (dim,).  _half_index finds the probe, or
+        its negation when the probe leads with a plus, in ``half``."""
         s = np.asarray(s)
         if s.shape != (self.dim,):
             raise ValueError(f"probe has shape {s.shape}, expected ({self.dim},)")
         row = s.astype(np.int8)
-        lead = np.flatnonzero(row)
-        if not np.array_equal(row, s) or not len(lead):  # wrapped into int8, or 0
+        if not np.array_equal(row, s):  # wrapped or truncated into int8
             return -1
-        mirror = row[lead[0]] > 0  # -row leads with a minus, so it is in the half
-        if mirror:
-            row = -row
-        # each row compared as one dim-byte record
-        record = np.dtype((np.void, self.dim))
-        hits = np.flatnonzero(self.half.view(record)[:, 0] == row.view(record)[0])
-        if not len(hits):
-            return -1
-        return self.count - 1 - int(hits[0]) if mirror else int(hits[0])
+        k = int(_half_index(self.half, row[None])[0])
+        return k if k < 0 or _lead(row) < 0 else self.count - 1 - k
 
 
 def _row_keys(a: np.ndarray) -> np.ndarray:
@@ -175,18 +174,40 @@ def _row_keys(a: np.ndarray) -> np.ndarray:
     return keys.view(">u8")
 
 
+def _less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether each row of a is lexicographically below the row of b,
+    compared at their first differing entry."""
+    k = (a != b).argmax(axis=1)[:, None]  # 0 where the rows are equal
+    return np.take_along_axis(a, k, 1)[:, 0] < np.take_along_axis(b, k, 1)[:, 0]
+
+
+def _lead(rows: np.ndarray) -> np.ndarray:
+    """The first nonzero entry of each row of rows, or of rows itself when
+    it is one row; 0 for a zero row."""
+    k = (rows != 0).argmax(axis=-1)[..., None]
+    return np.take_along_axis(rows, k, -1)[..., 0]
+
+
+def _half_index(half: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The index in half, a Shell's first half, of each row of rows or of
+    its negation, whichever leads with a minus; -1 where neither is a row.
+    One bisection of all rows at once, by _less."""
+    rows = np.where(_lead(rows)[:, None] > 0, -rows, rows)
+    lo, hi = np.zeros(len(rows), dtype=np.intp), np.full(len(rows), len(half))
+    while (open_ := lo < hi).any():
+        mid = (lo + hi) // 2
+        below = open_ & _less(half[np.minimum(mid, len(half) - 1)], rows)
+        lo, hi = np.where(below, mid + 1, lo), np.where(open_ & ~below, mid, hi)
+    at = np.minimum(lo, len(half) - 1)
+    return np.where((half[at] == rows).all(axis=1), at, -1)
+
+
 def _increasing(arr: np.ndarray) -> bool:
     """Whether every row is lexicographically above the row before it,
-    compared by row keys _BLOCK rows at a time, each block with the row
-    before it."""
+    compared _BLOCK rows at a time, each block with the row before it."""
     for r0 in range(0, len(arr), _BLOCK):
-        keys = _row_keys(arr[max(r0 - 1, 0) : r0 + _BLOCK])
-        less = np.zeros(len(keys) - 1, dtype=bool)  # row k < row k + 1 so far
-        tied = ~less  # row k == row k + 1 so far
-        for prev, cur in zip(keys[:-1].T, keys[1:].T):
-            less |= tied & (prev < cur)
-            tied &= prev == cur
-        if not less.all():
+        block = arr[max(r0 - 1, 0) : r0 + _BLOCK]
+        if not _less(block[:-1], block[1:]).all():
             return False
     return True
 
@@ -211,23 +232,6 @@ def _check_norms(vectors: np.ndarray) -> None:
             raise ValueError(f"vector {r0 + bad[0]} has s.s = {norms[bad[0]]}, expected 32")
 
 
-def _folds(V: np.ndarray) -> bool:
-    """Whether the second half of the rows is the first half negated in
-    reverse order; an odd count never folds.  On a Shell's rows this is
-    closure under negation, since they are sorted and distinct, none is
-    zero, and negation reverses the order of such rows.  Row k and its
-    mirror len(V) - 1 - k are summed in int8, which wraps as int8 negation
-    does, _BLOCK rows at a time."""
-    n = len(V)
-    if n % 2:
-        return False
-    for r0 in range(0, n // 2, _BLOCK):
-        r1 = min(r0 + _BLOCK, n // 2)
-        if (V[r0:r1] + V[n - r1 : n - r0][::-1]).any():
-            return False
-    return True
-
-
 def _mixed_parity(arr: np.ndarray) -> bool:
     """Whether an int8 row mixes even and odd entries, checked _BLOCK rows
     at a time (two's complement keeps parity)."""
@@ -242,14 +246,13 @@ def _own_half(half: np.ndarray) -> Shell:
     """The Shell whose first half is half, fresh C-contiguous int8 rows, kept
     without a copy when sorted and sorted into a new array otherwise; the one
     place a Shell's ``half`` is set.  ValueError unless every row has s.s =
-    32, no row repeats and every row leads with a minus sign.  In sorted
-    order the rows that lead with a minus come first, so the last row shows
-    the sign of all."""
+    32, no row repeats and every row leads with a minus sign (_lead).  In
+    sorted order the rows that lead with a minus come first, so the last
+    row shows the sign of all."""
     _check_norms(half)
     if not _increasing(half):
         half = _canonical_sort(half)
-    last = half[-1]
-    if last[np.flatnonzero(last)[0]] > 0:
+    if _lead(half[-1]) > 0:
         raise ValueError("a first-half row leads with a plus sign")
     half.setflags(write=False)
     shell = object.__new__(Shell)

@@ -64,7 +64,7 @@ from .exactmath import Polynomial
 from .gf2codes import gf2_rank
 from .gegenbauer import (DistanceDistribution, InnerProductHistogram,
                          gegenbauer_expand, gegenbauer_poly)
-from .lattice32 import _BINS, SHELL_NORM, Shell, _joint_tables, _row_keys
+from .lattice32 import _BINS, SHELL_NORM, Shell, _half_index, _joint_tables, _row_keys
 
 ALL = "all"
 _CLASS_BLOCK = 4096  # magnitude classes per step of the flip group's solve: bounds its memory
@@ -103,19 +103,16 @@ QuadratureVerdict = namedtuple("QuadratureVerdict", "holds lhs rhs warning",
                                defaults=(None,))
 
 
-def _column_counts(shell: Shell, cols: np.ndarray, rows=None, out=None) -> np.ndarray:
+def _column_counts(shell: Shell, cols: np.ndarray, rows=None) -> np.ndarray:
     """(65, len(cols)) int32 counts of each dot value s_x.s_c over the
     counted rows x, one column per index c in cols; bin 64 holds the self
     pair.  The counted rows are all of the shell's rows, or those at the
     ascending first-half indices rows and their mirrors (see
-    _joint_tables).  The counts go into out, a (65, len(cols)) int32 array
-    such as a slice of the caller's table, or a new one.  Columns go in
-    pairs (a, b), an odd count padded with its last, and each pair's joint
-    table gives column a as its sums over d_b and column b as its sums over
-    d_a."""
+    _joint_tables).  Columns go in pairs (a, b), an odd count padded with
+    its last, and each pair's joint table gives column a as its sums over
+    d_b and column b as its sums over d_a."""
     pairs = np.append(cols, cols[-1:]) if len(cols) % 2 else cols
-    if out is None:
-        out = np.empty((_BINS, len(cols)), dtype=np.int32)  # a count is at most N
+    out = np.empty((_BINS, len(cols)), dtype=np.int32)  # a count is at most N
     for k, joint in enumerate(_joint_tables(shell, pairs[0::2], pairs[1::2], rows)):
         joint.sum(axis=0, out=out[:, 2 * k])  # column a
         if 2 * k + 1 < len(cols):  # not the padding
@@ -240,7 +237,7 @@ def _orbit_pass(shell: Shell):
         cols = reps[by_size[lo:hi]]
         # the largest orbits count every row, through the contiguous path
         rows = None if hi == len(reps) else np.flatnonzero(ranks < hi).astype(np.int32)
-        _column_counts(shell, cols, rows, out=table[:, lo:hi])
+        table[:, lo:hi] = _column_counts(shell, cols, rows)
         _orbit_dot_counts(table, shell.half, cols, ranks, ordered, lo)
     return reps, sizes, table[:, rank], group_order
 
@@ -387,7 +384,7 @@ def _image_labels(half: np.ndarray, reps, labels, flips: list, sigma):
     first half is half.  Such a sigma maps the Shell onto itself: the
     flips map it onto itself, and a row g.r of the orbit of r goes to
     (sigma g sigma^-1).sigma(r), a flip of a row.  Each image y is looked
-    up in half by _find_rows as the one of y and -y that leads with a
+    up in half by _half_index as the one of y and -y that leads with a
     minus, which shares y's orbit."""
     dim = half.shape[1]
     if not np.array_equal(np.sort(sigma), np.arange(dim)):
@@ -397,27 +394,8 @@ def _image_labels(half: np.ndarray, reps, labels, flips: list, sigma):
         return None
     rows = np.empty((len(reps), dim), dtype=half.dtype)
     rows[:, sigma] = half[reps]
-    lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
-    np.negative(rows, out=rows, where=(lead > 0)[:, None])
-    at = _find_rows(half, rows)
+    at = _half_index(half, rows)
     return None if (at < 0).any() else labels[at]
-
-
-def _find_rows(half: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The index of each row of rows in half, lexicographically sorted and
-    distinct, or -1 where it is absent: one bisection of all rows at once,
-    each step comparing each row with its middle row at their first
-    differing entry."""
-    lo, hi = np.zeros(len(rows), dtype=np.intp), np.full(len(rows), len(half))
-    every = np.arange(len(rows))
-    while (open_ := lo < hi).any():
-        mid = (lo + hi) // 2
-        at = half[np.minimum(mid, len(half) - 1)]
-        k = (at != rows).argmax(axis=1)  # 0 where the rows are equal
-        below = open_ & (at[every, k] < rows[every, k])
-        lo, hi = np.where(below, mid + 1, lo), np.where(open_ & ~below, mid, hi)
-    at = np.minimum(lo, len(half) - 1)
-    return np.where((half[at] == rows).all(axis=1), at, -1)
 
 
 def _components(images: list) -> np.ndarray:

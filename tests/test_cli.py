@@ -430,8 +430,8 @@ def test_shell_grammar_checks_hold_under_optimize(tmp_path, flags, body, message
 def test_internal_check_failure_exits_one(small_shell_file, monkeypatch):
     column_counts = sphercode._column_counts
 
-    def drop_one_count(shell, cols, rows=None, out=None):
-        table = column_counts(shell, cols, rows, out)
+    def drop_one_count(shell, cols, rows=None):
+        table = column_counts(shell, cols, rows)
         table[2 * 32, 0] -= 1  # lose the first column's self pair
         return table
 

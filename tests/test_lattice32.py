@@ -26,7 +26,7 @@ from latcert.lattice32 import (
     Shell,
     _canonical_sort,
     _check_norms,
-    _folds,
+    _half_index,
     build_shell,
     check_extremal,
     load_shell,
@@ -347,8 +347,8 @@ def test_load_shell_does_not_sort_a_canonical_file(tmp_path, monkeypatch):
     monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
     assert load_shell(path).vectors.tolist() == sorted(rows)
     assert calls == []
-    Shell(rows)  # drawn order: sorted once
-    assert calls == [1]
+    Shell(rows)  # drawn order: each half, split by leading sign, sorted once
+    assert calls == [1, 1]
 
 
 def test_shell_of_sorted_rows_owns_them():
@@ -528,6 +528,20 @@ def test_rows_match_the_full_rows_at_any_index(case, data):
     assert np.array_equal(shell.half, full[: len(rows) // 2])
 
 
+@st.composite
+def norm32_rows(draw, dim: int):
+    """A row of s.s = 32 in dimension dim: drawn magnitudes, permuted and
+    signed."""
+    mags = draw(st.sampled_from(NORM32[dim]))
+    perm = draw(st.permutations(range(dim)))
+    signs = draw(st.lists(st.booleans(), min_size=dim, max_size=dim))
+    return tuple(-mags[p] if f else mags[p] for p, f in zip(perm, signs))
+
+
+def _negated(row: tuple) -> tuple:
+    return tuple(-v for v in row)
+
+
 @settings(max_examples=100, deadline=None)
 @given(antipodal_shells(), st.data())
 def test_index_of_matches_a_linear_search(case, data):
@@ -537,13 +551,55 @@ def test_index_of_matches_a_linear_search(case, data):
     shell = Shell(rows)
     full = sorted(rows)
     member = data.draw(st.sampled_from(full))
-    mags = data.draw(st.sampled_from(NORM32[dim]))
-    perm = data.draw(st.permutations(range(dim)))
-    signs = data.draw(st.lists(st.booleans(), min_size=dim, max_size=dim))
-    other = tuple(-mags[p] if f else mags[p] for p, f in zip(perm, signs))
-    for probe in (member, tuple(-v for v in member), other, (0,) * dim):
+    other = data.draw(norm32_rows(dim))
+    for probe in (member, _negated(member), other, (0,) * dim):
         expected = full.index(probe) if probe in full else -1
         assert shell.index_of(np.array(probe, dtype=np.int64)) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(antipodal_shells(), st.data())
+def test_half_index_matches_list_index(case, data):
+    # one batch of members, their negations, norm-32 rows that are mostly
+    # absent, and the zero row, against list.index in the first half of the
+    # sorted rows of whichever of the probe and its negation leads with a minus
+    dim, rows = case
+    half = sorted(rows)[: len(rows) // 2]
+    members = data.draw(st.lists(st.sampled_from(rows), max_size=4))
+    others = data.draw(st.lists(norm32_rows(dim), max_size=4))
+    probes = data.draw(st.permutations(
+        members + [_negated(m) for m in members] + others + [(0,) * dim]))
+    expected = []
+    for probe in probes:
+        lead = next((v for v in probe if v), 0)
+        probe = _negated(probe) if lead > 0 else probe
+        expected.append(half.index(probe) if probe in half else -1)
+    at = _half_index(Shell(rows).half, np.array(probes, dtype=np.int8).reshape(-1, dim))
+    assert at.tolist() == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_shell_matches_a_sorted_set_oracle(data):
+    # norm-32 rows, each with, without or only its negation, some repeated,
+    # in any order: the sorted rows when they are distinct and closed under
+    # negation, else the message of the first check that fails
+    dim = data.draw(st.integers(4, 8))
+    rows = []
+    for row in data.draw(st.lists(norm32_rows(dim), min_size=1, max_size=5)):
+        rows += data.draw(st.sampled_from([[row, _negated(row)], [row], [_negated(row)]]))
+    rows += data.draw(st.lists(st.sampled_from(rows), max_size=2))  # repeats
+    rows = data.draw(st.permutations(rows))
+    distinct = set(rows)
+    if len(distinct) < len(rows):
+        message = "duplicate shell vectors"
+    elif distinct != {_negated(r) for r in rows}:
+        message = "shell is not closed under negation"
+    else:
+        assert Shell(rows).vectors.tolist() == [list(r) for r in sorted(rows)]
+        return
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Shell(rows)
 
 
 @pytest.mark.parametrize(
@@ -819,12 +875,16 @@ def test_block_checks_report_faults_in_the_whole_array_order(rm_shell, tmp_path)
 
 @pytest.mark.parametrize("i", [8191, 8192, N // 2 - 1, N // 2, N - 8193, N - 1])
 def test_folds_finds_a_break_at_a_block_edge(rm_shell, i):
-    # the halves are compared 8192 mirrored rows at a time: a row off its
-    # mirror's negation at the edge of a block, or of the halves
+    # a row changed at the edge of an 8192-row block, or of the halves: the
+    # row negated repeats its mirror, and a row off the shell has no mirror
     V = rm_shell.result.vectors
-    assert _folds(V)
     W = V.copy()
     W[i] = -W[i]
-    assert not np.array_equal(-W[N // 2 :][::-1], W[: N // 2])
-    assert not _folds(W)
-    assert not _folds(V[:-1])  # an odd count
+    with pytest.raises(ValueError, match="^duplicate shell vectors$"):
+        Shell(W)
+    W[i] = 0
+    W[i, :5] = [5, 2, 1, 1, 1]  # s.s = 32, and no row of rm2_5 has a 5
+    with pytest.raises(ValueError, match="^shell is not closed under negation$"):
+        Shell(W)
+    with pytest.raises(ValueError, match="^shell is not closed under negation$"):
+        Shell(V[:-1])  # an odd count

@@ -51,8 +51,26 @@ def _callers(name: str) -> list:
 
 def test_negation_closure_has_one_check():
     # every Shell is closed under negation: the kernels take a Shell and
-    # rely on it, so no other code checks it again
-    assert _callers("_folds") == ["lattice32.py:Shell.__new__"]
+    # rely on it, so only the constructor refuses rows that are not (a
+    # canonical file that is not goes to the constructor too)
+    refusals = _scopes(lambda node: isinstance(node, ast.Constant)
+                       and node.value == "shell is not closed under negation")
+    assert refusals == ["lattice32.py:Shell.__new__"]
+
+
+def test_rows_are_looked_up_by_one_bisection():
+    # _half_index is the one bisection of a Shell's first half, a loop that
+    # narrows lo and hi, and no row is compared as an np.void record
+    def bisects(node):
+        return (isinstance(node, ast.While) and {"lo", "hi"} <= {
+            name.id for name in ast.walk(node.test) if isinstance(name, ast.Name)}
+            or isinstance(node, ast.Call) and "searchsorted" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+
+    assert _scopes(bisects) == ["lattice32.py:_half_index"]
+    assert sorted(_callers("_half_index")) == ["lattice32.py:Shell.index_of",
+                                               "sphercode.py:_image_labels"]
+    assert _scopes(lambda node: isinstance(node, ast.Attribute) and node.attr == "void") == []
 
 
 def test_a_shell_is_made_in_one_place():
