@@ -20,7 +20,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactmath import Polynomial
+from .exactmath import FactoredPolynomial, Polynomial
 
 # Basis polynomials are precomputed up to this degree; raise it if a deeper
 # expansion is ever needed (all built-in certificates stop at degree 10).
@@ -182,11 +182,8 @@ def distribution_from_design(I, N: int, n: int, tau: int) -> DistanceDistributio
     pts = nodes + [Fraction(1)]
     sol = []
     for t in pts:
-        prod = Polynomial([1])  # prod(t) L_t: x - u multiplied over the nodes u != t
-        for u in pts:
-            if u != t:
-                prod = prod * Polynomial([-u, 1])
-        sol.append(N * integrate_weighted(n, prod) / prod(t))
+        prod = FactoredPolynomial(1, [(u, 1) for u in pts if u != t])  # prod(t) L_t
+        sol.append(N * integrate_weighted(n, prod.expand()) / prod(t))
     for t, a in zip(pts, sol):
         if a < 0:
             raise ValueError(f"negative distribution entry A_{t} = {a}")

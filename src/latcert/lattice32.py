@@ -40,20 +40,21 @@ from int8 (gathered, for an index set) to float32 just before its
 product, one np.matmul of 32 pairs by 2048 rows.  The blocks bound
 memory; the CLI runs OpenBLAS on one thread (see ``cli``).
 
-The checks of a Shell's first half, and the parity check of load_shell,
-run on 8192 rows at a time and make no full-size temporary; only rows out
-of order need the full-size row keys of a sort.  build_shell enumerates
-only the first half, and load_shell streams a canonical file, keeping its
-first half and comparing each later row with its mirror, so neither makes
-the second half.  Every Shell is made in one place, from its own first
-half: build_shell and load_shell hand over fresh rows, kept without a copy
-once sorted, and a Shell made from all of its rows, by the constructor or
-from a file that is not canonical, splits them by leading sign, sorts each
-part into a copy, requires the plus part negated in reverse order to be
-the minus part, and hands over the minus part, so no Shell keeps any other
-rows alive.  Rows are compared, in the check of order and in a lookup, by
-one comparison, _less, and looked up by one bisection of the first half,
-_half_index.
+The checks of a Shell's first half and the parity check of load_shell run
+on _BLOCK = 8192 rows at a time and make no full-size temporary; only rows
+out of order need the full-size row keys of a sort.  save_shell and the
+row passes of ``sphercode``'s orbits take the same blocks.  build_shell
+enumerates only the first half, and load_shell streams a canonical file,
+keeping its first half and comparing each later row with its mirror, so
+neither makes the second half.  Every Shell is made in one place, from its own first half, by
+_own_half, the one place a first half is sorted: build_shell and
+load_shell hand over fresh rows, kept without a copy once sorted, and a
+Shell made from all of its rows, by the constructor or from a file that is
+not canonical, splits them by leading sign, hands over a copy of the minus
+part and requires the plus part, negated and sorted, to equal the Shell's
+first half, so no Shell keeps any other rows alive.  Rows are compared, in
+the check of order and in a lookup, by one comparison, _less, and looked
+up by one bisection of the first half, _half_index.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from .gf2codes import BinaryCode, _codewords_by_weight, code_report
 SHELL_NORM = 32  # s.s for every shell vector (norm 4 at lattice scale)
 _BINS = 2 * SHELL_NORM + 1  # dot values -32..32, offset by 32
 _E22_BIN = SHELL_NORM + 16  # dot 16: lattice inner product 2
-_BLOCK = 8192  # rows per block of the checks of a Shell's rows
+_BLOCK = 8192  # rows per block of a pass over a Shell's rows: bounds its temporaries
 
 
 class Shell:
@@ -84,20 +85,21 @@ class Shell:
 
     The constructor checks the invariants every kernel relies on, with
     ValueError: there is a row, every row has s.s = 32, no row repeats and
-    the rows are closed under negation.  It splits the rows by the sign of
-    their first nonzero entry and sorts each part; the rows are closed
-    under negation exactly when the plus part, negated in reverse order, is
-    the minus part.  Negation reverses the sorted order of such rows, and
-    the minus part sorts before the plus part, so row count - 1 - k is
-    -(row k): a Shell stores only ``half``, the read-only, C-contiguous
-    first count // 2 rows, the minus part, and computes every mirror row
-    from it.  s.s = 32 bounds |entry| <= 5, so negation stays exact in
-    int8, the row keys' nibbles hold every entry, and every partial sum of
-    a dot is at most 32 in absolute value, so float32 dots are exact
-    integers.  ``vectors``, all count rows, is a new array on each read,
-    for the tests.  ``half`` is set once, by _own_half, which makes every
-    Shell from rows it owns (half.base is None); two shells are equal only
-    when they are the same object.
+    the rows are closed under negation, checked in that order.  It splits
+    the rows by the sign of their first nonzero entry, makes the Shell from
+    a copy of the minus part, which _own_half sorts, and sorts the plus
+    part negated; the rows are closed under negation exactly when that is
+    the Shell's first half.  Negation reverses the sorted order of such
+    rows, and the minus part sorts before the plus part, so row count - 1 -
+    k is -(row k): a Shell stores only ``half``, the read-only,
+    C-contiguous first count // 2 rows, the minus part, and computes every
+    mirror row from it.  s.s = 32 bounds |entry| <= 5, so negation stays
+    exact in int8, the row keys' nibbles hold every entry, and every
+    partial sum of a dot is at most 32 in absolute value, so float32 dots
+    are exact integers.  ``vectors``, all count rows, is a new array on
+    each read, for the tests.  ``half`` is set once, by _own_half, which
+    makes every Shell from rows it owns (half.base is None); two shells are
+    equal only when they are the same object.
     """
 
     # half: (N // 2, dim) int8, lexicographically sorted, no duplicates
@@ -112,11 +114,10 @@ class Shell:
         # first: s.s = 32 bounds |entry| <= 5, inside the row keys' range
         _check_norms(arr)
         minus = _lead(arr) < 0
-        # sorted copies: a Shell never shares its rows with the caller
-        half, plus = (_canonical_sort(arr[m]) for m in (minus, ~minus))
-        if not np.array_equal(half, -plus[::-1]):
+        shell = _own_half(arr[minus])  # a copy: a Shell never shares the caller's rows
+        if not np.array_equal(_canonical_sort(-arr[~minus]), shell.half):
             raise ValueError("shell is not closed under negation")
-        return _own_half(half)
+        return shell
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot assign to or delete field {name!r}")
@@ -245,14 +246,16 @@ def _mixed_parity(arr: np.ndarray) -> bool:
 def _own_half(half: np.ndarray) -> Shell:
     """The Shell whose first half is half, fresh C-contiguous int8 rows, kept
     without a copy when sorted and sorted into a new array otherwise; the one
-    place a Shell's ``half`` is set.  ValueError unless every row has s.s =
-    32, no row repeats and every row leads with a minus sign (_lead).  In
-    sorted order the rows that lead with a minus come first, so the last
-    row shows the sign of all."""
+    place a first half is sorted and a Shell's ``half`` is set.  ValueError
+    unless every row has s.s = 32, no row repeats and every row leads with a
+    minus sign (_lead).  In sorted order the rows that lead with a minus
+    come first, so the last row shows the sign of all.  An empty half, the
+    minus part of rows that all lead with a plus, gives an empty Shell,
+    which Shell.__new__ then refuses as not closed under negation."""
     _check_norms(half)
     if not _increasing(half):
         half = _canonical_sort(half)
-    if _lead(half[-1]) > 0:
+    if len(half) and _lead(half[-1]) > 0:
         raise ValueError("a first-half row leads with a plus sign")
     half.setflags(write=False)
     shell = object.__new__(Shell)
@@ -456,8 +459,8 @@ def save_shell(shell: Shell, path) -> None:
         fh.write(f"{_HEADER} n={shell.dim} count={shell.count} scale=2sqrt2\n".encode())
         # the first half, then its rows negated in reverse order
         for sign, rows in ((1, shell.half), (-1, shell.half[::-1])):
-            for r0 in range(0, len(rows), 8192):
-                block = sign * rows[r0 : r0 + 8192]
+            for r0 in range(0, len(rows), _BLOCK):
+                block = sign * rows[r0 : r0 + _BLOCK]
                 text = np.full((*block.shape, 3), ord(" "), dtype=np.uint8)  # sign, digit, space
                 text[..., 0] = np.where(block < 0, ord("-"), 0)
                 text[..., 1] = ord("0") + np.abs(block)

@@ -64,7 +64,7 @@ from .exactmath import Polynomial
 from .gf2codes import gf2_rank
 from .gegenbauer import (DistanceDistribution, InnerProductHistogram,
                          gegenbauer_expand, gegenbauer_poly)
-from .lattice32 import _BINS, SHELL_NORM, Shell, _half_index, _joint_tables, _row_keys
+from .lattice32 import _BINS, _BLOCK, SHELL_NORM, Shell, _half_index, _joint_tables, _row_keys
 
 ALL = "all"
 _CLASS_BLOCK = 4096  # magnitude classes per step of the flip group's solve: bounds its memory
@@ -129,13 +129,11 @@ def _sign_words(bits: np.ndarray) -> np.ndarray:
     return packed.view(f"<u{size}")[:, 0]
 
 
-def _eliminate(words: np.ndarray, pivot: np.ndarray, class_sizes=None) -> None:
+def _eliminate(words: np.ndarray, pivot: np.ndarray) -> None:
     """Clear the pivot bit, the lowest set bit of pivot (none for 0), from
-    words by XOR with pivot; with class_sizes, pivot holds one word per
-    class and words are the rows in class order."""
+    words by XOR with pivot, each word with the pivot it is broadcast
+    against."""
     bit = pivot & (~pivot + 1)
-    if class_sizes is not None:
-        bit, pivot = np.repeat(bit, class_sizes), np.repeat(pivot, class_sizes)
     words ^= pivot * ((words & bit) != 0)  # faster than np.where
 
 
@@ -156,7 +154,7 @@ def _flip_group(words: np.ndarray, support: np.ndarray, class_sizes, heads) -> l
     pivots, pivot = [], support
     while pivot.any():
         pivots.append(pivot)
-        _eliminate(diffs, pivot, class_sizes)
+        _eliminate(diffs, np.repeat(pivot, class_sizes))  # one pivot per row
         pivot = np.maximum.reduceat(diffs, heads)
     rank = np.count_nonzero(pivots, axis=0)  # of D_c, at most |S_c| <= 32
     for pivot in pivots[1:]:  # a class that is no whole coset allows {0, S_c}
@@ -185,7 +183,7 @@ def _cosets(words: np.ndarray, flips: list, support: np.ndarray, class_sizes: np
     for i, mask in enumerate(masks):
         # the earlier pivots are already cleared from this mask, and this
         # pivot is cleared from the later ones, so no step undoes another
-        _eliminate(words, mask, class_sizes)
+        _eliminate(words, np.repeat(mask, class_sizes))  # one mask per row
         for later in masks[i + 1 :]:
             _eliminate(later, mask)
     rank = np.count_nonzero(masks, axis=0)  # the masks left nonzero: a basis
@@ -200,15 +198,15 @@ def _cosets(words: np.ndarray, flips: list, support: np.ndarray, class_sizes: np
 def _sorted_runs(keys: list):
     """(int32 order of the rows by the 1-d key arrays keys, the first the
     most significant, places in it where a run of equal keys starts); the
-    runs are found 8192 rows at a time."""
+    runs are found _BLOCK rows at a time."""
     order = np.lexsort(keys[::-1]).astype(np.int32)
     first = np.ones(len(order), dtype=bool)
-    for r0 in range(1, len(order), 8192):
-        at = order[r0 - 1 : r0 + 8192]  # each block with the row before it
-        first[r0 : r0 + 8192] = False
+    for r0 in range(1, len(order), _BLOCK):
+        at = order[r0 - 1 : r0 + _BLOCK]  # each block with the row before it
+        first[r0 : r0 + _BLOCK] = False
         for key in keys:
             word = key[at]
-            first[r0 : r0 + 8192] |= word[1:] != word[:-1]
+            first[r0 : r0 + _BLOCK] |= word[1:] != word[:-1]
     return order, np.flatnonzero(first)
 
 
@@ -302,18 +300,18 @@ def _orbits(half: np.ndarray):
     # verify --full peaked about 0.2 MB higher in RSS on rm2_5 (glibc's
     # malloc thresholds follow the largest block freed)
     mags = [np.empty(len(half), dtype=np.uint64) for _ in range(-(-dim // 16))]
-    for r0 in range(0, len(half), 8192):  # no full-size |half|
-        block = _row_keys(np.abs(half[r0 : r0 + 8192]))
+    for r0 in range(0, len(half), _BLOCK):  # no full-size |half|
+        block = _row_keys(np.abs(half[r0 : r0 + _BLOCK]))
         for k in range(len(mags)):
-            mags[k][r0 : r0 + 8192] = block[:, k]
+            mags[k][r0 : r0 + _BLOCK] = block[:, k]
     del block
     order, heads = _sorted_runs(mags)
     del mags
     class_sizes = np.diff(np.append(heads, len(half)))
     support = _sign_words(half[order[heads]] != 0)  # one row per class
     words = np.empty(len(half), dtype=support.dtype)  # class order from here on
-    for r0 in range(0, len(half), 8192):  # no full-size sign bits, none beside the sort
-        words[r0 : r0 + 8192] = _sign_words(half[order[r0 : r0 + 8192]] < 0)
+    for r0 in range(0, len(half), _BLOCK):  # no full-size sign bits, none beside the sort
+        words[r0 : r0 + _BLOCK] = _sign_words(half[order[r0 : r0 + _BLOCK]] < 0)
 
     flips = _flip_group(words, support, class_sizes, heads)
     perm, starts, sizes = _cosets(words, flips, support, class_sizes)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     PAIRS_4,
@@ -347,8 +347,10 @@ def test_load_shell_does_not_sort_a_canonical_file(tmp_path, monkeypatch):
     monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
     assert load_shell(path).vectors.tolist() == sorted(rows)
     assert calls == []
-    Shell(rows)  # drawn order: each half, split by leading sign, sorted once
+    Shell(rows[::-1])  # each half, split by leading sign, out of order: sorted once
     assert calls == [1, 1]
+    Shell(rows)  # the minus part is in order: only the plus part, negated, is sorted
+    assert calls == [1, 1, 1]
 
 
 def test_shell_of_sorted_rows_owns_them():
@@ -578,18 +580,27 @@ def test_half_index_matches_list_index(case, data):
     assert at.tolist() == expected
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_shell_matches_a_sorted_set_oracle(data):
-    # norm-32 rows, each with, without or only its negation, some repeated,
-    # in any order: the sorted rows when they are distinct and closed under
-    # negation, else the message of the first check that fails
-    dim = data.draw(st.integers(4, 8))
+@st.composite
+def oracle_row_sets(draw):
+    """Norm-32 rows in dim 4-8, each with, without or only its negation,
+    some repeated, in any order."""
+    dim = draw(st.integers(4, 8))
     rows = []
-    for row in data.draw(st.lists(norm32_rows(dim), min_size=1, max_size=5)):
-        rows += data.draw(st.sampled_from([[row, _negated(row)], [row], [_negated(row)]]))
-    rows += data.draw(st.lists(st.sampled_from(rows), max_size=2))  # repeats
-    rows = data.draw(st.permutations(rows))
+    for row in draw(st.lists(norm32_rows(dim), min_size=1, max_size=5)):
+        rows += draw(st.sampled_from([[row, _negated(row)], [row], [_negated(row)]]))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=2))  # repeats
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_row_sets())
+@example([(4, 4, 0, 0)])  # one row, leading with a plus: an empty minus part
+@example([(0, 4, 4, 0), (4, 0, 0, 4), (0, 4, 4, 0)])  # only plus rows, one repeated
+# a minus part with a repeat, beside a plus row whose mirror is missing
+@example([(-4, 0, 4, 0), (4, 0, 0, -4), (-4, 0, 4, 0), (4, 0, -4, 0)])
+def test_shell_matches_a_sorted_set_oracle(rows):
+    # the sorted rows when they are distinct and closed under negation, else
+    # the message of the first check that fails
     distinct = set(rows)
     if len(distinct) < len(rows):
         message = "duplicate shell vectors"

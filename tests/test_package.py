@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import latcert
+from latcert import sphercode
 from latcert.cli import build_parser
 from latcert.lattice32 import Shell, save_shell
 
@@ -88,6 +89,22 @@ def test_a_shell_is_made_in_one_place():
                    and getattr(node.func, "attr", None) == "__new__"
                    and any(getattr(arg, "id", None) == "Shell" for arg in node.args)
                    ) == ["lattice32.py:_own_half"]
+
+
+def test_each_job_on_the_shell_path_has_one_place():
+    # _own_half sorts every first half, and Shell.__new__ sorts only the
+    # negated plus rows that it compares with the Shell's first half
+    assert sorted(_callers("_canonical_sort")) == ["lattice32.py:Shell.__new__",
+                                                   "lattice32.py:_own_half"]
+    assert _scopes(lambda node: isinstance(node, ast.Call)
+                   and getattr(node.func, "id", None) == "_canonical_sort"
+                   and isinstance(node.args[0], ast.UnaryOp)
+                   and isinstance(node.args[0].op, ast.USub)) == ["lattice32.py:Shell.__new__"]
+    # _eliminate clears one pivot per word: its callers expand per-class pivots
+    assert list(inspect.signature(sphercode._eliminate).parameters) == ["words", "pivot"]
+    # one row block, lattice32._BLOCK, for the passes over a Shell's rows
+    assert _scopes(lambda node: isinstance(node, ast.Constant)
+                   and type(node.value) is int and node.value == 8192) == ["lattice32.py:"]
 
 
 def test_the_energy_verdict_is_decided_in_energycert():
